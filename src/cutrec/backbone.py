@@ -12,23 +12,11 @@ from .embeddings import (EmbeddingTable, ROLE_ITEM_TARGET,
                          ROLE_USER_TARGET_PHASE1, init_embeddings)
 from .graph import BipartiteGraph, build_graph, propagate
 from .losses import bce_loss, bpr_loss
-from .optim import Adam, GradBuffer
+from .optim import GradBuffer
 
 BACKBONE_MF = "mf"
 BACKBONE_LIGHTGCN = "lightgcn"
-LOSS_BCE = "bce"
-LOSS_BPR = "bpr"
-
-LOSS_FNS = {LOSS_BCE: bce_loss, LOSS_BPR: bpr_loss}
-
-
-def mf_score(u_vec: np.ndarray, i_vec: np.ndarray) -> float:
-    """Dot-product relevance score."""
-    u = np.asarray(u_vec)
-    i = np.asarray(i_vec)
-    if u.shape != i.shape:
-        raise ValueError("user and item vectors must have equal dimension")
-    return float(np.dot(u, i))
+LOSS_FNS = {"bce": bce_loss, "bpr": bpr_loss}
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -65,44 +53,37 @@ def sample_negatives_batch(rng: np.random.Generator, n_items: int,
 
 
 class SingleDomainModel:
-    """A backbone over one user/item index space."""
+    """A backbone over one user/item index space: MF without a graph,
+    LightGCN with one."""
 
     def __init__(self, users: EmbeddingTable, items: EmbeddingTable,
-                 backbone: str, graph: BipartiteGraph | None = None):
-        if backbone not in (BACKBONE_MF, BACKBONE_LIGHTGCN):
-            raise ValueError(f"unknown backbone {backbone!r}")
-        if backbone == BACKBONE_LIGHTGCN and graph is None:
-            raise ValueError("lightgcn backbone requires a graph")
+                 graph: BipartiteGraph | None = None):
         if users.dim != items.dim:
             raise ValueError("user and item tables must share one dimension")
         self.users = users
         self.items = items
-        self.backbone = backbone
         self.graph = graph
 
     @classmethod
     def create(cls, n_users: int, n_items: int, dim: int, seed, *,
                backbone: str = BACKBONE_MF,
                train: InteractionSet | None = None, k_layers: int = 2,
-               dtype=np.float32, user_role: str = ROLE_USER_TARGET_PHASE1,
-               item_role: str = ROLE_ITEM_TARGET) -> "SingleDomainModel":
+               dtype=np.float32) -> "SingleDomainModel":
+        if backbone not in (BACKBONE_MF, BACKBONE_LIGHTGCN):
+            raise ValueError(f"unknown backbone {backbone!r}")
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
         user_seed, item_seed = seed.spawn(2)
-        users = init_embeddings(n_users, dim, user_seed, role=user_role,
-                                dtype=dtype)
-        items = init_embeddings(n_items, dim, item_seed, role=item_role,
-                                dtype=dtype)
+        users = init_embeddings(n_users, dim, user_seed,
+                                role=ROLE_USER_TARGET_PHASE1, dtype=dtype)
+        items = init_embeddings(n_items, dim, item_seed,
+                                role=ROLE_ITEM_TARGET, dtype=dtype)
         graph = None
         if backbone == BACKBONE_LIGHTGCN:
             if train is None:
                 raise ValueError("lightgcn backbone needs train interactions")
             graph = build_graph(train, k_layers)
-        return cls(users, items, backbone, graph)
-
-    @property
-    def n_users(self) -> int:
-        return self.users.rows
+        return cls(users, items, graph)
 
     @property
     def n_items(self) -> int:
@@ -111,27 +92,61 @@ class SingleDomainModel:
     def params(self) -> dict[str, np.ndarray]:
         return {"user": self.users.values, "item": self.items.values}
 
-    def propagated(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.backbone == BACKBONE_MF:
-            return self.users.values, self.items.values
-        return propagate(self.graph, self.users.values, self.items.values)
-
     def make_scorer(self):
         """Read-only per-user scorer over all items."""
-        user_final, item_final = self.propagated()
+        user_final, item_final = self.users.values, self.items.values
+        if self.graph is not None:
+            user_final, item_final = propagate(self.graph, user_final,
+                                               item_final)
         item_t = item_final.T.copy()
         return lambda user: user_final[user] @ item_t
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: value.copy() for name, value in self.params().items()}
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, value in self.params().items():
-            value[...] = state[name]
+def rows_read(graph: BipartiteGraph | None, users: np.ndarray) -> np.ndarray:
+    """Sorted layer-0 user rows that a domain loss over ``users`` reads:
+    the distinct batch users, or every user when a graph propagates."""
+    return np.unique(users) if graph is None else np.arange(graph.n_users)
 
-    def assert_finite(self, context: str = "") -> None:
-        self.users.assert_finite(context)
-        self.items.assert_finite(context)
+
+def domain_forward_backward(user_vals: np.ndarray, item_vals: np.ndarray,
+                            graph: BipartiteGraph | None, users: np.ndarray,
+                            pos_items: np.ndarray, neg_items: np.ndarray,
+                            loss_fn, weight: float):
+    """One domain's batch loss and the gradient of ``weight * loss`` on
+    the layer-0 user and item values.
+
+    ``users`` index rows of ``user_vals``. Without a graph the scores are
+    plain dot products and the gradients cover the batch rows, repeats
+    included; with one they use the propagated embeddings and cover every
+    row. Returns ``(loss, (user_rows, user_grad), (item_rows,
+    item_grad))``. Positive item rows come before negative ones, so
+    accumulating them in order matches adding the two groups one after
+    the other.
+    """
+    if graph is None:
+        user_final, item_final = user_vals, item_vals
+    else:
+        user_final, item_final = propagate(graph, user_vals, item_vals)
+    u_vecs = user_final[users]
+    pos_vecs = item_final[pos_items]
+    neg_vecs = item_final[neg_items]
+    loss, d_pos, d_neg = loss_fn(row_dots(u_vecs, pos_vecs),
+                                 row_dots(u_vecs, neg_vecs))
+    d_user = weight * (d_pos[:, None] * pos_vecs + d_neg[:, None] * neg_vecs)
+    item_rows = np.concatenate([pos_items, neg_items])
+    d_item = (weight * np.concatenate([d_pos, d_neg]))[:, None] \
+        * np.concatenate([u_vecs, u_vecs])
+    if graph is None:
+        return loss, (users, d_user), (item_rows, d_item)
+    d_user_final = np.zeros_like(user_final, dtype=np.float64)
+    d_item_final = np.zeros_like(item_final, dtype=np.float64)
+    np.add.at(d_user_final, users, d_user)
+    np.add.at(d_item_final, item_rows, d_item)
+    # The adjacency is symmetric, so the backward pass through the
+    # propagation is the propagation itself.
+    d_user0, d_item0 = propagate(graph, d_user_final, d_item_final)
+    return (loss, (np.arange(graph.n_users), d_user0),
+            (np.arange(graph.n_items), d_item0))
 
 
 def single_domain_forward_backward(model: SingleDomainModel,
@@ -141,50 +156,10 @@ def single_domain_forward_backward(model: SingleDomainModel,
     """Forward scores, loss, and hand-derived gradients for one batch."""
     if users.size == 0:
         raise ValueError("batch must be non-empty")
-    loss_fn = LOSS_FNS[loss_kind]
     buf = GradBuffer(model.params())
-
-    if model.backbone == BACKBONE_MF:
-        user_vals = model.users.values
-        item_vals = model.items.values
-        u_vecs = user_vals[users]
-        pos_scores = row_dots(u_vecs, item_vals[pos_items])
-        neg_scores = row_dots(u_vecs, item_vals[neg_items])
-        loss, d_pos, d_neg = loss_fn(pos_scores, neg_scores)
-        d_user = d_pos[:, None] * item_vals[pos_items] \
-            + d_neg[:, None] * item_vals[neg_items]
-        buf.add_rows("user", users, d_user)
-        buf.add_rows("item", pos_items, d_pos[:, None] * u_vecs)
-        buf.add_rows("item", neg_items, d_neg[:, None] * u_vecs)
-        return loss, buf
-
-    user_final, item_final = model.propagated()
-    u_vecs = user_final[users]
-    pos_scores = row_dots(u_vecs, item_final[pos_items])
-    neg_scores = row_dots(u_vecs, item_final[neg_items])
-    loss, d_pos, d_neg = loss_fn(pos_scores, neg_scores)
-    d_user_final = np.zeros_like(user_final, dtype=np.float64)
-    d_item_final = np.zeros_like(item_final, dtype=np.float64)
-    np.add.at(d_user_final, users,
-              d_pos[:, None] * item_final[pos_items]
-              + d_neg[:, None] * item_final[neg_items])
-    np.add.at(d_item_final, pos_items, d_pos[:, None] * u_vecs)
-    np.add.at(d_item_final, neg_items, d_neg[:, None] * u_vecs)
-    # The adjacency is symmetric, so the backward pass through the
-    # propagation is the propagation itself.
-    d_user0, d_item0 = propagate(model.graph, d_user_final, d_item_final)
-    buf.add_rows("user", np.arange(model.n_users), d_user0)
-    buf.add_rows("item", np.arange(model.n_items), d_item0)
+    loss, (user_rows, d_user), (item_rows, d_item) = domain_forward_backward(
+        model.users.values, model.items.values, model.graph, users,
+        pos_items, neg_items, LOSS_FNS[loss_kind], 1.0)
+    buf.add_rows("user", user_rows, d_user)
+    buf.add_rows("item", item_rows, d_item)
     return loss, buf
-
-
-def train_step_single_domain(model: SingleDomainModel, optimizer: Adam,
-                             users: np.ndarray, pos_items: np.ndarray,
-                             train_rows, loss_kind: str,
-                             rng: np.random.Generator) -> float:
-    """Sample negatives, compute gradients, apply one optimizer step."""
-    neg_items = sample_negatives_batch(rng, model.n_items, train_rows, users)
-    loss, buf = single_domain_forward_backward(model, users, pos_items,
-                                               neg_items, loss_kind)
-    optimizer.step(buf.grads())
-    return loss

@@ -5,6 +5,15 @@ header (table roles/shapes, hyperparameters, optimizer step count, an
 optional transform section), then each table as row-major 32-bit
 little-endian floats in header order, then transform weight and bias if
 present.
+
+What the tables are depends on the header's ``model_kind``: a ``single``
+(phase-one) checkpoint holds ``user-target-phase1`` and ``item-target``;
+a ``frozen-user-table`` checkpoint holds ``user-target-phase1`` alone; a
+``cut`` (phase-two) checkpoint holds ``user``, one row per user of both
+domains in dataset order (target-only, overlap, source-only), then
+``item-target`` and ``item-source``, plus the transform unless it was
+ablated. The header does not record where the source users start in
+``user``: the user counts of the splits the model is loaded with fix it.
 """
 
 from __future__ import annotations
@@ -36,7 +45,9 @@ class Checkpoint:
         for tbl in self.tables:
             if tbl.role == role:
                 return tbl
-        raise KeyError(f"checkpoint has no table with role {role!r}")
+        present = ", ".join(repr(tbl.role) for tbl in self.tables)
+        raise CheckpointError(f"checkpoint has no table with role {role!r} "
+                              f"(it holds {present or 'no tables'})")
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> Path:

@@ -12,8 +12,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus, synthgen
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TrainingConfig
@@ -119,16 +117,17 @@ def cmd_train_target(args) -> int:
 def cmd_train_transfer(args) -> int:
     cfg = _training_config(args)
     ds, target_split, source_split = corpus.load_dataset(args.data)
-    frozen = None
-    oracle = None
+    embedding_oracle = not (cfg.effective_no_contrastive
+                            or cfg.history_similarity)
+    frozen = oracle = None
+    if cfg.warm_start or embedding_oracle:
+        if not args.phase1:
+            raise ConfigError("--phase1 checkpoint required for warm_start "
+                              "and for the embedding similarity oracle")
+        frozen = load_checkpoint(args.phase1).table(ROLE_USER_TARGET_PHASE1)
     if cfg.history_similarity:
         oracle = SimilarityOracle.from_history(target_split.train, cfg.gamma)
-    elif not cfg.effective_no_contrastive or cfg.warm_start:
-        if not args.phase1:
-            raise ConfigError("--phase1 checkpoint required unless the "
-                              "contrastive term is disabled")
-        ckpt = load_checkpoint(args.phase1)
-        frozen = ckpt.table(ROLE_USER_TARGET_PHASE1)
+    elif embedding_oracle:
         oracle = SimilarityOracle.from_embeddings(frozen, cfg.gamma)
     result = run_transfer_phase(ds, target_split, source_split, cfg, oracle,
                                 frozen=frozen)
@@ -155,8 +154,7 @@ def cmd_evaluate(args) -> int:
         graph = None
         if training.backbone == "lightgcn":
             graph = build_graph(target_split.train, training.k_layers)
-        model = SingleDomainModel(ckpt.tables[0], ckpt.tables[1],
-                                  training.backbone, graph)
+        model = SingleDomainModel(ckpt.tables[0], ckpt.tables[1], graph)
         scorer = model.make_scorer()
     else:
         raise CheckpointError(

@@ -161,9 +161,6 @@ class InteractionSet:
     def n_interactions(self) -> int:
         return sum(row.size for row in self.rows)
 
-    def row(self, user: int) -> np.ndarray:
-        return self.rows[user]
-
 
 def _interaction_set(per_user: list[list[tuple[int, int | None]]],
                      n_items: int) -> InteractionSet:
@@ -226,10 +223,6 @@ class CrossDomainDataset:
     @property
     def n_source_only(self) -> int:
         return self.role_counts[2]
-
-    @cached_property
-    def user_token_map(self) -> dict[str, int]:
-        return {tok: idx for idx, tok in enumerate(self.user_tokens)}
 
     @cached_property
     def item_token_maps(self) -> dict[str, dict[str, int]]:

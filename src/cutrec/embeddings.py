@@ -3,22 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .errors import TrainingDivergedError
 
 ROLE_USER_TARGET_PHASE1 = "user-target-phase1"
-ROLE_USER_TARGET_ONLY = "user-target-only"
-ROLE_USER_OVERLAP = "user-overlap"
-ROLE_USER_SOURCE_ONLY = "user-source-only"
+ROLE_USER = "user"
 ROLE_ITEM_TARGET = "item-target"
 ROLE_ITEM_SOURCE = "item-source"
-
-KNOWN_ROLES = frozenset({
-    ROLE_USER_TARGET_PHASE1, ROLE_USER_TARGET_ONLY, ROLE_USER_OVERLAP,
-    ROLE_USER_SOURCE_ONLY, ROLE_ITEM_TARGET, ROLE_ITEM_SOURCE,
-})
 
 
 @dataclass
@@ -38,14 +32,15 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.role, self.values.copy())
 
-    def assert_finite(self, context: str = "") -> None:
-        if not np.all(np.isfinite(self.values)):
+def assert_finite(params: Mapping[str, np.ndarray], context: str = "") -> None:
+    """Raise ``TrainingDivergedError`` naming the first parameter that
+    holds a NaN or an infinity."""
+    for name, values in params.items():
+        if not np.all(np.isfinite(values)):
             where = f" ({context})" if context else ""
             raise TrainingDivergedError(
-                f"non-finite values in embedding table {self.role!r}{where}")
+                f"non-finite values in parameter {name!r}{where}")
 
 
 def init_embeddings(rows: int, dim: int, seed, *, role: str = "user",
@@ -56,8 +51,3 @@ def init_embeddings(rows: int, dim: int, seed, *, role: str = "user",
     rng = np.random.default_rng(seed)
     values = rng.normal(0.0, scale, size=(rows, dim)).astype(dtype)
     return EmbeddingTable(role, values)
-
-
-def empty_table(dim: int, *, role: str, dtype=np.float32) -> EmbeddingTable:
-    """A zero-row table for partitions that happen to be empty."""
-    return EmbeddingTable(role, np.zeros((0, dim), dtype=dtype))

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import corpus, synthgen
 from .checkpoint import Checkpoint, save_checkpoint
-from .config import PRESETS, TrainingConfig
-from .embeddings import ROLE_ITEM_TARGET, ROLE_USER_TARGET_PHASE1
+from .config import TrainingConfig
 from .errors import ConfigError
 from .evaluation import METRIC_NAMES, evaluate_full
 from .similarity import SimilarityOracle

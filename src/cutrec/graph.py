@@ -22,10 +22,6 @@ class BipartiteGraph:
     adjacency: sp.csr_matrix  # (users+items) square, symmetric
     k_layers: int
 
-    @property
-    def n_nodes(self) -> int:
-        return self.n_users + self.n_items
-
 
 def build_graph(train: InteractionSet, k_layers: int) -> BipartiteGraph:
     """Edge weight between user u and item i is 1/sqrt(deg(u) * deg(i)),

@@ -106,6 +106,3 @@ class Adam:
                 param[rows] = theta - (self.lr * (m_rows / bias1)
                                        / (np.sqrt(v_rows / bias2) + self.eps)
                                        ).astype(param.dtype)
-
-    def state_arrays(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        return {name: (self._m[name], self._v[name]) for name in self.params}

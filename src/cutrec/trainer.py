@@ -2,10 +2,13 @@
 
 Phase one trains a single-domain backbone on the target domain and
 freezes its user embeddings as the similarity source. Phase two trains a
-fresh backbone on both domains jointly: source interactions score against
-raw base embeddings, target interactions against transformed user
-embeddings, and a contrastive term ties the transformed representations
-to the frozen phase-one similarity structure.
+fresh model on both domains jointly. It keeps one base embedding per
+user: source interactions score against the raw base embeddings, target
+interactions against transformed ones, and a contrastive term ties the
+transformed representations to the frozen phase-one similarity
+structure. Both phases run the same epoch loop, ``fit``, and both
+domains of both phases share one loss routine,
+``backbone.domain_forward_backward``.
 """
 
 from __future__ import annotations
@@ -15,28 +18,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import (BACKBONE_LIGHTGCN, BACKBONE_MF, SingleDomainModel,
-                       row_dots, sample_negatives_batch,
+from .backbone import (BACKBONE_LIGHTGCN, LOSS_FNS, SingleDomainModel,
+                       domain_forward_backward, rows_read,
+                       sample_negatives_batch,
                        single_domain_forward_backward)
 from .checkpoint import Checkpoint
 from .config import TrainingConfig
 from .contrastive import contrastive_loss, total_loss
 from .corpus import CrossDomainDataset, InteractionSet, SplitDataset
 from .embeddings import (EmbeddingTable, ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET,
-                         ROLE_USER_OVERLAP, ROLE_USER_SOURCE_ONLY,
-                         ROLE_USER_TARGET_ONLY, ROLE_USER_TARGET_PHASE1,
-                         empty_table, init_embeddings)
-from .errors import ConfigError, TrainingDivergedError
+                         ROLE_USER, ROLE_USER_TARGET_PHASE1, assert_finite,
+                         init_embeddings)
+from .errors import CheckpointError, ConfigError, TrainingDivergedError
 from .evaluation import evaluate_full
 from .graph import build_graph, propagate
-from .losses import bce_loss, bpr_loss
 from .optim import Adam, GradBuffer
 from .similarity import PairSets, SimilarityOracle, extract_pairs
 from .transform import TransformLayer
 
 logger = logging.getLogger(__name__)
-
-LOSS_FNS = {"bce": bce_loss, "bpr": bpr_loss}
 
 # Seed-stream labels: phase-1 and phase-2 streams must not collide.
 _STREAM_TARGET_INIT = 0
@@ -99,6 +99,50 @@ def _recycling_batches(n: int, batch_size: int, rng: np.random.Generator):
             yield batch
 
 
+def fit(model, step, n_pairs: int, scorer, split: SplitDataset,
+        config: TrainingConfig, shuffle_rng: np.random.Generator,
+        phase: str) -> tuple[int, list[float]]:
+    """The epoch loop of both phases.
+
+    Each epoch visits the ``n_pairs`` training pairs in a fresh shuffled
+    order, calling ``step(batch)`` on each batch of pair indices; ``step``
+    trains and returns the batch loss. After each epoch ``scorer()``
+    builds the scorer for validation NDCG@10. Training early-stops on that
+    metric, then restores the best epoch's parameters and checks that
+    they are finite. Returns the best epoch and the validation curve.
+    """
+    params = model.params()
+
+    def snapshot() -> dict[str, np.ndarray]:
+        return {name: value.copy() for name, value in params.items()}
+
+    stopper = EarlyStopper(config.patience)
+    best_state = snapshot()
+    history: list[float] = []
+    for epoch in range(1, config.max_epochs + 1):
+        order = shuffle_rng.permutation(n_pairs)
+        epoch_loss = 0.0
+        try:
+            for batch in _batches(order, config.batch_size):
+                epoch_loss += step(batch)
+        except TrainingDivergedError as err:
+            raise TrainingDivergedError(
+                f"{phase} phase epoch {epoch}: {err}") from err
+        metric = evaluate_full(scorer(), split, k=10,
+                               part="valid").means["ndcg"]
+        history.append(metric)
+        if stopper.update(metric, epoch):
+            best_state = snapshot()
+        logger.debug("%s phase epoch %d: loss=%.4f valid ndcg@10=%.4f",
+                     phase, epoch, epoch_loss, metric)
+        if stopper.should_stop:
+            break
+    for name, value in params.items():
+        value[...] = best_state[name]
+    assert_finite(params, f"{phase} phase end")
+    return stopper.best_epoch or 0, history
+
+
 @dataclass
 class TargetPhaseResult:
     model: SingleDomainModel
@@ -124,40 +168,19 @@ def run_target_phase(ds: CrossDomainDataset, target_split: SplitDataset,
     shuffle_rng, negative_rng = (
         np.random.default_rng(s) for s in
         np.random.SeedSequence([config.seed, _STREAM_TARGET_TRAIN]).spawn(2))
-
     users, items = positive_pairs(train)
-    stopper = EarlyStopper(config.patience)
-    best_state = model.state_dict()
-    history: list[float] = []
-    for epoch in range(1, config.max_epochs + 1):
-        order = shuffle_rng.permutation(users.size)
-        epoch_loss = 0.0
-        for batch in _batches(order, config.batch_size):
-            batch_users = users[batch]
-            batch_items = items[batch]
-            neg_items = sample_negatives_batch(negative_rng, model.n_items,
-                                               train.rows, batch_users)
-            try:
-                loss, buf = single_domain_forward_backward(
-                    model, batch_users, batch_items, neg_items,
-                    config.loss_kind)
-                optimizer.step(buf.grads())
-            except TrainingDivergedError as err:
-                raise TrainingDivergedError(
-                    f"target phase epoch {epoch}: {err}") from err
-            epoch_loss += loss
-        metric = evaluate_full(model.make_scorer(), target_split,
-                               k=10, part="valid").means["ndcg"]
-        history.append(metric)
-        if stopper.update(metric, epoch):
-            best_state = model.state_dict()
-        logger.debug("target phase epoch %d: loss=%.4f valid ndcg@10=%.4f",
-                     epoch, epoch_loss, metric)
-        if stopper.should_stop:
-            break
-    model.load_state(best_state)
-    model.assert_finite("target phase end")
 
+    def step(batch: np.ndarray) -> float:
+        batch_users = users[batch]
+        neg_items = sample_negatives_batch(negative_rng, model.n_items,
+                                           train.rows, batch_users)
+        loss, buf = single_domain_forward_backward(
+            model, batch_users, items[batch], neg_items, config.loss_kind)
+        optimizer.step(buf.grads())
+        return loss
+
+    best_epoch, history = fit(model, step, users.size, model.make_scorer,
+                              target_split, config, shuffle_rng, "target")
     frozen = EmbeddingTable(ROLE_USER_TARGET_PHASE1,
                             model.users.values.copy())
     frozen.values.setflags(write=False)
@@ -165,97 +188,88 @@ def run_target_phase(ds: CrossDomainDataset, target_split: SplitDataset,
         oracle = SimilarityOracle.from_history(train, config.gamma)
     else:
         oracle = SimilarityOracle.from_embeddings(frozen, config.gamma)
-    return TargetPhaseResult(model, frozen, oracle,
-                             stopper.best_epoch or 0, history)
+    return TargetPhaseResult(model, frozen, oracle, best_epoch, history)
+
+
+def _graphs(config: TrainingConfig, target_split: SplitDataset,
+            source_split: SplitDataset) -> tuple:
+    """The (target, source) training graphs LightGCN propagates over;
+    MF has none."""
+    if config.backbone != BACKBONE_LIGHTGCN:
+        return None, None
+    return (build_graph(target_split.train, config.k_layers),
+            build_graph(source_split.train, config.k_layers))
 
 
 class CutModel:
-    """Phase-two model: partitioned user tables, per-domain item tables,
+    """Phase-two model: one base user table, per-domain item tables,
     optional per-domain graphs, and the user transformation layer.
 
-    Target-domain scoring always applies the transform to the user's base
-    embedding; source-domain scoring uses the raw base embedding. Item
-    embeddings are never transformed.
+    The user table (role ``user``) holds every user in
+    ``CrossDomainDataset`` order: target-only, overlap, source-only.
+    Target-local user ``u`` is row ``u``, and source-local user ``v`` is
+    row ``source_offset + v``, so both domains read and train an overlap
+    user's one row. Target-domain scoring applies the transform to the
+    base embedding; source-domain scoring uses it raw. Item embeddings
+    are never transformed.
     """
 
     def __init__(self, config: TrainingConfig, tables: dict[str, EmbeddingTable],
-                 transform: TransformLayer | None,
-                 graph_target=None, graph_source=None):
+                 transform: TransformLayer | None, n_target: int,
+                 source_offset: int, graph_target=None, graph_source=None):
         self.config = config
         self.tables = tables
         self.transform = transform
+        self.n_target = n_target
+        self.source_offset = source_offset
         self.graph_target = graph_target
         self.graph_source = graph_source
         dims = {t.dim for t in tables.values()}
         if len(dims) != 1:
             raise ValueError("all tables must share one embedding dimension")
 
-    # -- construction --------------------------------------------------
-
     @classmethod
     def build(cls, ds: CrossDomainDataset, target_split: SplitDataset,
               source_split: SplitDataset, config: TrainingConfig, *,
               frozen: EmbeddingTable | None = None,
               dtype=np.float32) -> "CutModel":
-        a, b, c = ds.n_target_only, ds.n_overlap, ds.n_source_only
         dim = config.embedding_dim
         seeds = np.random.SeedSequence(
             [config.seed, _STREAM_TRANSFER_INIT]).spawn(6)
-
-        def table(rows: int, seed, role: str) -> EmbeddingTable:
-            if rows == 0:
-                return empty_table(dim, role=role, dtype=dtype)
-            return init_embeddings(rows, dim, seed, role=role, dtype=dtype)
-
+        # One init stream per user partition, in dataset order, so that a
+        # partition's initial rows do not depend on the others' sizes.
+        users = [init_embeddings(rows, dim, seed, dtype=dtype).values
+                 for rows, seed in zip(ds.role_counts, seeds) if rows]
         tables = {
-            ROLE_USER_TARGET_ONLY: table(a, seeds[0], ROLE_USER_TARGET_ONLY),
-            ROLE_USER_OVERLAP: table(b, seeds[1], ROLE_USER_OVERLAP),
-            ROLE_USER_SOURCE_ONLY: table(c, seeds[2], ROLE_USER_SOURCE_ONLY),
-            ROLE_ITEM_TARGET: table(ds.target.n_items, seeds[3],
-                                    ROLE_ITEM_TARGET),
-            ROLE_ITEM_SOURCE: table(ds.source.n_items, seeds[4],
-                                    ROLE_ITEM_SOURCE),
+            ROLE_USER: EmbeddingTable(ROLE_USER, np.vstack(users)),
+            ROLE_ITEM_TARGET: init_embeddings(
+                ds.target.n_items, dim, seeds[3], role=ROLE_ITEM_TARGET,
+                dtype=dtype),
+            ROLE_ITEM_SOURCE: init_embeddings(
+                ds.source.n_items, dim, seeds[4], role=ROLE_ITEM_SOURCE,
+                dtype=dtype),
         }
         if config.warm_start:
             if frozen is None:
                 raise ConfigError("warm_start requires frozen phase-one "
                                   "embeddings")
-            warm = frozen.values.astype(dtype)
-            tables[ROLE_USER_TARGET_ONLY].values[...] = warm[:a]
-            tables[ROLE_USER_OVERLAP].values[...] = warm[a:]
+            tables[ROLE_USER].values[:ds.target.n_users] = frozen.values
 
         transform = None
         if not config.effective_no_transform:
             transform = TransformLayer.create(
                 dim, seeds[5], init=config.transform_init, dtype=dtype)
-
-        graph_target = graph_source = None
-        if config.backbone == BACKBONE_LIGHTGCN:
-            graph_target = build_graph(target_split.train, config.k_layers)
-            graph_source = build_graph(source_split.train, config.k_layers)
-        return cls(config, tables, transform, graph_target, graph_source)
-
-    # -- parameter access ----------------------------------------------
+        return cls(config, tables, transform, ds.target.n_users,
+                   ds.n_target_only,
+                   *_graphs(config, target_split, source_split))
 
     @property
-    def dim(self) -> int:
-        return self.tables[ROLE_ITEM_TARGET].dim
+    def target_users(self) -> np.ndarray:
+        return self.tables[ROLE_USER].values[:self.n_target]
 
     @property
-    def n_target_only(self) -> int:
-        return self.tables[ROLE_USER_TARGET_ONLY].rows
-
-    @property
-    def n_overlap(self) -> int:
-        return self.tables[ROLE_USER_OVERLAP].rows
-
-    @property
-    def n_target_users(self) -> int:
-        return self.n_target_only + self.n_overlap
-
-    @property
-    def n_source_users(self) -> int:
-        return self.n_overlap + self.tables[ROLE_USER_SOURCE_ONLY].rows
+    def source_users(self) -> np.ndarray:
+        return self.tables[ROLE_USER].values[self.source_offset:]
 
     def params(self) -> dict[str, np.ndarray]:
         out = {role: tbl.values for role, tbl in self.tables.items()}
@@ -264,136 +278,43 @@ class CutModel:
             out["transform-bias"] = self.transform.bias
         return out
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: value.copy() for name, value in self.params().items()}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, value in self.params().items():
-            value[...] = state[name]
-
-    def assert_finite(self, context: str = "") -> None:
-        for tbl in self.tables.values():
-            tbl.assert_finite(context)
-
-    # -- forward helpers -------------------------------------------------
-
-    def gather_target(self, users: np.ndarray) -> np.ndarray:
-        """Base (untransformed) embeddings for target-local user indices."""
-        a = self.n_target_only
-        out = np.empty((users.size, self.dim),
-                       dtype=self.tables[ROLE_ITEM_TARGET].values.dtype)
-        in_target_only = users < a
-        out[in_target_only] = \
-            self.tables[ROLE_USER_TARGET_ONLY].values[users[in_target_only]]
-        out[~in_target_only] = \
-            self.tables[ROLE_USER_OVERLAP].values[users[~in_target_only] - a]
-        return out
-
-    def scatter_target(self, buf: GradBuffer, users: np.ndarray,
-                       grads: np.ndarray) -> None:
-        a = self.n_target_only
-        in_target_only = users < a
-        if in_target_only.any():
-            buf.add_rows(ROLE_USER_TARGET_ONLY, users[in_target_only],
-                         grads[in_target_only])
-        if (~in_target_only).any():
-            buf.add_rows(ROLE_USER_OVERLAP, users[~in_target_only] - a,
-                         grads[~in_target_only])
-
-    def gather_source(self, users: np.ndarray) -> np.ndarray:
-        """Raw base embeddings for source-local user indices."""
-        b = self.n_overlap
-        out = np.empty((users.size, self.dim),
-                       dtype=self.tables[ROLE_ITEM_SOURCE].values.dtype)
-        in_overlap = users < b
-        out[in_overlap] = self.tables[ROLE_USER_OVERLAP].values[users[in_overlap]]
-        out[~in_overlap] = \
-            self.tables[ROLE_USER_SOURCE_ONLY].values[users[~in_overlap] - b]
-        return out
-
-    def scatter_source(self, buf: GradBuffer, users: np.ndarray,
-                       grads: np.ndarray) -> None:
-        b = self.n_overlap
-        in_overlap = users < b
-        if in_overlap.any():
-            buf.add_rows(ROLE_USER_OVERLAP, users[in_overlap],
-                         grads[in_overlap])
-        if (~in_overlap).any():
-            buf.add_rows(ROLE_USER_SOURCE_ONLY, users[~in_overlap] - b,
-                         grads[~in_overlap])
-
-    def target_base_all(self) -> np.ndarray:
-        return np.vstack([self.tables[ROLE_USER_TARGET_ONLY].values,
-                          self.tables[ROLE_USER_OVERLAP].values])
-
-    def source_base_all(self) -> np.ndarray:
-        return np.vstack([self.tables[ROLE_USER_OVERLAP].values,
-                          self.tables[ROLE_USER_SOURCE_ONLY].values])
-
     def apply_transform(self, x: np.ndarray) -> np.ndarray:
         return x if self.transform is None else self.transform.apply(x)
 
-    def backprop_transform(self, buf: GradBuffer, users: np.ndarray,
-                           base: np.ndarray, d_out: np.ndarray) -> None:
-        """Chain a gradient on transformed target-user vectors into the
-        transform parameters and the base embedding rows."""
-        if self.transform is None:
-            self.scatter_target(buf, users, d_out)
-            return
-        buf.add_dense("transform-weight", d_out.T @ base)
-        buf.add_dense("transform-bias", d_out.sum(axis=0))
-        self.scatter_target(buf, users, d_out @ self.transform.weight)
-
-    def _scatter_target_all(self, buf: GradBuffer, base_all: np.ndarray,
-                            d_out: np.ndarray) -> None:
-        a = self.n_target_only
-        if self.transform is None:
-            if a:
-                buf.add_rows(ROLE_USER_TARGET_ONLY, np.arange(a), d_out[:a])
-            if self.n_overlap:
-                buf.add_rows(ROLE_USER_OVERLAP, np.arange(self.n_overlap),
-                             d_out[a:])
-            return
-        buf.add_dense("transform-weight", d_out.T @ base_all)
-        buf.add_dense("transform-bias", d_out.sum(axis=0))
-        d_base = d_out @ self.transform.weight
-        if a:
-            buf.add_rows(ROLE_USER_TARGET_ONLY, np.arange(a), d_base[:a])
-        if self.n_overlap:
-            buf.add_rows(ROLE_USER_OVERLAP, np.arange(self.n_overlap),
-                         d_base[a:])
-
     def make_target_scorer(self):
         """Read-only scorer over all target items, target scoring path."""
-        transformed = self.apply_transform(self.target_base_all())
-        items = self.tables[ROLE_ITEM_TARGET].values
-        if self.config.backbone == BACKBONE_LIGHTGCN:
-            user_final, item_final = propagate(self.graph_target,
-                                               transformed, items)
-        else:
-            user_final, item_final = transformed, items
+        user_final = self.apply_transform(self.target_users)
+        item_final = self.tables[ROLE_ITEM_TARGET].values
+        if self.graph_target is not None:
+            user_final, item_final = propagate(self.graph_target, user_final,
+                                               item_final)
         item_t = item_final.T.copy()
         return lambda user: user_final[user] @ item_t
 
-    # -- persistence -----------------------------------------------------
-
     def to_checkpoint(self, step: int = 0) -> Checkpoint:
-        order = [ROLE_USER_TARGET_ONLY, ROLE_USER_OVERLAP,
-                 ROLE_USER_SOURCE_ONLY, ROLE_ITEM_TARGET, ROLE_ITEM_SOURCE]
         hyper = {"model_kind": "cut", "training": self.config.to_dict()}
-        return Checkpoint([self.tables[r] for r in order], hyper, step,
+        return Checkpoint(list(self.tables.values()), hyper, step,
                           self.transform)
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint, target_split: SplitDataset,
                         source_split: SplitDataset) -> "CutModel":
+        """Rebuild a model saved by ``to_checkpoint`` for the splits it
+        was trained on; the user counts of the splits place the source
+        users in the user table."""
         config = TrainingConfig.from_dict(ckpt.hyper["training"])
-        tables = {tbl.role: tbl for tbl in ckpt.tables}
-        graph_target = graph_source = None
-        if config.backbone == BACKBONE_LIGHTGCN:
-            graph_target = build_graph(target_split.train, config.k_layers)
-            graph_source = build_graph(source_split.train, config.k_layers)
-        return cls(config, tables, ckpt.transform, graph_target, graph_source)
+        tables = {role: ckpt.table(role) for role in
+                  (ROLE_USER, ROLE_ITEM_TARGET, ROLE_ITEM_SOURCE)}
+        rows = tables[ROLE_USER].rows
+        n_target = target_split.train.n_users
+        n_source = source_split.train.n_users
+        source_offset = rows - n_source
+        if not 0 <= source_offset <= n_target <= rows:
+            raise CheckpointError(
+                f"checkpoint user table has {rows} rows, which cannot hold "
+                f"{n_target} target users and {n_source} source users")
+        return cls(config, tables, ckpt.transform, n_target, source_offset,
+                   *_graphs(config, target_split, source_split))
 
 
 def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
@@ -414,105 +335,44 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
     lam = config.contrastive_weight
     buf = GradBuffer(model.params())
 
-    src_items = model.tables[ROLE_ITEM_SOURCE].values
-    tgt_items = model.tables[ROLE_ITEM_TARGET].values
+    # -- source domain, raw base embeddings --
+    l_source, (rows, d_user), (item_rows, d_item) = domain_forward_backward(
+        model.source_users, model.tables[ROLE_ITEM_SOURCE].values,
+        model.graph_source, src_users, src_pos, src_neg, loss_fn, alpha)
+    buf.add_rows(ROLE_USER, rows + model.source_offset, d_user)
+    buf.add_rows(ROLE_ITEM_SOURCE, item_rows, d_item)
+    # Drop each domain's batch gradients once they are in the buffer:
+    # held through the next term they raise the step's peak memory.
+    del d_user, d_item
 
-    if config.backbone == BACKBONE_MF:
-        # -- source domain, raw base embeddings --
-        src_base = model.gather_source(src_users)
-        l_source, d_pos, d_neg = loss_fn(row_dots(src_base, src_items[src_pos]),
-                                         row_dots(src_base, src_items[src_neg]))
-        d_src = alpha * (d_pos[:, None] * src_items[src_pos]
-                         + d_neg[:, None] * src_items[src_neg])
-        model.scatter_source(buf, src_users, d_src)
-        buf.add_rows(ROLE_ITEM_SOURCE, src_pos,
-                     alpha * d_pos[:, None] * src_base)
-        buf.add_rows(ROLE_ITEM_SOURCE, src_neg,
-                     alpha * d_neg[:, None] * src_base)
+    # -- target domain: transform once the base rows the loss reads --
+    rows = rows_read(model.graph_target, tgt_users)
+    base = model.target_users[rows]
+    transformed = model.apply_transform(base)
+    l_target, (local, d_local), (item_rows, d_item) = domain_forward_backward(
+        transformed, model.tables[ROLE_ITEM_TARGET].values,
+        model.graph_target, np.searchsorted(rows, tgt_users), tgt_pos,
+        tgt_neg, loss_fn, 1.0 - alpha)
+    buf.add_rows(ROLE_ITEM_TARGET, item_rows, d_item)
+    d_transformed = np.zeros(transformed.shape, dtype=np.float64)
+    np.add.at(d_transformed, local, d_local)
+    del d_local, d_item
 
-        # -- target domain, transformed user embeddings --
-        tgt_base = model.gather_target(tgt_users)
-        tgt_repr = model.apply_transform(tgt_base)
-        l_target, d_pos, d_neg = loss_fn(row_dots(tgt_repr, tgt_items[tgt_pos]),
-                                         row_dots(tgt_repr, tgt_items[tgt_neg]))
-        weight = 1.0 - alpha
-        d_repr = weight * (d_pos[:, None] * tgt_items[tgt_pos]
-                           + d_neg[:, None] * tgt_items[tgt_neg])
-        buf.add_rows(ROLE_ITEM_TARGET, tgt_pos,
-                     weight * d_pos[:, None] * tgt_repr)
-        buf.add_rows(ROLE_ITEM_TARGET, tgt_neg,
-                     weight * d_neg[:, None] * tgt_repr)
-        model.backprop_transform(buf, tgt_users, tgt_base, d_repr)
+    # -- contrastive regulariser on the transformed batch users --
+    l_contrastive = 0.0
+    if pairs is not None:
+        local = np.searchsorted(rows, pairs.users)
+        l_contrastive, d_pairs = contrastive_loss(
+            transformed[local], pairs, config.temperature,
+            normalize=config.normalized_contrastive)
+        d_transformed[local] += lam * d_pairs
 
-        # -- contrastive regulariser on transformed batch users --
-        l_contrastive = 0.0
-        if pairs is not None:
-            pair_base = model.gather_target(pairs.users)
-            pair_repr = model.apply_transform(pair_base)
-            l_contrastive, d_repr_c = contrastive_loss(
-                pair_repr, pairs, config.temperature,
-                normalize=config.normalized_contrastive)
-            if pairs.n_similar:
-                model.backprop_transform(buf, pairs.users, pair_base,
-                                         lam * d_repr_c)
-    else:
-        # -- source domain over the source graph --
-        src_base_all = model.source_base_all()
-        src_user_final, src_item_final = propagate(
-            model.graph_source, src_base_all, src_items)
-        l_source, d_pos, d_neg = loss_fn(
-            row_dots(src_user_final[src_users], src_item_final[src_pos]),
-            row_dots(src_user_final[src_users], src_item_final[src_neg]))
-        d_uf = np.zeros_like(src_user_final, dtype=np.float64)
-        d_if = np.zeros_like(src_item_final, dtype=np.float64)
-        np.add.at(d_uf, src_users,
-                  alpha * (d_pos[:, None] * src_item_final[src_pos]
-                           + d_neg[:, None] * src_item_final[src_neg]))
-        np.add.at(d_if, src_pos,
-                  alpha * d_pos[:, None] * src_user_final[src_users])
-        np.add.at(d_if, src_neg,
-                  alpha * d_neg[:, None] * src_user_final[src_users])
-        d_u0, d_i0 = propagate(model.graph_source, d_uf, d_if)
-        b = model.n_overlap
-        if b:
-            buf.add_rows(ROLE_USER_OVERLAP, np.arange(b), d_u0[:b])
-        if d_u0.shape[0] - b:
-            buf.add_rows(ROLE_USER_SOURCE_ONLY,
-                         np.arange(d_u0.shape[0] - b), d_u0[b:])
-        buf.add_rows(ROLE_ITEM_SOURCE, np.arange(d_i0.shape[0]), d_i0)
-
-        # -- target domain over the target graph, layer 0 transformed --
-        tgt_base_all = model.target_base_all()
-        tgt_repr_all = model.apply_transform(tgt_base_all)
-        tgt_user_final, tgt_item_final = propagate(
-            model.graph_target, tgt_repr_all, tgt_items)
-        l_target, d_pos, d_neg = loss_fn(
-            row_dots(tgt_user_final[tgt_users], tgt_item_final[tgt_pos]),
-            row_dots(tgt_user_final[tgt_users], tgt_item_final[tgt_neg]))
-        weight = 1.0 - alpha
-        d_uf = np.zeros_like(tgt_user_final, dtype=np.float64)
-        d_if = np.zeros_like(tgt_item_final, dtype=np.float64)
-        np.add.at(d_uf, tgt_users,
-                  weight * (d_pos[:, None] * tgt_item_final[tgt_pos]
-                            + d_neg[:, None] * tgt_item_final[tgt_neg]))
-        np.add.at(d_if, tgt_pos,
-                  weight * d_pos[:, None] * tgt_user_final[tgt_users])
-        np.add.at(d_if, tgt_neg,
-                  weight * d_neg[:, None] * tgt_user_final[tgt_users])
-        d_u0, d_i0 = propagate(model.graph_target, d_uf, d_if)
-        buf.add_rows(ROLE_ITEM_TARGET, np.arange(d_i0.shape[0]), d_i0)
-        model._scatter_target_all(buf, tgt_base_all, d_u0)
-
-        l_contrastive = 0.0
-        if pairs is not None:
-            pair_repr = tgt_repr_all[pairs.users]
-            l_contrastive, d_repr_c = contrastive_loss(
-                pair_repr, pairs, config.temperature,
-                normalize=config.normalized_contrastive)
-            if pairs.n_similar:
-                model.backprop_transform(buf, pairs.users,
-                                         tgt_base_all[pairs.users],
-                                         lam * d_repr_c)
+    # -- chain both target terms through the transform at once --
+    if model.transform is not None:
+        buf.add_dense("transform-weight", d_transformed.T @ base)
+        buf.add_dense("transform-bias", d_transformed.sum(axis=0))
+        d_transformed = d_transformed @ model.transform.weight
+    buf.add_rows(ROLE_USER, rows, d_transformed)
 
     l_all = total_loss(l_target, l_source, l_contrastive, alpha, lam)
     return LossBreakdown(l_target, l_source, l_contrastive, l_all), buf
@@ -574,40 +434,23 @@ def run_transfer_phase(ds: CrossDomainDataset, target_split: SplitDataset,
     shuffle_rng, source_rng, neg_src_rng, neg_tgt_rng = (
         np.random.default_rng(s) for s in streams)
 
-    tgt_users_all, tgt_items_all = positive_pairs(target_split.train)
-    src_users_all, src_items_all = positive_pairs(source_split.train)
-    if src_users_all.size == 0:
+    tgt_users, tgt_items = positive_pairs(target_split.train)
+    src_users, src_items = positive_pairs(source_split.train)
+    if src_users.size == 0:
         raise ValueError("source training split is empty")
-    source_stream = _recycling_batches(src_users_all.size, config.batch_size,
+    source_stream = _recycling_batches(src_users.size, config.batch_size,
                                        source_rng)
 
-    stopper = EarlyStopper(config.patience)
-    best_state = model.state_dict()
-    history: list[float] = []
-    for epoch in range(1, config.max_epochs + 1):
-        order = shuffle_rng.permutation(tgt_users_all.size)
-        for batch in _batches(order, config.batch_size):
-            src_batch = next(source_stream)
-            try:
-                transfer_step(
-                    model, optimizer, oracle,
-                    src_users_all[src_batch], src_items_all[src_batch],
-                    tgt_users_all[batch], tgt_items_all[batch],
-                    source_split.train.rows, target_split.train.rows,
-                    neg_src_rng, neg_tgt_rng)
-            except TrainingDivergedError as err:
-                raise TrainingDivergedError(
-                    f"transfer phase epoch {epoch}: {err}") from err
-        metric = evaluate_full(model.make_target_scorer(), target_split,
-                               k=10, part="valid").means["ndcg"]
-        history.append(metric)
-        if stopper.update(metric, epoch):
-            best_state = model.state_dict()
-        logger.debug("transfer phase epoch %d: valid ndcg@10=%.4f",
-                     epoch, metric)
-        if stopper.should_stop:
-            break
-    model.load_state(best_state)
-    model.assert_finite("transfer phase end")
-    return TransferPhaseResult(model, stopper.best_epoch or 0, history,
+    def step(batch: np.ndarray) -> float:
+        src_batch = next(source_stream)
+        return transfer_step(
+            model, optimizer, oracle, src_users[src_batch],
+            src_items[src_batch], tgt_users[batch], tgt_items[batch],
+            source_split.train.rows, target_split.train.rows,
+            neg_src_rng, neg_tgt_rng).total
+
+    best_epoch, history = fit(model, step, tgt_users.size,
+                              model.make_target_scorer, target_split, config,
+                              shuffle_rng, "transfer")
+    return TransferPhaseResult(model, best_epoch, history,
                                optimizer.step_count)

@@ -25,9 +25,6 @@ class TransformLayer:
         """Row-wise affine map: each row u becomes W @ u + b."""
         return x @ self.weight.T + self.bias
 
-    def copy(self) -> "TransformLayer":
-        return TransformLayer(self.weight.copy(), self.bias.copy())
-
     @classmethod
     def identity(cls, dim: int, dtype=np.float32) -> "TransformLayer":
         return cls(np.eye(dim, dtype=dtype), np.zeros(dim, dtype=dtype))

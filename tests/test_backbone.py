@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cutrec.backbone import (SingleDomainModel, mf_score, sample_negatives,
-                             single_domain_forward_backward,
-                             train_step_single_domain)
+from cutrec.backbone import (SingleDomainModel, sample_negatives,
+                             sample_negatives_batch,
+                             single_domain_forward_backward)
 from cutrec.corpus import InteractionSet
 from cutrec.optim import Adam
 
@@ -14,27 +14,6 @@ def interactions(rows, n_items):
     return InteractionSet(len(rows), n_items,
                           tuple(np.array(sorted(r), dtype=np.int64)
                                 for r in rows))
-
-
-# --- mf_score ---------------------------------------------------------------
-
-def test_mf_score_zero_vector():
-    assert mf_score(np.zeros(4), np.ones(4)) == 0.0
-
-
-def test_mf_score_arithmetic():
-    assert mf_score(np.array([1.0, 2.0]), np.array([3.0, -1.0])) == 1.0
-
-
-def test_mf_score_symmetric():
-    rng = np.random.default_rng(0)
-    u, i = rng.normal(size=4), rng.normal(size=4)
-    assert mf_score(u, i) == mf_score(i, u)
-
-
-def test_mf_score_dim_mismatch():
-    with pytest.raises(ValueError):
-        mf_score(np.zeros(3), np.zeros(4))
 
 
 # --- negative sampling --------------------------------------------------------
@@ -121,8 +100,11 @@ def test_training_reduces_loss():
     losses = []
     for step in range(100):
         order = rng.permutation(users.size)[:32]
-        losses.append(train_step_single_domain(
-            model, opt, users[order], items[order], train.rows, "bce", rng))
+        neg = sample_negatives_batch(rng, n_items, train.rows, users[order])
+        loss, buf = single_domain_forward_backward(
+            model, users[order], items[order], neg, "bce")
+        opt.step(buf.grads())
+        losses.append(loss)
     assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
 
@@ -136,8 +118,10 @@ def test_training_deterministic():
         users = np.array([0, 1, 2, 0])
         items = np.array([0, 1, 4, 2])
         for _ in range(25):
-            train_step_single_domain(model, opt, users, items, train.rows,
-                                     "bpr", rng)
+            neg = sample_negatives_batch(rng, 5, train.rows, users)
+            _, buf = single_domain_forward_backward(model, users, items, neg,
+                                                    "bpr")
+            opt.step(buf.grads())
         return model.users.values.copy(), model.items.values.copy()
     a_users, a_items = run()
     b_users, b_items = run()
@@ -149,6 +133,6 @@ def test_scorer_matches_mf_score():
     model, _, _, _, _ = small_model(4, backbone="mf")
     scorer = model.make_scorer()
     scores = scorer(2)
-    expected = [mf_score(model.users.values[2], model.items.values[i])
+    expected = [np.dot(model.users.values[2], model.items.values[i])
                 for i in range(model.n_items)]
     np.testing.assert_allclose(scores, expected, rtol=1e-12)

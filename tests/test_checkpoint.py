@@ -95,5 +95,6 @@ def test_truncated_payload_rejected(tmp_path):
 def test_table_lookup_by_role(tmp_path):
     ckpt = make_checkpoint()
     assert ckpt.table("item-target").rows == 7
-    with pytest.raises(KeyError):
-        ckpt.table("user-overlap")
+    with pytest.raises(CheckpointError,
+                       match="'user'.*'user-target-phase1', 'item-target'"):
+        ckpt.table("user")

@@ -120,3 +120,33 @@ def test_corrupt_checkpoint_is_runtime_failure(pipeline_dirs, capsys):
     code = main(["evaluate", "--checkpoint", str(bad), "--data",
                  str(data_dir), "--out", str(tmp_path / "eval")])
     assert code == 2
+
+
+def test_warm_start_with_history_oracle_loads_phase1(pipeline_dirs):
+    tmp_path, train_cfg, data_dir = pipeline_dirs
+    target_out = tmp_path / "phase1"
+    assert main(["train-target", "--data", str(data_dir), "--config",
+                 str(train_cfg), "--out", str(target_out)]) == 0
+    cfg = write_json(tmp_path / "warm.json",
+                     {**TRAIN_CFG, "warm_start": True,
+                      "history_similarity": True})
+    assert main(["train-transfer", "--data", str(data_dir), "--config",
+                 str(cfg), "--phase1", str(target_out / "theta-t1.ckpt"),
+                 "--out", str(tmp_path / "phase2")]) == 0
+    assert (tmp_path / "phase2" / "cut.ckpt").exists()
+
+
+def test_wrong_phase1_checkpoint_is_runtime_failure(pipeline_dirs, capsys):
+    tmp_path, train_cfg, data_dir = pipeline_dirs
+    no_contrastive = write_json(tmp_path / "joint.json",
+                                {**TRAIN_CFG, "no_contrastive": True})
+    assert main(["train-transfer", "--data", str(data_dir), "--config",
+                 str(no_contrastive), "--out", str(tmp_path / "joint")]) == 0
+    capsys.readouterr()
+    code = main(["train-transfer", "--data", str(data_dir), "--config",
+                 str(train_cfg), "--phase1",
+                 str(tmp_path / "joint" / "cut.ckpt"),
+                 "--out", str(tmp_path / "phase2")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'user-target-phase1'" in err and "'user'" in err

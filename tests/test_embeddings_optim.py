@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cutrec.embeddings import EmbeddingTable, empty_table, init_embeddings
+from cutrec.embeddings import assert_finite, init_embeddings
 from cutrec.errors import TrainingDivergedError
 from cutrec.optim import Adam, GradBuffer
 
@@ -29,11 +29,11 @@ def test_init_rejects_nonpositive_shape():
 
 
 def test_empty_table_and_finite_check():
-    table = empty_table(8, role="user-overlap")
-    assert table.rows == 0 and table.dim == 8
-    bad = EmbeddingTable("user", np.array([[1.0, np.nan]]))
-    with pytest.raises(TrainingDivergedError):
-        bad.assert_finite()
+    good = {"user": np.ones((2, 2)), "bias": np.zeros(2)}
+    assert_finite(good)
+    bad = {**good, "item": np.array([[1.0, np.nan]])}
+    with pytest.raises(TrainingDivergedError, match="'item'.*epoch 3"):
+        assert_finite(bad, "epoch 3")
 
 
 # --- Adam --------------------------------------------------------------------

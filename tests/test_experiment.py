@@ -120,3 +120,11 @@ def test_write_outputs_and_overwrite_protection(tmp_path):
     with pytest.raises(FileExistsError):
         write_experiment_outputs(report, out)
     write_experiment_outputs(report, out, force=True)
+
+
+def test_parallel_seeds_report_equals_serial():
+    cfg = synth_experiment_config(variants=["target-only", "cut"])
+    serial = run_experiment(cfg)
+    parallel = run_experiment(cfg, parallel_seeds=2)
+    assert json.dumps(parallel, sort_keys=True) == \
+        json.dumps(serial, sort_keys=True)

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from cutrec.checkpoint import load_checkpoint, save_checkpoint
+from cutrec.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cutrec.config import TrainingConfig
 from cutrec.corpus import (DomainId, RawInteractions, build_cross_domain,
                            split_source, split_target)
-from cutrec.embeddings import (ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET,
-                               ROLE_USER_OVERLAP, ROLE_USER_SOURCE_ONLY,
-                               ROLE_USER_TARGET_ONLY)
-from cutrec.errors import ConfigError
+from cutrec.embeddings import (ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET, ROLE_USER,
+                               EmbeddingTable, assert_finite)
+from cutrec.errors import CheckpointError, ConfigError, TrainingDivergedError
 from cutrec.optim import Adam
 from cutrec.similarity import SimilarityOracle, extract_pairs
 from cutrec.synthgen import SynthConfig, generate
@@ -102,14 +101,21 @@ def test_early_stopper_resets_on_improvement():
 
 # --- full-step gradients ---------------------------------------------------------
 
-@pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
-@pytest.mark.parametrize("loss_kind", ["bce", "bpr"])
-def test_transfer_step_gradients_match_finite_differences(backbone, loss_kind):
+@pytest.mark.parametrize("backbone, loss_kind, no_transform", [
+    pytest.param(backbone, loss_kind, no_transform,
+                 id=f"{loss_kind}-{backbone}"
+                    + ("-no_transform" if no_transform else ""))
+    for no_transform in (False, True)
+    for loss_kind in ("bce", "bpr")
+    for backbone in ("mf", "lightgcn")])
+def test_transfer_step_gradients_match_finite_differences(backbone, loss_kind,
+                                                          no_transform):
     ds, target_split, source_split = toy_dataset(seed=1, n_target=6,
                                                  n_source=5, overlap=3,
                                                  per_user=5, n_items=8)
     config = small_config(backbone=backbone, loss_kind=loss_kind,
-                          k_layers=2, alpha=0.4, contrastive_weight=0.1)
+                          k_layers=2, alpha=0.4, contrastive_weight=0.1,
+                          no_transform=no_transform)
     model = CutModel.build(ds, target_split, source_split, config,
                            dtype=np.float64)
     rng = np.random.default_rng(2)
@@ -156,12 +162,11 @@ def test_source_only_rows_touched_only_by_source_batch():
         rng.normal(size=(ds.target.n_users, 4)), gamma=0.0)
     pairs = extract_pairs(batches[3], oracle)
     _, buf = transfer_forward_backward(model, *batches, pairs)
-    grads = buf.grads()
-    src_users = batches[0]
-    expected_rows = {int(v) - ds.n_overlap for v in src_users
-                     if v >= ds.n_overlap}
-    touched = set(grads[ROLE_USER_SOURCE_ONLY][0].tolist())
-    assert touched == expected_rows
+    user_rows = buf.grads()[ROLE_USER][0]
+    n_target = ds.target.n_users
+    expected_rows = {ds.n_target_only + int(v) for v in batches[0]
+                     if ds.n_target_only + v >= n_target}
+    assert set(user_rows[user_rows >= n_target].tolist()) == expected_rows
 
 
 def test_transform_gets_no_gradient_from_source_loss():
@@ -188,14 +193,22 @@ def test_item_scores_identical_between_full_and_no_transform_at_identity():
     full = CutModel.build(ds, target_split, source_split, base)
     bare = CutModel.build(ds, target_split, source_split,
                           base.replace(no_transform=True))
-    for role in (ROLE_USER_TARGET_ONLY, ROLE_USER_OVERLAP,
-                 ROLE_USER_SOURCE_ONLY, ROLE_ITEM_TARGET, ROLE_ITEM_SOURCE):
+    for role in (ROLE_USER, ROLE_ITEM_TARGET, ROLE_ITEM_SOURCE):
         assert np.array_equal(full.tables[role].values,
                               bare.tables[role].values)
     score_full = full.make_target_scorer()
     score_bare = bare.make_target_scorer()
     for user in range(ds.target.n_users):
         assert np.array_equal(score_full(user), score_bare(user))
+
+
+def test_transform_weight_nan_is_divergence():
+    ds, target_split, source_split = toy_dataset(seed=22)
+    model = CutModel.build(ds, target_split, source_split, small_config())
+    assert_finite(model.params())
+    model.transform.weight[0, 1] = np.nan
+    with pytest.raises(TrainingDivergedError, match="transform-weight"):
+        assert_finite(model.params())
 
 
 # --- ablation flags ---------------------------------------------------------------
@@ -240,10 +253,10 @@ def test_overlap_embedding_shared_across_domains_without_transform():
     ds, target_split, source_split = toy_dataset(seed=14)
     config = small_config(no_transform=True, no_contrastive=True)
     model = CutModel.build(ds, target_split, source_split, config)
-    overlap_target_local = np.array([ds.n_target_only])  # first overlap user
-    overlap_source_local = np.array([0])
-    target_view = model.gather_target(overlap_target_local)
-    source_view = model.gather_source(overlap_source_local)
+    # The first overlap user, by target-local and by source-local index.
+    target_view = model.target_users[ds.n_target_only]
+    source_view = model.source_users[0]
+    assert np.shares_memory(target_view, source_view)
     assert np.array_equal(target_view, source_view)
     assert np.array_equal(model.apply_transform(target_view), target_view)
 
@@ -308,7 +321,7 @@ def test_transfer_phase_improves_and_is_deterministic():
     def run():
         result = run_transfer_phase(ds, target_split, source_split, config,
                                     phase1.oracle, frozen=phase1.frozen)
-        return result.model.state_dict()
+        return result.model.params()
     state_a = run()
     state_b = run()
     assert set(state_a) == set(state_b)
@@ -324,11 +337,13 @@ def test_warm_start_requires_frozen_and_copies_rows():
     frozen = run_target_phase(ds, target_split, config).frozen
     model = CutModel.build(ds, target_split, source_split, config,
                            frozen=frozen)
-    a = ds.n_target_only
-    np.testing.assert_array_equal(model.tables[ROLE_USER_TARGET_ONLY].values,
-                                  frozen.values[:a].astype(np.float32))
-    np.testing.assert_array_equal(model.tables[ROLE_USER_OVERLAP].values,
-                                  frozen.values[a:].astype(np.float32))
+    np.testing.assert_array_equal(model.target_users,
+                                  frozen.values.astype(np.float32))
+    cold = CutModel.build(ds, target_split, source_split,
+                          config.replace(warm_start=False))
+    source_only = slice(ds.n_overlap, None)
+    np.testing.assert_array_equal(model.source_users[source_only],
+                                  cold.source_users[source_only])
 
 
 # --- persistence --------------------------------------------------------------------
@@ -353,7 +368,6 @@ def test_frozen_table_checkpoint_reproduces_oracle_answers(tmp_path):
     ds, target_split, _ = toy_dataset(seed=21)
     config = small_config(max_epochs=2, gamma=0.3)
     phase1 = run_target_phase(ds, target_split, config)
-    from cutrec.checkpoint import Checkpoint
     path = tmp_path / "frozen.ckpt"
     save_checkpoint(path, Checkpoint([phase1.frozen], {}, 0))
     reloaded = load_checkpoint(path).table("user-target-phase1")
@@ -363,3 +377,31 @@ def test_frozen_table_checkpoint_reproduces_oracle_answers(tmp_path):
         for q in range(n):
             if p != q:
                 assert phase1.oracle.similar(p, q) == oracle_b.similar(p, q)
+
+
+def test_cut_checkpoint_must_fit_the_splits():
+    ds, target_split, source_split = toy_dataset(seed=23)
+    config = small_config()
+    ckpt = CutModel.build(ds, target_split, source_split,
+                          config).to_checkpoint()
+    assert [tbl.role for tbl in ckpt.tables] == [
+        ROLE_USER, ROLE_ITEM_TARGET, ROLE_ITEM_SOURCE]
+    model = CutModel.from_checkpoint(ckpt, target_split, source_split)
+    assert model.source_offset == ds.n_target_only
+    assert model.n_target == ds.target.n_users
+
+    users = ckpt.table(ROLE_USER)
+    too_few = EmbeddingTable(ROLE_USER, users.values[:ds.source.n_users - 1])
+    short = Checkpoint([too_few, *ckpt.tables[1:]], ckpt.hyper, 0)
+    with pytest.raises(CheckpointError, match="rows"):
+        CutModel.from_checkpoint(short, target_split, source_split)
+
+    # Three per-partition user tables, as older cut checkpoints held.
+    a, b = ds.n_target_only, ds.target.n_users
+    parts = [EmbeddingTable(role, values) for role, values in (
+        ("user-target-only", users.values[:a]),
+        ("user-overlap", users.values[a:b]),
+        ("user-source-only", users.values[b:]))]
+    older = Checkpoint([*parts, *ckpt.tables[1:]], ckpt.hyper, 0)
+    with pytest.raises(CheckpointError, match="'user'"):
+        CutModel.from_checkpoint(older, target_split, source_split)
