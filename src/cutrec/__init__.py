@@ -8,10 +8,10 @@ similarity structure.
 
 from .config import PRESETS, TrainingConfig
 from .corpus import (CrossDomainDataset, DomainId, InteractionSet,
-                     RawInteractions, SplitDataset, UserRole,
-                     build_cross_domain, filter_k_core, load_dataset,
-                     load_interactions, save_dataset, split_source,
-                     split_target, subsample_target)
+                     RawInteractions, SplitDataset, build_cross_domain,
+                     filter_k_core, load_dataset, load_interactions,
+                     save_dataset, split_source, split_target,
+                     subsample_target)
 from .evaluation import MetricsReport, evaluate_full
 from .experiment import ExperimentConfig, run_experiment
 from .similarity import PairSets, SimilarityOracle, cosine, extract_pairs
@@ -25,7 +25,7 @@ __all__ = [
     "CrossDomainDataset", "CutModel", "DomainId", "ExperimentConfig",
     "InteractionSet", "LossBreakdown", "MetricsReport", "PairSets",
     "PRESETS", "RawInteractions", "SimilarityOracle", "SplitDataset",
-    "SynthConfig", "TrainingConfig", "UserRole", "build_cross_domain",
+    "SynthConfig", "TrainingConfig", "build_cross_domain",
     "cosine", "evaluate_full", "extract_pairs", "filter_k_core", "generate",
     "load_dataset", "load_interactions", "run_experiment",
     "run_target_phase", "run_transfer_phase", "save_dataset", "split_source",

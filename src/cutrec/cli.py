@@ -49,11 +49,10 @@ def _training_config(args) -> TrainingConfig:
 
 
 def cmd_ingest(args) -> int:
-    source = corpus.load_interactions(args.source_tsv, corpus.DomainId.SOURCE)
-    target = corpus.load_interactions(args.target_tsv, corpus.DomainId.TARGET)
-    source = corpus.filter_k_core(source, args.min_interactions)
-    target = corpus.filter_k_core(target, args.min_interactions)
-    ds = corpus.build_cross_domain(source, target)
+    raw = [corpus.load_interactions(args.source_tsv, corpus.DomainId.SOURCE),
+           corpus.load_interactions(args.target_tsv, corpus.DomainId.TARGET)]
+    ds = corpus.build_cross_domain(
+        *(corpus.filter_k_core(r, args.min_interactions) for r in raw))
     seed = args.seed if args.seed is not None else 0
     target_split = corpus.split_target(ds, seed=seed)
     source_split = corpus.split_source(ds, seed=seed)
@@ -80,10 +79,7 @@ def cmd_synth(args) -> int:
     paths = [out / "source.tsv", out / "target.tsv"]
     ensure_writable(paths, args.force)
     for path, raw in zip(paths, (source, target)):
-        with open(path, "w", encoding="utf-8") as handle:
-            for user, item, ts in raw.records:
-                fields = [user, item] + ([str(ts)] if ts is not None else [])
-                handle.write("\t".join(fields) + "\n")
+        corpus.write_interactions(path, raw.records)
     write_manifest(out, {str(args.config): sha256_file(args.config)}, paths)
     print(f"wrote synthetic domains to {out} "
           f"({len(source)} source, {len(target)} target interactions)")

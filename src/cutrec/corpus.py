@@ -1,8 +1,10 @@
 """Interaction corpora: ingestion, k-core filtering, cross-domain index
 spaces, and per-user train/validation/test splits.
 
-All types here are immutable after construction (underlying numpy arrays
-are marked read-only), so they can be shared freely across workers.
+Every interaction matrix is an ``InteractionSet`` in CSR form, which the
+graph, the history oracle, the trainers and the splits read directly.
+All types here are immutable after construction (underlying numpy
+arrays are marked read-only), so they can be shared across workers.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
@@ -25,16 +27,15 @@ logger = logging.getLogger(__name__)
 # (user_token, item_token, timestamp-or-None)
 Record = tuple[str, str, int | None]
 
+# ``InteractionSet.times`` entry of an interaction without a timestamp;
+# ingested timestamps lie above it and within int64.
+NO_TIME = int(np.iinfo(np.int64).min)
+_MAX_TIME = int(np.iinfo(np.int64).max)
+
 
 class DomainId(Enum):
     SOURCE = "source"
     TARGET = "target"
-
-
-class UserRole(IntEnum):
-    TARGET_ONLY = 0
-    OVERLAP = 1
-    SOURCE_ONLY = 2
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,9 @@ def load_interactions(path, domain_id: DomainId) -> RawInteractions:
                 except ValueError:
                     raise ParseError(
                         path, line_no, f"invalid timestamp {parts[2]!r}") from None
+                if not NO_TIME < ts <= _MAX_TIME:
+                    raise ParseError(path, line_no,
+                                     f"timestamp {ts} outside int64 range")
             key = (user, item)
             if key in best:
                 prev = best[key]
@@ -101,6 +105,15 @@ def load_interactions(path, domain_id: DomainId) -> RawInteractions:
                 len(records), len({r[0] for r in records}),
                 len({r[1] for r in records}), path)
     return RawInteractions(records, domain_id)
+
+
+def write_interactions(path, records) -> None:
+    """Write (user, item, timestamp-or-None) records as the TSV that
+    ``load_interactions`` reads."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for user, item, ts in records:
+            handle.write(f"{user}\t{item}\n" if ts is None
+                         else f"{user}\t{item}\t{ts}\n")
 
 
 def filter_k_core(raw: RawInteractions, min_count: int = 5) -> RawInteractions:
@@ -126,110 +139,133 @@ def filter_k_core(raw: RawInteractions, min_count: int = 5) -> RawInteractions:
 
 @dataclass(frozen=True)
 class InteractionSet:
-    """Sparse binary interaction matrix, one sorted item-index row per user.
+    """Sparse binary user-item matrix in CSR form.
 
-    ``times`` (when present) is aligned with ``rows`` and enables
-    chronological splitting.
+    User ``u``'s items are ``indices[indptr[u]:indptr[u + 1]]``, strictly
+    increasing. ``times`` (when present) is aligned with ``indices`` and
+    holds ``NO_TIME`` where an interaction has no timestamp; a user all of
+    whose interactions have one is split chronologically. The arrays are
+    read-only. Build one from (user, item) pairs with ``from_pairs``.
     """
 
-    n_users: int
     n_items: int
-    rows: tuple[np.ndarray, ...]
-    times: tuple[np.ndarray | None, ...] | None = None
+    indptr: np.ndarray
+    indices: np.ndarray
+    times: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.rows) != self.n_users:
-            raise ValueError("rows length does not match n_users")
-        for user, row in enumerate(self.rows):
-            row.setflags(write=False)
-            if row.size:
-                if row[0] < 0 or row[-1] >= self.n_items:
-                    raise ValueError(f"item index out of range in row {user}")
-                if row.size > 1 and not np.all(np.diff(row) > 0):
-                    raise ValueError(f"row {user} is not strictly increasing")
-        if self.times is not None:
-            if len(self.times) != self.n_users:
-                raise ValueError("times length does not match n_users")
-            for user, ts in enumerate(self.times):
-                if ts is None:
-                    continue
-                ts.setflags(write=False)
-                if ts.size != self.rows[user].size:
-                    raise ValueError(f"times row {user} misaligned with items")
+        for array in (self.indptr, self.indices, self.times):
+            if array is not None:
+                array.setflags(write=False)
+        indptr, indices = self.indptr, self.indices
+        if (indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0
+                or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0)):
+            raise ValueError("indptr must start at 0, never decrease and "
+                             "end at the interaction count")
+        if indices.size and (indices.min() < 0
+                             or indices.max() >= self.n_items):
+            raise ValueError(f"item index outside [0, {self.n_items})")
+        # Rows are strictly increasing exactly when the (user, item) keys
+        # of the flattened matrix are.
+        bad = np.flatnonzero(np.diff(self.users * self.n_items + indices) <= 0)
+        if bad.size:
+            raise ValueError(
+                f"row {self.users[bad[0] + 1]} is not strictly increasing")
+        if self.times is not None and self.times.shape != indices.shape:
+            raise ValueError("times are not aligned with indices")
+
+    @classmethod
+    def from_pairs(cls, n_users: int, n_items: int, users, items,
+                   times=None) -> "InteractionSet":
+        """Build from (user, item[, time]) triples given in any order."""
+        users = np.asarray(users, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        if users.size and (users.min() < 0 or users.max() >= n_users):
+            raise ValueError(f"user index outside [0, {n_users})")
+        order = np.lexsort((items, users))
+        indptr = np.zeros(n_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(users, minlength=n_users), out=indptr[1:])
+        if times is not None:
+            times = np.asarray(times, dtype=np.int64)[order]
+        return cls(n_items, indptr, items[order], times)
+
+    @property
+    def n_users(self) -> int:
+        return self.indptr.size - 1
 
     @property
     def n_interactions(self) -> int:
-        return sum(row.size for row in self.rows)
+        return self.indices.size
 
+    @cached_property
+    def users(self) -> np.ndarray:
+        """The user of each entry of ``indices``."""
+        users = np.repeat(np.arange(self.n_users), np.diff(self.indptr))
+        users.setflags(write=False)
+        return users
 
-def _interaction_set(per_user: list[list[tuple[int, int | None]]],
-                     n_items: int) -> InteractionSet:
-    rows = []
-    times: list[np.ndarray | None] = []
-    any_time = False
-    for pairs in per_user:
-        pairs.sort(key=lambda p: p[0])
-        rows.append(np.array([p[0] for p in pairs], dtype=np.int64))
-        if pairs and all(p[1] is not None for p in pairs):
-            times.append(np.array([p[1] for p in pairs], dtype=np.int64))
-            any_time = True
-        else:
-            times.append(None)
-    return InteractionSet(len(per_user), n_items, tuple(rows),
-                          tuple(times) if any_time else None)
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """Each user's item row, as a read-only view of ``indices``."""
+        bounds = self.indptr.tolist()
+        return tuple(self.indices[start:stop]
+                     for start, stop in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def timed(self) -> np.ndarray:
+        """Per user: whether the row is non-empty and fully timestamped."""
+        if self.times is None:
+            return np.zeros(self.n_users, dtype=bool)
+        untimed = np.bincount(self.users[self.times == NO_TIME],
+                              minlength=self.n_users)
+        return (untimed == 0) & (np.diff(self.indptr) > 0)
 
 
 @dataclass(frozen=True)
 class CrossDomainDataset:
     """Two domains over a shared user universe.
 
-    Global user order is TARGET_ONLY, then OVERLAP, then SOURCE_ONLY,
-    sorted by token within each role. Target-local indices coincide with
-    global indices; source-local index ``v`` maps to global
-    ``n_target_only + v``. Item index spaces are disjoint per domain.
+    Global user order is target-only, then overlap, then source-only
+    users, sorted by token within each group. Target-local indices
+    coincide with global indices; source-local index ``v`` maps to global
+    ``n_target_only + v``. The group sizes follow from the two domains'
+    user counts and ``user_tokens``. Item index spaces are disjoint per
+    domain, and each domain's interactions are one ``InteractionSet``.
     """
 
     source: InteractionSet
     target: InteractionSet
     user_tokens: tuple[str, ...]
-    user_roles: np.ndarray
     source_item_tokens: tuple[str, ...]
     target_item_tokens: tuple[str, ...]
 
     def __post_init__(self):
-        self.user_roles.setflags(write=False)
-        if len(self.user_tokens) != self.user_roles.size:
-            raise ValueError("user_tokens / user_roles length mismatch")
-        if self.target.n_users != self.n_target_only + self.n_overlap:
-            raise ValueError("target user count inconsistent with partition")
-        if self.source.n_users != self.n_overlap + self.n_source_only:
-            raise ValueError("source user count inconsistent with partition")
-
-    @cached_property
-    def role_counts(self) -> tuple[int, int, int]:
-        roles = self.user_roles
-        return (int(np.sum(roles == UserRole.TARGET_ONLY)),
-                int(np.sum(roles == UserRole.OVERLAP)),
-                int(np.sum(roles == UserRole.SOURCE_ONLY)))
-
-    @property
-    def n_target_only(self) -> int:
-        return self.role_counts[0]
+        if min(self.n_target_only, self.n_overlap, self.n_source_only) < 0:
+            raise ValueError("domain user counts do not fit user_tokens")
 
     @property
     def n_overlap(self) -> int:
-        return self.role_counts[1]
+        return self.target.n_users + self.source.n_users - len(self.user_tokens)
+
+    @property
+    def n_target_only(self) -> int:
+        return self.target.n_users - self.n_overlap
 
     @property
     def n_source_only(self) -> int:
-        return self.role_counts[2]
+        return self.source.n_users - self.n_overlap
 
-    @cached_property
-    def item_token_maps(self) -> dict[str, dict[str, int]]:
-        return {
-            "source": {tok: idx for idx, tok in enumerate(self.source_item_tokens)},
-            "target": {tok: idx for idx, tok in enumerate(self.target_item_tokens)},
-        }
+
+def _domain_set(raw: RawInteractions, user_index: dict[str, int],
+                first_user: int, n_users: int,
+                item_tokens: tuple[str, ...]) -> InteractionSet:
+    item_index = {tok: idx for idx, tok in enumerate(item_tokens)}
+    records = raw.records
+    return InteractionSet.from_pairs(
+        n_users, len(item_tokens),
+        [user_index[r[0]] - first_user for r in records],
+        [item_index[r[1]] for r in records],
+        [NO_TIME if r[2] is None else r[2] for r in records])
 
 
 def build_cross_domain(source: RawInteractions,
@@ -247,40 +283,15 @@ def build_cross_domain(source: RawInteractions,
                        "transfer will rely on the contrastive term only")
 
     user_tokens = tuple(target_only + overlap + source_only)
-    roles = np.concatenate([
-        np.full(len(target_only), UserRole.TARGET_ONLY, dtype=np.int8),
-        np.full(len(overlap), UserRole.OVERLAP, dtype=np.int8),
-        np.full(len(source_only), UserRole.SOURCE_ONLY, dtype=np.int8),
-    ])
     user_index = {tok: idx for idx, tok in enumerate(user_tokens)}
-    n_target_users = len(target_only) + len(overlap)
-    n_target_only = len(target_only)
-
     source_items = tuple(sorted(source.item_tokens))
     target_items = tuple(sorted(target.item_tokens))
-    source_item_index = {tok: idx for idx, tok in enumerate(source_items)}
-    target_item_index = {tok: idx for idx, tok in enumerate(target_items)}
-
-    target_rows: list[list[tuple[int, int | None]]] = [
-        [] for _ in range(n_target_users)]
-    for user, item, ts in target.records:
-        target_rows[user_index[user]].append((target_item_index[item], ts))
-
-    n_source_users = len(overlap) + len(source_only)
-    source_rows: list[list[tuple[int, int | None]]] = [
-        [] for _ in range(n_source_users)]
-    for user, item, ts in source.records:
-        source_rows[user_index[user] - n_target_only].append(
-            (source_item_index[item], ts))
-
     return CrossDomainDataset(
-        source=_interaction_set(source_rows, len(source_items)),
-        target=_interaction_set(target_rows, len(target_items)),
-        user_tokens=user_tokens,
-        user_roles=roles,
-        source_item_tokens=source_items,
-        target_item_tokens=target_items,
-    )
+        _domain_set(source, user_index, len(target_only),
+                    len(overlap) + len(source_only), source_items),
+        _domain_set(target, user_index, 0, len(target_only) + len(overlap),
+                    target_items),
+        user_tokens, source_items, target_items)
 
 
 @dataclass(frozen=True)
@@ -307,25 +318,26 @@ def _split_counts(n: int, ratios: tuple[float, ...]) -> list[int]:
 
 
 def _split_interactions(inter: InteractionSet, ratios: tuple[float, ...],
-                        seed: int, n_parts: int) -> list[InteractionSet]:
+                        seed: int) -> list[InteractionSet]:
+    """Order each user's row oldest first when it is fully timestamped,
+    by a seeded permutation otherwise (users draw in index order), and
+    cut it into train/valid/test by ``_split_counts``; a part past
+    ``ratios`` stays empty."""
     rng = np.random.default_rng(seed)
-    parts: list[list[np.ndarray]] = [[] for _ in range(n_parts)]
-    for user in range(inter.n_users):
-        row = inter.rows[user]
-        ts = inter.times[user] if inter.times is not None else None
-        if ts is not None:
-            order = np.argsort(ts, kind="stable")
+    part = np.empty(inter.n_interactions, dtype=np.int64)
+    labels = np.arange(len(ratios))
+    bounds = inter.indptr.tolist()
+    for user, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        if inter.timed[user]:
+            order = np.argsort(inter.times[start:stop], kind="stable")
         else:
-            order = rng.permutation(row.size)
-        counts = _split_counts(row.size, ratios)
-        offset = 0
-        for part in range(n_parts):
-            take = counts[part] if part < len(ratios) else 0
-            picked = row[order[offset:offset + take]]
-            parts[part].append(np.sort(picked))
-            offset += take
-    return [InteractionSet(inter.n_users, inter.n_items, tuple(rows))
-            for rows in parts]
+            order = rng.permutation(stop - start)
+        part[start + order] = np.repeat(labels,
+                                        _split_counts(stop - start, ratios))
+    return [InteractionSet.from_pairs(inter.n_users, inter.n_items,
+                                      inter.users[part == p],
+                                      inter.indices[part == p])
+            for p in range(3)]
 
 
 def split_target(ds: CrossDomainDataset, ratios: tuple[float, ...] = (8, 1, 1),
@@ -334,8 +346,7 @@ def split_target(ds: CrossDomainDataset, ratios: tuple[float, ...] = (8, 1, 1),
     (oldest into train), seeded-uniform otherwise."""
     if len(ratios) != 3:
         raise ValueError("target split needs (train, valid, test) ratios")
-    train, valid, test = _split_interactions(ds.target, ratios, seed, 3)
-    return SplitDataset(train, valid, test, seed)
+    return SplitDataset(*_split_interactions(ds.target, ratios, seed), seed)
 
 
 def split_source(ds: CrossDomainDataset, ratios: tuple[float, ...] = (8, 2),
@@ -343,8 +354,7 @@ def split_source(ds: CrossDomainDataset, ratios: tuple[float, ...] = (8, 2),
     """Per-user source split into train/valid; the test partition is empty."""
     if len(ratios) != 2:
         raise ValueError("source split needs (train, valid) ratios")
-    train, valid, test = _split_interactions(ds.source, ratios, seed, 3)
-    return SplitDataset(train, valid, test, seed)
+    return SplitDataset(*_split_interactions(ds.source, ratios, seed), seed)
 
 
 def subsample_target(split: SplitDataset, retain_fraction: float,
@@ -359,18 +369,13 @@ def subsample_target(split: SplitDataset, retain_fraction: float,
     if retain_fraction == 1.0:
         return split
     train = split.train
-    users = np.repeat(np.arange(train.n_users), [r.size for r in train.rows])
-    items = (np.concatenate(train.rows) if users.size
-             else np.array([], dtype=np.int64))
-    keep = math.ceil(retain_fraction * users.size)
+    keep = math.ceil(retain_fraction * train.n_interactions)
     rng = np.random.default_rng(seed)
-    chosen = np.sort(rng.choice(users.size, size=keep, replace=False))
-    rows: list[np.ndarray] = []
-    kept_users = users[chosen]
-    kept_items = items[chosen]
-    for user in range(train.n_users):
-        rows.append(np.sort(kept_items[kept_users == user]))
-    sub_train = InteractionSet(train.n_users, train.n_items, tuple(rows))
+    chosen = np.sort(rng.choice(train.n_interactions, size=keep,
+                                replace=False))
+    sub_train = InteractionSet.from_pairs(train.n_users, train.n_items,
+                                          train.users[chosen],
+                                          train.indices[chosen])
     return SplitDataset(sub_train, split.valid, split.test, split.split_seed)
 
 
@@ -381,23 +386,19 @@ SPLITS_FILE = "splits.json"
 SOURCE_TSV = "source.tsv"
 TARGET_TSV = "target.tsv"
 ARCHIVE_VERSION = 1
-
-
-def _rows_to_lists(inter: InteractionSet) -> list[list[int]]:
-    return [row.tolist() for row in inter.rows]
+_PARTS = ("train", "valid", "test")
+_USER_GROUPS = ("target_only", "overlap", "source_only")
 
 
 def _write_tsv(path: Path, inter: InteractionSet, user_tokens,
                item_tokens) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for user in range(inter.n_users):
-            row = inter.rows[user]
-            ts = inter.times[user] if inter.times is not None else None
-            for pos, item in enumerate(row):
-                fields = [user_tokens[user], item_tokens[item]]
-                if ts is not None:
-                    fields.append(str(int(ts[pos])))
-                handle.write("\t".join(fields) + "\n")
+    """A user's timestamps are written only when all of them exist."""
+    stamped = inter.timed[inter.users]
+    write_interactions(path, (
+        (user_tokens[user], item_tokens[item],
+         int(inter.times[pos]) if stamped[pos] else None)
+        for pos, (user, item) in enumerate(zip(inter.users.tolist(),
+                                               inter.indices.tolist()))))
 
 
 def save_dataset(out_dir, ds: CrossDomainDataset, target_split: SplitDataset,
@@ -419,33 +420,20 @@ def save_dataset(out_dir, ds: CrossDomainDataset, target_split: SplitDataset,
     _write_tsv(out / TARGET_TSV, ds.target, ds.user_tokens[:n],
                ds.target_item_tokens)
 
+    groups = (ds.user_tokens[:a], ds.user_tokens[a:n], ds.user_tokens[n:])
     index = {
         "version": ARCHIVE_VERSION,
-        "users": {
-            "target_only": list(ds.user_tokens[:a]),
-            "overlap": list(ds.user_tokens[a:n]),
-            "source_only": list(ds.user_tokens[n:]),
-        },
-        "items": {
-            "source": list(ds.source_item_tokens),
-            "target": list(ds.target_item_tokens),
-        },
+        "users": {name: list(group)
+                  for name, group in zip(_USER_GROUPS, groups)},
+        "items": {"source": list(ds.source_item_tokens),
+                  "target": list(ds.target_item_tokens)},
     }
-    splits = {
-        "version": ARCHIVE_VERSION,
-        "target": {
-            "seed": target_split.split_seed,
-            "train": _rows_to_lists(target_split.train),
-            "valid": _rows_to_lists(target_split.valid),
-            "test": _rows_to_lists(target_split.test),
-        },
-        "source": {
-            "seed": source_split.split_seed,
-            "train": _rows_to_lists(source_split.train),
-            "valid": _rows_to_lists(source_split.valid),
-            "test": _rows_to_lists(source_split.test),
-        },
-    }
+    splits = {"version": ARCHIVE_VERSION}
+    for domain, split in (("target", target_split), ("source", source_split)):
+        splits[domain] = {part: [row.tolist() for row in
+                                 getattr(split, part).rows]
+                          for part in _PARTS}
+        splits[domain]["seed"] = split.split_seed
     (out / INDEX_FILE).write_text(
         json.dumps(index, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     (out / SPLITS_FILE).write_text(
@@ -453,20 +441,46 @@ def save_dataset(out_dir, ds: CrossDomainDataset, target_split: SplitDataset,
     return paths
 
 
-def _lists_to_rows(lists: list[list[int]], n_items: int) -> InteractionSet:
-    rows = tuple(np.array(sorted(items), dtype=np.int64) for items in lists)
-    return InteractionSet(len(lists), n_items, rows)
+def _entry(blob, path: Path, *keys: str, kind: type = list):
+    """``blob[keys[0]][keys[1]]...`` if it is a ``kind``, else a
+    ValueError naming the file."""
+    for depth, key in enumerate(keys):
+        if not isinstance(blob, dict) or key not in blob:
+            raise ValueError(
+                f"{path}: missing entry {'/'.join(keys[:depth + 1])}")
+        blob = blob[key]
+    if not isinstance(blob, kind):
+        raise ValueError(f"{path}: entry {'/'.join(keys)} is not a "
+                         f"{kind.__name__}")
+    return blob
 
 
-def _merge_split(split_obj, n_items: int) -> InteractionSet:
-    merged = []
-    for parts in zip(split_obj["train"], split_obj["valid"], split_obj["test"]):
-        merged.append(sorted(parts[0] + parts[1] + parts[2]))
-    return _lists_to_rows(merged, n_items)
+def _lists_to_set(lists: list[list[int]], n_items: int) -> InteractionSet:
+    users = [user for user, row in enumerate(lists) for _ in row]
+    items = [item for row in lists for item in row]
+    return InteractionSet.from_pairs(len(lists), n_items, users, items)
+
+
+def _archive_split(splits, path: Path, domain: str,
+                   n_items: int) -> tuple[SplitDataset, InteractionSet]:
+    """One domain's split from ``splits.json``, and the union of its
+    parts: the domain's interactions."""
+    lists = [_entry(splits, path, domain, part) for part in _PARTS]
+    seed = _entry(splits, path, domain, "seed", kind=int)
+    if len({len(rows) for rows in lists}) != 1:
+        raise ValueError(f"{path}: {domain} train/valid/test lists differ "
+                         f"in user count")
+    try:
+        parts = [_lists_to_set(rows, n_items) for rows in lists]
+        union = _lists_to_set([a + b + c for a, b, c in zip(*lists)], n_items)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: {domain} split: {err}") from None
+    return SplitDataset(*parts, seed), union
 
 
 def load_dataset(in_dir) -> tuple[CrossDomainDataset, SplitDataset, SplitDataset]:
-    """Reload an archive written by :func:`save_dataset`."""
+    """Reload an archive written by :func:`save_dataset`; a malformed one
+    raises ValueError naming the file at fault."""
     root = Path(in_dir)
     index_path = root / INDEX_FILE
     splits_path = root / SPLITS_FILE
@@ -476,39 +490,24 @@ def load_dataset(in_dir) -> tuple[CrossDomainDataset, SplitDataset, SplitDataset
     index = json.loads(index_path.read_text(encoding="utf-8"))
     splits = json.loads(splits_path.read_text(encoding="utf-8"))
     for blob, path in ((index, index_path), (splits, splits_path)):
-        if blob.get("version") != ARCHIVE_VERSION:
+        if not isinstance(blob, dict) or blob.get("version") != ARCHIVE_VERSION:
             raise ValueError(f"unsupported archive version in {path}")
 
-    target_only = index["users"]["target_only"]
-    overlap = index["users"]["overlap"]
-    source_only = index["users"]["source_only"]
-    user_tokens = tuple(target_only + overlap + source_only)
-    roles = np.concatenate([
-        np.full(len(target_only), UserRole.TARGET_ONLY, dtype=np.int8),
-        np.full(len(overlap), UserRole.OVERLAP, dtype=np.int8),
-        np.full(len(source_only), UserRole.SOURCE_ONLY, dtype=np.int8),
-    ])
-    m = len(index["items"]["target"])
-    j = len(index["items"]["source"])
-
-    ds = CrossDomainDataset(
-        source=_merge_split(splits["source"], j),
-        target=_merge_split(splits["target"], m),
-        user_tokens=user_tokens,
-        user_roles=roles,
-        source_item_tokens=tuple(index["items"]["source"]),
-        target_item_tokens=tuple(index["items"]["target"]),
-    )
-    target_split = SplitDataset(
-        _lists_to_rows(splits["target"]["train"], m),
-        _lists_to_rows(splits["target"]["valid"], m),
-        _lists_to_rows(splits["target"]["test"], m),
-        splits["target"]["seed"],
-    )
-    source_split = SplitDataset(
-        _lists_to_rows(splits["source"]["train"], j),
-        _lists_to_rows(splits["source"]["valid"], j),
-        _lists_to_rows(splits["source"]["test"], j),
-        splits["source"]["seed"],
-    )
+    groups = [_entry(index, index_path, "users", name)
+              for name in _USER_GROUPS]
+    items = {domain: tuple(_entry(index, index_path, "items", domain))
+             for domain in ("source", "target")}
+    target_split, target = _archive_split(splits, splits_path, "target",
+                                          len(items["target"]))
+    source_split, source = _archive_split(splits, splits_path, "source",
+                                          len(items["source"]))
+    sizes = [len(group) for group in groups]
+    if (target.n_users != sizes[0] + sizes[1]
+            or source.n_users != sizes[1] + sizes[2]):
+        raise ValueError(
+            f"{index_path}: target-only/overlap/source-only users "
+            f"{sizes} do not fit the {target.n_users} target and "
+            f"{source.n_users} source users of {splits_path}")
+    ds = CrossDomainDataset(source, target, tuple(sum(groups, [])),
+                            items["source"], items["target"])
     return ds, target_split, source_split

@@ -110,23 +110,16 @@ class ExperimentConfig:
 
 def prepare_data(cfg: ExperimentConfig, seed: int):
     """Build (dataset, target split, source split) for one run seed."""
-    if "synthetic" in cfg.data:
-        synth_cfg = synthgen.SynthConfig(**cfg.data["synthetic"]).with_seed(seed)
-        source_raw, target_raw, _ = synthgen.generate(synth_cfg)
-        source_raw = corpus.filter_k_core(source_raw, cfg.min_interactions)
-        target_raw = corpus.filter_k_core(target_raw, cfg.min_interactions)
-        ds = corpus.build_cross_domain(source_raw, target_raw)
-        return (ds, corpus.split_target(ds, cfg.target_ratios, seed),
-                corpus.split_source(ds, cfg.source_ratios, seed))
     if "archive" in cfg.data:
         return corpus.load_dataset(cfg.data["archive"])
-    source_raw = corpus.load_interactions(cfg.data["source_tsv"],
-                                          corpus.DomainId.SOURCE)
-    target_raw = corpus.load_interactions(cfg.data["target_tsv"],
-                                          corpus.DomainId.TARGET)
-    source_raw = corpus.filter_k_core(source_raw, cfg.min_interactions)
-    target_raw = corpus.filter_k_core(target_raw, cfg.min_interactions)
-    ds = corpus.build_cross_domain(source_raw, target_raw)
+    if "synthetic" in cfg.data:
+        synth_cfg = synthgen.SynthConfig(**cfg.data["synthetic"]).with_seed(seed)
+        raw = synthgen.generate(synth_cfg)[:2]
+    else:
+        raw = [corpus.load_interactions(cfg.data[f"{d.value}_tsv"], d)
+               for d in (corpus.DomainId.SOURCE, corpus.DomainId.TARGET)]
+    ds = corpus.build_cross_domain(
+        *(corpus.filter_k_core(r, cfg.min_interactions) for r in raw))
     return (ds, corpus.split_target(ds, cfg.target_ratios, seed),
             corpus.split_source(ds, cfg.source_ratios, seed))
 

@@ -30,21 +30,14 @@ def build_graph(train: InteractionSet, k_layers: int) -> BipartiteGraph:
     if k_layers < 0:
         raise ValueError("k_layers must be >= 0")
     n_users, n_items = train.n_users, train.n_items
-    user_deg = np.array([row.size for row in train.rows], dtype=np.float64)
-    item_deg = np.zeros(n_items, dtype=np.float64)
-    for row in train.rows:
-        np.add.at(item_deg, row, 1.0)
-
-    users = np.repeat(np.arange(n_users), [row.size for row in train.rows])
-    items = (np.concatenate(train.rows) if users.size
-             else np.array([], dtype=np.int64))
+    users, items = train.users, train.indices
+    user_deg = np.diff(train.indptr).astype(np.float64)
+    item_deg = np.bincount(items, minlength=n_items).astype(np.float64)
     weights = 1.0 / np.sqrt(user_deg[users] * item_deg[items])
-
-    n = n_users + n_items
-    rows = np.concatenate([users, items + n_users])
-    cols = np.concatenate([items + n_users, users])
-    data = np.concatenate([weights, weights])
-    adjacency = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    user_item = sp.csr_matrix((weights, items, train.indptr),
+                              shape=(n_users, n_items))
+    adjacency = sp.bmat([[None, user_item], [user_item.T, None]],
+                        format="csr")
     return BipartiteGraph(n_users, n_items, adjacency, k_layers)
 
 

@@ -67,13 +67,9 @@ class SimilarityOracle:
     @classmethod
     def from_history(cls, train: InteractionSet,
                      gamma: float = 0.9) -> "SimilarityOracle":
-        indptr = np.zeros(train.n_users + 1, dtype=np.int64)
-        np.cumsum([row.size for row in train.rows], out=indptr[1:])
-        indices = (np.concatenate(train.rows) if indptr[-1]
-                   else np.array([], dtype=np.int64))
-        data = np.ones(indptr[-1], dtype=np.float64)
-        matrix = sp.csr_matrix((data, indices, indptr),
-                               shape=(train.n_users, train.n_items))
+        matrix = sp.csr_matrix(
+            (np.ones(train.n_interactions), train.indices, train.indptr),
+            shape=(train.n_users, train.n_items))
         return cls(MODE_HISTORY, matrix, gamma)
 
     @property
@@ -143,15 +139,6 @@ class PairSets:
     def n_all(self) -> int:
         u = self.users.size
         return u * (u - 1)
-
-    def similar_pairs(self) -> list[tuple[int, int]]:
-        return [(int(self.users[i]), int(self.users[j]))
-                for i, j in np.argwhere(self.sim_mask)]
-
-    def all_pairs(self) -> list[tuple[int, int]]:
-        u = self.users.size
-        return [(int(self.users[i]), int(self.users[j]))
-                for i in range(u) for j in range(u) if i != j]
 
 
 def extract_pairs(batch_users, oracle: SimilarityOracle) -> PairSets:

@@ -25,7 +25,7 @@ from .backbone import (BACKBONE_LIGHTGCN, LOSS_FNS, SingleDomainModel,
 from .checkpoint import Checkpoint
 from .config import TrainingConfig
 from .contrastive import contrastive_loss, total_loss
-from .corpus import CrossDomainDataset, InteractionSet, SplitDataset
+from .corpus import CrossDomainDataset, SplitDataset
 from .embeddings import (EmbeddingTable, ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET,
                          ROLE_USER, ROLE_USER_TARGET_PHASE1, assert_finite,
                          init_embeddings)
@@ -76,14 +76,6 @@ class EarlyStopper:
     @property
     def should_stop(self) -> bool:
         return self._since_best >= self.patience
-
-
-def positive_pairs(inter: InteractionSet) -> tuple[np.ndarray, np.ndarray]:
-    users = np.repeat(np.arange(inter.n_users),
-                      [row.size for row in inter.rows])
-    items = (np.concatenate(inter.rows) if users.size
-             else np.array([], dtype=np.int64))
-    return users, items
 
 
 def _batches(order: np.ndarray, batch_size: int):
@@ -168,19 +160,20 @@ def run_target_phase(ds: CrossDomainDataset, target_split: SplitDataset,
     shuffle_rng, negative_rng = (
         np.random.default_rng(s) for s in
         np.random.SeedSequence([config.seed, _STREAM_TARGET_TRAIN]).spawn(2))
-    users, items = positive_pairs(train)
 
     def step(batch: np.ndarray) -> float:
-        batch_users = users[batch]
+        batch_users = train.users[batch]
         neg_items = sample_negatives_batch(negative_rng, model.n_items,
                                            train.rows, batch_users)
         loss, buf = single_domain_forward_backward(
-            model, batch_users, items[batch], neg_items, config.loss_kind)
+            model, batch_users, train.indices[batch], neg_items,
+            config.loss_kind)
         optimizer.step(buf.grads())
         return loss
 
-    best_epoch, history = fit(model, step, users.size, model.make_scorer,
-                              target_split, config, shuffle_rng, "target")
+    best_epoch, history = fit(model, step, train.n_interactions,
+                              model.make_scorer, target_split, config,
+                              shuffle_rng, "target")
     frozen = EmbeddingTable(ROLE_USER_TARGET_PHASE1,
                             model.users.values.copy())
     frozen.values.setflags(write=False)
@@ -239,7 +232,8 @@ class CutModel:
         # One init stream per user partition, in dataset order, so that a
         # partition's initial rows do not depend on the others' sizes.
         users = [init_embeddings(rows, dim, seed, dtype=dtype).values
-                 for rows, seed in zip(ds.role_counts, seeds) if rows]
+                 for rows, seed in zip((ds.n_target_only, ds.n_overlap,
+                                        ds.n_source_only), seeds) if rows]
         tables = {
             ROLE_USER: EmbeddingTable(ROLE_USER, np.vstack(users)),
             ROLE_ITEM_TARGET: init_embeddings(
@@ -434,22 +428,20 @@ def run_transfer_phase(ds: CrossDomainDataset, target_split: SplitDataset,
     shuffle_rng, source_rng, neg_src_rng, neg_tgt_rng = (
         np.random.default_rng(s) for s in streams)
 
-    tgt_users, tgt_items = positive_pairs(target_split.train)
-    src_users, src_items = positive_pairs(source_split.train)
-    if src_users.size == 0:
+    tgt, src = target_split.train, source_split.train
+    if src.n_interactions == 0:
         raise ValueError("source training split is empty")
-    source_stream = _recycling_batches(src_users.size, config.batch_size,
+    source_stream = _recycling_batches(src.n_interactions, config.batch_size,
                                        source_rng)
 
     def step(batch: np.ndarray) -> float:
         src_batch = next(source_stream)
         return transfer_step(
-            model, optimizer, oracle, src_users[src_batch],
-            src_items[src_batch], tgt_users[batch], tgt_items[batch],
-            source_split.train.rows, target_split.train.rows,
-            neg_src_rng, neg_tgt_rng).total
+            model, optimizer, oracle, src.users[src_batch],
+            src.indices[src_batch], tgt.users[batch], tgt.indices[batch],
+            src.rows, tgt.rows, neg_src_rng, neg_tgt_rng).total
 
-    best_epoch, history = fit(model, step, tgt_users.size,
+    best_epoch, history = fit(model, step, tgt.n_interactions,
                               model.make_target_scorer, target_split, config,
                               shuffle_rng, "transfer")
     return TransferPhaseResult(model, best_epoch, history,

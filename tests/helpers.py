@@ -1,7 +1,8 @@
 """Independent oracles and utilities shared by the test suite.
 
-Everything here is deliberately written as the naive/brute-force route so
-it stays independent of the implementation under test.
+The oracles here are deliberately written as the naive/brute-force route
+so they stay independent of the implementation under test;
+``interaction_set`` only builds test inputs.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from cutrec.corpus import InteractionSet
 
 
 def fd_gradient(loss_fn, array: np.ndarray, flat_indices, h: float = 1e-6):
@@ -130,3 +133,16 @@ def materialised_similarity(oracle, users) -> np.ndarray:
             if a != b:
                 out[a, b] = bool(oracle.similar(int(users[a]), int(users[b])))
     return out
+
+
+def interaction_set(rows, n_items: int) -> InteractionSet:
+    """An interaction set whose user ``u`` has the items ``rows[u]``."""
+    users = [user for user, row in enumerate(rows) for _ in row]
+    items = [int(item) for row in rows for item in row]
+    return InteractionSet.from_pairs(len(rows), n_items, users, items)
+
+
+def naive_rows(n_users: int, pairs) -> list[list[int]]:
+    """Each user's distinct items, sorted, from (user, item) pairs."""
+    return [sorted({item for u, item in pairs if u == user})
+            for user in range(n_users)]

@@ -4,16 +4,9 @@ import pytest
 from cutrec.backbone import (SingleDomainModel, sample_negatives,
                              sample_negatives_batch,
                              single_domain_forward_backward)
-from cutrec.corpus import InteractionSet
 from cutrec.optim import Adam
 
-from helpers import assert_grad_matches, dense_grads
-
-
-def interactions(rows, n_items):
-    return InteractionSet(len(rows), n_items,
-                          tuple(np.array(sorted(r), dtype=np.int64)
-                                for r in rows))
+from helpers import assert_grad_matches, dense_grads, interaction_set
 
 
 # --- negative sampling --------------------------------------------------------
@@ -55,7 +48,7 @@ def small_model(seed, backbone="mf", loss="bce", n_users=6, n_items=7, dim=4):
     rng = np.random.default_rng(seed)
     rows = [np.unique(rng.integers(0, n_items, size=rng.integers(1, 5)))
             for _ in range(n_users)]
-    train = interactions([list(r) for r in rows], n_items)
+    train = interaction_set([list(r) for r in rows], n_items)
     model = SingleDomainModel.create(n_users, n_items, dim, seed,
                                      backbone=backbone, train=train,
                                      k_layers=2, dtype=np.float64)
@@ -92,11 +85,10 @@ def test_training_reduces_loss():
     rng = np.random.default_rng(3)
     n_users, n_items = 20, 15
     rows = [np.unique(rng.integers(0, n_items, size=6)) for _ in range(n_users)]
-    train = interactions([list(r) for r in rows], n_items)
+    train = interaction_set([list(r) for r in rows], n_items)
     model = SingleDomainModel.create(n_users, n_items, 8, 3, train=train)
     opt = Adam(model.params(), lr=0.01)
-    users = np.repeat(np.arange(n_users), [r.size for r in train.rows])
-    items = np.concatenate(train.rows)
+    users, items = train.users, train.indices
     losses = []
     for step in range(100):
         order = rng.permutation(users.size)[:32]
@@ -112,7 +104,7 @@ def test_training_deterministic():
     def run():
         rng = np.random.default_rng(11)
         rows = [[0, 1, 2], [1, 3], [0, 4]]
-        train = interactions(rows, 5)
+        train = interaction_set(rows, 5)
         model = SingleDomainModel.create(3, 5, 4, 11, train=train)
         opt = Adam(model.params(), lr=0.01, weight_decay=1e-5)
         users = np.array([0, 1, 2, 0])

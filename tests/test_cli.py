@@ -57,6 +57,20 @@ def test_full_pipeline_through_cli(pipeline_dirs):
     assert "report.json" in manifest["outputs"]
 
 
+def test_malformed_archive_is_validation_error(pipeline_dirs, capsys):
+    tmp_path, train_cfg, data_dir = pipeline_dirs
+    splits_path = data_dir / "splits.json"
+    splits = json.loads(splits_path.read_text())
+    del splits["source"]["valid"]
+    splits_path.write_text(json.dumps(splits))
+    capsys.readouterr()
+    assert main(["train-target", "--data", str(data_dir), "--config",
+                 str(train_cfg), "--out", str(tmp_path / "phase1")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "splits.json" in err and "source/valid" in err
+
+
 def test_evaluate_single_domain_checkpoint(pipeline_dirs):
     tmp_path, train_cfg, data_dir = pipeline_dirs
     target_out = tmp_path / "phase1"

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutrec import corpus
-from cutrec.corpus import (CrossDomainDataset, DomainId, InteractionSet,
-                           RawInteractions, UserRole, build_cross_domain,
-                           filter_k_core, load_dataset, load_interactions,
-                           save_dataset, split_source, split_target,
-                           subsample_target)
+from cutrec.corpus import (DomainId, InteractionSet, RawInteractions,
+                           build_cross_domain, filter_k_core, load_dataset,
+                           load_interactions, save_dataset, split_source,
+                           split_target, subsample_target)
 from cutrec.errors import DatasetCollapsedError, ParseError
 
-from helpers import brute_force_k_core
+from helpers import brute_force_k_core, naive_rows
 
 
 def raw(records, domain=DomainId.TARGET):
@@ -121,8 +120,7 @@ def test_partition_by_token_intersection():
     target = raw([("b", "t1", None), ("c", "t1", None)], DomainId.TARGET)
     ds = build_cross_domain(source, target)
     assert ds.user_tokens == ("c", "b", "a")
-    assert list(ds.user_roles) == [UserRole.TARGET_ONLY, UserRole.OVERLAP,
-                                   UserRole.SOURCE_ONLY]
+    assert (ds.n_target_only, ds.n_overlap, ds.n_source_only) == (1, 1, 1)
 
 
 def test_identical_user_sets_all_overlap():
@@ -146,8 +144,8 @@ def test_item_spaces_disjoint():
     target = raw([("a", "x", None)], DomainId.TARGET)
     ds = build_cross_domain(source, target)
     # Same token maps to independent per-domain index spaces.
-    assert ds.item_token_maps["source"] == {"x": 0}
-    assert ds.item_token_maps["target"] == {"x": 0}
+    assert ds.source_item_tokens.index("x") == 0
+    assert ds.target_item_tokens.index("x") == 0
     assert ds.source.n_items == ds.target.n_items == 1
 
 
@@ -179,8 +177,26 @@ def test_split_chronological_newest_in_test():
     ds = _single_user_ds(5, with_times=True)
     split = split_target(ds, seed=0)
     # Items sorted by token == timestamp order here; newest (ts=5) is i4.
-    newest = ds.item_token_maps["target"]["i4"]
+    newest = ds.target_item_tokens.index("i4")
     assert list(split.test.rows[0]) == [newest]
+
+
+def test_split_timestamps_apply_per_user():
+    # User "a" has a timestamp on every record, user "b" lacks one: "a"
+    # splits chronologically whatever the seed, "b" by the seed.
+    recs = [("a", f"i{k}", k + 1) for k in range(10)]
+    recs += [("b", f"i{k}", k + 1 if k else None) for k in range(10)]
+    source = raw([("a", "s0", None), ("b", "s0", None)], DomainId.SOURCE)
+    ds = build_cross_domain(source, raw(recs))
+    a, b = ds.user_tokens.index("a"), ds.user_tokens.index("b")
+    items = ds.target_item_tokens
+    b_tests = set()
+    for seed in range(12):
+        split = split_target(ds, seed=seed)
+        assert list(split.test.rows[a]) == [items.index("i9")]
+        assert list(split.valid.rows[a]) == [items.index("i8")]
+        b_tests.add(tuple(split.test.rows[b]))
+    assert len(b_tests) > 1
 
 
 def test_split_source_8_2():
@@ -271,9 +287,49 @@ def test_subsample_rejects_bad_fraction():
 
 # --- invariants and archive round-trip ---------------------------------------
 
-def test_interaction_set_rejects_unsorted_rows():
+@settings(max_examples=60, deadline=None)
+@given(n_users=st.integers(min_value=1, max_value=6),
+       n_items=st.integers(min_value=1, max_value=8), data=st.data())
+def test_interaction_set_matches_naive_rows(n_users, n_items, data):
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1)),
+        unique=True, max_size=30))
+    users = [u for u, _ in pairs]
+    items = [i for _, i in pairs]
+    inter = InteractionSet.from_pairs(n_users, n_items, users, items,
+                                      [100 * u + i for u, i in pairs])
+    expected = naive_rows(n_users, pairs)
+    assert [row.tolist() for row in inter.rows] == expected
+    flat = [(u, i) for u, row in enumerate(expected) for i in row]
+    assert list(zip(inter.users.tolist(), inter.indices.tolist())) == flat
+    assert inter.times.tolist() == [100 * u + i for u, i in flat]
+    assert inter.n_users == n_users and inter.n_interactions == len(pairs)
+
+
+def _csr(indptr, indices):
+    return lambda: InteractionSet(5, np.array(indptr, dtype=np.int64),
+                                  np.array(indices, dtype=np.int64))
+
+
+MALFORMED = {
+    "unsorted-row": _csr([0, 2], [3, 1]),
+    "repeated-item": _csr([0, 3], [1, 2, 2]),
+    "repeated-pair": lambda: InteractionSet.from_pairs(2, 5, [1, 0, 1],
+                                                       [4, 4, 4]),
+    "negative-item": _csr([0, 1], [-1]),
+    "item-past-n_items": _csr([0, 2], [0, 5]),
+    "indptr-not-from-0": _csr([1, 2], [0, 1]),
+    "indptr-decreasing": _csr([0, 2, 1, 3], [0, 1, 2]),
+    "indptr-short": _csr([0, 1], [0, 1]),
+    "indptr-long": _csr([0, 3], [0, 1]),
+    "user-past-n_users": lambda: InteractionSet.from_pairs(1, 5, [1], [0]),
+}
+
+
+@pytest.mark.parametrize("build", MALFORMED.values(), ids=list(MALFORMED))
+def test_interaction_set_rejects_unsorted_rows(build):
     with pytest.raises(ValueError):
-        InteractionSet(1, 5, (np.array([3, 1]),))
+        build()
 
 
 def test_interaction_rows_are_read_only():
@@ -297,7 +353,8 @@ def test_archive_round_trip_bit_exact(tmp_path):
 
     ds2, t2, s2 = load_dataset(tmp_path)
     assert ds2.user_tokens == ds.user_tokens
-    assert np.array_equal(ds2.user_roles, ds.user_roles)
+    assert (ds2.n_target_only, ds2.n_overlap, ds2.n_source_only) == \
+        (ds.n_target_only, ds.n_overlap, ds.n_source_only)
     assert ds2.source_item_tokens == ds.source_item_tokens
     assert ds2.target_item_tokens == ds.target_item_tokens
     for a, b in zip(ds2.target.rows, ds.target.rows):
@@ -315,6 +372,46 @@ def test_archive_round_trip_bit_exact(tmp_path):
     after = {(tmp_path / name).read_bytes()
              for name in (corpus.INDEX_FILE, corpus.SPLITS_FILE)}
     assert before == after
+
+
+def _break_user_counts(index, splits):
+    splits["target"]["test"].pop()
+
+
+def _break_partition(index, splits):
+    index["users"]["overlap"].append(index["users"]["source_only"].pop())
+
+
+def _drop_valid(index, splits):
+    del splits["source"]["valid"]
+
+
+def _users_not_a_list(index, splits):
+    index["users"]["overlap"] = "u2"
+
+
+@pytest.mark.parametrize("corrupt, file, message", [
+    (_drop_valid, corpus.SPLITS_FILE, "source/valid"),
+    (_break_user_counts, corpus.SPLITS_FILE, "user count"),
+    (_break_partition, corpus.INDEX_FILE, "do not fit"),
+    (_users_not_a_list, corpus.INDEX_FILE, "users/overlap is not a list"),
+], ids=["missing-entry", "user-counts-differ", "partition-misfit",
+        "entry-not-a-list"])
+def test_load_dataset_rejects_malformed_archive(tmp_path, corrupt, file,
+                                                message):
+    recs = [(f"u{u}", f"i{k}", None) for u in range(4) for k in range(5)]
+    ds = build_cross_domain(
+        raw([(f"u{u}", "s0", None) for u in range(2, 6)], DomainId.SOURCE),
+        raw(recs))
+    save_dataset(tmp_path, ds, split_target(ds), split_source(ds))
+    blobs = [json.loads((tmp_path / name).read_text())
+             for name in (corpus.INDEX_FILE, corpus.SPLITS_FILE)]
+    corrupt(*blobs)
+    for name, blob in zip((corpus.INDEX_FILE, corpus.SPLITS_FILE), blobs):
+        (tmp_path / name).write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match=message) as err:
+        load_dataset(tmp_path)
+    assert file in str(err.value)
 
 
 def test_archive_refuses_overwrite(tmp_path):

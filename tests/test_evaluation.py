@@ -3,17 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cutrec.corpus import InteractionSet, SplitDataset
+from cutrec.corpus import SplitDataset
 from cutrec.evaluation import (evaluate_full, format_report, hr_at_k,
                                ndcg_at_k, rank_items, recall_at_k)
 
-from helpers import full_sort_topk
-
-
-def interactions(rows, n_items):
-    return InteractionSet(len(rows), n_items,
-                          tuple(np.array(sorted(r), dtype=np.int64)
-                                for r in rows))
+from helpers import full_sort_topk, interaction_set
 
 
 # --- rank_items ---------------------------------------------------------------
@@ -116,15 +110,15 @@ def test_adding_a_hit_never_decreases_metrics():
 # --- evaluate_full ----------------------------------------------------------------
 
 def tiny_split():
-    train = interactions([[0, 1], [2]], 6)
-    valid = interactions([[2], [3]], 6)
-    test = interactions([[3], [4, 5]], 6)
+    train = interaction_set([[0, 1], [2]], 6)
+    valid = interaction_set([[2], [3]], 6)
+    test = interaction_set([[3], [4, 5]], 6)
     return SplitDataset(train, valid, test, 0)
 
 
 def test_evaluate_single_user_perfect():
-    split = SplitDataset(interactions([[]], 3), interactions([[]], 3),
-                         interactions([[0]], 3), 0)
+    split = SplitDataset(interaction_set([[]], 3), interaction_set([[]], 3),
+                         interaction_set([[0]], 3), 0)
     scores = np.array([5.0, 1.0, 0.0])
     report = evaluate_full(lambda u: scores, split, k=2)
     assert report.means["ndcg"] == 1.0
@@ -151,9 +145,9 @@ def test_evaluate_matches_full_sort_oracle():
     n_users, n_items = 12, 100
     all_items = np.arange(n_items)
     rows = [rng.choice(all_items, size=12, replace=False) for _ in range(n_users)]
-    train = interactions([list(r[:8]) for r in rows], n_items)
-    valid = interactions([list(r[8:10]) for r in rows], n_items)
-    test = interactions([list(r[10:]) for r in rows], n_items)
+    train = interaction_set([list(r[:8]) for r in rows], n_items)
+    valid = interaction_set([list(r[8:10]) for r in rows], n_items)
+    test = interaction_set([list(r[10:]) for r in rows], n_items)
     split = SplitDataset(train, valid, test, 0)
     table = rng.normal(size=(n_users, n_items))
 
@@ -181,8 +175,8 @@ def test_evaluate_repeatable():
 
 
 def test_evaluate_errors_without_test_users():
-    split = SplitDataset(interactions([[0]], 2), interactions([[]], 2),
-                         interactions([[]], 2), 0)
+    split = SplitDataset(interaction_set([[0]], 2), interaction_set([[]], 2),
+                         interaction_set([[]], 2), 0)
     with pytest.raises(ValueError):
         evaluate_full(lambda u: np.zeros(2), split, k=2)
 

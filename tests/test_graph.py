@@ -1,22 +1,15 @@
 import numpy as np
 import pytest
 
-from cutrec.corpus import InteractionSet
 from cutrec.graph import build_graph, propagate
 
-from helpers import dense_propagation_oracle
-
-
-def interactions(rows, n_items):
-    return InteractionSet(len(rows), n_items,
-                          tuple(np.array(sorted(r), dtype=np.int64)
-                                for r in rows))
+from helpers import dense_propagation_oracle, interaction_set
 
 
 def test_single_edge_one_layer_average():
     # One user linked to one item, degree 1 each, K=1: the final user
     # embedding is the mean of its own and the item's base embedding.
-    train = interactions([[0]], 1)
+    train = interaction_set([[0]], 1)
     graph = build_graph(train, k_layers=1)
     e_u = np.array([[1.0, 2.0]])
     e_i = np.array([[3.0, -4.0]])
@@ -26,7 +19,7 @@ def test_single_edge_one_layer_average():
 
 
 def test_zero_layers_identity():
-    train = interactions([[0, 1], [1]], 2)
+    train = interaction_set([[0, 1], [1]], 2)
     graph = build_graph(train, k_layers=0)
     users = np.random.default_rng(0).normal(size=(2, 3))
     items = np.random.default_rng(1).normal(size=(2, 3))
@@ -37,7 +30,7 @@ def test_zero_layers_identity():
 
 def test_normalisation_weights():
     # user0-{item0,item1}, user1-{item0}: weight(u0,i0)=1/sqrt(2*2).
-    train = interactions([[0, 1], [0]], 2)
+    train = interaction_set([[0, 1], [0]], 2)
     graph = build_graph(train, k_layers=1)
     dense = graph.adjacency.toarray()
     assert dense[0, 2] == pytest.approx(1.0 / 2.0)          # deg 2 * deg 2
@@ -48,7 +41,7 @@ def test_normalisation_weights():
 
 def test_isolated_node_scaled_base():
     # user1 has no interactions: its final embedding is base/(K+1).
-    train = interactions([[0], []], 1)
+    train = interaction_set([[0], []], 1)
     graph = build_graph(train, k_layers=2)
     users = np.array([[1.0], [9.0]])
     items = np.array([[2.0]])
@@ -63,7 +56,7 @@ def test_sparse_matches_dense_oracle(seed, k_layers):
     n_users, n_items = 8, 12  # 20 nodes
     rows = [np.unique(rng.integers(0, n_items, size=rng.integers(0, 6)))
             for _ in range(n_users)]
-    train = interactions([list(r) for r in rows], n_items)
+    train = interaction_set([list(r) for r in rows], n_items)
     graph = build_graph(train, k_layers=k_layers)
     base = rng.normal(size=(n_users + n_items, 5))
     expected = dense_propagation_oracle(graph.adjacency.toarray(), base,
@@ -74,7 +67,7 @@ def test_sparse_matches_dense_oracle(seed, k_layers):
 
 
 def test_shape_validation():
-    train = interactions([[0]], 1)
+    train = interaction_set([[0]], 1)
     graph = build_graph(train, k_layers=1)
     with pytest.raises(ValueError):
         propagate(graph, np.zeros((2, 3)), np.zeros((1, 3)))

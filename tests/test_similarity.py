@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutrec.corpus import InteractionSet
 from cutrec.similarity import (PairSets, SimilarityOracle, cosine,
                                extract_pairs)
 
-from helpers import materialised_similarity
+from helpers import interaction_set, materialised_similarity
 
 
 def embedding_oracle(values, gamma=0.9):
@@ -72,16 +71,14 @@ def test_similar_out_of_range():
 
 
 def test_history_mode_identical_rows_similar():
-    train = InteractionSet(3, 6, (np.array([0, 2, 4]), np.array([0, 2, 4]),
-                                  np.array([1, 3])))
+    train = interaction_set([[0, 2, 4], [0, 2, 4], [1, 3]], 6)
     oracle = SimilarityOracle.from_history(train, gamma=0.99)
     assert oracle.similar(0, 1) == 1
     assert oracle.similar(0, 2) == 0
 
 
 def test_history_mode_zero_row_similarity_zero():
-    train = InteractionSet(2, 4, (np.array([], dtype=np.int64),
-                                  np.array([1, 2])))
+    train = interaction_set([[], [1, 2]], 4)
     oracle = SimilarityOracle.from_history(train, gamma=-0.5)
     # cosine involving the empty row is 0, not above gamma=-0.5... it is:
     # 0 > -0.5, so define via a positive gamma instead.
@@ -128,7 +125,8 @@ def test_extract_pairs_three_users_one_similar_pair():
     oracle = embedding_oracle(values, gamma=0.9)
     pairs = extract_pairs(np.array([0, 1, 2]), oracle)
     assert pairs.n_all == 6
-    assert sorted(pairs.similar_pairs()) == [(1, 2), (2, 1)]
+    similar = pairs.users[np.argwhere(pairs.sim_mask)]
+    assert similar.tolist() == [[1, 2], [2, 1]]
 
 
 def test_extract_pairs_all_dissimilar():
@@ -148,9 +146,8 @@ def test_pairs_symmetric_membership():
     rng = np.random.default_rng(3)
     oracle = embedding_oracle(rng.normal(size=(12, 3)), gamma=0.3)
     pairs = extract_pairs(rng.integers(0, 12, size=30), oracle)
-    similar = set(pairs.similar_pairs())
-    assert all((q, p) in similar for p, q in similar)
-    assert all(p != q for p, q in pairs.all_pairs())
+    assert np.array_equal(pairs.sim_mask, pairs.sim_mask.T)
+    assert not np.diag(pairs.sim_mask).any()
 
 
 def test_pair_sets_reject_self_pairs():
@@ -171,7 +168,7 @@ def test_lazy_extraction_equals_materialised_matrix(mode):
     else:
         rows = tuple(np.unique(rng.integers(0, 12, size=rng.integers(1, 8)))
                      for _ in range(n))
-        oracle = SimilarityOracle.from_history(InteractionSet(n, 12, rows),
+        oracle = SimilarityOracle.from_history(interaction_set(rows, 12),
                                                gamma=0.6)
     for subset_size in (2, 13, 50):
         users = np.sort(rng.choice(n, size=subset_size, replace=False))
