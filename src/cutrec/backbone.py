@@ -12,7 +12,7 @@ from .embeddings import (EmbeddingTable, ROLE_ITEM_TARGET,
                          ROLE_USER_TARGET_PHASE1, init_embeddings)
 from .graph import BipartiteGraph, build_graph, propagate
 from .losses import bce_loss, bpr_loss
-from .optim import GradBuffer
+from .optim import GradBuffer, scatter_rows
 
 BACKBONE_MF = "mf"
 BACKBONE_LIGHTGCN = "lightgcn"
@@ -23,33 +23,27 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def sample_negatives(rng: np.random.Generator, n_items: int,
-                     train_row: np.ndarray, count: int = 1) -> np.ndarray:
-    """Uniform rejection sampling over items outside the user's train row."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if train_row.size >= n_items:
-        raise ValueError("user interacted with every item; cannot sample negatives")
-    out = np.empty(count, dtype=np.int64)
-    filled = 0
-    while filled < count:
-        cand = rng.integers(0, n_items, size=count - filled)
-        if train_row.size:
-            pos = np.searchsorted(train_row, cand)
-            pos = np.minimum(pos, train_row.size - 1)
-            good = cand[train_row[pos] != cand]
-        else:
-            good = cand
-        out[filled:filled + good.size] = good
-        filled += good.size
-    return out
-
-
 def sample_negatives_batch(rng: np.random.Generator, n_items: int,
-                           train_rows, users: np.ndarray) -> np.ndarray:
-    """One negative per batch entry, drawn in batch order."""
-    return np.array([sample_negatives(rng, n_items, train_rows[u], 1)[0]
-                     for u in users], dtype=np.int64)
+                           train: InteractionSet, users) -> np.ndarray:
+    """One negative per batch entry, uniform over the items outside the
+    user's ``train`` row: one draw for the whole batch, then redraws of
+    the entries whose key ``searchsorted`` finds in ``train.keys``."""
+    if n_items != train.n_items:
+        raise ValueError("n_items does not match the train set")
+    users = np.asarray(users, dtype=np.int64)
+    full = train.indptr[users + 1] - train.indptr[users] >= n_items
+    if full.any():
+        raise ValueError(f"user {users[full][0]} interacted with every "
+                         "item; cannot sample negatives")
+    out = rng.integers(0, n_items, size=users.size)
+    keys = train.keys
+    todo = np.arange(users.size if keys.size else 0)
+    while todo.size:
+        wanted = users[todo] * n_items + out[todo]
+        pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        todo = todo[keys[pos] == wanted]
+        out[todo] = rng.integers(0, n_items, size=todo.size)
+    return out
 
 
 class SingleDomainModel:
@@ -138,10 +132,8 @@ def domain_forward_backward(user_vals: np.ndarray, item_vals: np.ndarray,
         * np.concatenate([u_vecs, u_vecs])
     if graph is None:
         return loss, (users, d_user), (item_rows, d_item)
-    d_user_final = np.zeros_like(user_final, dtype=np.float64)
-    d_item_final = np.zeros_like(item_final, dtype=np.float64)
-    np.add.at(d_user_final, users, d_user)
-    np.add.at(d_item_final, item_rows, d_item)
+    d_user_final = scatter_rows(users, d_user, graph.n_users)
+    d_item_final = scatter_rows(item_rows, d_item, graph.n_items)
     # The adjacency is symmetric, so the backward pass through the
     # propagation is the propagation itself.
     d_user0, d_item0 = propagate(graph, d_user_final, d_item_final)

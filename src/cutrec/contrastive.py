@@ -46,24 +46,25 @@ def contrastive_loss(transformed: np.ndarray, pairs: PairSets, tau: float,
     else:
         feats = values
 
-    logits = (feats @ feats.T) / tau
-    off_diag = ~np.eye(n, dtype=bool)
-    sim = pairs.sim_mask
+    logits = feats @ feats.T
+    logits /= tau
+    np.fill_diagonal(logits, -np.inf)
+    sim_i, sim_j = np.divmod(np.flatnonzero(pairs.sim_mask), n)
+    z_max = logits.max()
+    loss_sim = logits[sim_i, sim_j].sum()
+    # Shifted in place; exp(-inf) leaves the diagonal out of the softmax.
+    exp = np.exp(np.subtract(logits, z_max, out=logits), out=logits)
+    denom = exp.sum()
+    loss = -(np.log(pairs.n_all) * n_similar + loss_sim
+             - (np.log(denom) + z_max) * n_similar) / n_similar
 
-    z_max = logits[off_diag].max()
-    exp_shift = np.where(off_diag, np.exp(logits - z_max), 0.0)
-    denom = exp_shift.sum()
-    log_denom = np.log(denom) + z_max
-
-    n_all = pairs.n_all
-    loss = -(np.log(n_all) * n_similar
-             + logits[sim].sum()
-             - log_denom * n_similar) / n_similar
-
-    softmax = exp_shift / denom
-    # d loss / d logits, nonzero on the off-diagonal only.
-    d_logits = (softmax - sim / n_similar) / tau
-    d_feats = (d_logits + d_logits.T) @ feats
+    # d loss / d logits = softmax - [similar] / |S|. A logit is a dot
+    # product of two users' features, so the feature gradient takes
+    # d logits plus its transpose; the softmax part is symmetric.
+    d_logits = np.multiply(exp, 2.0 / denom, out=exp)
+    d_logits[sim_i, sim_j] -= 1.0 / n_similar
+    d_logits[sim_j, sim_i] -= 1.0 / n_similar
+    d_feats = (d_logits @ feats) / tau
 
     if normalize:
         # Through f = v / max(||v||, eps): remove the radial component.

@@ -167,7 +167,7 @@ class InteractionSet:
             raise ValueError(f"item index outside [0, {self.n_items})")
         # Rows are strictly increasing exactly when the (user, item) keys
         # of the flattened matrix are.
-        bad = np.flatnonzero(np.diff(self.users * self.n_items + indices) <= 0)
+        bad = np.flatnonzero(np.diff(self.keys) <= 0)
         if bad.size:
             raise ValueError(
                 f"row {self.users[bad[0] + 1]} is not strictly increasing")
@@ -203,6 +203,14 @@ class InteractionSet:
         users = np.repeat(np.arange(self.n_users), np.diff(self.indptr))
         users.setflags(write=False)
         return users
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """The key ``user * n_items + item`` of each entry of ``indices``;
+        sorted, so a (user, item) lookup is one ``searchsorted``."""
+        keys = self.users * self.n_items + self.indices
+        keys.setflags(write=False)
+        return keys
 
     @cached_property
     def rows(self) -> tuple[np.ndarray, ...]:

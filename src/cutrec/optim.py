@@ -15,47 +15,51 @@ from .errors import TrainingDivergedError
 SparseGrad = tuple[np.ndarray | None, np.ndarray]
 
 
+def scatter_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """``np.add.at`` of ``values`` rows into ``n_rows`` float64 zero rows,
+    adding in the same order, by one ``bincount`` per column."""
+    out = np.empty((n_rows, values.shape[1]))
+    for col in range(values.shape[1]):
+        out[:, col] = np.bincount(index, values[:, col], n_rows)
+    return out
+
+
 class GradBuffer:
     """Accumulates one training step's gradients per named parameter.
 
     Embedding tables use row-indexed accumulation; full-parameter
     gradients (the transform layer) use ``add_dense``. Accumulation is in
-    float64 regardless of parameter dtype.
+    float64 regardless of parameter dtype. ``add_rows`` keeps its arrays,
+    uncopied, until ``grads`` merges them over their distinct rows and
+    empties the buffer, so that they are freed before the optimizer step.
     """
 
     def __init__(self, params: Mapping[str, np.ndarray]):
         self._params = dict(params)
+        self._parts: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._dense: dict[str, np.ndarray] = {}
-        self._touched: dict[str, np.ndarray] = {}
-        self._full: set[str] = set()
-
-    def _buffer(self, name: str) -> np.ndarray:
-        if name not in self._dense:
-            param = self._params[name]
-            self._dense[name] = np.zeros(param.shape, dtype=np.float64)
-            self._touched[name] = np.zeros(param.shape[0], dtype=bool)
-        return self._dense[name]
 
     def add_rows(self, name: str, rows: np.ndarray, values: np.ndarray) -> None:
-        if name in self._full:
+        if name in self._dense:
             raise ValueError(f"parameter {name!r} already has a dense gradient")
-        buf = self._buffer(name)
-        np.add.at(buf, rows, values)
-        self._touched[name][rows] = True
+        self._parts.setdefault(name, []).append((rows, values))
 
     def add_dense(self, name: str, values: np.ndarray) -> None:
-        buf = self._buffer(name)
-        buf += values
-        self._full.add(name)
+        if name in self._parts:
+            raise ValueError(f"parameter {name!r} already has row gradients")
+        self._dense.setdefault(name, np.zeros(self._params[name].shape))
+        self._dense[name] += values
 
     def grads(self) -> dict[str, SparseGrad]:
         out: dict[str, SparseGrad] = {}
+        for name, parts in self._parts.items():
+            rows, inverse = np.unique(np.concatenate([r for r, _ in parts]),
+                                      return_inverse=True)
+            out[name] = (rows, scatter_rows(
+                inverse, np.concatenate([v for _, v in parts]), rows.size))
         for name, buf in self._dense.items():
-            if name in self._full:
-                out[name] = (None, buf)
-            else:
-                rows = np.flatnonzero(self._touched[name])
-                out[name] = (rows, buf[rows])
+            out[name] = (None, buf)
+        self._parts, self._dense = {}, {}
         return out
 
 

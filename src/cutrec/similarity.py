@@ -133,7 +133,7 @@ class PairSets:
 
     @property
     def n_similar(self) -> int:
-        return int(self.sim_mask.sum())
+        return int(np.count_nonzero(self.sim_mask))
 
     @property
     def n_all(self) -> int:

@@ -25,14 +25,14 @@ from .backbone import (BACKBONE_LIGHTGCN, LOSS_FNS, SingleDomainModel,
 from .checkpoint import Checkpoint
 from .config import TrainingConfig
 from .contrastive import contrastive_loss, total_loss
-from .corpus import CrossDomainDataset, SplitDataset
+from .corpus import CrossDomainDataset, InteractionSet, SplitDataset
 from .embeddings import (EmbeddingTable, ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET,
                          ROLE_USER, ROLE_USER_TARGET_PHASE1, assert_finite,
                          init_embeddings)
 from .errors import CheckpointError, ConfigError, TrainingDivergedError
 from .evaluation import evaluate_full
 from .graph import build_graph, propagate
-from .optim import Adam, GradBuffer
+from .optim import Adam, GradBuffer, scatter_rows
 from .similarity import PairSets, SimilarityOracle, extract_pairs
 from .transform import TransformLayer
 
@@ -164,7 +164,7 @@ def run_target_phase(ds: CrossDomainDataset, target_split: SplitDataset,
     def step(batch: np.ndarray) -> float:
         batch_users = train.users[batch]
         neg_items = sample_negatives_batch(negative_rng, model.n_items,
-                                           train.rows, batch_users)
+                                           train, batch_users)
         loss, buf = single_domain_forward_backward(
             model, batch_users, train.indices[batch], neg_items,
             config.loss_kind)
@@ -335,9 +335,6 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
         model.graph_source, src_users, src_pos, src_neg, loss_fn, alpha)
     buf.add_rows(ROLE_USER, rows + model.source_offset, d_user)
     buf.add_rows(ROLE_ITEM_SOURCE, item_rows, d_item)
-    # Drop each domain's batch gradients once they are in the buffer:
-    # held through the next term they raise the step's peak memory.
-    del d_user, d_item
 
     # -- target domain: transform once the base rows the loss reads --
     rows = rows_read(model.graph_target, tgt_users)
@@ -348,9 +345,7 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
         model.graph_target, np.searchsorted(rows, tgt_users), tgt_pos,
         tgt_neg, loss_fn, 1.0 - alpha)
     buf.add_rows(ROLE_ITEM_TARGET, item_rows, d_item)
-    d_transformed = np.zeros(transformed.shape, dtype=np.float64)
-    np.add.at(d_transformed, local, d_local)
-    del d_local, d_item
+    d_transformed = scatter_rows(local, d_local, transformed.shape[0])
 
     # -- contrastive regulariser on the transformed batch users --
     l_contrastive = 0.0
@@ -376,16 +371,16 @@ def transfer_step(model: CutModel, optimizer: Adam,
                   oracle: SimilarityOracle | None,
                   src_users: np.ndarray, src_pos: np.ndarray,
                   tgt_users: np.ndarray, tgt_pos: np.ndarray,
-                  src_train_rows, tgt_train_rows,
+                  src_train: InteractionSet, tgt_train: InteractionSet,
                   rng_src: np.random.Generator,
                   rng_tgt: np.random.Generator) -> LossBreakdown:
     """Negative sampling, pair extraction, combined gradients, one Adam
     step over all touched parameters."""
     config = model.config
     src_neg = sample_negatives_batch(
-        rng_src, model.tables[ROLE_ITEM_SOURCE].rows, src_train_rows, src_users)
+        rng_src, model.tables[ROLE_ITEM_SOURCE].rows, src_train, src_users)
     tgt_neg = sample_negatives_batch(
-        rng_tgt, model.tables[ROLE_ITEM_TARGET].rows, tgt_train_rows, tgt_users)
+        rng_tgt, model.tables[ROLE_ITEM_TARGET].rows, tgt_train, tgt_users)
     pairs = None
     if not config.effective_no_contrastive:
         if oracle is None:
@@ -439,7 +434,7 @@ def run_transfer_phase(ds: CrossDomainDataset, target_split: SplitDataset,
         return transfer_step(
             model, optimizer, oracle, src.users[src_batch],
             src.indices[src_batch], tgt.users[batch], tgt.indices[batch],
-            src.rows, tgt.rows, neg_src_rng, neg_tgt_rng).total
+            src, tgt, neg_src_rng, neg_tgt_rng).total
 
     best_epoch, history = fit(model, step, tgt.n_interactions,
                               model.make_target_scorer, target_split, config,

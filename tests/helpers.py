@@ -70,6 +70,61 @@ def dense_grads(grads: dict, params: dict[str, np.ndarray]) -> dict[str, np.ndar
     return out
 
 
+def sample_negatives(rng: np.random.Generator, n_items: int,
+                     train_row: np.ndarray, count: int = 1) -> np.ndarray:
+    """Uniform rejection sampling over items outside one user's train row,
+    one user at a time."""
+    if train_row.size >= n_items:
+        raise ValueError("user interacted with every item")
+    out: list[int] = []
+    banned = set(train_row.tolist())
+    while len(out) < count:
+        out.extend(int(item) for item in rng.integers(0, n_items,
+                                                      size=count - len(out))
+                   if item not in banned)
+    return np.array(out, dtype=np.int64)
+
+
+def full_table_grads(params: dict[str, np.ndarray], row_parts, dense_parts):
+    """``GradBuffer.grads()`` the long way: scatter every row part into a
+    zeroed float64 copy of its whole table, keep the touched rows; sum
+    dense parts into a whole-table buffer."""
+    out = {}
+    for name, parts in row_parts.items():
+        table = np.zeros(params[name].shape, dtype=np.float64)
+        touched = np.zeros(params[name].shape[0], dtype=bool)
+        for rows, values in parts:
+            np.add.at(table, rows, values)
+            touched[rows] = True
+        rows = np.flatnonzero(touched)
+        out[name] = (rows, table[rows])
+    for name, parts in dense_parts.items():
+        table = np.zeros(params[name].shape, dtype=np.float64)
+        for values in parts:
+            table += values
+        out[name] = (None, table)
+    return out
+
+
+def dense_contrastive_gradient(values: np.ndarray, sim_mask: np.ndarray,
+                               tau: float, normalize: bool) -> np.ndarray:
+    """Gradient of the batch regulariser w.r.t. ``values``, through dense
+    u-by-u masks: (softmax - sim / |S|) / tau plus its transpose, then
+    (with ``normalize``) through f = v / ||v||."""
+    norms = np.linalg.norm(values, axis=1, keepdims=True)
+    feats = values / norms if normalize else values
+    n = feats.shape[0]
+    off_diag = ~np.eye(n, dtype=bool)
+    logits = feats @ feats.T / tau
+    exp = np.where(off_diag, np.exp(logits - logits[off_diag].max()), 0.0)
+    d_logits = (exp / exp.sum() - sim_mask / sim_mask.sum()) / tau
+    d_feats = (d_logits + d_logits.T) @ feats
+    if not normalize:
+        return d_feats
+    radial = (d_feats * feats).sum(axis=1, keepdims=True) * feats
+    return (d_feats - radial) / norms
+
+
 def dense_propagation_oracle(adjacency_dense: np.ndarray, base: np.ndarray,
                              k_layers: int) -> np.ndarray:
     """Mean over matrix powers 0..K, computed with dense matrix products."""

@@ -1,34 +1,38 @@
 import numpy as np
 import pytest
 
-from cutrec.backbone import (SingleDomainModel, sample_negatives,
-                             sample_negatives_batch,
+from cutrec.backbone import (SingleDomainModel, sample_negatives_batch,
                              single_domain_forward_backward)
 from cutrec.optim import Adam
 
-from helpers import assert_grad_matches, dense_grads, interaction_set
+from helpers import (assert_grad_matches, dense_grads, interaction_set,
+                     sample_negatives)
 
 
 # --- negative sampling --------------------------------------------------------
 
 def test_sample_negatives_only_candidate():
     rng = np.random.default_rng(0)
-    row = np.array([0, 1])
-    for _ in range(20):
-        assert sample_negatives(rng, 3, row, 1)[0] == 2
+    train = interaction_set([[0, 1]], 3)
+    draws = sample_negatives_batch(rng, 3, train, np.zeros(20, dtype=np.int64))
+    assert draws.tolist() == [2] * 20
 
 
 def test_sample_negatives_never_in_train_row():
     rng = np.random.default_rng(1)
-    row = np.array([2, 5, 7])
-    draws = sample_negatives(rng, 10, row, 500)
-    assert not set(draws.tolist()) & set(row.tolist())
+    rows = [[2, 5, 7], [0, 1, 2, 3, 4, 5, 6, 7, 8], [], [9]]
+    train = interaction_set(rows, 10)
+    users = rng.integers(0, len(rows), size=2000)
+    draws = sample_negatives_batch(rng, 10, train, users)
+    assert not any(item in rows[user] for user, item in zip(users, draws))
+    assert set(draws[users == 1].tolist()) == {9}
 
 
 def test_sample_negatives_uniform_chi_squared():
     rng = np.random.default_rng(2)
-    row = np.array([0, 1])
-    draws = sample_negatives(rng, 10, row, 100_000)
+    train = interaction_set([[0, 1]], 10)
+    draws = sample_negatives_batch(rng, 10, train,
+                                   np.zeros(100_000, dtype=np.int64))
     counts = np.bincount(draws, minlength=10)[2:]
     expected = 100_000 / 8.0
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -38,8 +42,59 @@ def test_sample_negatives_uniform_chi_squared():
 
 def test_sample_negatives_exhausted_catalogue():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_negatives(rng, 3, np.array([0, 1, 2]), 1)
+    train = interaction_set([[1], [0, 1, 2]], 3)
+    sample_negatives_batch(rng, 3, train, np.array([0, 0]))
+    with pytest.raises(ValueError, match="user 1"):
+        sample_negatives_batch(rng, 3, train, np.array([0, 1, 0]))
+
+
+def test_sample_negatives_empty_rows():
+    rng = np.random.default_rng(3)
+    # User 0 has no train items; the second set has none at all.
+    for rows in ([[], [1, 2]], [[], []]):
+        train = interaction_set(rows, 4)
+        draws = sample_negatives_batch(rng, 4, train,
+                                       np.zeros(4000, dtype=np.int64))
+        assert set(draws.tolist()) == {0, 1, 2, 3}
+
+
+def test_sample_negatives_n_items_must_match_train():
+    train = interaction_set([[0]], 3)
+    with pytest.raises(ValueError, match="n_items"):
+        sample_negatives_batch(np.random.default_rng(0), 4, train,
+                               np.array([0]))
+
+
+def test_sample_negatives_batch_matches_per_user_oracle():
+    rng = np.random.default_rng(4)
+    n_items = 12
+    rows = [sorted(rng.choice(n_items, size=k, replace=False).tolist())
+            for k in (0, 3, 6, 11)]
+    train = interaction_set(rows, n_items)
+    users = np.repeat(np.arange(len(rows)), 6000)
+    batch = sample_negatives_batch(np.random.default_rng(5), n_items, train,
+                                   users)
+    oracle_rng = np.random.default_rng(6)
+    oracle = np.concatenate([
+        sample_negatives(oracle_rng, n_items, np.array(row, dtype=np.int64),
+                         6000) for row in rows])
+    cells = users * n_items
+    a = np.bincount(cells + batch, minlength=len(rows) * n_items)
+    b = np.bincount(cells + oracle, minlength=len(rows) * n_items)
+    used = (a + b) > 0
+    # Two-sample chi-square over the (user, item) cells either drew.
+    chi2 = float(((a - b)[used] ** 2 / (a + b)[used]).sum())
+    dof = int(used.sum()) - len(rows)
+    assert dof == sum(n_items - len(row) for row in rows) - len(rows)
+    assert chi2 < dof + 6 * np.sqrt(2 * dof)
+
+
+def test_sample_negatives_batch_rerun_bit_equal():
+    train = interaction_set([[0, 2, 3], [1], [], [0, 1, 2]], 5)
+    users = np.random.default_rng(7).integers(0, 4, size=3000)
+    first = sample_negatives_batch(np.random.default_rng(8), 5, train, users)
+    second = sample_negatives_batch(np.random.default_rng(8), 5, train, users)
+    assert np.array_equal(first, second)
 
 
 # --- gradients ----------------------------------------------------------------
@@ -75,9 +130,10 @@ def test_gradients_match_finite_differences(backbone, loss):
 def test_untouched_rows_have_no_gradient():
     model, _, users, pos, neg = small_model(0, backbone="mf")
     _, buf = single_domain_forward_backward(model, users, pos, neg, "bce")
-    rows, _ = buf.grads()["user"]
+    grads = buf.grads()
+    rows, _ = grads["user"]
     assert set(rows.tolist()) == set(users.tolist())
-    item_rows, _ = buf.grads()["item"]
+    item_rows, _ = grads["item"]
     assert set(item_rows.tolist()) == set(pos.tolist()) | set(neg.tolist())
 
 
@@ -92,7 +148,7 @@ def test_training_reduces_loss():
     losses = []
     for step in range(100):
         order = rng.permutation(users.size)[:32]
-        neg = sample_negatives_batch(rng, n_items, train.rows, users[order])
+        neg = sample_negatives_batch(rng, n_items, train, users[order])
         loss, buf = single_domain_forward_backward(
             model, users[order], items[order], neg, "bce")
         opt.step(buf.grads())
@@ -110,7 +166,7 @@ def test_training_deterministic():
         users = np.array([0, 1, 2, 0])
         items = np.array([0, 1, 4, 2])
         for _ in range(25):
-            neg = sample_negatives_batch(rng, 5, train.rows, users)
+            neg = sample_negatives_batch(rng, 5, train, users)
             _, buf = single_domain_forward_backward(model, users, items, neg,
                                                     "bpr")
             opt.step(buf.grads())

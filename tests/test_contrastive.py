@@ -5,7 +5,8 @@ from cutrec.contrastive import contrastive_loss, total_loss
 from cutrec.similarity import PairSets
 from cutrec.transform import TransformLayer
 
-from helpers import brute_force_contrastive, fd_gradient
+from helpers import (brute_force_contrastive, dense_contrastive_gradient,
+                     fd_gradient)
 
 
 def pair_sets(n, similar):
@@ -120,6 +121,24 @@ def test_gradients_match_finite_differences(normalize):
                                      normalize=normalize)[0],
             vectors, range(vectors.size), h=1e-6)
         np.testing.assert_allclose(grads.ravel(), fd, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_gradient_matches_dense_mask_formula(normalize):
+    rng = np.random.default_rng(5)
+    for trial in range(10):
+        n = int(rng.integers(2, 40))
+        vectors = rng.normal(size=(n, 5))
+        # Not symmetric: the gradient must use the mask and its transpose.
+        mask = rng.random((n, n)) < 0.3
+        np.fill_diagonal(mask, False)
+        mask[0, 1] = True
+        pairs = PairSets(np.arange(n), mask)
+        _, grads = contrastive_loss(vectors, pairs, tau=0.2,
+                                    normalize=normalize)
+        expected = dense_contrastive_gradient(vectors, mask, 0.2, normalize)
+        np.testing.assert_allclose(grads, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(expected).max())
 
 
 def test_value_matches_brute_force_on_random_instances():

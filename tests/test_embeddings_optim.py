@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutrec.embeddings import assert_finite, init_embeddings
 from cutrec.errors import TrainingDivergedError
 from cutrec.optim import Adam, GradBuffer
+
+from helpers import full_table_grads
 
 
 # --- initialisation ----------------------------------------------------------
@@ -122,3 +126,54 @@ def test_grad_buffer_dense_param():
     rows, grads = buf.grads()["w"]
     assert rows is None
     np.testing.assert_array_equal(grads, 2 * np.eye(2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tables=st.integers(1, 3),
+       n_dense=st.integers(0, 2), max_parts=st.integers(1, 4))
+def test_grad_buffer_matches_full_table_oracle(seed, n_tables, n_dense,
+                                               max_parts):
+    rng = np.random.default_rng(seed)
+    params = {f"t{k}": np.zeros((int(rng.integers(1, 30)), 3), np.float32)
+              for k in range(n_tables)}
+    params.update({f"d{k}": np.zeros((3, 2)) for k in range(n_dense)})
+    buf = GradBuffer(params)
+    row_parts, dense_parts = {}, {}
+    for _ in range(int(rng.integers(1, max_parts + 1))):
+        for name, param in params.items():
+            dtype = rng.choice([np.float32, np.float64])
+            if name.startswith("d"):
+                values = rng.normal(size=param.shape).astype(dtype)
+                buf.add_dense(name, values)
+                dense_parts.setdefault(name, []).append(values)
+                continue
+            # Few distinct rows, so parts repeat rows within and across.
+            rows = rng.integers(0, param.shape[0],
+                                size=int(rng.integers(0, 40)))
+            values = (rng.normal(size=(rows.size, 3))
+                      * 10.0 ** rng.integers(-8, 8)).astype(dtype)
+            buf.add_rows(name, rows, values)
+            row_parts.setdefault(name, []).append((rows, values))
+    got = buf.grads()
+    expected = full_table_grads(params, row_parts, dense_parts)
+    assert got.keys() == expected.keys()
+    for name, (rows, values) in expected.items():
+        got_rows, got_values = got[name]
+        if rows is None:
+            assert got_rows is None
+        else:
+            assert np.array_equal(got_rows, rows)
+        assert got_values.dtype == np.float64
+        assert got_values.tobytes() == values.tobytes()
+    assert buf.grads() == {}
+
+
+def test_grad_buffer_rejects_mixed_row_and_dense_gradients():
+    buf = GradBuffer({"w": np.zeros((2, 2)), "p": np.zeros((2, 2))})
+    buf.add_dense("w", np.eye(2))
+    with pytest.raises(ValueError, match="dense"):
+        buf.add_rows("w", np.array([0]), np.ones((1, 2)))
+    buf.add_rows("p", np.array([1]), np.ones((1, 2)))
+    with pytest.raises(ValueError, match="row"):
+        buf.add_dense("p", np.eye(2))
+

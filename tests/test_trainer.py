@@ -229,7 +229,7 @@ def test_no_contrastive_flag_zeroes_term_and_runs_without_oracle():
         np.array([0, 1]),
         np.array([target_split.train.rows[0][0],
                   target_split.train.rows[1][0]]),
-        source_split.train.rows, target_split.train.rows, rng, rng)
+        source_split.train, target_split.train, rng, rng)
     assert breakdown.contrastive == 0.0
     assert breakdown.total == pytest.approx(
         0.7 * breakdown.target + 0.3 * breakdown.source, rel=1e-12)
