@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import InteractionSet
+from .checkpoint import Checkpoint
+from .config import TrainingConfig
+from .corpus import InteractionSet, SplitDataset
 from .embeddings import (EmbeddingTable, ROLE_ITEM_TARGET,
                          ROLE_USER_TARGET_PHASE1, init_embeddings)
 from .graph import BipartiteGraph, build_graph, propagate
@@ -87,13 +89,29 @@ class SingleDomainModel:
         return {"user": self.users.values, "item": self.items.values}
 
     def make_scorer(self):
-        """Read-only per-user scorer over all items."""
+        """Read-only scorer: user ids to their score rows over all items."""
         user_final, item_final = self.users.values, self.items.values
         if self.graph is not None:
             user_final, item_final = propagate(self.graph, user_final,
                                                item_final)
         item_t = item_final.T.copy()
-        return lambda user: user_final[user] @ item_t
+        return lambda users: user_final[users] @ item_t
+
+    def to_checkpoint(self, config: TrainingConfig) -> Checkpoint:
+        hyper = {"model_kind": "single", "training": config.to_dict()}
+        return Checkpoint([self.users, self.items], hyper, 0)
+
+    @classmethod
+    def from_checkpoint(cls, ckpt: Checkpoint,
+                        target_split: SplitDataset) -> "SingleDomainModel":
+        """Rebuild a model saved by ``to_checkpoint`` for its target split."""
+        config = TrainingConfig.from_dict(ckpt.hyper["training"])
+        train = target_split.train
+        items = ckpt.table(ROLE_ITEM_TARGET, train.n_items)
+        graph = (build_graph(train, config.k_layers)
+                 if config.backbone == BACKBONE_LIGHTGCN else None)
+        return cls(ckpt.table(ROLE_USER_TARGET_PHASE1, train.n_users), items,
+                   graph)
 
 
 def rows_read(graph: BipartiteGraph | None, users: np.ndarray) -> np.ndarray:

@@ -41,9 +41,14 @@ class Checkpoint:
     step: int
     transform: TransformLayer | None = None
 
-    def table(self, role: str) -> EmbeddingTable:
+    def table(self, role: str, rows: int | None = None) -> EmbeddingTable:
+        """The table with ``role``, refused unless it has ``rows`` rows."""
         for tbl in self.tables:
             if tbl.role == role:
+                if rows is not None and tbl.rows != rows:
+                    raise CheckpointError(
+                        f"checkpoint table {role!r} has {tbl.rows} rows, "
+                        f"the dataset needs {rows}")
                 return tbl
         present = ", ".join(repr(tbl.role) for tbl in self.tables)
         raise CheckpointError(f"checkpoint has no table with role {role!r} "

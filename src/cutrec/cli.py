@@ -22,11 +22,8 @@ from .evaluation import evaluate_full, format_report
 from .experiment import (ExperimentConfig, ensure_writable,
                          format_aggregate_table, run_experiment, sha256_file,
                          write_experiment_outputs, write_manifest)
-from .graph import build_graph
 from .similarity import SimilarityOracle
 from .trainer import CutModel, run_target_phase, run_transfer_phase
-
-logger = logging.getLogger(__name__)
 
 
 def _load_json(path) -> dict:
@@ -88,16 +85,13 @@ def cmd_synth(args) -> int:
 
 def cmd_train_target(args) -> int:
     cfg = _training_config(args)
+    out = Path(args.out)
+    phase1_path, frozen_path = out / "phase1.ckpt", out / "theta-t1.ckpt"
+    ensure_writable([phase1_path, frozen_path], args.force)
     ds, target_split, _ = corpus.load_dataset(args.data)
     result = run_target_phase(ds, target_split, cfg)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    phase1_path = out / "phase1.ckpt"
-    frozen_path = out / "theta-t1.ckpt"
-    ensure_writable([phase1_path, frozen_path], args.force)
-    save_checkpoint(phase1_path, Checkpoint(
-        [result.model.users, result.model.items],
-        {"model_kind": "single", "training": cfg.to_dict()}, 0))
+    save_checkpoint(phase1_path, result.model.to_checkpoint(cfg))
     save_checkpoint(frozen_path, Checkpoint(
         [result.frozen], {"model_kind": "frozen-user-table",
                           "training": cfg.to_dict()}, 0))
@@ -112,6 +106,9 @@ def cmd_train_target(args) -> int:
 
 def cmd_train_transfer(args) -> int:
     cfg = _training_config(args)
+    out = Path(args.out)
+    model_path = out / "cut.ckpt"
+    ensure_writable([model_path], args.force)
     ds, target_split, source_split = corpus.load_dataset(args.data)
     embedding_oracle = not (cfg.effective_no_contrastive
                             or cfg.history_similarity)
@@ -120,17 +117,15 @@ def cmd_train_transfer(args) -> int:
         if not args.phase1:
             raise ConfigError("--phase1 checkpoint required for warm_start "
                               "and for the embedding similarity oracle")
-        frozen = load_checkpoint(args.phase1).table(ROLE_USER_TARGET_PHASE1)
+        frozen = load_checkpoint(args.phase1).table(
+            ROLE_USER_TARGET_PHASE1, target_split.train.n_users)
     if cfg.history_similarity:
         oracle = SimilarityOracle.from_history(target_split.train, cfg.gamma)
     elif embedding_oracle:
         oracle = SimilarityOracle.from_embeddings(frozen, cfg.gamma)
     result = run_transfer_phase(ds, target_split, source_split, cfg, oracle,
                                 frozen=frozen)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model_path = out / "cut.ckpt"
-    ensure_writable([model_path], args.force)
     save_checkpoint(model_path, result.model.to_checkpoint(result.step_count))
     write_manifest(out, {}, [model_path])
     print(f"transfer phase done (best epoch {result.best_epoch}); "
@@ -139,29 +134,24 @@ def cmd_train_transfer(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    out = Path(args.out)
+    json_path, txt_path = out / "report.json", out / "report.txt"
+    ensure_writable([json_path, txt_path], args.force)
     ds, target_split, source_split = corpus.load_dataset(args.data)
     ckpt = load_checkpoint(args.checkpoint)
     kind = ckpt.hyper.get("model_kind")
     if kind == "cut":
-        model = CutModel.from_checkpoint(ckpt, target_split, source_split)
-        scorer = model.make_target_scorer()
+        scorer = CutModel.from_checkpoint(
+            ckpt, target_split, source_split).make_target_scorer()
     elif kind == "single":
-        training = TrainingConfig.from_dict(ckpt.hyper["training"])
-        graph = None
-        if training.backbone == "lightgcn":
-            graph = build_graph(target_split.train, training.k_layers)
-        model = SingleDomainModel(ckpt.tables[0], ckpt.tables[1], graph)
-        scorer = model.make_scorer()
+        scorer = SingleDomainModel.from_checkpoint(
+            ckpt, target_split).make_scorer()
     else:
         raise CheckpointError(
             f"{args.checkpoint}: cannot evaluate model_kind {kind!r}")
     report = evaluate_full(scorer, target_split, k=args.k,
                            mask_seen=not args.no_mask_seen)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    json_path = out / "report.json"
-    txt_path = out / "report.txt"
-    ensure_writable([json_path, txt_path], args.force)
     json_path.write_text(report.to_json(), encoding="utf-8")
     txt_path.write_text(format_report(report), encoding="utf-8")
     write_manifest(out, {str(args.checkpoint): sha256_file(args.checkpoint)},

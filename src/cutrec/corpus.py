@@ -398,6 +398,13 @@ _PARTS = ("train", "valid", "test")
 _USER_GROUPS = ("target_only", "overlap", "source_only")
 
 
+def ensure_writable(paths: list[Path], force: bool) -> None:
+    existing = [p for p in paths if p.exists()]
+    if existing and not force:
+        raise FileExistsError(
+            f"refusing to overwrite {existing[0]} (use --force)")
+
+
 def _write_tsv(path: Path, inter: InteractionSet, user_tokens,
                item_tokens) -> None:
     """A user's timestamps are written only when all of them exist."""
@@ -416,10 +423,7 @@ def save_dataset(out_dir, ds: CrossDomainDataset, target_split: SplitDataset,
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in
              (SOURCE_TSV, TARGET_TSV, INDEX_FILE, SPLITS_FILE)]
-    existing = [p for p in paths if p.exists()]
-    if existing and not force:
-        raise FileExistsError(
-            f"refusing to overwrite {existing[0]} (pass force/--force)")
+    ensure_writable(paths, force)
 
     a = ds.n_target_only
     n = ds.target.n_users

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,67 +17,25 @@ from .corpus import SplitDataset
 
 METRIC_NAMES = ("recall", "hr", "ndcg")
 
-
-def rank_items(scores: np.ndarray, mask, k: int) -> np.ndarray:
-    """Top-k item indices by score, masked items excluded, ties broken by
-    ascending index. Returns all unmasked items (sorted) when k exceeds
-    their count."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    scores = np.asarray(scores)
-    masked = np.zeros(scores.size, dtype=bool)
-    if mask is not None:
-        mask_idx = np.asarray(list(mask) if isinstance(mask, (set, frozenset))
-                              else mask, dtype=np.int64)
-        masked[mask_idx] = True
-    available = np.flatnonzero(~masked)
-    if available.size == 0:
-        return available
-    neg = -scores[available]
-    if k >= available.size:
-        order = np.argsort(neg, kind="stable")
-        return available[order]
-    # Partial selection: strictly-better items plus lowest-index ties at
-    # the boundary value, then ordered by (score desc, index asc).
-    kth = np.partition(neg, k - 1)[k - 1]
-    better = available[neg < kth]
-    ties = available[neg == kth]
-    chosen = np.concatenate([better, ties[:k - better.size]])
-    order = np.lexsort((chosen, -scores[chosen]))
-    return chosen[order]
+# Score entries per ranked block of users; bounds the block's temporaries.
+BLOCK_ENTRIES = 1 << 18
 
 
-def recall_at_k(topk, test_items, k: int = 10) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    test = set(int(i) for i in test_items)
-    if not test:
-        raise ValueError("test set must be non-empty")
-    hits = sum(1 for item in list(topk)[:k] if int(item) in test)
-    return hits / len(test)
-
-
-def hr_at_k(topk, test_items, k: int = 10) -> int:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    test = set(int(i) for i in test_items)
-    if not test:
-        raise ValueError("test set must be non-empty")
-    return int(any(int(item) in test for item in list(topk)[:k]))
-
-
-def ndcg_at_k(topk, test_items, k: int = 10) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    test = set(int(i) for i in test_items)
-    if not test:
-        raise ValueError("test set must be non-empty")
-    dcg = sum(1.0 / math.log2(rank + 1)
-              for rank, item in enumerate(list(topk)[:k], start=1)
-              if int(item) in test)
-    idcg = sum(1.0 / math.log2(rank + 1)
-               for rank in range(1, min(k, len(test)) + 1))
-    return dcg / idcg
+def top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the indices and values of the ``min(k, n_items)`` best
+    scores, by score descending, then index ascending."""
+    n_items = scores.shape[1]
+    k = min(k, n_items)
+    kth = np.partition(scores, n_items - k, axis=1)[:, n_items - k, None]
+    # Strictly better entries plus the lowest-index ties at the k-th value.
+    better, ties = scores > kth, scores == kth
+    need = k - better.sum(axis=1, keepdims=True)
+    items = np.nonzero(better | (ties & (np.cumsum(ties, axis=1) <= need))
+                       )[1].reshape(-1, k)
+    order = np.argsort(-np.take_along_axis(scores, items, axis=1), axis=1,
+                       kind="stable")
+    items = np.take_along_axis(items, order, axis=1)
+    return items, np.take_along_axis(scores, items, axis=1)
 
 
 @dataclass(frozen=True)
@@ -87,15 +45,11 @@ class MetricsReport:
     k: int
     n_users: int
     seed: int | None = None
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {name: {"mean": self.means[name], "std": self.stds[name]}
-               for name in METRIC_NAMES}
-        out["K"] = self.k
-        out["users"] = self.n_users
-        out["seed"] = self.seed
-        return out
+        return {**{name: {"mean": self.means[name], "std": self.stds[name]}
+                   for name in METRIC_NAMES},
+                "K": self.k, "users": self.n_users, "seed": self.seed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -115,36 +69,47 @@ def format_report(report: MetricsReport) -> str:
 def evaluate_full(scorer, split: SplitDataset, *, k: int = 10,
                   part: str = "test", mask_seen: bool = True,
                   seed: int | None = None) -> MetricsReport:
-    """Score every item per user with ``scorer(user)`` and aggregate
-    metrics over users with at least one held-out interaction.
+    """Rank every item for each user and aggregate the metrics over users
+    with at least one held-out interaction.
 
-    ``part='test'`` masks train+valid items; ``part='valid'`` masks train
-    items only.
+    ``scorer(users)`` takes an int64 array of user ids and returns their
+    ``(len(users), n_items)`` score block as a fresh array; masked items
+    are written into it as -inf and never count as hits. ``part='test'``
+    masks train+valid items; ``part='valid'`` masks train items only.
     """
-    if part == "test":
-        held = split.test
-        mask_parts = (split.train, split.valid)
-    elif part == "valid":
-        held = split.valid
-        mask_parts = (split.train,)
-    else:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    parts = {"test": (split.test, (split.train, split.valid)),
+             "valid": (split.valid, (split.train,))}
+    if part not in parts:
         raise ValueError(f"part must be 'test' or 'valid', got {part!r}")
-
-    per_user = {name: [] for name in METRIC_NAMES}
-    evaluated = 0
-    for user in range(held.n_users):
-        test_items = held.rows[user]
-        if test_items.size == 0:
-            continue
-        mask = (np.concatenate([p.rows[user] for p in mask_parts])
-                if mask_seen else None)
-        topk = rank_items(scorer(user), mask, k)
-        per_user["recall"].append(recall_at_k(topk, test_items, k))
-        per_user["hr"].append(hr_at_k(topk, test_items, k))
-        per_user["ndcg"].append(ndcg_at_k(topk, test_items, k))
-        evaluated += 1
-    if evaluated == 0:
+    held, mask_parts = parts[part]
+    n_held = np.diff(held.indptr)
+    if not n_held.any():
         raise ValueError("no users with held-out interactions to evaluate")
+
+    n_items = held.n_items
+    discounts = np.array([1.0 / math.log2(rank + 1)
+                          for rank in range(1, min(k, n_items) + 1)])
+    ideal = np.cumsum(discounts)
+    block = max(1, BLOCK_ENTRIES // n_items)
+    blocks = []
+    for start in range(0, held.n_users, block):
+        stop = min(start + block, held.n_users)
+        scores = scorer(np.arange(start, stop))
+        for p in mask_parts if mask_seen else ():
+            lo, hi = p.indptr[start], p.indptr[stop]
+            scores[p.users[lo:hi] - start, p.indices[lo:hi]] = -np.inf
+        keep = n_held[start:stop] > 0
+        items, values = (ranked[keep] for ranked in top_k(scores, k))
+        keys = np.arange(start, stop)[keep, None] * n_items + items
+        pos = np.minimum(np.searchsorted(held.keys, keys), held.keys.size - 1)
+        hit = (held.keys[pos] == keys) & (values != -np.inf)
+        hits, counts = hit.sum(axis=1), n_held[start:stop][keep]
+        blocks.append((hits / counts, (hits > 0).astype(np.float64),
+                       np.cumsum(hit * discounts, axis=1)[:, -1]
+                       / ideal[np.minimum(counts, k) - 1]))
+    per_user = dict(zip(METRIC_NAMES, map(np.concatenate, zip(*blocks))))
     means = {name: float(np.mean(vals)) for name, vals in per_user.items()}
     stds = {name: float(np.std(vals)) for name, vals in per_user.items()}
-    return MetricsReport(means, stds, k, evaluated, seed)
+    return MetricsReport(means, stds, k, int((n_held > 0).sum()), seed)

@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, synthgen
-from .checkpoint import Checkpoint, save_checkpoint
+from .checkpoint import save_checkpoint
 from .config import TrainingConfig
+from .corpus import ensure_writable
 from .errors import ConfigError
 from .evaluation import METRIC_NAMES, evaluate_full
 from .similarity import SimilarityOracle
@@ -61,10 +62,9 @@ class ExperimentConfig:
         if kinds[0] == "source_tsv" and "target_tsv" not in self.data:
             raise ConfigError("data section with 'source_tsv' also needs "
                               "'target_tsv'")
-        allowed_data_keys = {"synthetic", "archive", "source_tsv", "target_tsv"}
-        for key in self.data:
-            if key not in allowed_data_keys:
-                raise ConfigError(f"unknown data config key {key!r}")
+        for key in sorted(set(self.data) - {"synthetic", "archive",
+                                            "source_tsv", "target_tsv"}):
+            raise ConfigError(f"unknown data config key {key!r}")
         for name in self.variants:
             if name not in VARIANTS:
                 raise ConfigError(f"unknown variant {name!r}; "
@@ -84,18 +84,16 @@ class ExperimentConfig:
         training = TrainingConfig.from_dict(payload.pop("training", {}),
                                             preset=preset)
         known = {f.name for f in dataclasses.fields(cls)}
-        kwargs: dict = {}
-        for key, value in payload.items():
+        for key in payload:
             if key not in known:
                 raise ConfigError(f"unknown experiment config key {key!r}")
-            kwargs[key] = value
         for tuple_key in ("seeds", "variants", "target_ratios",
                           "source_ratios", "sparsity_fractions"):
-            if tuple_key in kwargs and kwargs[tuple_key] is not None:
-                kwargs[tuple_key] = tuple(kwargs[tuple_key])
-        if "data" not in kwargs:
+            if tuple_key in payload and payload[tuple_key] is not None:
+                payload[tuple_key] = tuple(payload[tuple_key])
+        if "data" not in payload:
             raise ConfigError("experiment config needs a 'data' section")
-        return cls(training=training, **kwargs)
+        return cls(training=training, **payload)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -133,11 +131,8 @@ def _evaluate_variants(cfg: ExperimentConfig, seed: int, ds, target_split,
     if "target-only" in cfg.variants or needs_oracle:
         phase1 = run_target_phase(ds, target_split, training)
         if checkpoint_dir is not None:
-            ckpt = Checkpoint(
-                [phase1.model.users, phase1.model.items],
-                {"model_kind": "single", "training": training.to_dict()},
-                0)
-            save_checkpoint(checkpoint_dir / "phase1.ckpt", ckpt)
+            save_checkpoint(checkpoint_dir / "phase1.ckpt",
+                            phase1.model.to_checkpoint(training))
 
     results: dict[str, dict[str, float]] = {}
     for name in cfg.variants:
@@ -268,13 +263,6 @@ def write_manifest(out_dir: Path, inputs: dict[str, str],
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
     return path
-
-
-def ensure_writable(paths: list[Path], force: bool) -> None:
-    existing = [p for p in paths if p.exists()]
-    if existing and not force:
-        raise FileExistsError(
-            f"refusing to overwrite {existing[0]} (use --force)")
 
 
 def write_experiment_outputs(report: dict, out_dir, *, force: bool = False,

@@ -276,14 +276,14 @@ class CutModel:
         return x if self.transform is None else self.transform.apply(x)
 
     def make_target_scorer(self):
-        """Read-only scorer over all target items, target scoring path."""
+        """Read-only target-path scorer: user ids to their score rows."""
         user_final = self.apply_transform(self.target_users)
         item_final = self.tables[ROLE_ITEM_TARGET].values
         if self.graph_target is not None:
             user_final, item_final = propagate(self.graph_target, user_final,
                                                item_final)
         item_t = item_final.T.copy()
-        return lambda user: user_final[user] @ item_t
+        return lambda users: user_final[users] @ item_t
 
     def to_checkpoint(self, step: int = 0) -> Checkpoint:
         hyper = {"model_kind": "cut", "training": self.config.to_dict()}
@@ -297,11 +297,11 @@ class CutModel:
         was trained on; the user counts of the splits place the source
         users in the user table."""
         config = TrainingConfig.from_dict(ckpt.hyper["training"])
-        tables = {role: ckpt.table(role) for role in
-                  (ROLE_USER, ROLE_ITEM_TARGET, ROLE_ITEM_SOURCE)}
+        tables = {role: ckpt.table(role, rows) for role, rows in (
+            (ROLE_USER, None), (ROLE_ITEM_TARGET, target_split.train.n_items),
+            (ROLE_ITEM_SOURCE, source_split.train.n_items))}
         rows = tables[ROLE_USER].rows
-        n_target = target_split.train.n_users
-        n_source = source_split.train.n_users
+        n_target, n_source = target_split.train.n_users, source_split.train.n_users
         source_offset = rows - n_source
         if not 0 <= source_offset <= n_target <= rows:
             raise CheckpointError(

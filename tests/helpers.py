@@ -179,6 +179,50 @@ def full_sort_topk(scores: np.ndarray, mask, k: int) -> list[int]:
     return kept[:k]
 
 
+def recall_at_k(topk, test_items, k: int = 10) -> float:
+    test = set(int(i) for i in test_items)
+    hits = sum(1 for item in list(topk)[:k] if int(item) in test)
+    return hits / len(test)
+
+
+def hr_at_k(topk, test_items, k: int = 10) -> int:
+    test = set(int(i) for i in test_items)
+    return int(any(int(item) in test for item in list(topk)[:k]))
+
+
+def ndcg_at_k(topk, test_items, k: int = 10) -> float:
+    test = set(int(i) for i in test_items)
+    dcg = sum(1.0 / math.log2(rank + 1)
+              for rank, item in enumerate(list(topk)[:k], start=1)
+              if int(item) in test)
+    idcg = sum(1.0 / math.log2(rank + 1)
+               for rank in range(1, min(k, len(test)) + 1))
+    return dcg / idcg
+
+
+def per_user_metrics(table: np.ndarray, split, k: int, part: str = "test",
+                     mask_seen: bool = True) -> tuple[dict, dict]:
+    """Means and stds of Recall, HR and NDCG@k over the users with
+    held-out items, one user at a time: ``full_sort_topk`` of the user's
+    row of ``table`` with their seen items masked, then the per-user
+    formulas above."""
+    held = split.test if part == "test" else split.valid
+    seen = (split.train, split.valid) if part == "test" else (split.train,)
+    values = {"recall": [], "hr": [], "ndcg": []}
+    for user in range(held.n_users):
+        test_items = held.rows[user]
+        if test_items.size == 0:
+            continue
+        mask = ({int(i) for p in seen for i in p.rows[user]}
+                if mask_seen else None)
+        topk = full_sort_topk(table[user], mask, k)
+        values["recall"].append(recall_at_k(topk, test_items, k))
+        values["hr"].append(hr_at_k(topk, test_items, k))
+        values["ndcg"].append(ndcg_at_k(topk, test_items, k))
+    return ({name: float(np.mean(v)) for name, v in values.items()},
+            {name: float(np.std(v)) for name, v in values.items()})
+
+
 def materialised_similarity(oracle, users) -> np.ndarray:
     """Full pairwise matrix over a subset via scalar oracle queries."""
     u = len(users)

@@ -3,6 +3,10 @@ import pytest
 
 from cutrec.backbone import (SingleDomainModel, sample_negatives_batch,
                              single_domain_forward_backward)
+from cutrec.checkpoint import load_checkpoint, save_checkpoint
+from cutrec.config import TrainingConfig
+from cutrec.corpus import SplitDataset
+from cutrec.errors import CheckpointError
 from cutrec.optim import Adam
 
 from helpers import (assert_grad_matches, dense_grads, interaction_set,
@@ -184,3 +188,30 @@ def test_scorer_matches_mf_score():
     expected = [np.dot(model.users.values[2], model.items.values[i])
                 for i in range(model.n_items)]
     np.testing.assert_allclose(scores, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+def test_single_checkpoint_round_trip(tmp_path, backbone):
+    config = TrainingConfig(backbone=backbone, embedding_dim=4, k_layers=2)
+    rows = [[0, 2], [1], [3, 4, 5], [6]]
+    train = interaction_set(rows, 7)
+    model = SingleDomainModel.create(4, 7, 4, 0, backbone=backbone,
+                                     train=train, k_layers=2)
+    save_checkpoint(tmp_path / "phase1.ckpt", model.to_checkpoint(config))
+    ckpt = load_checkpoint(tmp_path / "phase1.ckpt")
+    empty = interaction_set([[]] * 4, 7)
+    loaded = SingleDomainModel.from_checkpoint(
+        ckpt, SplitDataset(train, empty, empty, 0))
+    users = np.arange(4)
+    block = model.make_scorer()(users)
+    assert block.shape == (4, 7)
+    np.testing.assert_array_equal(loaded.make_scorer()(users), block)
+    # A scalar user gets one row; a vector-matrix product may round the
+    # last float32 bit differently from the block product.
+    np.testing.assert_allclose(model.make_scorer()(2), block[2], rtol=1e-6,
+                               atol=1e-9)
+
+    wider = interaction_set(rows, 9)
+    with pytest.raises(CheckpointError, match="has 7 rows, the dataset needs 9"):
+        SingleDomainModel.from_checkpoint(
+            ckpt, SplitDataset(wider, wider, wider, 0))

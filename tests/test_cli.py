@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cutrec.cli import main
+from cutrec.corpus import load_dataset
 
 
 def write_json(path, payload):
@@ -164,3 +165,91 @@ def test_wrong_phase1_checkpoint_is_runtime_failure(pipeline_dirs, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "'user-target-phase1'" in err and "'user'" in err
+
+
+def ingest_archive(tmp_path, name, n_items):
+    """A second dataset archive whose catalogues hold ``n_items`` items
+    before filtering."""
+    synth_cfg = write_json(tmp_path / f"{name}.json",
+                           {**SYNTH_CFG, "n_items_per_domain": n_items})
+    raw_dir, data_dir = tmp_path / f"{name}-raw", tmp_path / name
+    assert main(["synth", "--config", str(synth_cfg),
+                 "--out", str(raw_dir)]) == 0
+    assert main(["ingest", str(raw_dir / "source.tsv"),
+                 str(raw_dir / "target.tsv"), "--out", str(data_dir),
+                 "--min-interactions", "3", "--seed", "7"]) == 0
+    return data_dir
+
+
+def train_checkpoint(tmp_path, train_cfg, data_dir, kind) -> str:
+    out = tmp_path / f"{data_dir.name}-{kind}"
+    if kind == "single":
+        assert main(["train-target", "--data", str(data_dir), "--config",
+                     str(train_cfg), "--out", str(out)]) == 0
+        return str(out / "phase1.ckpt")
+    joint = write_json(tmp_path / "joint.json",
+                       {**TRAIN_CFG, "no_contrastive": True})
+    assert main(["train-transfer", "--data", str(data_dir), "--config",
+                 str(joint), "--out", str(out)]) == 0
+    return str(out / "cut.ckpt")
+
+
+@pytest.mark.parametrize("kind", ["single", "cut"])
+def test_checkpoint_of_another_dataset_is_runtime_failure(pipeline_dirs,
+                                                          capsys, kind):
+    tmp_path, train_cfg, data_dir = pipeline_dirs
+    other_dir = ingest_archive(tmp_path, "other", 25)
+    n_items = {path: load_dataset(path)[0].target.n_items
+               for path in (data_dir, other_dir)}
+    assert n_items[data_dir] != n_items[other_dir]
+    for trained, evaluated in ((data_dir, other_dir), (other_dir, data_dir)):
+        ckpt = train_checkpoint(tmp_path, train_cfg, trained, kind)
+        capsys.readouterr()
+        code = main(["evaluate", "--checkpoint", ckpt, "--data",
+                     str(evaluated), "--out",
+                     str(tmp_path / f"eval-{trained.name}")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure")
+        assert (f"'item-target' has {n_items[trained]} rows, the dataset "
+                f"needs {n_items[evaluated]}") in err
+
+
+@pytest.mark.parametrize("command, output, work", [
+    ("train-target", "phase1.ckpt", "run_target_phase"),
+    ("train-transfer", "cut.ckpt", "run_transfer_phase"),
+    ("evaluate", "report.json", "load_checkpoint"),
+])
+def test_existing_outputs_are_refused_before_the_work(
+        pipeline_dirs, monkeypatch, capsys, command, output, work):
+    tmp_path, _, data_dir = pipeline_dirs
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / output).write_text("keep me")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran although the output exists")
+
+    monkeypatch.setattr(f"cutrec.cli.{work}", refuse)
+    # Without the contrastive term train-transfer needs no --phase1.
+    joint = write_json(tmp_path / "joint.json",
+                       {**TRAIN_CFG, "no_contrastive": True})
+    args = [command, "--data", str(data_dir), "--config", str(joint),
+            "--out", str(out)]
+    if command == "evaluate":
+        args += ["--checkpoint", str(tmp_path / "missing.ckpt")]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert (out / output).read_text() == "keep me"
+
+
+def test_evaluate_k_zero_is_validation_error(pipeline_dirs, capsys):
+    tmp_path, train_cfg, data_dir = pipeline_dirs
+    ckpt = train_checkpoint(tmp_path, train_cfg, data_dir, "single")
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--checkpoint", ckpt, "--data", str(data_dir),
+                 "--k", "0", "--out", str(out)]) == 1
+    assert "k must be >= 1" in capsys.readouterr().err
+    assert not (out / "report.json").exists()

@@ -1,113 +1,145 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from cutrec import evaluation
 from cutrec.corpus import SplitDataset
-from cutrec.evaluation import (evaluate_full, format_report, hr_at_k,
-                               ndcg_at_k, rank_items, recall_at_k)
+from cutrec.evaluation import evaluate_full, format_report, top_k
 
-from helpers import full_sort_topk, interaction_set
+from helpers import full_sort_topk, interaction_set, per_user_metrics
 
 
-# --- rank_items ---------------------------------------------------------------
+def unmasked(items, values) -> list[int]:
+    return [int(i) for i, v in zip(items, values) if v != -np.inf]
+
+
+# --- top_k -------------------------------------------------------------------
 
 def test_rank_simple_sort():
-    topk = rank_items(np.array([0.5, 0.9, 0.1]), None, 2)
-    assert list(topk) == [1, 0]
+    items, _ = top_k(np.array([[0.5, 0.9, 0.1]]), 2)
+    assert items.tolist() == [[1, 0]]
 
 
 def test_rank_equal_scores_ascending_index():
-    topk = rank_items(np.full(6, 3.3), None, 4)
-    assert list(topk) == [0, 1, 2, 3]
+    items, _ = top_k(np.full((1, 6), 3.3), 4)
+    assert items.tolist() == [[0, 1, 2, 3]]
 
 
 def test_rank_masked_items_never_appear():
     rng = np.random.default_rng(0)
-    scores = rng.normal(size=30)
-    mask = {1, 5, int(np.argmax(scores))}
-    topk = rank_items(scores, mask, 10)
-    assert not set(topk.tolist()) & mask
+    scores = rng.normal(size=(1, 30))
+    mask = [1, 5, int(np.argmax(scores))]
+    scores[0, mask] = -np.inf
+    items, values = top_k(scores, 10)
+    assert not set(items[0].tolist()) & set(mask)
+    assert np.isfinite(values).all()
 
 
 def test_rank_k_exceeding_catalogue_returns_all_unmasked():
-    scores = np.array([0.1, 0.9, 0.5, 0.7])
-    topk = rank_items(scores, {1}, 10)
-    assert list(topk) == [3, 2, 0]
+    scores = np.array([[0.1, 0.9, 0.5, 0.7]])
+    scores[0, 1] = -np.inf
+    items, values = top_k(scores, 10)
+    assert items.tolist() == [[3, 2, 0, 1]]
+    assert unmasked(items[0], values[0]) == [3, 2, 0]
 
 
-def test_rank_matches_full_sort_oracle():
-    rng = np.random.default_rng(1)
-    for trial in range(30):
-        n = int(rng.integers(5, 100))
-        scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=n).astype(float)
-        scores += rng.normal(scale=1e-3, size=n) * rng.integers(0, 2, size=n)
-        mask = set(rng.choice(n, size=int(rng.integers(0, n // 2 + 1)),
-                              replace=False).tolist())
-        k = int(rng.integers(1, n + 1))
-        assert list(rank_items(scores, mask, k)) == \
-            full_sort_topk(scores, mask, k)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rank_matches_full_sort_oracle(data):
+    # Scores from a small set make ties the rule, not the exception.
+    shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40)))
+    scores = data.draw(hnp.arrays(np.float32, shape, elements=st.sampled_from(
+        [-np.inf, -1.0, 0.0, 0.25, 0.5, 1.0])))
+    k = data.draw(st.integers(1, shape[1] + 5))
+    items, values = top_k(scores, k)
+    assert items.shape == (shape[0], min(k, shape[1]))
+    assert values.dtype == scores.dtype
+    for row, row_items, row_values in zip(scores, items, values):
+        assert row_items.tolist() == full_sort_topk(row, None, k)
+        masked = np.flatnonzero(row == -np.inf)
+        assert unmasked(row_items, row_values) == \
+            full_sort_topk(row, masked, k)
 
 
-# --- metric formulas -------------------------------------------------------------
+# --- metric formulas, through evaluate_full on one user -----------------------
+
+def ranked_report(order, test_items, k, n_items=20, part="test"):
+    """Report for one user whose scores rank ``order`` first, in that
+    order, then every other item by ascending index."""
+    scores = np.zeros((1, n_items), dtype=np.float32)
+    scores[0, order] = np.arange(len(order), 0, -1)
+    held = interaction_set([sorted(test_items)], n_items)
+    empty = interaction_set([[]], n_items)
+    split = (SplitDataset(empty, empty, held, 0) if part == "test"
+             else SplitDataset(empty, held, empty, 0))
+    return evaluate_full(lambda users: scores[users], split, k=k, part=part)
+
 
 def test_ndcg_hit_at_rank_one():
-    assert ndcg_at_k([3, 1, 2], {3}, k=10) == pytest.approx(1.0)
+    assert ranked_report([3, 1, 2], {3}, k=10).means["ndcg"] == 1.0
 
 
 def test_ndcg_hit_at_rank_two():
-    value = ndcg_at_k([9, 3, 2], {3}, k=10)
+    value = ranked_report([9, 3, 2], {3}, k=10).means["ndcg"]
     assert value == pytest.approx(1.0 / math.log2(3.0), abs=1e-10)
     assert value == pytest.approx(0.6309297535714574, abs=1e-10)
 
 
 def test_ndcg_miss_is_zero():
-    assert ndcg_at_k([1, 2, 3], {9}, k=10) == 0.0
+    assert ranked_report([1, 2, 3], {9}, k=3).means["ndcg"] == 0.0
 
 
 def test_ndcg_idcg_caps_at_k():
     # Two test items both in top-2 of a k=2 list: perfect score.
-    assert ndcg_at_k([4, 7], {4, 7, 9}, k=2) == pytest.approx(1.0)
+    assert ranked_report([4, 7], {4, 7, 9}, k=2).means["ndcg"] == 1.0
 
 
 def test_recall_and_hr():
-    assert recall_at_k([1, 2], {1}, k=10) == 1.0
-    assert hr_at_k([1, 2], {1}, k=10) == 1
-    assert recall_at_k([1, 9], {1, 5}, k=10) == 0.5
-    assert hr_at_k([1, 9], {1, 5}, k=10) == 1
-    assert recall_at_k([8, 9], {1, 5}, k=10) == 0.0
-    assert hr_at_k([8, 9], {1, 5}, k=10) == 0
+    for order, test_items, recall, hr in (([1, 2], {1}, 1.0, 1.0),
+                                          ([1, 9], {1, 5}, 0.5, 1.0),
+                                          ([8, 9], {1, 5}, 0.0, 0.0)):
+        for part in ("test", "valid"):
+            means = ranked_report(order, test_items, k=2, part=part).means
+            assert (means["recall"], means["hr"]) == (recall, hr)
 
 
 def test_metrics_require_nonempty_test():
+    # Only the users with items in the evaluated part count.
+    empty = interaction_set([[]], 3)
+    split = SplitDataset(empty, empty, interaction_set([[1]], 3), 0)
+    assert evaluate_full(lambda users: np.zeros((users.size, 3)), split,
+                         k=2).n_users == 1
     with pytest.raises(ValueError):
-        ndcg_at_k([1], set(), k=10)
+        evaluate_full(lambda users: np.zeros((users.size, 3)), split, k=2,
+                      part="valid")
 
 
 def test_adding_a_hit_never_decreases_metrics():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        topk = list(rng.choice(100, size=10, replace=False))
-        test_items = set(rng.choice(100, size=3, replace=False).tolist())
-        before = (recall_at_k(topk, test_items), hr_at_k(topk, test_items),
-                  ndcg_at_k(topk, test_items))
-        new_hit = next(i for i in topk if i not in test_items)
-        grown = test_items | {new_hit}
-        # Recall denominator grows too, so compare against the same set:
-        # replace a non-hit slot with a test item instead.
-        miss_slot = topk.index(new_hit)
-        improved = list(topk)
+        scores = rng.normal(size=(1, 100))
+        test_items = rng.choice(100, size=3, replace=False)
+        split = SplitDataset(interaction_set([[]], 100),
+                             interaction_set([[]], 100),
+                             interaction_set([sorted(test_items)], 100), 0)
+        before = evaluate_full(lambda users: scores[users], split).means
+        topk = list(np.argsort(-scores[0])[:10])
         remaining = [t for t in test_items if t not in topk]
         if not remaining:
             continue
-        improved[miss_slot] = remaining[0]
-        after = (recall_at_k(improved, test_items),
-                 hr_at_k(improved, test_items),
-                 ndcg_at_k(improved, test_items))
-        assert all(b >= a for b, a in zip(after, before))
+        # Swap a top-10 miss with a test item ranked below the top 10.
+        miss = next(i for i in topk if i not in test_items)
+        scores[0, [miss, remaining[0]]] = scores[0, [remaining[0], miss]]
+        after = evaluate_full(lambda users: scores[users], split).means
+        assert all(after[name] >= before[name] for name in before)
 
 
-# --- evaluate_full ----------------------------------------------------------------
+# --- evaluate_full -----------------------------------------------------------
 
 def tiny_split():
     train = interaction_set([[0, 1], [2]], 6)
@@ -119,8 +151,8 @@ def tiny_split():
 def test_evaluate_single_user_perfect():
     split = SplitDataset(interaction_set([[]], 3), interaction_set([[]], 3),
                          interaction_set([[0]], 3), 0)
-    scores = np.array([5.0, 1.0, 0.0])
-    report = evaluate_full(lambda u: scores, split, k=2)
+    scores = np.array([[5.0, 1.0, 0.0]])
+    report = evaluate_full(lambda users: scores[users], split, k=2)
     assert report.means["ndcg"] == 1.0
     assert report.means["recall"] == 1.0
     assert report.means["hr"] == 1.0
@@ -131,45 +163,63 @@ def test_evaluate_masks_seen_items():
     split = tiny_split()
     # Give user 0's train/valid items the best scores; they must be
     # masked, letting test item 3 reach rank 1.
-    scores = {0: np.array([9.0, 8.0, 7.0, 1.0, 0.0, -1.0]),
-              1: np.array([0.0, 0.0, 9.0, 8.0, 1.0, 1.0])}
-    report = evaluate_full(lambda u: scores[u], split, k=2)
+    scores = np.array([[9.0, 8.0, 7.0, 1.0, 0.0, -1.0],
+                       [0.0, 0.0, 9.0, 8.0, 1.0, 1.0]])
+    report = evaluate_full(lambda users: scores[users], split, k=2)
     assert report.means["hr"] == 1.0
-    unmasked = evaluate_full(lambda u: scores[u], split, k=2,
-                             mask_seen=False)
-    assert unmasked.means["hr"] < 1.0
+    unmasked_report = evaluate_full(lambda users: scores[users], split, k=2,
+                                    mask_seen=False)
+    assert unmasked_report.means["hr"] < 1.0
 
 
-def test_evaluate_matches_full_sort_oracle():
+def oracle_split(rng, n_users=40, n_items=30):
+    """Random rows, plus a user without test items, one without valid
+    items, one with only two items left unseen for the test part, one
+    whose test item is also a train item, so masked and never a hit, and
+    one with a dozen test items, whose DCG sums many discounts."""
+    rows = [rng.choice(n_items, size=int(rng.integers(3, 12)), replace=False)
+            for _ in range(n_users)]
+    train = [list(r[:-2]) for r in rows]
+    valid = [[r[-2]] for r in rows]
+    test = [[r[-1]] for r in rows]
+    test[0], valid[1] = [], []
+    full = rng.permutation(n_items)
+    train[2], valid[2], test[2] = list(full[:27]), [full[27]], [full[28]]
+    train[3].append(test[3][0])
+    full = rng.permutation(n_items)
+    train[4], valid[4], test[4] = list(full[:10]), [full[10]], list(full[11:23])
+    return SplitDataset(*(interaction_set(part, n_items)
+                          for part in (train, valid, test)), 0)
+
+
+def test_evaluate_matches_full_sort_oracle(monkeypatch):
     rng = np.random.default_rng(5)
-    n_users, n_items = 12, 100
-    all_items = np.arange(n_items)
-    rows = [rng.choice(all_items, size=12, replace=False) for _ in range(n_users)]
-    train = interaction_set([list(r[:8]) for r in rows], n_items)
-    valid = interaction_set([list(r[8:10]) for r in rows], n_items)
-    test = interaction_set([list(r[10:]) for r in rows], n_items)
-    split = SplitDataset(train, valid, test, 0)
-    table = rng.normal(size=(n_users, n_items))
-
-    report = evaluate_full(lambda u: table[u], split, k=10)
-    expected = {"recall": [], "hr": [], "ndcg": []}
-    for u in range(n_users):
-        mask = set(train.rows[u].tolist()) | set(valid.rows[u].tolist())
-        topk = full_sort_topk(table[u], mask, 10)
-        test_items = set(test.rows[u].tolist())
-        expected["recall"].append(recall_at_k(topk, test_items))
-        expected["hr"].append(hr_at_k(topk, test_items))
-        expected["ndcg"].append(ndcg_at_k(topk, test_items))
-    for name in expected:
-        assert report.means[name] == pytest.approx(
-            float(np.mean(expected[name])), abs=1e-12)
+    split = oracle_split(rng)
+    n_users, n_items = split.train.n_users, split.train.n_items
+    table = rng.choice([0.0, 0.5, 1.0], size=(n_users, n_items)).astype(
+        np.float32)
+    table += rng.normal(scale=0.1, size=table.shape).astype(np.float32) \
+        * rng.integers(0, 2, size=table.shape)
+    # One block, blocks of three users and blocks of one; k = 45 exceeds
+    # the 30 items.
+    cases = itertools.product([evaluation.BLOCK_ENTRIES, 3 * n_items, n_items],
+                              [1, 10, 45], ["test", "valid"], [True, False])
+    for entries, k, part, mask_seen in cases:
+        monkeypatch.setattr(evaluation, "BLOCK_ENTRIES", entries)
+        report = evaluate_full(lambda users: table[users], split, k=k,
+                               part=part, mask_seen=mask_seen)
+        means, stds = per_user_metrics(table, split, k, part, mask_seen)
+        case = (entries, k, part, mask_seen)
+        assert (report.means, report.stds) == (means, stds), case
+        held = split.test if part == "test" else split.valid
+        assert report.n_users == sum(row.size > 0 for row in held.rows), case
 
 
 def test_evaluate_repeatable():
     split = tiny_split()
-    scores = np.arange(6.0)
-    a = evaluate_full(lambda u: scores, split, k=3)
-    b = evaluate_full(lambda u: scores, split, k=3)
+    scores = np.tile(np.arange(6.0), (2, 1))
+    a = evaluate_full(lambda users: scores[users], split, k=3)
+    b = evaluate_full(lambda users: scores[users], split, k=3)
     assert a == b
     assert a.to_json() == b.to_json()
 
@@ -178,12 +228,21 @@ def test_evaluate_errors_without_test_users():
     split = SplitDataset(interaction_set([[0]], 2), interaction_set([[]], 2),
                          interaction_set([[]], 2), 0)
     with pytest.raises(ValueError):
-        evaluate_full(lambda u: np.zeros(2), split, k=2)
+        evaluate_full(lambda users: np.zeros((users.size, 2)), split, k=2)
+
+
+def test_evaluate_rejects_bad_k_and_part():
+    scorer = lambda users: np.zeros((users.size, 6))  # noqa: E731
+    with pytest.raises(ValueError, match="k must be"):
+        evaluate_full(scorer, tiny_split(), k=0)
+    with pytest.raises(ValueError, match="part must be"):
+        evaluate_full(scorer, tiny_split(), part="train")
 
 
 def test_report_rendering():
     split = tiny_split()
-    report = evaluate_full(lambda u: np.arange(6.0), split, k=3, seed=4)
+    scores = np.tile(np.arange(6.0), (2, 1))
+    report = evaluate_full(lambda users: scores[users], split, k=3, seed=4)
     text = format_report(report)
     assert "ndcg@3" in text and "seed=4" in text
     payload = report.to_dict()
