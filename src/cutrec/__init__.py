@@ -14,7 +14,7 @@ from .corpus import (CrossDomainDataset, DomainId, InteractionSet,
                      subsample_target)
 from .evaluation import MetricsReport, evaluate_full
 from .experiment import ExperimentConfig, run_experiment
-from .similarity import PairSets, SimilarityOracle, cosine, extract_pairs
+from .similarity import PairSets, SimilarityOracle, extract_pairs
 from .synthgen import SynthConfig, generate
 from .trainer import (CutModel, LossBreakdown, run_target_phase,
                       run_transfer_phase, transfer_step)
@@ -26,7 +26,7 @@ __all__ = [
     "InteractionSet", "LossBreakdown", "MetricsReport", "PairSets",
     "PRESETS", "RawInteractions", "SimilarityOracle", "SplitDataset",
     "SynthConfig", "TrainingConfig", "build_cross_domain",
-    "cosine", "evaluate_full", "extract_pairs", "filter_k_core", "generate",
+    "evaluate_full", "extract_pairs", "filter_k_core", "generate",
     "load_dataset", "load_interactions", "run_experiment",
     "run_target_phase", "run_transfer_phase", "save_dataset", "split_source",
     "split_target", "subsample_target", "transfer_step",

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import write_atomic
 from .embeddings import EmbeddingTable
 from .errors import CheckpointError
 from .transform import TransformLayer
@@ -56,7 +57,6 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> Path:
-    path = Path(path)
     header = {
         "version": VERSION,
         "step": int(ckpt.step),
@@ -68,19 +68,12 @@ def save_checkpoint(path, ckpt: Checkpoint) -> Path:
     }
     blob = json.dumps(header, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(struct.pack("<I", len(blob)))
-        handle.write(blob)
-        for tbl in ckpt.tables:
-            handle.write(np.ascontiguousarray(tbl.values,
-                                              dtype=_F4).tobytes())
-        if ckpt.transform is not None:
-            handle.write(np.ascontiguousarray(ckpt.transform.weight,
-                                              dtype=_F4).tobytes())
-            handle.write(np.ascontiguousarray(ckpt.transform.bias,
-                                              dtype=_F4).tobytes())
-    return path
+    arrays = [tbl.values for tbl in ckpt.tables]
+    if ckpt.transform is not None:
+        arrays += [ckpt.transform.weight, ckpt.transform.bias]
+    return write_atomic(path, b"".join(
+        [MAGIC, struct.pack("<I", len(blob)), blob]
+        + [np.ascontiguousarray(a, dtype=_F4).tobytes() for a in arrays]))
 
 
 def _read_exact(handle, count: int, path, what: str) -> bytes:

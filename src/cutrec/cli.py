@@ -152,8 +152,8 @@ def cmd_evaluate(args) -> int:
     report = evaluate_full(scorer, target_split, k=args.k,
                            mask_seen=not args.no_mask_seen)
     out.mkdir(parents=True, exist_ok=True)
-    json_path.write_text(report.to_json(), encoding="utf-8")
-    txt_path.write_text(format_report(report), encoding="utf-8")
+    corpus.write_atomic(json_path, report.to_json())
+    corpus.write_atomic(txt_path, format_report(report))
     write_manifest(out, {str(args.checkpoint): sha256_file(args.checkpoint)},
                    [json_path, txt_path])
     print(format_report(report), end="")

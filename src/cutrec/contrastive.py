@@ -49,7 +49,7 @@ def contrastive_loss(transformed: np.ndarray, pairs: PairSets, tau: float,
     logits = feats @ feats.T
     logits /= tau
     np.fill_diagonal(logits, -np.inf)
-    sim_i, sim_j = np.divmod(np.flatnonzero(pairs.sim_mask), n)
+    sim_i, sim_j = pairs.sim_i, pairs.sim_j
     z_max = logits.max()
     loss_sim = logits[sim_i, sim_j].sum()
     # Shifted in place; exp(-inf) leaves the diagonal out of the softmax.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -110,10 +111,9 @@ def load_interactions(path, domain_id: DomainId) -> RawInteractions:
 def write_interactions(path, records) -> None:
     """Write (user, item, timestamp-or-None) records as the TSV that
     ``load_interactions`` reads."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for user, item, ts in records:
-            handle.write(f"{user}\t{item}\n" if ts is None
-                         else f"{user}\t{item}\t{ts}\n")
+    write_atomic(path, "".join(f"{user}\t{item}\n" if ts is None
+                               else f"{user}\t{item}\t{ts}\n"
+                               for user, item, ts in records))
 
 
 def filter_k_core(raw: RawInteractions, min_count: int = 5) -> RawInteractions:
@@ -405,6 +405,24 @@ def ensure_writable(paths: list[Path], force: bool) -> None:
             f"refusing to overwrite {existing[0]} (use --force)")
 
 
+def write_atomic(path, data: bytes | str) -> Path:
+    """Write ``data`` (text as UTF-8) to a temporary file beside ``path``,
+    then rename it over ``path``: a failure leaves the old file whole."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data.encode("utf-8") if isinstance(data, str)
+                         else data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def _write_tsv(path: Path, inter: InteractionSet, user_tokens,
                item_tokens) -> None:
     """A user's timestamps are written only when all of them exist."""
@@ -446,10 +464,10 @@ def save_dataset(out_dir, ds: CrossDomainDataset, target_split: SplitDataset,
                                  getattr(split, part).rows]
                           for part in _PARTS}
         splits[domain]["seed"] = split.split_seed
-    (out / INDEX_FILE).write_text(
-        json.dumps(index, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    (out / SPLITS_FILE).write_text(
-        json.dumps(splits, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_atomic(out / INDEX_FILE, json.dumps(index, sort_keys=True, indent=2)
+                 + "\n")
+    write_atomic(out / SPLITS_FILE, json.dumps(splits, sort_keys=True,
+                                               indent=2) + "\n")
     return paths
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import corpus, synthgen
 from .checkpoint import save_checkpoint
 from .config import TrainingConfig
-from .corpus import ensure_writable
+from .corpus import ensure_writable, write_atomic
 from .errors import ConfigError
 from .evaluation import METRIC_NAMES, evaluate_full
 from .similarity import SimilarityOracle
@@ -65,6 +65,12 @@ class ExperimentConfig:
         for key in sorted(set(self.data) - {"synthetic", "archive",
                                             "source_tsv", "target_tsv"}):
             raise ConfigError(f"unknown data config key {key!r}")
+        if kinds[0] == "synthetic":
+            # The run seed replaces the generator's seed, so it may be absent.
+            try:
+                synthgen.SynthConfig(**{**self.data["synthetic"], "seed": 0})
+            except TypeError as err:  # an unknown, missing or mistyped field
+                raise ConfigError(f"data.synthetic: {err}") from err
         for name in self.variants:
             if name not in VARIANTS:
                 raise ConfigError(f"unknown variant {name!r}; "
@@ -111,7 +117,8 @@ def prepare_data(cfg: ExperimentConfig, seed: int):
     if "archive" in cfg.data:
         return corpus.load_dataset(cfg.data["archive"])
     if "synthetic" in cfg.data:
-        synth_cfg = synthgen.SynthConfig(**cfg.data["synthetic"]).with_seed(seed)
+        synth_cfg = synthgen.SynthConfig(**{**cfg.data["synthetic"],
+                                            "seed": seed})
         raw = synthgen.generate(synth_cfg)[:2]
     else:
         raw = [corpus.load_interactions(cfg.data[f"{d.value}_tsv"], d)
@@ -259,10 +266,8 @@ def write_manifest(out_dir: Path, inputs: dict[str, str],
         "outputs": {str(p.relative_to(out_dir)): sha256_file(p)
                     for p in sorted(outputs)},
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-    return path
+    return write_atomic(out_dir / "manifest.json",
+                        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def write_experiment_outputs(report: dict, out_dir, *, force: bool = False,
@@ -273,11 +278,10 @@ def write_experiment_outputs(report: dict, out_dir, *, force: bool = False,
     report_json = out / "report.json"
     report_txt = out / "report.txt"
     ensure_writable([report_json, report_txt], force)
-    report_json.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
-                           encoding="utf-8")
-    k = report["config"]["eval_k"]
-    report_txt.write_text(format_aggregate_table(report, k),
-                          encoding="utf-8")
+    write_atomic(report_json,
+                 json.dumps(report, sort_keys=True, indent=2) + "\n")
+    write_atomic(report_txt,
+                 format_aggregate_table(report, report["config"]["eval_k"]))
     outputs = [report_json, report_txt]
     outputs += [p for p in out.rglob("*.ckpt")]
     write_manifest(out, input_hashes or {}, outputs)

@@ -1,8 +1,8 @@
 """Binary user-user similarity and in-batch pair extraction.
 
-The oracle keeps only the frozen per-user representations (embedding rows
-or binary training-history rows) and answers pairwise queries lazily; the
-full n-by-n matrix is never materialised.
+The oracle's representations are frozen, so it decides every user pair
+once, when it is built: the similar pairs form a read-only boolean CSR
+graph over the users, and ``extract_pairs`` slices it for one batch.
 """
 
 from __future__ import annotations
@@ -14,118 +14,108 @@ import scipy.sparse as sp
 
 from .corpus import InteractionSet
 from .embeddings import EmbeddingTable
+from .errors import ConfigError
 
-MODE_EMBEDDING = "embedding"
-MODE_HISTORY = "history"
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; a zero vector has similarity 0 to anything."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("vectors must have equal dimension")
-    norm_a = np.linalg.norm(a)
-    norm_b = np.linalg.norm(b)
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (norm_a * norm_b))
+# Ordered pairs (5 bytes each). Past it, slicing a batch costs more than
+# scoring the batch's users against each other (see CHANGES.md).
+MAX_SIMILAR_PAIRS = 1 << 19
+# Scores per block (16 MB of float64). Freeing a block this large lifts
+# glibc's trim threshold, so later steps keep their temporaries (CHANGES.md).
+BLOCK_ENTRIES = 1 << 21
 
 
-def _normalise_rows(values: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(values, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return values / norms
+def _similar_pair_graph(normed, gamma: float) -> tuple[sp.csr_matrix, float]:
+    """Pairs with cosine strictly above ``gamma`` as a symmetric boolean CSR
+    graph, and the largest off-diagonal cosine (-inf below two users). Row
+    blocks of ``normed`` (unit or zero rows, dense or CSR) are scored against
+    the rows from their own on: each pair is decided once, then mirrored."""
+    n = normed.shape[0]
+    upper = [np.zeros(0, dtype=np.int64)]
+    found, max_cosine, lo = 0, -np.inf, 0
+    while lo < n:
+        hi = min(n, lo + max(1, BLOCK_ENTRIES // (n - lo)))
+        scores = normed[lo:hi] @ normed[lo:].T
+        scores = scores.toarray() if sp.issparse(scores) else scores
+        scores[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = -np.inf
+        max_cosine = max(max_cosine, float(scores.max()))
+        i, j = np.nonzero(scores > gamma)
+        found += 2 * i.size
+        if found > MAX_SIMILAR_PAIRS:
+            raise ConfigError(
+                f"gamma={gamma} makes more than {MAX_SIMILAR_PAIRS} ordered "
+                f"user pairs similar ({found} after {hi} of {n} users, "
+                f"largest cosine {max_cosine:.4f}); raise gamma")
+        upper.append((i + lo) * n + (j + lo))
+        lo = hi
+    upper = np.concatenate(upper)
+    keys = np.sort(np.concatenate([upper, upper % n * n + upper // n]))
+    indptr = np.r_[0, np.cumsum(np.bincount(keys // n, minlength=n))]
+    graph = sp.csr_matrix((np.ones(keys.size, bool), keys % n, indptr), (n, n))
+    for array in (graph.data, graph.indices, graph.indptr):
+        array.setflags(write=False)
+    return graph, max_cosine
 
 
 class SimilarityOracle:
-    """Answers whether two target-domain users count as similar:
-    cosine(rep_p, rep_q) strictly above the threshold."""
+    """Decides whether two target-domain users count as similar:
+    cosine(rep_p, rep_q) strictly above ``gamma``, where a zero
+    representation has cosine 0 to anything. ``graph`` holds every
+    decision, ``n_pairs`` counts its ordered pairs and ``max_cosine`` is
+    the largest off-diagonal cosine."""
 
-    def __init__(self, mode: str, representations, gamma: float = 0.9):
-        if mode not in (MODE_EMBEDDING, MODE_HISTORY):
-            raise ValueError(f"unknown similarity mode {mode!r}")
+    def __init__(self, mode: str, normed, gamma: float = 0.9):
         if not -1.0 < gamma <= 1.0:
             raise ValueError(f"gamma must be in (-1, 1], got {gamma}")
         self.mode = mode
         self.gamma = gamma
-        if mode == MODE_EMBEDDING:
-            values = np.asarray(representations, dtype=np.float64)
-            self._normed = _normalise_rows(values)
-            self._normed.setflags(write=False)
-            self._history = None
-        else:
-            self._history = representations.tocsr()
-            self._normed = None
+        self.graph, self.max_cosine = _similar_pair_graph(normed, gamma)
+        self.n_pairs = self.graph.nnz
 
     @classmethod
     def from_embeddings(cls, table: EmbeddingTable | np.ndarray,
                         gamma: float = 0.9) -> "SimilarityOracle":
-        values = table.values if isinstance(table, EmbeddingTable) else table
-        return cls(MODE_EMBEDDING, np.array(values, dtype=np.float64), gamma)
+        values = np.asarray(table.values if isinstance(table, EmbeddingTable)
+                            else table, dtype=np.float64)
+        norms = np.linalg.norm(values, axis=1, keepdims=True)
+        return cls("embedding", values / np.where(norms == 0.0, 1.0, norms),
+                   gamma)
 
     @classmethod
     def from_history(cls, train: InteractionSet,
                      gamma: float = 0.9) -> "SimilarityOracle":
-        matrix = sp.csr_matrix(
-            (np.ones(train.n_interactions), train.indices, train.indptr),
+        """Binary training-history rows, normalised without densifying."""
+        counts = np.diff(train.indptr)
+        normed = sp.csr_matrix(
+            (np.repeat(1.0 / np.sqrt(np.maximum(counts, 1)), counts),
+             train.indices, train.indptr),
             shape=(train.n_users, train.n_items))
-        return cls(MODE_HISTORY, matrix, gamma)
-
-    @property
-    def n_users(self) -> int:
-        if self._normed is not None:
-            return self._normed.shape[0]
-        return self._history.shape[0]
-
-    def _check(self, user: int) -> None:
-        if not 0 <= user < self.n_users:
-            raise IndexError(f"user index {user} outside target user range "
-                             f"[0, {self.n_users})")
-
-    def _subset(self, users: np.ndarray) -> np.ndarray:
-        """Normalised representation rows for a user subset."""
-        if self._normed is not None:
-            return self._normed[users]
-        dense = self._history[users].toarray()
-        return _normalise_rows(dense)
-
-    def similar(self, p: int, q: int) -> int:
-        self._check(p)
-        self._check(q)
-        rows = self._subset(np.array([p, q]))
-        return int(float(rows[0] @ rows[1]) > self.gamma)
-
-    def pairwise(self, users: np.ndarray) -> np.ndarray:
-        """Boolean similarity matrix over a user subset, diagonal False."""
-        for user in (int(users.min()), int(users.max())) if users.size else ():
-            self._check(user)
-        rows = self._subset(users)
-        mask = (rows @ rows.T) > self.gamma
-        np.fill_diagonal(mask, False)
-        return mask
+        return cls("history", normed, gamma)
 
 
 @dataclass(frozen=True)
 class PairSets:
     """Ordered user pairs over the distinct users of one batch.
 
-    ``sim_mask[i, j]`` says users ``users[i]`` and ``users[j]`` are
-    similar; the diagonal is always False, so similar pairs are a subset
-    of the u*(u-1) ordered distinct pairs.
+    Users ``users[sim_i[k]]`` and ``users[sim_j[k]]`` are similar. The
+    similar pairs are distinct, row-major (by ``sim_i``, then ``sim_j``)
+    and never pair a user with itself, so they are a subset of the
+    u*(u-1) ordered distinct pairs.
     """
 
     users: np.ndarray
-    sim_mask: np.ndarray
+    sim_i: np.ndarray
+    sim_j: np.ndarray
 
     def __post_init__(self):
-        self.users.setflags(write=False)
-        self.sim_mask.setflags(write=False)
-        u = self.users.size
-        if self.sim_mask.shape != (u, u):
-            raise ValueError("sim_mask shape does not match user count")
-        if u and np.any(np.diag(self.sim_mask)):
+        for array in (self.users, self.sim_i, self.sim_j):
+            array.setflags(write=False)
+        if np.any(self.sim_i == self.sim_j):
             raise ValueError("self-pairs are not allowed")
+        # Raises ValueError for an index outside the batch users.
+        keys = np.ravel_multi_index((self.sim_i, self.sim_j),
+                                    (self.users.size,) * 2)
+        if np.any(np.diff(keys) <= 0):
+            raise ValueError("similar pairs must be distinct and row-major")
 
     @property
     def n_users(self) -> int:
@@ -133,7 +123,7 @@ class PairSets:
 
     @property
     def n_similar(self) -> int:
-        return int(np.count_nonzero(self.sim_mask))
+        return self.sim_i.size
 
     @property
     def n_all(self) -> int:
@@ -142,10 +132,19 @@ class PairSets:
 
 
 def extract_pairs(batch_users, oracle: SimilarityOracle) -> PairSets:
-    """Deduplicate batch users, then build all/similar ordered pair sets
-    by querying the oracle on the fly."""
-    distinct = np.unique(np.asarray(batch_users, dtype=np.int64))
-    if distinct.size < 2:
-        return PairSets(distinct,
-                        np.zeros((distinct.size, distinct.size), dtype=bool))
-    return PairSets(distinct, oracle.pairwise(distinct))
+    """Distinct batch users and their similar pairs, sliced from the graph."""
+    batch = np.asarray(batch_users, dtype=np.int64)
+    n = oracle.graph.shape[0]
+    if batch.size and (batch.min() < 0 or batch.max() >= n):
+        raise IndexError(f"batch user outside target user range [0, {n})")
+    present = np.zeros(n, dtype=bool)
+    present[batch] = True
+    users = np.flatnonzero(present)
+    local = np.where(present, np.cumsum(present) - 1, -1)
+    starts = oracle.graph.indptr[users]
+    counts = oracle.graph.indptr[users + 1] - starts
+    # Graph positions of the batch users' rows, one row after another.
+    offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    cols = local[oracle.graph.indices[np.arange(offsets.size) + offsets]]
+    rows = np.repeat(np.arange(users.size), counts)
+    return PairSets(users, rows[cols >= 0], cols[cols >= 0])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -139,16 +140,25 @@ def fit(model, step, n_pairs: int, scorer, split: SplitDataset,
 class TargetPhaseResult:
     model: SingleDomainModel
     frozen: EmbeddingTable
-    oracle: SimilarityOracle
     best_epoch: int
     valid_history: list[float]
+    config: TrainingConfig
+    train: InteractionSet
+
+    @cached_property
+    def oracle(self) -> SimilarityOracle:
+        """Built on first use: only the contrastive term needs it, and a
+        low gamma can make its graph too large to build."""
+        if self.config.history_similarity:
+            return SimilarityOracle.from_history(self.train, self.config.gamma)
+        return SimilarityOracle.from_embeddings(self.frozen, self.config.gamma)
 
 
 def run_target_phase(ds: CrossDomainDataset, target_split: SplitDataset,
                      config: TrainingConfig) -> TargetPhaseResult:
     """Train the phase-one backbone on the target domain, early-stopping
-    on validation NDCG@10; freeze the best-epoch user embeddings and
-    build the similarity oracle from them (or from training history under
+    on validation NDCG@10, and freeze the best-epoch user embeddings. The
+    result's similarity oracle reads them (or the training history under
     the corresponding ablation)."""
     train = target_split.train
     model = SingleDomainModel.create(
@@ -177,11 +187,7 @@ def run_target_phase(ds: CrossDomainDataset, target_split: SplitDataset,
     frozen = EmbeddingTable(ROLE_USER_TARGET_PHASE1,
                             model.users.values.copy())
     frozen.values.setflags(write=False)
-    if config.history_similarity:
-        oracle = SimilarityOracle.from_history(train, config.gamma)
-    else:
-        oracle = SimilarityOracle.from_embeddings(frozen, config.gamma)
-    return TargetPhaseResult(model, frozen, oracle, best_epoch, history)
+    return TargetPhaseResult(model, frozen, best_epoch, history, config, train)
 
 
 def _graphs(config: TrainingConfig, target_split: SplitDataset,
@@ -414,6 +420,10 @@ def run_transfer_phase(ds: CrossDomainDataset, target_split: SplitDataset,
     if not config.effective_no_contrastive and oracle is None:
         raise ConfigError("transfer phase needs a similarity oracle unless "
                           "the contrastive term is disabled")
+    if not config.effective_no_contrastive and oracle.n_pairs == 0:
+        logger.warning("no user pair has cosine above gamma=%g (largest "
+                       "%.4f): the contrastive term will be zero for every "
+                       "batch", oracle.gamma, oracle.max_cosine)
     model = CutModel.build(ds, target_split, source_split, config,
                            frozen=frozen)
     optimizer = Adam(model.params(), lr=config.lr,

@@ -223,15 +223,34 @@ def per_user_metrics(table: np.ndarray, split, k: int, part: str = "test",
             {name: float(np.std(v)) for name, v in values.items()})
 
 
-def materialised_similarity(oracle, users) -> np.ndarray:
-    """Full pairwise matrix over a subset via scalar oracle queries."""
-    u = len(users)
-    out = np.zeros((u, u), dtype=bool)
-    for a in range(u):
-        for b in range(u):
-            if a != b:
-                out[a, b] = bool(oracle.similar(int(users[a]), int(users[b])))
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of two vectors in float64; a zero vector has cosine 0 to
+    anything."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    norm_a, norm_b = math.sqrt(float(a @ a)), math.sqrt(float(b @ b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return float(a @ b) / (norm_a * norm_b)
+
+
+def pair_cosines(representations: np.ndarray) -> np.ndarray:
+    """Every pair's ``cosine``, one pair at a time; the diagonal is NaN."""
+    n = len(representations)
+    out = np.full((n, n), np.nan)
+    for p in range(n):
+        for q in range(n):
+            if p != q:
+                out[p, q] = cosine(representations[p], representations[q])
     return out
+
+
+def materialised_similarity(representations: np.ndarray, gamma: float,
+                            users=None) -> np.ndarray:
+    """Boolean u-by-u similar-pair matrix over ``users`` (default: all
+    rows) by per-pair cosine strictly above ``gamma``; diagonal False."""
+    users = np.arange(len(representations)) if users is None else users
+    return pair_cosines(np.asarray(representations)[users]) > gamma
 
 
 def interaction_set(rows, n_items: int) -> InteractionSet:

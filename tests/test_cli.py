@@ -119,6 +119,31 @@ def test_invalid_config_key_is_validation_error(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_experiment_synthetic_section_needs_no_seed_and_no_unknown_key(
+        tmp_path, capsys):
+    synth = {key: value for key, value in SYNTH_CFG.items() if key != "seed"}
+    base = {"training": TRAIN_CFG, "seeds": [3], "variants": ["target-only"],
+            "min_interactions": 3, "save_checkpoints": False}
+    for bad, word in (({**synth, "bogus": 1}, "bogus"),
+                      ({k: v for k, v in synth.items() if k != "n_users"},
+                       "n_users")):
+        cfg = write_json(tmp_path / "bad.json",
+                         {**base, "data": {"synthetic": bad}})
+        out = tmp_path / "bad-out"
+        capsys.readouterr()
+        assert main(["experiment", "--config", str(cfg), "--out",
+                     str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and word in err
+        assert not out.exists()
+    cfg = write_json(tmp_path / "exp.json",
+                     {**base, "data": {"synthetic": synth}})
+    assert main(["experiment", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert list(report["per_seed"]) == ["3"]
+
+
 def test_overwrite_requires_force(tmp_path):
     synth_cfg = write_json(tmp_path / "synth.json", SYNTH_CFG)
     out = tmp_path / "raw"

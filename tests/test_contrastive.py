@@ -9,17 +9,22 @@ from helpers import (brute_force_contrastive, dense_contrastive_gradient,
                      fd_gradient)
 
 
+def mask_pairs(mask):
+    """The pair sets over users 0..n-1 whose similar pairs are ``mask``."""
+    return PairSets(np.arange(len(mask)), *np.nonzero(mask))
+
+
 def pair_sets(n, similar):
     mask = np.zeros((n, n), dtype=bool)
     for i, j in similar:
         mask[i, j] = True
         mask[j, i] = True
-    return PairSets(np.arange(n), mask)
+    return mask_pairs(mask)
 
 
 def index_pairs(pairs):
     """Positions (not user ids) of similar/all ordered pairs."""
-    similar = [(i, j) for i, j in np.argwhere(pairs.sim_mask)]
+    similar = list(zip(pairs.sim_i.tolist(), pairs.sim_j.tolist()))
     every = [(i, j) for i in range(pairs.n_users)
              for j in range(pairs.n_users) if i != j]
     return similar, every
@@ -133,7 +138,7 @@ def test_gradient_matches_dense_mask_formula(normalize):
         mask = rng.random((n, n)) < 0.3
         np.fill_diagonal(mask, False)
         mask[0, 1] = True
-        pairs = PairSets(np.arange(n), mask)
+        pairs = mask_pairs(mask)
         _, grads = contrastive_loss(vectors, pairs, tau=0.2,
                                     normalize=normalize)
         expected = dense_contrastive_gradient(vectors, mask, 0.2, normalize)
@@ -149,7 +154,7 @@ def test_value_matches_brute_force_on_random_instances():
         mask = rng.random((n, n)) < 0.4
         mask = mask | mask.T
         np.fill_diagonal(mask, False)
-        pairs = PairSets(np.arange(n), mask)
+        pairs = mask_pairs(mask)
         similar, every = index_pairs(pairs)
         expected = brute_force_contrastive(vectors, similar, every, tau=0.2)
         loss, _ = contrastive_loss(vectors, pairs, tau=0.2)

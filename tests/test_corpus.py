@@ -6,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutrec import corpus
+from cutrec.checkpoint import Checkpoint, save_checkpoint
 from cutrec.corpus import (DomainId, InteractionSet, RawInteractions,
                            build_cross_domain, filter_k_core, load_dataset,
                            load_interactions, save_dataset, split_source,
                            split_target, subsample_target)
+from cutrec.embeddings import EmbeddingTable
 from cutrec.errors import DatasetCollapsedError, ParseError
+from cutrec.experiment import write_manifest
 
 from helpers import brute_force_k_core, naive_rows
 
@@ -421,3 +424,39 @@ def test_archive_refuses_overwrite(tmp_path):
     save_dataset(tmp_path, ds, t_split, s_split)
     with pytest.raises(FileExistsError):
         save_dataset(tmp_path, ds, t_split, s_split)
+
+
+def _write_checkpoint(path, value):
+    save_checkpoint(path, Checkpoint(
+        [EmbeddingTable("user", np.full((3, 2), value))], {}, 0))
+
+
+def _write_manifest(path, value):
+    write_manifest(path.parent, {"input": str(value)}, [])
+
+
+@pytest.mark.parametrize("name, write", [
+    ("model.ckpt", _write_checkpoint),
+    ("target.tsv", lambda path, value: corpus.write_interactions(
+        path, [(f"u{value}", "i0", None), ("u9", "i1", 5)])),
+    ("manifest.json", _write_manifest),
+], ids=["checkpoint", "tsv", "manifest"])
+def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, name,
+                                           write):
+    path = tmp_path / name
+    write(path, 1)
+    before = path.read_bytes()
+
+    def disk_full(fd):
+        raise OSError("no space left on device")
+
+    # The new content is in the temporary file when the flush fails.
+    monkeypatch.setattr(corpus.os, "fsync", disk_full)
+    with pytest.raises(OSError, match="no space left"):
+        write(path, 2)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    monkeypatch.undo()
+    write(path, 2)
+    assert path.read_bytes() != before
+    assert [p.name for p in tmp_path.iterdir()] == [name]

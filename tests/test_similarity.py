@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from cutrec.similarity import (PairSets, SimilarityOracle, cosine,
-                               extract_pairs)
+from cutrec import similarity
+from cutrec.corpus import SplitDataset, subsample_target
+from cutrec.errors import ConfigError
+from cutrec.similarity import PairSets, SimilarityOracle, extract_pairs
 
-from helpers import interaction_set, materialised_similarity
+from helpers import interaction_set, materialised_similarity, pair_cosines
 
 
 def embedding_oracle(values, gamma=0.9):
@@ -14,77 +16,112 @@ def embedding_oracle(values, gamma=0.9):
                                             gamma)
 
 
+def similar(oracle, p, q) -> bool:
+    return bool(oracle.graph[p, q])
+
+
+def dense_history(rows, n_items):
+    dense = np.zeros((len(rows), n_items))
+    for user, row in enumerate(rows):
+        dense[user, list(row)] = 1.0
+    return dense
+
+
 # --- cosine -------------------------------------------------------------------
 
 def test_cosine_identical_vectors():
     v = np.array([0.3, -1.2, 4.0])
-    assert cosine(v, v) == pytest.approx(1.0, rel=1e-12)
+    oracle = embedding_oracle([v, v], gamma=0.999)
+    assert oracle.max_cosine == pytest.approx(1.0, rel=1e-12)
+    assert similar(oracle, 0, 1) and similar(oracle, 1, 0)
 
 
 def test_cosine_orthogonal():
-    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    values = [[1.0, 0.0], [0.0, 1.0]]
+    assert embedding_oracle(values).max_cosine == 0.0
+    assert not similar(embedding_oracle(values, gamma=0.0), 0, 1)
+    assert similar(embedding_oracle(values, gamma=-0.1), 0, 1)
 
 
 def test_cosine_45_degrees():
-    value = cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-    assert value == pytest.approx(0.70710678, abs=1e-8)
+    values = [[1.0, 1.0], [1.0, 0.0]]
+    assert embedding_oracle(values).max_cosine == pytest.approx(0.70710678,
+                                                                abs=1e-8)
+    assert similar(embedding_oracle(values, 0.7), 0, 1)
+    assert not similar(embedding_oracle(values, 0.71), 0, 1)
 
 
 def test_cosine_zero_vector_defined_as_zero():
-    assert cosine(np.zeros(3), np.ones(3)) == 0.0
-
-
-def test_cosine_dim_mismatch():
-    with pytest.raises(ValueError):
-        cosine(np.zeros(2), np.zeros(3))
+    values = [np.zeros(3), np.ones(3)]
+    assert embedding_oracle(values).max_cosine == 0.0
+    assert not similar(embedding_oracle(values, gamma=0.0), 0, 1)
+    assert similar(embedding_oracle(values, gamma=-0.1), 0, 1)
 
 
 # --- similar ------------------------------------------------------------------
 
 def test_similar_above_threshold():
     oracle = embedding_oracle([[1.0, 0.0], [1.0, 0.1]], gamma=0.9)
-    assert oracle.similar(0, 1) == 1  # cosine ~0.995
+    assert similar(oracle, 0, 1)  # cosine ~0.995
+    assert oracle.n_pairs == 2
 
 
 def test_similar_strict_at_exact_threshold():
     # (1,0) vs (8,6): norms 1 and 10, cosine exactly 0.8 in floats.
     oracle = embedding_oracle([[1.0, 0.0], [8.0, 6.0]], gamma=0.8)
-    assert oracle.similar(0, 1) == 0
+    assert not similar(oracle, 0, 1)
     slightly_lower = embedding_oracle([[1.0, 0.0], [8.0, 6.0]],
                                       gamma=np.nextafter(0.8, 0.0))
-    assert slightly_lower.similar(0, 1) == 1
+    assert similar(slightly_lower, 0, 1)
 
 
 def test_similar_symmetric():
     rng = np.random.default_rng(0)
-    oracle = embedding_oracle(rng.normal(size=(10, 4)), gamma=0.2)
-    for p in range(10):
-        for q in range(10):
-            if p != q:
-                assert oracle.similar(p, q) == oracle.similar(q, p)
+    n = 40
+    rows = [np.flatnonzero(rng.random(10) < 0.3) for _ in range(n)]
+    for oracle in (embedding_oracle(rng.normal(size=(n, 4)), gamma=0.2),
+                   SimilarityOracle.from_history(interaction_set(rows, 10),
+                                                 gamma=0.2)):
+        graph = oracle.graph
+        assert graph.shape == (n, n) and graph.dtype == bool
+        assert 0 < oracle.n_pairs == graph.nnz
+        assert (graph != graph.T).nnz == 0
+        assert not graph.diagonal().any()
+        assert graph.has_sorted_indices
+        assert not graph.indices.flags.writeable
 
 
 def test_similar_out_of_range():
     oracle = embedding_oracle(np.eye(3))
-    with pytest.raises(IndexError):
-        oracle.similar(0, 3)
+    for users in ([0, 3], [-1, 1]):
+        with pytest.raises(IndexError):
+            extract_pairs(np.array(users), oracle)
 
 
 def test_history_mode_identical_rows_similar():
     train = interaction_set([[0, 2, 4], [0, 2, 4], [1, 3]], 6)
     oracle = SimilarityOracle.from_history(train, gamma=0.99)
-    assert oracle.similar(0, 1) == 1
-    assert oracle.similar(0, 2) == 0
+    assert similar(oracle, 0, 1)
+    assert not similar(oracle, 0, 2)
 
 
 def test_history_mode_zero_row_similarity_zero():
-    train = interaction_set([[], [1, 2]], 4)
-    oracle = SimilarityOracle.from_history(train, gamma=-0.5)
-    # cosine involving the empty row is 0, not above gamma=-0.5... it is:
-    # 0 > -0.5, so define via a positive gamma instead.
-    strict = SimilarityOracle.from_history(train, gamma=0.0)
-    assert strict.similar(0, 1) == 0
-    assert oracle.similar(0, 1) == 1  # 0 > -0.5 by strict inequality
+    # Subsampling the training interactions leaves cold users with an
+    # empty row: cosine 0 to everyone, so similar to everyone exactly
+    # when gamma < 0 (strict inequality).
+    rows = [[0, 1], [1, 2], [2, 3], [0, 3], [1, 3], [0, 2]]
+    train = interaction_set(rows, 4)
+    split = SplitDataset(train, interaction_set([[]] * 6, 4),
+                         interaction_set([[]] * 6, 4), 0)
+    sub = subsample_target(split, 0.3, seed=1).train
+    cold = np.flatnonzero(np.diff(sub.indptr) == 0)
+    assert 0 < cold.size < 6
+    for gamma, expected in ((0.0, False), (0.5, False), (-0.5, True)):
+        graph = SimilarityOracle.from_history(sub, gamma).graph.toarray()
+        for user in cold:
+            others = np.arange(6) != user
+            assert np.all(graph[user, others] == expected)
+            assert np.all(graph[others, user] == expected)
 
 
 def test_gamma_validation():
@@ -104,9 +141,84 @@ def test_scale_invariance(scale, seed):
     scaled[2] *= scale
     a = embedding_oracle(values, gamma=0.5)
     b = embedding_oracle(scaled, gamma=0.5)
-    for q in range(6):
-        if q != 2:
-            assert a.similar(2, q) == b.similar(2, q)
+    assert (a.graph != b.graph).nnz == 0
+
+
+# --- the graph against the per-pair oracle ------------------------------------
+
+NEAR = 1e-12
+
+
+@settings(max_examples=120, deadline=None)
+@given(mode=st.sampled_from(["embedding", "history"]),
+       clustered=st.booleans(), n=st.integers(min_value=0, max_value=30),
+       n_duplicates=st.integers(min_value=0, max_value=3),
+       n_zero=st.integers(min_value=0, max_value=3),
+       gamma=st.one_of(st.floats(min_value=-0.9, max_value=1.0),
+                       st.sampled_from([-0.5, 0.0, 0.5, 1.0])),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_graph_matches_per_pair_cosine_oracle(mode, clustered, n,
+                                              n_duplicates, n_zero, gamma,
+                                              seed):
+    rng = np.random.default_rng(seed)
+    if mode == "embedding":
+        centres = rng.normal(size=(3, 5))
+        reps = (centres[rng.integers(0, 3, size=n)]
+                + 0.3 * rng.normal(size=(n, 5)) if clustered
+                else rng.normal(size=(n, 5)))
+    else:
+        templates = rng.random((3, 12)) < 0.4
+        reps = (templates[rng.integers(0, 3, size=n)]
+                ^ (rng.random((n, 12)) < 0.1) if clustered
+                else rng.random((n, 12)) < 0.3).astype(np.float64)
+    if n:
+        for _ in range(n_duplicates):
+            reps[rng.integers(n)] = reps[rng.integers(n)]
+        reps[rng.integers(0, n, size=n_zero)] = 0.0
+    if mode == "embedding":
+        oracle = SimilarityOracle.from_embeddings(reps, gamma)
+    else:
+        rows = [np.flatnonzero(row) for row in reps]
+        oracle = SimilarityOracle.from_history(interaction_set(rows, 12),
+                                               gamma)
+
+    cosines = pair_cosines(reps)
+    graph = oracle.graph.toarray()
+    near = np.abs(cosines - gamma) <= NEAR
+    expected = materialised_similarity(reps, gamma)
+    assert np.array_equal(graph[~near], expected[~near])
+    assert np.array_equal(graph, graph.T)
+    if n >= 2:
+        assert oracle.max_cosine == pytest.approx(np.nanmax(cosines),
+                                                  abs=NEAR)
+    zero = ~reps.any(axis=1)
+    for user in np.flatnonzero(zero):
+        assert np.all(graph[user, np.arange(n) != user] == (gamma < 0))
+
+    # Only a tie can come within NEAR of gamma. Where the cosine is known
+    # exactly: 0 with a zero row, 1 between equal rows, and in history
+    # mode c / sqrt(a * b) over the item counts.
+    exact = np.full((n, n), np.nan)
+    if mode == "history":
+        counts = reps @ reps.T
+        with np.errstate(invalid="ignore", divide="ignore"):
+            exact = counts / np.sqrt(np.outer(np.diag(counts),
+                                              np.diag(counts)))
+    exact[(reps[:, None] == reps[None]).all(axis=2)] = 1.0
+    exact[zero[:, None] | zero[None]] = 0.0
+    tie = np.abs(exact - gamma) <= 1e-9
+    excluded = int(near.sum())
+    assert excluded == int((near & tie).sum())
+    event(f"pairs excluded near gamma: {'none' if excluded == 0 else 'some'}")
+
+
+def test_graph_above_size_limit_is_config_error(monkeypatch):
+    values = np.random.default_rng(0).normal(size=(6, 3))
+    monkeypatch.setattr(similarity, "MAX_SIMILAR_PAIRS", 30)
+    assert embedding_oracle(values, gamma=-0.99).n_pairs == 30
+    monkeypatch.setattr(similarity, "MAX_SIMILAR_PAIRS", 29)
+    with pytest.raises(ConfigError, match=r"gamma=-0\.99.*\(30 after"):
+        embedding_oracle(values, gamma=-0.99)
 
 
 # --- pair extraction ------------------------------------------------------------
@@ -125,8 +237,8 @@ def test_extract_pairs_three_users_one_similar_pair():
     oracle = embedding_oracle(values, gamma=0.9)
     pairs = extract_pairs(np.array([0, 1, 2]), oracle)
     assert pairs.n_all == 6
-    similar = pairs.users[np.argwhere(pairs.sim_mask)]
-    assert similar.tolist() == [[1, 2], [2, 1]]
+    similar_users = pairs.users[np.stack([pairs.sim_i, pairs.sim_j], axis=1)]
+    assert similar_users.tolist() == [[1, 2], [2, 1]]
 
 
 def test_extract_pairs_all_dissimilar():
@@ -146,15 +258,19 @@ def test_pairs_symmetric_membership():
     rng = np.random.default_rng(3)
     oracle = embedding_oracle(rng.normal(size=(12, 3)), gamma=0.3)
     pairs = extract_pairs(rng.integers(0, 12, size=30), oracle)
-    assert np.array_equal(pairs.sim_mask, pairs.sim_mask.T)
-    assert not np.diag(pairs.sim_mask).any()
+    forward = set(zip(pairs.sim_i.tolist(), pairs.sim_j.tolist()))
+    assert forward and forward == {(j, i) for i, j in forward}
+    assert all(i != j for i, j in forward)
 
 
 def test_pair_sets_reject_self_pairs():
-    mask = np.zeros((2, 2), dtype=bool)
-    mask[0, 0] = True
-    with pytest.raises(ValueError):
-        PairSets(np.array([3, 4]), mask)
+    for sim_i, sim_j in (([0], [0]),          # a self-pair
+                         ([0, 0], [1, 1]),    # a duplicate
+                         ([1, 0], [0, 1]),    # not row-major
+                         ([0], [2]),          # outside the two users
+                         ([-1], [1])):
+        with pytest.raises(ValueError):
+            PairSets(np.array([3, 4]), np.array(sim_i), np.array(sim_j))
 
 
 @pytest.mark.parametrize("mode", ["embedding", "history"])
@@ -163,15 +279,21 @@ def test_lazy_extraction_equals_materialised_matrix(mode):
     n = 50
     if mode == "embedding":
         base = rng.normal(size=(8, 4))
-        values = base[rng.integers(0, 8, size=n)] + 0.3 * rng.normal(size=(n, 4))
-        oracle = embedding_oracle(values, gamma=0.8)
+        reps = base[rng.integers(0, 8, size=n)] + 0.3 * rng.normal(size=(n, 4))
+        oracle = embedding_oracle(reps, gamma=0.8)
     else:
         rows = tuple(np.unique(rng.integers(0, 12, size=rng.integers(1, 8)))
                      for _ in range(n))
+        reps = dense_history(rows, 12)
         oracle = SimilarityOracle.from_history(interaction_set(rows, 12),
                                                gamma=0.6)
     for subset_size in (2, 13, 50):
         users = np.sort(rng.choice(n, size=subset_size, replace=False))
-        pairs = extract_pairs(users, oracle)
-        expected = materialised_similarity(oracle, users)
-        assert np.array_equal(pairs.sim_mask, expected)
+        batch = rng.permutation(np.repeat(users, 2))
+        pairs = extract_pairs(batch, oracle)
+        expected = materialised_similarity(reps, oracle.gamma, users)
+        assert np.array_equal(pairs.users, users)
+        # Row-major, as np.nonzero lists a mask's entries.
+        sim_i, sim_j = np.nonzero(expected)
+        assert np.array_equal(pairs.sim_i, sim_i)
+        assert np.array_equal(pairs.sim_j, sim_j)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cutrec import similarity
 from cutrec.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cutrec.config import TrainingConfig
 from cutrec.corpus import (DomainId, RawInteractions, build_cross_domain,
@@ -249,6 +250,28 @@ def test_missing_oracle_rejected_when_contrastive_active():
         run_transfer_phase(ds, target_split, source_split, small_config())
 
 
+def test_empty_similarity_graph_warns_before_phase_two(caplog):
+    ds, target_split, source_split = toy_dataset(seed=22)
+    config = small_config(gamma=0.9, max_epochs=1, embedding_dim=16)
+    phase1 = run_target_phase(ds, target_split, config)
+    for gamma in (0.9, -0.5):
+        oracle = SimilarityOracle.from_embeddings(phase1.frozen, gamma)
+        assert (oracle.n_pairs == 0) == (gamma == 0.9)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="cutrec.trainer"):
+            run_transfer_phase(ds, target_split, source_split,
+                               config.replace(gamma=gamma), oracle)
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelname == "WARNING"]
+        if gamma == 0.9:
+            assert len(warnings) == 1
+            assert "gamma=0.9" in warnings[0]
+            assert f"largest {oracle.max_cosine:.4f}" in warnings[0]
+            assert "zero for every batch" in warnings[0]
+        else:
+            assert warnings == []
+
+
 def test_overlap_embedding_shared_across_domains_without_transform():
     ds, target_split, source_split = toy_dataset(seed=14)
     config = small_config(no_transform=True, no_contrastive=True)
@@ -273,6 +296,15 @@ def test_target_phase_freezes_best_and_builds_oracle():
     assert result.oracle.mode == "embedding"
     assert len(result.valid_history) <= 5
     assert result.best_epoch >= 1
+
+
+def test_target_phase_builds_its_oracle_only_when_asked(monkeypatch):
+    monkeypatch.setattr(similarity, "MAX_SIMILAR_PAIRS", 0)
+    ds, target_split, _ = toy_dataset(seed=23)
+    result = run_target_phase(ds, target_split,
+                              small_config(gamma=-0.5, max_epochs=1))
+    with pytest.raises(ConfigError, match=r"gamma=-0\.5"):
+        result.oracle
 
 
 def test_target_phase_history_similarity_flag():
@@ -307,7 +339,7 @@ def test_oracle_prefers_same_cluster_pairs_on_undistorted_data():
     rng = np.random.default_rng(0)
     for _ in range(800):
         p, q = rng.choice(ds.target.n_users, size=2, replace=False)
-        answer = result.oracle.similar(int(p), int(q))
+        answer = bool(result.oracle.graph[p, q])
         tok_p, tok_q = ds.user_tokens[p], ds.user_tokens[q]
         (same if clusters[tok_p] == clusters[tok_q] else cross).append(answer)
     assert np.mean(same) > np.mean(cross)
@@ -372,11 +404,8 @@ def test_frozen_table_checkpoint_reproduces_oracle_answers(tmp_path):
     save_checkpoint(path, Checkpoint([phase1.frozen], {}, 0))
     reloaded = load_checkpoint(path).table("user-target-phase1")
     oracle_b = SimilarityOracle.from_embeddings(reloaded, gamma=0.3)
-    n = ds.target.n_users
-    for p in range(n):
-        for q in range(n):
-            if p != q:
-                assert phase1.oracle.similar(p, q) == oracle_b.similar(p, q)
+    assert phase1.oracle.n_pairs > 0
+    assert (phase1.oracle.graph != oracle_b.graph).nnz == 0
 
 
 def test_cut_checkpoint_must_fit_the_splits():
