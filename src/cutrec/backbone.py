@@ -78,7 +78,7 @@ class SingleDomainModel:
         if backbone == BACKBONE_LIGHTGCN:
             if train is None:
                 raise ValueError("lightgcn backbone needs train interactions")
-            graph = build_graph(train, k_layers)
+            graph = build_graph(train, k_layers, dtype)
         return cls(users, items, graph)
 
     @property
@@ -108,7 +108,7 @@ class SingleDomainModel:
         config = TrainingConfig.from_dict(ckpt.hyper["training"])
         train = target_split.train
         items = ckpt.table(ROLE_ITEM_TARGET, train.n_items)
-        graph = (build_graph(train, config.k_layers)
+        graph = (build_graph(train, config.k_layers, items.values.dtype)
                  if config.backbone == BACKBONE_LIGHTGCN else None)
         return cls(ckpt.table(ROLE_USER_TARGET_PHASE1, train.n_users), items,
                    graph)
@@ -153,8 +153,9 @@ def domain_forward_backward(user_vals: np.ndarray, item_vals: np.ndarray,
     d_user_final = scatter_rows(users, d_user, graph.n_users)
     d_item_final = scatter_rows(item_rows, d_item, graph.n_items)
     # The adjacency is symmetric, so the backward pass through the
-    # propagation is the propagation itself.
-    d_user0, d_item0 = propagate(graph, d_user_final, d_item_final)
+    # propagation is the propagation itself, here in the table dtype.
+    d_user0, d_item0 = propagate(graph, d_user_final.astype(user_vals.dtype),
+                                 d_item_final.astype(item_vals.dtype))
     return (loss, (np.arange(graph.n_users), d_user0),
             (np.arange(graph.n_items), d_item0))
 

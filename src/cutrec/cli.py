@@ -66,15 +66,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    data = _load_json(args.config)
-    cfg = synthgen.SynthConfig(**data)
+    cfg = synthgen.SynthConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
-    source, target, _ = synthgen.generate(cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     paths = [out / "source.tsv", out / "target.tsv"]
     ensure_writable(paths, args.force)
+    source, target, _ = synthgen.generate(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     for path, raw in zip(paths, (source, target)):
         corpus.write_interactions(path, raw.records)
     write_manifest(out, {str(args.config): sha256_file(args.config)}, paths)

@@ -67,10 +67,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown data config key {key!r}")
         if kinds[0] == "synthetic":
             # The run seed replaces the generator's seed, so it may be absent.
-            try:
-                synthgen.SynthConfig(**{**self.data["synthetic"], "seed": 0})
-            except TypeError as err:  # an unknown, missing or mistyped field
-                raise ConfigError(f"data.synthetic: {err}") from err
+            synthgen.SynthConfig.from_dict(self.data["synthetic"], seed=0)
         for name in self.variants:
             if name not in VARIANTS:
                 raise ConfigError(f"unknown variant {name!r}; "
@@ -117,8 +114,8 @@ def prepare_data(cfg: ExperimentConfig, seed: int):
     if "archive" in cfg.data:
         return corpus.load_dataset(cfg.data["archive"])
     if "synthetic" in cfg.data:
-        synth_cfg = synthgen.SynthConfig(**{**cfg.data["synthetic"],
-                                            "seed": seed})
+        synth_cfg = synthgen.SynthConfig.from_dict(cfg.data["synthetic"],
+                                                   seed=seed)
         raw = synthgen.generate(synth_cfg)[:2]
     else:
         raw = [corpus.load_interactions(cfg.data[f"{d.value}_tsv"], d)

@@ -23,10 +23,11 @@ class BipartiteGraph:
     k_layers: int
 
 
-def build_graph(train: InteractionSet, k_layers: int) -> BipartiteGraph:
+def build_graph(train: InteractionSet, k_layers: int,
+                dtype=np.float64) -> BipartiteGraph:
     """Edge weight between user u and item i is 1/sqrt(deg(u) * deg(i)),
-    computed from training interactions only. Isolated nodes simply have
-    no edges."""
+    computed from training interactions only, in ``dtype``. Isolated
+    nodes simply have no edges."""
     if k_layers < 0:
         raise ValueError("k_layers must be >= 0")
     n_users, n_items = train.n_users, train.n_items
@@ -34,7 +35,7 @@ def build_graph(train: InteractionSet, k_layers: int) -> BipartiteGraph:
     user_deg = np.diff(train.indptr).astype(np.float64)
     item_deg = np.bincount(items, minlength=n_items).astype(np.float64)
     weights = 1.0 / np.sqrt(user_deg[users] * item_deg[items])
-    user_item = sp.csr_matrix((weights, items, train.indptr),
+    user_item = sp.csr_matrix((weights.astype(dtype), items, train.indptr),
                               shape=(n_users, n_items))
     adjacency = sp.bmat([[None, user_item], [user_item.T, None]],
                         format="csr")
@@ -43,14 +44,15 @@ def build_graph(train: InteractionSet, k_layers: int) -> BipartiteGraph:
 
 def propagate(graph: BipartiteGraph, user_values: np.ndarray,
               item_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of propagated layers 0..K (uniform layer weights)."""
+    """Mean of propagated layers 0..K (uniform layer weights), summed in
+    the wider of the graph and input dtypes, in the input dtype."""
     if user_values.shape[0] != graph.n_users:
         raise ValueError("user embedding count does not match graph")
     if item_values.shape[0] != graph.n_items:
         raise ValueError("item embedding count does not match graph")
-    current = np.vstack([user_values, item_values]).astype(np.float64,
-                                                           copy=False)
-    acc = current.copy()
+    acc = np.concatenate([user_values, item_values], dtype=np.result_type(
+        graph.adjacency.dtype, user_values.dtype))
+    current = acc
     for _ in range(graph.k_layers):
         current = graph.adjacency @ current
         acc += current

@@ -17,11 +17,12 @@ SparseGrad = tuple[np.ndarray | None, np.ndarray]
 
 def scatter_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
     """``np.add.at`` of ``values`` rows into ``n_rows`` float64 zero rows,
-    adding in the same order, by one ``bincount`` per column."""
-    out = np.empty((n_rows, values.shape[1]))
-    for col in range(values.shape[1]):
-        out[:, col] = np.bincount(index, values[:, col], n_rows)
-    return out
+    adding in the same order, by one ``bincount`` over the flat entries."""
+    dim = values.shape[1]
+    flat = (index[:, None] * dim + np.arange(dim)).ravel()
+    # An empty ``flat`` makes ``bincount`` return int64 zeros.
+    return np.bincount(flat, values.ravel(), n_rows * dim).astype(
+        np.float64, copy=False).reshape(n_rows, dim)
 
 
 class GradBuffer:
@@ -80,6 +81,9 @@ class Adam:
                    for k, v in self.params.items()}
 
     def step(self, grads: Mapping[str, SparseGrad]) -> None:
+        """``grads`` maps a parameter to ``(rows, grad)``: ``rows`` sorted
+        and distinct, as ``GradBuffer.grads`` returns them, or None for a
+        gradient of the whole parameter."""
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - self.beta1 ** t
@@ -92,6 +96,8 @@ class Adam:
                     f"non-finite gradient for parameter {name!r} at step {t}")
             param = self.params[name]
             m, v = self._m[name], self._v[name]
+            if rows is not None and rows.size == param.shape[0]:
+                rows = None  # sorted, distinct rows that cover the table
             if rows is None:
                 g = grad + self.weight_decay * param
                 m[...] = self.beta1 * m + (1.0 - self.beta1) * g

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import DomainId, RawInteractions
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,11 @@ class SynthConfig:
     share_item_factors: bool = False
 
     def __post_init__(self):
-        if min(self.n_users, self.n_items_per_domain, self.latent_dim,
-               self.interactions_per_user) <= 0:
+        counts = (self.n_users, self.n_items_per_domain, self.latent_dim,
+                  self.interactions_per_user)
+        if not all(isinstance(n, int) for n in (*counts, self.seed)):
+            raise TypeError("counts and seed must be integers")
+        if min(counts) <= 0:
             raise ValueError("all counts must be positive")
         if not 0.0 <= self.overlap_fraction <= 1.0:
             raise ValueError("overlap_fraction must be in [0, 1]")
@@ -48,6 +52,15 @@ class SynthConfig:
         src_k = self.source_interactions_per_user or self.interactions_per_user
         if max(self.interactions_per_user, src_k) > self.n_items_per_domain:
             raise ValueError("interactions_per_user exceeds item catalogue")
+
+    @classmethod
+    def from_dict(cls, data, **overrides) -> "SynthConfig":
+        """``cls(**data, **overrides)``, where an unknown, missing or
+        mistyped field or a bad value is a ``ConfigError``."""
+        try:
+            return cls(**{**data, **overrides})
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"synthetic config: {err}") from err
 
     def with_seed(self, seed: int) -> "SynthConfig":
         return replace(self, seed=seed)

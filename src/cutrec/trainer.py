@@ -191,13 +191,13 @@ def run_target_phase(ds: CrossDomainDataset, target_split: SplitDataset,
 
 
 def _graphs(config: TrainingConfig, target_split: SplitDataset,
-            source_split: SplitDataset) -> tuple:
-    """The (target, source) training graphs LightGCN propagates over;
-    MF has none."""
+            source_split: SplitDataset, dtype) -> tuple:
+    """The (target, source) training graphs LightGCN propagates over, in
+    the tables' ``dtype``; MF has none."""
     if config.backbone != BACKBONE_LIGHTGCN:
         return None, None
-    return (build_graph(target_split.train, config.k_layers),
-            build_graph(source_split.train, config.k_layers))
+    return (build_graph(target_split.train, config.k_layers, dtype),
+            build_graph(source_split.train, config.k_layers, dtype))
 
 
 class CutModel:
@@ -261,7 +261,7 @@ class CutModel:
                 dim, seeds[5], init=config.transform_init, dtype=dtype)
         return cls(config, tables, transform, ds.target.n_users,
                    ds.n_target_only,
-                   *_graphs(config, target_split, source_split))
+                   *_graphs(config, target_split, source_split, dtype))
 
     @property
     def target_users(self) -> np.ndarray:
@@ -314,7 +314,8 @@ class CutModel:
                 f"checkpoint user table has {rows} rows, which cannot hold "
                 f"{n_target} target users and {n_source} source users")
         return cls(config, tables, ckpt.transform, n_target, source_offset,
-                   *_graphs(config, target_split, source_split))
+                   *_graphs(config, target_split, source_split,
+                            tables[ROLE_USER].values.dtype))
 
 
 def transfer_forward_backward(model: CutModel, src_users: np.ndarray,

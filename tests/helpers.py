@@ -125,6 +125,21 @@ def dense_contrastive_gradient(values: np.ndarray, sim_mask: np.ndarray,
     return (d_feats - radial) / norms
 
 
+def adam_row_step(param: np.ndarray, m: np.ndarray, v: np.ndarray,
+                  rows: np.ndarray, grad: np.ndarray, t: int, *, lr: float,
+                  weight_decay: float, beta1: float = 0.9,
+                  beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """Adam step ``t`` on ``rows`` only, gathered and scattered by index:
+    the lazy per-row arithmetic, in place on ``param``, ``m`` and ``v``."""
+    theta = param[rows]
+    g = grad + weight_decay * theta
+    m[rows] = beta1 * m[rows] + (1.0 - beta1) * g
+    v[rows] = beta2 * v[rows] + (1.0 - beta2) * g * g
+    step = lr * (m[rows] / (1.0 - beta1 ** t)) \
+        / (np.sqrt(v[rows] / (1.0 - beta2 ** t)) + eps)
+    param[rows] = theta - step.astype(param.dtype)
+
+
 def dense_propagation_oracle(adjacency_dense: np.ndarray, base: np.ndarray,
                              k_layers: int) -> np.ndarray:
     """Mean over matrix powers 0..K, computed with dense matrix products."""

@@ -190,6 +190,24 @@ def test_scorer_matches_mf_score():
     np.testing.assert_allclose(scores, expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_graph_dtype_follows_the_tables(tmp_path, dtype):
+    config = TrainingConfig(backbone="lightgcn", embedding_dim=4, k_layers=2)
+    train = interaction_set([[0, 2], [1], [3, 4, 5], [6]], 7)
+    model = SingleDomainModel.create(4, 7, 4, 0, backbone="lightgcn",
+                                     train=train, k_layers=2, dtype=dtype)
+    assert model.graph.adjacency.dtype == dtype
+    split = SplitDataset(train, train, train, 0)
+    ckpt = model.to_checkpoint(config)
+    assert SingleDomainModel.from_checkpoint(
+        ckpt, split).graph.adjacency.dtype == dtype
+    # A saved checkpoint holds float32 tables, so its graph is float32.
+    save_checkpoint(tmp_path / "phase1.ckpt", ckpt)
+    loaded = SingleDomainModel.from_checkpoint(
+        load_checkpoint(tmp_path / "phase1.ckpt"), split)
+    assert loaded.graph.adjacency.dtype == np.float32
+
+
 @pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
 def test_single_checkpoint_round_trip(tmp_path, backbone):
     config = TrainingConfig(backbone=backbone, embedding_dim=4, k_layers=2)

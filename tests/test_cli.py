@@ -144,6 +144,41 @@ def test_experiment_synthetic_section_needs_no_seed_and_no_unknown_key(
     assert list(report["per_seed"]) == ["3"]
 
 
+@pytest.mark.parametrize("bad, word", [
+    ({**SYNTH_CFG, "bogus": 1}, "bogus"),
+    ({k: v for k, v in SYNTH_CFG.items() if k != "n_users"}, "n_users"),
+    ({**SYNTH_CFG, "n_users": "50"}, "integers"),
+    ({**SYNTH_CFG, "n_users": 50.5}, "integers"),
+    ({**SYNTH_CFG, "distortion": "high"}, "synthetic config"),
+    ([1, 2], "synthetic config"),
+])
+def test_synth_config_errors_are_validation_errors(tmp_path, capsys, bad,
+                                                   word):
+    cfg = write_json(tmp_path / "bad.json", bad)
+    out = tmp_path / "raw"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and word in err
+    assert not out.exists()
+
+
+def test_synth_refuses_existing_outputs_before_generating(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    synth_cfg = write_json(tmp_path / "synth.json", SYNTH_CFG)
+    out = tmp_path / "raw"
+    out.mkdir()
+    (out / "target.tsv").write_text("keep me")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate ran although the output exists")
+
+    monkeypatch.setattr("cutrec.synthgen.generate", refuse)
+    assert main(["synth", "--config", str(synth_cfg), "--out", str(out)]) == 1
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert (out / "target.tsv").read_text() == "keep me"
+
+
 def test_overwrite_requires_force(tmp_path):
     synth_cfg = write_json(tmp_path / "synth.json", SYNTH_CFG)
     out = tmp_path / "raw"

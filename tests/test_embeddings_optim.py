@@ -7,7 +7,7 @@ from cutrec.embeddings import assert_finite, init_embeddings
 from cutrec.errors import TrainingDivergedError
 from cutrec.optim import Adam, GradBuffer
 
-from helpers import full_table_grads
+from helpers import adam_row_step, full_table_grads
 
 
 # --- initialisation ----------------------------------------------------------
@@ -69,6 +69,28 @@ def test_adam_dense_and_sparse_paths_agree():
     opt_a.step({"p": (None, grad)})
     opt_b.step({"p": (np.arange(4), grad)})
     np.testing.assert_allclose(dense_param, sparse_param, atol=1e-15)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_full_coverage_matches_row_path_bytes(dtype, weight_decay):
+    # Rows that cover the table take the dense path; the table and both
+    # moments must come out as the per-row arithmetic leaves them.
+    rng = np.random.default_rng(5)
+    param = rng.normal(size=(7, 4)).astype(dtype)
+    expected = param.copy()
+    m, v = np.zeros(param.shape), np.zeros(param.shape)
+    opt = Adam({"p": param}, lr=0.01, weight_decay=weight_decay)
+    for t in range(1, 9):
+        rows = (np.arange(7) if t % 2 else
+                np.sort(rng.choice(7, size=3, replace=False)))
+        grad = rng.normal(size=(rows.size, 4))
+        opt.step({"p": (rows, grad)})
+        adam_row_step(expected, m, v, rows, grad, t, lr=0.01,
+                      weight_decay=weight_decay)
+        assert param.tobytes() == expected.tobytes()
+        assert opt._m["p"].tobytes() == m.tobytes()
+        assert opt._v["p"].tobytes() == v.tobytes()
 
 
 def test_adam_untouched_rows_unchanged():

@@ -66,6 +66,33 @@ def test_sparse_matches_dense_oracle(seed, k_layers):
                                atol=1e-6)
 
 
+def test_float32_propagation_tracks_float64():
+    rng = np.random.default_rng(3)
+    n_users, n_items = 200, 150
+    rows = [np.unique(rng.integers(0, n_items, size=rng.integers(0, 12)))
+            for _ in range(n_users)]
+    train = interaction_set([list(r) for r in rows], n_items)
+    wide = build_graph(train, k_layers=3)
+    narrow = build_graph(train, k_layers=3, dtype=np.float32)
+    assert wide.adjacency.dtype == np.float64
+    assert narrow.adjacency.dtype == np.float32
+    users = rng.normal(size=(n_users, 16))
+    items = rng.normal(size=(n_items, 16))
+    expected = propagate(wide, users, items)
+    got = propagate(narrow, users.astype(np.float32),
+                    items.astype(np.float32))
+    # Outputs are O(1); float32 rounding over three layers of short sums
+    # stays within a few float32 ulps there (about 2e-7 seen).
+    for g, e in zip(got, expected):
+        assert g.dtype == np.float32 and e.dtype == np.float64
+        np.testing.assert_allclose(g, e, rtol=0, atol=1e-6)
+    # Mixed dtypes compute in the wider one and return the input dtype.
+    for graph, dtype in ((narrow, np.float64), (wide, np.float32)):
+        mixed = propagate(graph, users.astype(dtype), items.astype(dtype))
+        assert [a.dtype for a in mixed] == [dtype, dtype]
+        np.testing.assert_allclose(mixed[0], expected[0], rtol=0, atol=1e-6)
+
+
 def test_shape_validation():
     train = interaction_set([[0]], 1)
     graph = build_graph(train, k_layers=1)

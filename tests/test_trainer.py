@@ -408,6 +408,25 @@ def test_frozen_table_checkpoint_reproduces_oracle_answers(tmp_path):
     assert (phase1.oracle.graph != oracle_b.graph).nnz == 0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cut_graph_dtypes_follow_the_tables(tmp_path, dtype):
+    ds, target_split, source_split = toy_dataset(seed=24)
+    config = small_config(backbone="lightgcn", k_layers=2)
+    model = CutModel.build(ds, target_split, source_split, config,
+                           dtype=dtype)
+    ckpt = model.to_checkpoint()
+    path = tmp_path / "cut.ckpt"
+    save_checkpoint(path, ckpt)
+    for built, wanted in (
+            (model, dtype),
+            (CutModel.from_checkpoint(ckpt, target_split, source_split),
+             dtype),
+            (CutModel.from_checkpoint(load_checkpoint(path), target_split,
+                                      source_split), np.float32)):
+        assert built.graph_target.adjacency.dtype == wanted
+        assert built.graph_source.adjacency.dtype == wanted
+
+
 def test_cut_checkpoint_must_fit_the_splits():
     ds, target_split, source_split = toy_dataset(seed=23)
     config = small_config()
