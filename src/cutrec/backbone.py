@@ -144,10 +144,11 @@ def domain_forward_backward(user_vals: np.ndarray, item_vals: np.ndarray,
     neg_vecs = item_final[neg_items]
     loss, d_pos, d_neg = loss_fn(row_dots(u_vecs, pos_vecs),
                                  row_dots(u_vecs, neg_vecs))
-    d_user = weight * (d_pos[:, None] * pos_vecs + d_neg[:, None] * neg_vecs)
+    d_scores = (weight * np.concatenate([d_pos, d_neg])).astype(u_vecs.dtype)
+    d_pos, d_neg = np.split(d_scores, 2)
+    d_user = d_pos[:, None] * pos_vecs + d_neg[:, None] * neg_vecs
     item_rows = np.concatenate([pos_items, neg_items])
-    d_item = (weight * np.concatenate([d_pos, d_neg]))[:, None] \
-        * np.concatenate([u_vecs, u_vecs])
+    d_item = d_scores[:, None] * np.concatenate([u_vecs, u_vecs])
     if graph is None:
         return loss, (users, d_user), (item_rows, d_item)
     d_user_final = scatter_rows(users, d_user, graph.n_users)

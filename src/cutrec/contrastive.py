@@ -38,23 +38,27 @@ def contrastive_loss(transformed: np.ndarray, pairs: PairSets, tau: float,
     if n < 2 or n_similar == 0:
         return 0.0, d_transformed
 
-    values = transformed.astype(np.float64, copy=False)
     if normalize:
-        norms = np.linalg.norm(values, axis=1, keepdims=True)
+        norms = np.linalg.norm(transformed, axis=1, keepdims=True)
         safe = np.maximum(norms, 1e-12)
-        feats = values / safe
+        feats = transformed / safe
     else:
-        feats = values
+        feats = transformed
 
     logits = feats @ feats.T
     logits /= tau
     np.fill_diagonal(logits, -np.inf)
     sim_i, sim_j = pairs.sim_i, pairs.sim_j
-    z_max = logits.max()
-    loss_sim = logits[sim_i, sim_j].sum()
-    # Shifted in place; exp(-inf) leaves the diagonal out of the softmax.
-    exp = np.exp(np.subtract(logits, z_max, out=logits), out=logits)
-    denom = exp.sum()
+    z_max = float(logits.max())
+    loss_sim = float(logits[sim_i, sim_j].sum(dtype=np.float64))
+    # Shifted in place and floored at -60: softmax entries of at least
+    # 2 exp(-60) / |A| stay normal float32 (subnormals slow the product
+    # below many times over) up to a million users, and add under 1e-14
+    # to a denominator of at least 1. The diagonal is zeroed after exp.
+    np.maximum(np.subtract(logits, z_max, out=logits), -60.0, out=logits)
+    exp = np.exp(logits, out=logits)
+    np.fill_diagonal(exp, 0.0)
+    denom = float(exp.sum())
     loss = -(np.log(pairs.n_all) * n_similar + loss_sim
              - (np.log(denom) + z_max) * n_similar) / n_similar
 

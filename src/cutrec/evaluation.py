@@ -27,11 +27,14 @@ def top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n_items = scores.shape[1]
     k = min(k, n_items)
     kth = np.partition(scores, n_items - k, axis=1)[:, n_items - k, None]
-    # Strictly better entries plus the lowest-index ties at the k-th value.
-    better, ties = scores > kth, scores == kth
-    need = k - better.sum(axis=1, keepdims=True)
-    items = np.nonzero(better | (ties & (np.cumsum(ties, axis=1) <= need))
-                       )[1].reshape(-1, k)
+    # Strictly better entries plus the lowest-index ties at the k-th value,
+    # cut only in the rows that have more ties than places left.
+    keep = scores >= kth
+    crowded = np.flatnonzero(keep.sum(axis=1) > k)
+    ties = scores[crowded] == kth[crowded]
+    need = k - (keep[crowded] & ~ties).sum(axis=1, keepdims=True)
+    keep[crowded] &= ~ties | (np.cumsum(ties, axis=1) <= need)
+    items = np.nonzero(keep)[1].reshape(-1, k)
     order = np.argsort(-np.take_along_axis(scores, items, axis=1), axis=1,
                        kind="stable")
     items = np.take_along_axis(items, order, axis=1)

@@ -2,6 +2,7 @@
 
 Weight decay is applied as a coupled L2 term added to the gradient before
 the moment update, and only on rows that received gradient in the step.
+Moments follow the parameter dtype; gradients merge by a sparse product.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 from typing import Mapping
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import TrainingDivergedError
 
@@ -17,12 +19,12 @@ SparseGrad = tuple[np.ndarray | None, np.ndarray]
 
 def scatter_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
     """``np.add.at`` of ``values`` rows into ``n_rows`` float64 zero rows,
-    adding in the same order, by one ``bincount`` over the flat entries."""
-    dim = values.shape[1]
-    flat = (index[:, None] * dim + np.arange(dim)).ravel()
-    # An empty ``flat`` makes ``bincount`` return int64 zeros.
-    return np.bincount(flat, values.ravel(), n_rows * dim).astype(
-        np.float64, copy=False).reshape(n_rows, dim)
+    adding in the same order, as one sparse product: the transposed
+    one-hot matrix keeps each output row's entries in input order."""
+    n = index.size
+    onehot = sp.csr_matrix((np.ones(n), index, np.arange(n + 1)),
+                           shape=(n, n_rows))
+    return onehot.T.tocsr() @ values
 
 
 class GradBuffer:
@@ -30,7 +32,8 @@ class GradBuffer:
 
     Embedding tables use row-indexed accumulation; full-parameter
     gradients (the transform layer) use ``add_dense``. Accumulation is in
-    float64 regardless of parameter dtype. ``add_rows`` keeps its arrays,
+    float64, row parts merged by one sparse product; ``Adam`` casts to the
+    parameter dtype, which its moments share. ``add_rows`` keeps its arrays,
     uncopied, until ``grads`` merges them over their distinct rows and
     empties the buffer, so that they are freed before the optimizer step.
     """
@@ -75,10 +78,8 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m = {k: np.zeros(v.shape, dtype=np.float64)
-                   for k, v in self.params.items()}
-        self._v = {k: np.zeros(v.shape, dtype=np.float64)
-                   for k, v in self.params.items()}
+        self._m = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self._v = {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def step(self, grads: Mapping[str, SparseGrad]) -> None:
         """``grads`` maps a parameter to ``(rows, grad)``: ``rows`` sorted
@@ -91,10 +92,13 @@ class Adam:
         for name, (rows, grad) in grads.items():
             if name not in self.params:
                 raise KeyError(f"unknown parameter {name!r}")
+            param = self.params[name]
+            # Checked after the cast, which can overflow a finite gradient.
+            with np.errstate(over="ignore"):
+                grad = grad.astype(param.dtype, copy=False)
             if not np.all(np.isfinite(grad)):
                 raise TrainingDivergedError(
                     f"non-finite gradient for parameter {name!r} at step {t}")
-            param = self.params[name]
             m, v = self._m[name], self._v[name]
             if rows is not None and rows.size == param.shape[0]:
                 rows = None  # sorted, distinct rows that cover the table
@@ -102,8 +106,7 @@ class Adam:
                 g = grad + self.weight_decay * param
                 m[...] = self.beta1 * m + (1.0 - self.beta1) * g
                 v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-                param -= (self.lr * (m / bias1)
-                          / (np.sqrt(v / bias2) + self.eps)).astype(param.dtype)
+                param -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
             else:
                 if rows.size == 0:
                     continue
@@ -114,5 +117,4 @@ class Adam:
                 m[rows] = m_rows
                 v[rows] = v_rows
                 param[rows] = theta - (self.lr * (m_rows / bias1)
-                                       / (np.sqrt(v_rows / bias2) + self.eps)
-                                       ).astype(param.dtype)
+                                       / (np.sqrt(v_rows / bias2) + self.eps))

@@ -169,6 +169,53 @@ def test_large_magnitude_vectors_stable():
     assert np.all(np.isfinite(grads))
 
 
+def random_batch(rng, n, scale):
+    vectors = rng.normal(scale=scale, size=(n, 16))
+    mask = rng.random((n, n)) < 0.05
+    mask |= mask.T
+    np.fill_diagonal(mask, False)
+    return vectors, mask
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_float32_batch_tracks_float64(normalize):
+    # Float32 input runs the logits, the exp and both products in float32;
+    # about 1e-7 relative was seen on the loss and on the gradient.
+    vectors, mask = random_batch(np.random.default_rng(21), 300, 0.3)
+    pairs = mask_pairs(mask)
+    loss64, grads64 = contrastive_loss(vectors, pairs, tau=0.2,
+                                       normalize=normalize)
+    loss32, grads32 = contrastive_loss(vectors.astype(np.float32), pairs,
+                                       tau=0.2, normalize=normalize)
+    assert grads32.dtype == np.float64
+    assert loss32 == pytest.approx(loss64, rel=1e-5)
+    np.testing.assert_allclose(grads32, grads64, rtol=0,
+                               atol=1e-5 * np.abs(grads64).max())
+
+
+def test_large_norm_batch_float32_finite_and_close():
+    # Shifted logits span thousands, far below the -60 floor of the exp:
+    # float32 stays finite and close to float64, and the floor leaves the
+    # float64 gradient at the unfloored dense formula.
+    vectors, mask = random_batch(np.random.default_rng(22), 200, 4.0)
+    pairs = mask_pairs(mask)
+    logits = vectors @ vectors.T / 0.1
+    off_diag = ~np.eye(200, dtype=bool)
+    assert np.ptp(logits[off_diag]) > 200
+    loss64, grads64 = contrastive_loss(vectors, pairs, tau=0.1)
+    loss32, grads32 = contrastive_loss(vectors.astype(np.float32), pairs,
+                                       tau=0.1)
+    assert np.isfinite(loss32) and np.all(np.isfinite(grads32))
+    assert grads32.dtype == np.float64
+    assert loss32 == pytest.approx(loss64, rel=1e-5)
+    np.testing.assert_allclose(grads32, grads64, rtol=0,
+                               atol=1e-5 * np.abs(grads64).max())
+    with np.errstate(over="ignore"):  # the oracle's exp on the diagonal
+        expected = dense_contrastive_gradient(vectors, mask, 0.1, False)
+    np.testing.assert_allclose(grads64, expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
+
+
 def test_tau_validation():
     with pytest.raises(ValueError):
         contrastive_loss(np.zeros((2, 2)), pair_sets(2, [(0, 1)]), tau=0.0)

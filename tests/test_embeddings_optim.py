@@ -75,22 +75,51 @@ def test_adam_dense_and_sparse_paths_agree():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_adam_full_coverage_matches_row_path_bytes(dtype, weight_decay):
     # Rows that cover the table take the dense path; the table and both
-    # moments must come out as the per-row arithmetic leaves them.
+    # moments, in the table dtype, must come out as the per-row arithmetic
+    # leaves them.
     rng = np.random.default_rng(5)
     param = rng.normal(size=(7, 4)).astype(dtype)
     expected = param.copy()
-    m, v = np.zeros(param.shape), np.zeros(param.shape)
+    m, v = np.zeros_like(param), np.zeros_like(param)
     opt = Adam({"p": param}, lr=0.01, weight_decay=weight_decay)
     for t in range(1, 9):
         rows = (np.arange(7) if t % 2 else
                 np.sort(rng.choice(7, size=3, replace=False)))
-        grad = rng.normal(size=(rows.size, 4))
+        grad = rng.normal(size=(rows.size, 4)).astype(dtype)
         opt.step({"p": (rows, grad)})
         adam_row_step(expected, m, v, rows, grad, t, lr=0.01,
                       weight_decay=weight_decay)
         assert param.tobytes() == expected.tobytes()
         assert opt._m["p"].tobytes() == m.tobytes()
         assert opt._v["p"].tobytes() == v.tobytes()
+
+
+def test_float32_adam_tracks_float64():
+    # Moments follow the table dtype; over mixed row and full-table steps
+    # a float32 table stays within float32 rounding of a float64 one.
+    rng = np.random.default_rng(11)
+    p64 = rng.normal(scale=0.4, size=(50, 8))
+    p32 = p64.astype(np.float32)
+    opt64 = Adam({"p": p64}, lr=0.01, weight_decay=1e-4)
+    opt32 = Adam({"p": p32}, lr=0.01, weight_decay=1e-4)
+    for t in range(200):
+        rows = (np.arange(50) if t % 3 == 0 else
+                np.unique(rng.integers(0, 50, size=20)))
+        grad = rng.normal(size=(rows.size, 8))
+        opt64.step({"p": (rows, grad)})
+        opt32.step({"p": (rows, grad)})
+    assert opt32._m["p"].dtype == opt32._v["p"].dtype == np.float32
+    assert np.abs(p32 - p64).max() < 1e-5
+
+
+def test_adam_gradient_overflowing_the_table_dtype_diverges():
+    # 1e39 is finite in float64 but inf in float32: the check must see
+    # the gradient as the float32 table would take it.
+    param = np.zeros((2, 2), dtype=np.float32)
+    opt = Adam({"user-table": param})
+    with pytest.raises(TrainingDivergedError, match="user-table"):
+        opt.step({"user-table": (np.array([1]), np.array([[1e39, 0.0]]))})
+    np.testing.assert_array_equal(param, 0.0)
 
 
 def test_adam_untouched_rows_unchanged():
