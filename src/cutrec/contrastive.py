@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .optim import scatter_rows
 from .similarity import PairSets
 
 
@@ -33,10 +34,9 @@ def contrastive_loss(transformed: np.ndarray, pairs: PairSets, tau: float,
     n = pairs.n_users
     if transformed.shape[0] != n:
         raise ValueError("transformed rows do not match pair-set users")
-    d_transformed = np.zeros_like(transformed, dtype=np.float64)
     n_similar = pairs.n_similar
     if n < 2 or n_similar == 0:
-        return 0.0, d_transformed
+        return 0.0, np.zeros_like(transformed, dtype=np.float64)
 
     if normalize:
         norms = np.linalg.norm(transformed, axis=1, keepdims=True)
@@ -45,8 +45,10 @@ def contrastive_loss(transformed: np.ndarray, pairs: PairSets, tau: float,
     else:
         feats = transformed
 
-    logits = feats @ feats.T
-    logits /= tau
+    # 1/tau goes into a fresh transposed operand: numpy sends a product of
+    # a buffer with its own transpose down BLAS syrk and mirrors the
+    # triangle, which is about twice as slow here as this plain gemm.
+    logits = feats @ (feats.T / tau)
     np.fill_diagonal(logits, -np.inf)
     sim_i, sim_j = pairs.sim_i, pairs.sim_j
     z_max = float(logits.max())
@@ -58,28 +60,32 @@ def contrastive_loss(transformed: np.ndarray, pairs: PairSets, tau: float,
     np.maximum(np.subtract(logits, z_max, out=logits), -60.0, out=logits)
     exp = np.exp(logits, out=logits)
     np.fill_diagonal(exp, 0.0)
-    denom = float(exp.sum())
+    # The ones column makes the gradient product's last column the row
+    # sums of exp, so the denominator takes no pass of its own.
+    prod = exp @ np.hstack([feats, np.ones((n, 1), dtype=feats.dtype)])
+    # Freed here, so that the float64 n x dim temporaries below do not
+    # add to the call's peak memory on top of the n x n matrix.
+    del logits, exp
+    denom = float(prod[:, -1].sum(dtype=np.float64))
     loss = -(np.log(pairs.n_all) * n_similar + loss_sim
              - (np.log(denom) + z_max) * n_similar) / n_similar
 
     # d loss / d logits = softmax - [similar] / |S|. A logit is a dot
     # product of two users' features, so the feature gradient takes
-    # d logits plus its transpose; the softmax part is symmetric.
-    d_logits = np.multiply(exp, 2.0 / denom, out=exp)
-    d_logits[sim_i, sim_j] -= 1.0 / n_similar
-    d_logits[sim_j, sim_i] -= 1.0 / n_similar
-    d_feats = (d_logits @ feats) / tau
+    # d logits plus its transpose. The softmax part is symmetric: twice
+    # the product above, scaled as an n x dim array. The similar part is
+    # a float64 sparse product over both ends of each similar pair.
+    ends_i = np.concatenate([sim_i, sim_j])
+    ends_j = np.concatenate([sim_j, sim_i])
+    pull = scatter_rows(ends_i, feats[ends_j], n)
+    d_feats = (prod[:, :-1] * (2.0 / denom) - pull / n_similar) / tau
 
     if normalize:
         # Through f = v / max(||v||, eps): remove the radial component.
         radial = np.einsum("ij,ij->i", d_feats, feats)[:, None] * feats
-        d_values = (d_feats - radial) / safe
-        zero = (norms[:, 0] == 0.0)
-        d_values[zero] = 0.0
-        d_transformed[...] = d_values
-    else:
-        d_transformed[...] = d_feats
-    return float(loss), d_transformed
+        d_feats = (d_feats - radial) / safe
+        d_feats[norms[:, 0] == 0.0] = 0.0
+    return float(loss), d_feats
 
 
 def total_loss(l_target: float, l_source: float, l_contrastive: float,

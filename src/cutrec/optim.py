@@ -94,11 +94,16 @@ class Adam:
                 raise KeyError(f"unknown parameter {name!r}")
             param = self.params[name]
             # Checked after the cast, which can overflow a finite gradient.
+            # Below the limit g * g, and so v / bias2 (a bias-corrected
+            # average of g * g), stays finite; NaN fails the comparison.
             with np.errstate(over="ignore"):
                 grad = grad.astype(param.dtype, copy=False)
-            if not np.all(np.isfinite(grad)):
+            limit = np.sqrt(np.finfo(param.dtype).max) / 16
+            if not (-limit <= grad.min(initial=0.0)
+                    and grad.max(initial=0.0) <= limit):
                 raise TrainingDivergedError(
-                    f"non-finite gradient for parameter {name!r} at step {t}")
+                    f"non-finite or overflowing gradient for parameter "
+                    f"{name!r} at step {t}")
             m, v = self._m[name], self._v[name]
             if rows is not None and rows.size == param.shape[0]:
                 rows = None  # sorted, distinct rows that cover the table

@@ -354,9 +354,10 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
     buf.add_rows(ROLE_ITEM_TARGET, item_rows, d_item)
     d_transformed = scatter_rows(local, d_local, transformed.shape[0])
 
-    # -- contrastive regulariser on the transformed batch users --
+    # -- contrastive regulariser on the transformed batch users, which
+    #    adds nothing to loss or gradient without similar pairs --
     l_contrastive = 0.0
-    if pairs is not None:
+    if pairs is not None and pairs.n_similar > 0:
         local = np.searchsorted(rows, pairs.users)
         l_contrastive, d_pairs = contrastive_loss(
             transformed[local], pairs, config.temperature,

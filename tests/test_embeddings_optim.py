@@ -122,6 +122,30 @@ def test_adam_gradient_overflowing_the_table_dtype_diverges():
     np.testing.assert_array_equal(param, 0.0)
 
 
+@pytest.mark.parametrize("rows", [np.array([1]), None], ids=["rows", "dense"])
+def test_adam_gradient_overflowing_the_second_moment_diverges(rows):
+    # 1e20 is finite in float32, but its square, and so v / bias2, is not:
+    # float32 moments would freeze the entry at a zero step.
+    param = np.zeros((2, 2), dtype=np.float32)
+    opt = Adam({"user-table": param})
+    grad = np.array([[1e20, 0.0]] if rows is not None else [[0.0, 0.0],
+                                                             [-1e20, 0.0]])
+    with pytest.raises(TrainingDivergedError, match="'user-table' at step 1"):
+        opt.step({"user-table": (rows, grad)})
+    np.testing.assert_array_equal(param, 0.0)
+    np.testing.assert_array_equal(opt._v["user-table"], 0.0)
+
+
+def test_adam_large_finite_gradient_steps_float32_table():
+    # 1e17 is below the limit: every moment stays finite and the entry
+    # takes Adam's first step of size lr.
+    param = np.zeros((2, 2), dtype=np.float32)
+    opt = Adam({"p": param}, lr=0.01)
+    opt.step({"p": (np.array([1]), np.array([[1e17, 0.0]]))})
+    assert param[1, 0] == pytest.approx(-0.01)
+    assert np.all(np.isfinite(opt._v["p"]))
+
+
 def test_adam_untouched_rows_unchanged():
     param = np.ones((5, 2), dtype=np.float32)
     opt = Adam({"p": param}, lr=0.1, weight_decay=0.5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cutrec import similarity
+from cutrec import similarity, trainer
 from cutrec.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cutrec.config import TrainingConfig
 from cutrec.corpus import (DomainId, RawInteractions, build_cross_domain,
@@ -270,6 +270,29 @@ def test_empty_similarity_graph_warns_before_phase_two(caplog):
             assert "zero for every batch" in warnings[0]
         else:
             assert warnings == []
+
+
+def test_empty_similarity_graph_trains_as_no_contrastive(monkeypatch):
+    # Without similar pairs the contrastive term is skipped, and tables and
+    # transform come out byte-equal to a run with the term switched off.
+    ds, target_split, source_split = toy_dataset(seed=22)
+    config = small_config(gamma=0.9, max_epochs=2, embedding_dim=16)
+    phase1 = run_target_phase(ds, target_split, config)
+    oracle = SimilarityOracle.from_embeddings(phase1.frozen, config.gamma)
+    assert oracle.n_pairs == 0
+
+    def no_pairs_expected(*args, **kwargs):
+        raise AssertionError("contrastive term ran without similar pairs")
+    monkeypatch.setattr(trainer, "contrastive_loss", no_pairs_expected)
+    empty = run_transfer_phase(ds, target_split, source_split, config,
+                               oracle).model.params()
+    off = run_transfer_phase(ds, target_split, source_split,
+                             config.replace(no_contrastive=True),
+                             None).model.params()
+    assert set(empty) == set(off)
+    assert "transform-weight" in off
+    for name in off:
+        assert empty[name].tobytes() == off[name].tobytes(), name
 
 
 def test_overlap_embedding_shared_across_domains_without_transform():
