@@ -83,7 +83,15 @@ def _read_exact(handle, count: int, path, what: str) -> bytes:
     return data
 
 
+def _finite(values: np.ndarray, path, what: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"{path}: {what} holds non-finite values")
+    return values
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a table or transform with a NaN or an infinity
+    is refused."""
     path = Path(path)
     with open(path, "rb") as handle:
         magic = handle.read(len(MAGIC))
@@ -103,13 +111,16 @@ def load_checkpoint(path) -> Checkpoint:
             raw = _read_exact(handle, rows * dim * 4, path,
                               f"table {spec['role']!r}")
             values = np.frombuffer(raw, dtype=_F4).reshape(rows, dim).copy()
-            tables.append(EmbeddingTable(spec["role"], values))
+            tables.append(EmbeddingTable(spec["role"], _finite(
+                values, path, f"table {spec['role']!r}")))
         transform = None
         if header.get("transform") is not None:
             dim = int(header["transform"]["dim"])
             w_raw = _read_exact(handle, dim * dim * 4, path, "transform weight")
             b_raw = _read_exact(handle, dim * 4, path, "transform bias")
             transform = TransformLayer(
-                np.frombuffer(w_raw, dtype=_F4).reshape(dim, dim).copy(),
-                np.frombuffer(b_raw, dtype=_F4).copy())
+                _finite(np.frombuffer(w_raw, dtype=_F4).reshape(dim, dim),
+                        path, "transform weight").copy(),
+                _finite(np.frombuffer(b_raw, dtype=_F4), path,
+                        "transform bias").copy())
     return Checkpoint(tables, header["hyper"], int(header["step"]), transform)

@@ -75,7 +75,7 @@ def cmd_synth(args) -> int:
     source, target, _ = synthgen.generate(cfg)
     out.mkdir(parents=True, exist_ok=True)
     for path, raw in zip(paths, (source, target)):
-        corpus.write_interactions(path, raw.records)
+        corpus.write_interactions(path, raw)
     write_manifest(out, {str(args.config): sha256_file(args.config)}, paths)
     print(f"wrote synthetic domains to {out} "
           f"({len(source)} source, {len(target)} target interactions)")

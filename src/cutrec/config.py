@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -15,6 +16,10 @@ PRESETS = {
     "douban-like": {"loss_kind": "bpr", "contrastive_weight": 5e-5,
                     "weight_decay": 1e-7},
 }
+
+# What a field of each annotated type accepts; a bool is not a number.
+_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+          "bool": (bool, "true or false"), "str": (str, "a string")}
 
 
 @dataclass
@@ -44,6 +49,16 @@ class TrainingConfig:
     transform_init: str = "identity"
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            kind, wanted = _KINDS[field.type]
+            if (not isinstance(value, kind)
+                    or isinstance(value, bool) != (field.type == "bool")):
+                raise ConfigError(f"{field.name} must be {wanted}, "
+                                  f"got {value!r}")
+            if field.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, "
+                                  f"got {value!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.contrastive_weight < 0.0:
@@ -52,6 +67,12 @@ class TrainingConfig:
             raise ConfigError("temperature must be > 0")
         if not -1.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in (-1, 1], got {self.gamma}")
+        # lr = 0 trains nothing, which tests use to freeze a model.
+        if self.lr < 0.0:
+            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if self.weight_decay < 0.0:
+            raise ConfigError(f"weight_decay must be >= 0, "
+                              f"got {self.weight_decay}")
         if self.loss_kind not in ("bce", "bpr"):
             raise ConfigError(f"loss_kind must be 'bce' or 'bpr', "
                               f"got {self.loss_kind!r}")
@@ -62,9 +83,9 @@ class TrainingConfig:
             raise ConfigError(f"transform_init must be 'identity' or "
                               f"'random', got {self.transform_init!r}")
         for field in ("batch_size", "k_layers", "embedding_dim",
-                      "max_epochs", "patience"):
+                      "max_epochs", "patience", "seed"):
             value = getattr(self, field)
-            minimum = 0 if field == "k_layers" else 1
+            minimum = 0 if field in ("k_layers", "seed") else 1
             if value < minimum:
                 raise ConfigError(f"{field} must be >= {minimum}, got {value}")
 

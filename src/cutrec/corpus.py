@@ -13,23 +13,21 @@ import json
 import logging
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .errors import DatasetCollapsedError, ParseError
 
 logger = logging.getLogger(__name__)
 
-# (user_token, item_token, timestamp-or-None)
-Record = tuple[str, str, int | None]
-
-# ``InteractionSet.times`` entry of an interaction without a timestamp;
-# ingested timestamps lie above it and within int64.
+# ``RawInteractions.times`` and ``InteractionSet.times`` entry of an
+# interaction without a timestamp; ingested timestamps lie above it and
+# within int64.
 NO_TIME = int(np.iinfo(np.int64).min)
 _MAX_TIME = int(np.iinfo(np.int64).max)
 
@@ -41,100 +39,206 @@ class DomainId(Enum):
 
 @dataclass(frozen=True)
 class RawInteractions:
-    """Deduplicated (user, item, timestamp) records for one domain."""
+    """Distinct (user, item) interactions of one domain, as columns.
 
-    records: tuple[Record, ...]
+    Row ``r`` is user ``user_tokens[users[r]]`` with item
+    ``item_tokens[items[r]]`` at ``times[r]``, which is ``NO_TIME`` when
+    the interaction has no timestamp. Both token tables are sorted and
+    hold exactly the tokens that the rows use; the columns are read-only.
+    Build one from codes into any name tables with ``from_codes``.
+    """
+
+    user_tokens: tuple[str, ...]
+    item_tokens: tuple[str, ...]
+    users: np.ndarray
+    items: np.ndarray
+    times: np.ndarray
     domain_id: DomainId
 
+    def __post_init__(self):
+        columns = (self.users, self.items, self.times)
+        for column in columns:
+            column.setflags(write=False)
+        if any(c.dtype != np.int64 or c.shape != (self.users.size,)
+               for c in columns):
+            raise ValueError("users, items and times must be int64 columns "
+                             "of one length")
+        for tokens, codes in ((self.user_tokens, self.users),
+                              (self.item_tokens, self.items)):
+            if list(tokens) != sorted(set(tokens)):
+                raise ValueError("a token table is not sorted and distinct")
+            counts = np.bincount(codes, minlength=len(tokens))
+            if counts.size != len(tokens) or not counts.all():
+                raise ValueError("codes must use every token of their table "
+                                 "and no other")
+
+    @classmethod
+    def from_codes(cls, domain_id: DomainId, user_names, users, item_names,
+                   items, times=None) -> "RawInteractions":
+        """Rows as codes into name tables that may be unsorted and hold
+        unused names; ``times`` defaults to none known. The tables keep the
+        used names, sorted, and the codes are renumbered to match; the
+        rows keep their order."""
+        user_tokens, users = _token_table(user_names, users)
+        item_tokens, items = _token_table(item_names, items)
+        times = (np.full(users.size, NO_TIME) if times is None
+                 else np.asarray(times, dtype=np.int64))
+        return cls(user_tokens, item_tokens, users, items, times, domain_id)
+
     def __len__(self) -> int:
-        return len(self.records)
+        return self.users.size
 
     @property
-    def user_tokens(self) -> set[str]:
-        return {r[0] for r in self.records}
+    def records(self) -> tuple[tuple[str, str, int | None], ...]:
+        """The rows as (user, item, timestamp-or-None) tuples, built anew
+        on each call."""
+        return tuple(zip(
+            map(self.user_tokens.__getitem__, self.users.tolist()),
+            map(self.item_tokens.__getitem__, self.items.tolist()),
+            [None if ts == NO_TIME else ts for ts in self.times.tolist()]))
 
-    @property
-    def item_tokens(self) -> set[str]:
-        return {r[1] for r in self.records}
+
+def _token_table(names, codes) -> tuple[tuple[str, ...], np.ndarray]:
+    """The names that ``codes`` use, sorted, and the codes renumbered
+    into them."""
+    codes = np.asarray(codes, dtype=np.int64)
+    used = np.flatnonzero(np.bincount(codes, minlength=len(names))).tolist()
+    used.sort(key=names.__getitem__)
+    renumber = np.zeros(len(names), dtype=np.int64)
+    renumber[used] = np.arange(len(used))
+    return tuple(names[i] for i in used), renumber[codes]
+
+
+def _encode(tokens: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct tokens, sorted, and each token's position among them."""
+    table = tuple(sorted(set(tokens)))
+    index = dict(zip(table, range(len(table))))
+    return table, np.fromiter(map(index.__getitem__, tokens), np.int64,
+                              count=len(tokens))
+
+
+def _timestamp(text: str) -> int:
+    """``int(text)`` when it parses and lies above ``NO_TIME`` within
+    int64, else ``NO_TIME``."""
+    try:
+        value = int(text)
+    except ValueError:
+        return NO_TIME
+    return value if NO_TIME < value <= _MAX_TIME else NO_TIME
+
+
+def _line_error(line: str) -> str:
+    """Why ``load_interactions`` refuses a data line."""
+    parts = line.split("\t")
+    if len(parts) not in (2, 3):
+        return f"expected 2 or 3 tab-separated fields, got {len(parts)}"
+    if not parts[0] or not parts[1]:
+        return "empty user or item token"
+    try:
+        return f"timestamp {int(parts[2])} outside int64 range"
+    except ValueError:
+        return f"invalid timestamp {parts[2]!r}"
 
 
 def load_interactions(path, domain_id: DomainId) -> RawInteractions:
     """Read a TAB-separated interaction file.
 
-    Each line is ``user<TAB>item[<TAB>timestamp]``; lines starting with
-    ``#`` and blank lines are ignored. Duplicate (user, item) pairs are
-    collapsed, keeping the earliest known timestamp.
+    Each line is ``user<TAB>item[<TAB>timestamp]``, where the timestamp is
+    anything ``int()`` reads within int64; lines starting with ``#`` and
+    blank lines are ignored. Duplicate (user, item) pairs are collapsed,
+    keeping the earliest known timestamp. Rows come sorted by user, then
+    item.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"interaction file not found: {path}")
-    best: dict[tuple[str, str], int | None] = {}
+    # Text mode ends a line at \r\n, \r or \n alike.
     with open(path, encoding="utf-8") as handle:
-        for line_no, raw_line in enumerate(handle, start=1):
-            line = raw_line.rstrip("\r\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3):
-                raise ParseError(
-                    path, line_no,
-                    f"expected 2 or 3 tab-separated fields, got {len(parts)}")
-            user, item = parts[0], parts[1]
-            if not user or not item:
-                raise ParseError(path, line_no, "empty user or item token")
-            ts: int | None = None
-            if len(parts) == 3:
-                try:
-                    ts = int(parts[2])
-                except ValueError:
-                    raise ParseError(
-                        path, line_no, f"invalid timestamp {parts[2]!r}") from None
-                if not NO_TIME < ts <= _MAX_TIME:
-                    raise ParseError(path, line_no,
-                                     f"timestamp {ts} outside int64 range")
-            key = (user, item)
-            if key in best:
-                prev = best[key]
-                if ts is not None and (prev is None or ts < prev):
-                    best[key] = ts
-            else:
-                best[key] = ts
-    if not best:
+        text = handle.read()
+    # Every field of every line, in one list. The separators' byte
+    # positions tell which fields make up each line: in UTF-8 a tab or a
+    # newline byte is never part of another character.
+    fields = text.replace("\n", "\t").split("\t")
+    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero((data == 9) | (data == 10))
+    size = np.diff(ends, prepend=-1, append=data.size) - 1
+    line_start = np.flatnonzero(np.append(True, data[ends] == 10))
+    line_fields = np.diff(line_start, append=len(fields))
+    lead = np.append(data, 0)[np.append(0, ends + 1)[line_start]]
+    lines = np.flatnonzero(((line_fields > 1) | (size[line_start] > 0))
+                           & (lead != ord("#")))
+    head, count = line_start[lines], line_fields[lines]
+    stamped = count == 3
+    stamps = list(map(fields.__getitem__, (head[stamped] + 2).tolist()))
+    times = np.full(lines.size, NO_TIME)
+    try:
+        times[stamped] = list(map(int, stamps))
+    except (ValueError, OverflowError):
+        times[stamped] = [_timestamp(stamp) for stamp in stamps]
+    bad = ((count < 2) | (count > 3) | (size[head] == 0)
+           | (np.append(size, 0)[head + 1] == 0)
+           | (stamped & (times == NO_TIME)))
+    if bad.any():
+        line = lines[bad.argmax()]
+        first = line_start[line]
+        raise ParseError(path, int(line) + 1, _line_error(
+            "\t".join(fields[first:first + line_fields[line]])))
+    if not lines.size:
         raise ParseError(path, None, "file contains no interaction records")
-    records = tuple(sorted((u, i, t) for (u, i), t in best.items()))
+
+    user_tokens, users = _encode(list(map(fields.__getitem__, head.tolist())))
+    item_tokens, items = _encode(
+        list(map(fields.__getitem__, (head + 1).tolist())))
+    # The kept tokens lie scattered among the per-field strings, and once
+    # those are freed they would keep most of the allocator's arenas in
+    # use. New copies (a token holds no tab) let the arenas go.
+    del fields, stamps
+    user_tokens, item_tokens = (tuple("\t".join(table).split("\t"))
+                                for table in (user_tokens, item_tokens))
+    order = np.argsort(users * len(item_tokens) + items)
+    users, items, times = users[order], items[order], times[order]
+    pair = np.flatnonzero(np.append(True, (np.diff(users) != 0)
+                                    | (np.diff(items) != 0)))
+    # Each pair's earliest known timestamp, NO_TIME when none is known.
+    known = times != NO_TIME
+    earliest = np.minimum.reduceat(np.where(known, times, _MAX_TIME), pair)
     logger.info("loaded %d interactions (%d users, %d items) from %s",
-                len(records), len({r[0] for r in records}),
-                len({r[1] for r in records}), path)
-    return RawInteractions(records, domain_id)
+                pair.size, len(user_tokens), len(item_tokens), path)
+    return RawInteractions(
+        user_tokens, item_tokens, users[pair], items[pair],
+        np.where(np.logical_or.reduceat(known, pair), earliest, NO_TIME),
+        domain_id)
 
 
-def write_interactions(path, records) -> None:
-    """Write (user, item, timestamp-or-None) records as the TSV that
-    ``load_interactions`` reads."""
-    write_atomic(path, "".join(f"{user}\t{item}\n" if ts is None
-                               else f"{user}\t{item}\t{ts}\n"
-                               for user, item, ts in records))
+def write_interactions(path, raw: RawInteractions) -> None:
+    """Write the rows, in order, as the TSV that ``load_interactions``
+    reads: a timestamp only where one is known."""
+    text = StringDType()
+    users = np.array(raw.user_tokens, dtype=text)[raw.users]
+    items = np.array(raw.item_tokens, dtype=text)[raw.items]
+    stamps = np.where(raw.times == NO_TIME, "",
+                      np.strings.add("\t", raw.times.astype(text)))
+    write_atomic(path, "".join((users + "\t" + items + stamps
+                                + "\n").tolist()))
 
 
 def filter_k_core(raw: RawInteractions, min_count: int = 5) -> RawInteractions:
     """Iteratively drop users and items with fewer than ``min_count``
-    interactions until no more removals occur."""
+    interactions until no more removals occur; rows keep their order."""
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    records = raw.records
+    users, items, times = raw.users, raw.items, raw.times
     while True:
-        user_counts = Counter(r[0] for r in records)
-        item_counts = Counter(r[1] for r in records)
-        kept = tuple(r for r in records
-                     if user_counts[r[0]] >= min_count
-                     and item_counts[r[1]] >= min_count)
-        if len(kept) == len(records):
+        keep = ((np.bincount(users)[users] >= min_count)
+                & (np.bincount(items)[items] >= min_count))
+        if keep.all():
             break
-        records = kept
-    if not records:
+        users, items, times = users[keep], items[keep], times[keep]
+    if not users.size:
         raise DatasetCollapsedError(
             f"dataset collapsed: no interactions survive {min_count}-core filtering")
-    return RawInteractions(records, raw.domain_id)
+    return RawInteractions.from_codes(raw.domain_id, raw.user_tokens, users,
+                                      raw.item_tokens, items, times)
 
 
 @dataclass(frozen=True)
@@ -182,7 +286,9 @@ class InteractionSet:
         items = np.asarray(items, dtype=np.int64)
         if users.size and (users.min() < 0 or users.max() >= n_users):
             raise ValueError(f"user index outside [0, {n_users})")
-        order = np.lexsort((items, users))
+        # Distinct pairs have one sorted order, so the sort need not be
+        # stable; a repeated pair fails the row check.
+        order = np.argsort(users * n_items + items)
         indptr = np.zeros(n_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(users, minlength=n_users), out=indptr[1:])
         if times is not None:
@@ -264,16 +370,23 @@ class CrossDomainDataset:
         return self.source.n_users - self.n_overlap
 
 
-def _domain_set(raw: RawInteractions, user_index: dict[str, int],
-                first_user: int, n_users: int,
-                item_tokens: tuple[str, ...]) -> InteractionSet:
-    item_index = {tok: idx for idx, tok in enumerate(item_tokens)}
-    records = raw.records
-    return InteractionSet.from_pairs(
-        n_users, len(item_tokens),
-        [user_index[r[0]] - first_user for r in records],
-        [item_index[r[1]] for r in records],
-        [NO_TIME if r[2] is None else r[2] for r in records])
+def _user_order(raw: RawInteractions, other: RawInteractions,
+                shared_first: bool) -> tuple[np.ndarray, int]:
+    """The domain's user codes in dataset order, and how many of its users
+    ``other`` shares: the users it does not share, then the shared ones
+    (the other way round with ``shared_first``), each group by token."""
+    other_users = set(other.user_tokens)
+    shared = np.fromiter(map(other_users.__contains__, raw.user_tokens),
+                         dtype=bool, count=len(raw.user_tokens))
+    return (np.argsort(shared != shared_first, kind="stable"),
+            int(shared.sum()))
+
+
+def _domain_set(raw: RawInteractions, order: np.ndarray) -> InteractionSet:
+    local = np.empty_like(order)
+    local[order] = np.arange(order.size)
+    return InteractionSet.from_pairs(order.size, len(raw.item_tokens),
+                                     local[raw.users], raw.items, raw.times)
 
 
 def build_cross_domain(source: RawInteractions,
@@ -281,25 +394,18 @@ def build_cross_domain(source: RawInteractions,
     """Assemble the joint index space from two filtered domains."""
     if source.domain_id == target.domain_id:
         raise ValueError("source and target must have distinct domain ids")
-    source_users = source.user_tokens
-    target_users = target.user_tokens
-    overlap = sorted(source_users & target_users)
-    target_only = sorted(target_users - source_users)
-    source_only = sorted(source_users - target_users)
-    if not overlap:
+    target_order, n_overlap = _user_order(target, source, shared_first=False)
+    source_order, _ = _user_order(source, target, shared_first=True)
+    if not n_overlap:
         logger.warning("no overlapping users between domains; "
                        "transfer will rely on the contrastive term only")
-
-    user_tokens = tuple(target_only + overlap + source_only)
-    user_index = {tok: idx for idx, tok in enumerate(user_tokens)}
-    source_items = tuple(sorted(source.item_tokens))
-    target_items = tuple(sorted(target.item_tokens))
+    user_tokens = tuple(
+        [target.user_tokens[code] for code in target_order.tolist()]
+        + [source.user_tokens[code]
+           for code in source_order[n_overlap:].tolist()])
     return CrossDomainDataset(
-        _domain_set(source, user_index, len(target_only),
-                    len(overlap) + len(source_only), source_items),
-        _domain_set(target, user_index, 0, len(target_only) + len(overlap),
-                    target_items),
-        user_tokens, source_items, target_items)
+        _domain_set(source, source_order), _domain_set(target, target_order),
+        user_tokens, source.item_tokens, target.item_tokens)
 
 
 @dataclass(frozen=True)
@@ -312,16 +418,18 @@ class SplitDataset:
     split_seed: int
 
 
-def _split_counts(n: int, ratios: tuple[float, ...]) -> list[int]:
-    """Floor proportions with remainder to train; each positive eval part
-    gets at least one interaction when the user can afford it."""
+def _split_counts(sizes: np.ndarray, ratios: tuple[float, ...]) -> np.ndarray:
+    """Per row size, the part sizes: floor proportions with the remainder
+    to train; each positive eval part gets at least one interaction when
+    the user can afford it."""
     total = float(sum(ratios))
-    counts = [math.floor(n * r / total) for r in ratios]
-    eval_parts = [i for i in range(1, len(ratios)) if ratios[i] > 0]
-    if n >= 1 + len(eval_parts):
-        for i in eval_parts:
-            counts[i] = max(counts[i], 1)
-    counts[0] = n - sum(counts[1:])
+    counts = np.floor(sizes[:, None] * np.array(ratios) / total).astype(
+        np.int64)
+    positive = np.array(ratios[1:]) > 0
+    afford = (sizes >= 1 + positive.sum())[:, None] & positive
+    counts[:, 1:] = np.where(afford, np.maximum(counts[:, 1:], 1),
+                             counts[:, 1:])
+    counts[:, 0] = sizes - counts[:, 1:].sum(axis=1)
     return counts
 
 
@@ -332,16 +440,20 @@ def _split_interactions(inter: InteractionSet, ratios: tuple[float, ...],
     cut it into train/valid/test by ``_split_counts``; a part past
     ``ratios`` stays empty."""
     rng = np.random.default_rng(seed)
+    sizes = np.diff(inter.indptr)
+    starts = inter.indptr[inter.users]
+    # sequence[k] is the entry at place k - starts[k] of its user's order.
+    sequence = (np.arange(inter.n_interactions) if inter.times is None
+                else np.lexsort((inter.times, inter.users)))
+    drawn = ~inter.timed[inter.users]
+    permutations = [rng.permutation(size)
+                    for size in sizes[~inter.timed].tolist()]
+    if permutations:
+        sequence[drawn] = np.concatenate(permutations) + starts[drawn]
+    ends = np.cumsum(_split_counts(sizes, ratios), axis=1)[:, :-1]
+    place = np.arange(inter.n_interactions) - starts
     part = np.empty(inter.n_interactions, dtype=np.int64)
-    labels = np.arange(len(ratios))
-    bounds = inter.indptr.tolist()
-    for user, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-        if inter.timed[user]:
-            order = np.argsort(inter.times[start:stop], kind="stable")
-        else:
-            order = rng.permutation(stop - start)
-        part[start + order] = np.repeat(labels,
-                                        _split_counts(stop - start, ratios))
+    part[sequence] = (place[:, None] >= ends[inter.users]).sum(axis=1)
     return [InteractionSet.from_pairs(inter.n_users, inter.n_items,
                                       inter.users[part == p],
                                       inter.indices[part == p])
@@ -423,15 +535,14 @@ def write_atomic(path, data: bytes | str) -> Path:
     return path
 
 
-def _write_tsv(path: Path, inter: InteractionSet, user_tokens,
-               item_tokens) -> None:
+def _write_tsv(path: Path, inter: InteractionSet, user_tokens, item_tokens,
+               domain_id: DomainId) -> None:
     """A user's timestamps are written only when all of them exist."""
-    stamped = inter.timed[inter.users]
-    write_interactions(path, (
-        (user_tokens[user], item_tokens[item],
-         int(inter.times[pos]) if stamped[pos] else None)
-        for pos, (user, item) in enumerate(zip(inter.users.tolist(),
-                                               inter.indices.tolist()))))
+    times = (None if inter.times is None
+             else np.where(inter.timed[inter.users], inter.times, NO_TIME))
+    write_interactions(path, RawInteractions.from_codes(
+        domain_id, user_tokens, inter.users, item_tokens, inter.indices,
+        times))
 
 
 def save_dataset(out_dir, ds: CrossDomainDataset, target_split: SplitDataset,
@@ -446,9 +557,9 @@ def save_dataset(out_dir, ds: CrossDomainDataset, target_split: SplitDataset,
     a = ds.n_target_only
     n = ds.target.n_users
     _write_tsv(out / SOURCE_TSV, ds.source, ds.user_tokens[a:],
-               ds.source_item_tokens)
+               ds.source_item_tokens, DomainId.SOURCE)
     _write_tsv(out / TARGET_TSV, ds.target, ds.user_tokens[:n],
-               ds.target_item_tokens)
+               ds.target_item_tokens, DomainId.TARGET)
 
     groups = (ds.user_tokens[:a], ds.user_tokens[a:n], ds.user_tokens[n:])
     index = {

@@ -107,6 +107,17 @@ def _top_k_interactions(rng: np.random.Generator, factors: np.ndarray,
     return order[:, :k]
 
 
+def _domain(domain_id: DomainId, user_tokens: tuple[str, ...],
+            ids: np.ndarray, top: np.ndarray, prefix: str,
+            n_items: int) -> RawInteractions:
+    """User ``ids[r]`` with items ``top[r]``, in ascending item order;
+    item ``i`` is named ``prefix`` and ``i`` in five digits."""
+    return RawInteractions.from_codes(
+        domain_id, user_tokens, np.repeat(ids, top.shape[1]),
+        tuple(f"{prefix}{item:05d}" for item in range(n_items)),
+        np.sort(top, axis=1).ravel())
+
+
 def generate(cfg: SynthConfig) -> tuple[RawInteractions, RawInteractions, SynthMeta]:
     """Build (source, target) interaction logs plus generator ground truth."""
     rng = np.random.default_rng(cfg.seed)
@@ -164,15 +175,6 @@ def generate(cfg: SynthConfig) -> tuple[RawInteractions, RawInteractions, SynthM
                                      cfg.interactions_per_user,
                                      cfg.score_noise, cfg.zipf_exponent)
 
-    source_records = tuple(
-        (user_tokens[user], f"s{int(item):05d}", None)
-        for user, row in zip(source_ids, source_top)
-        for item in sorted(row))
-    target_records = tuple(
-        (user_tokens[user], f"t{int(item):05d}", None)
-        for user, row in zip(target_ids, target_top)
-        for item in sorted(row))
-
     meta = SynthMeta(
         user_tokens=user_tokens,
         overlap_tokens=tuple(user_tokens[i] for i in overlap_ids),
@@ -181,6 +183,8 @@ def generate(cfg: SynthConfig) -> tuple[RawInteractions, RawInteractions, SynthM
         source_factors=z_source,
         target_factors=z_target,
     )
-    return (RawInteractions(source_records, DomainId.SOURCE),
-            RawInteractions(target_records, DomainId.TARGET),
+    return (_domain(DomainId.SOURCE, user_tokens, source_ids, source_top, "s",
+                    cfg.n_items_per_domain),
+            _domain(DomainId.TARGET, user_tokens, target_ids, target_top, "t",
+                    cfg.n_items_per_domain),
             meta)

@@ -2,7 +2,7 @@
 
 The oracles here are deliberately written as the naive/brute-force route
 so they stay independent of the implementation under test;
-``interaction_set`` only builds test inputs.
+``interaction_set`` and ``raw_interactions`` only build test inputs.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 
-from cutrec.corpus import InteractionSet
+from cutrec.corpus import (NO_TIME, CrossDomainDataset, DomainId,
+                           InteractionSet, RawInteractions)
+from cutrec.errors import ParseError
 
 
 def fd_gradient(loss_fn, array: np.ndarray, flat_indices, h: float = 1e-6):
@@ -279,3 +281,119 @@ def naive_rows(n_users: int, pairs) -> list[list[int]]:
     """Each user's distinct items, sorted, from (user, item) pairs."""
     return [sorted({item for u, item in pairs if u == user})
             for user in range(n_users)]
+
+
+def raw_interactions(records, domain=DomainId.TARGET) -> RawInteractions:
+    """The interactions of (user, item, timestamp-or-None) ``records``,
+    whose (user, item) pairs are distinct, as rows in the same order."""
+    users = {tok: idx for idx, tok in
+             enumerate(dict.fromkeys(r[0] for r in records))}
+    items = {tok: idx for idx, tok in
+             enumerate(dict.fromkeys(r[1] for r in records))}
+    return RawInteractions.from_codes(
+        domain, list(users), [users[r[0]] for r in records],
+        list(items), [items[r[1]] for r in records],
+        [NO_TIME if r[2] is None else r[2] for r in records])
+
+
+def load_records(path) -> tuple:
+    """``load_interactions`` one line at a time: the sorted (user, item,
+    timestamp-or-None) records of a TSV file, each pair once with its
+    earliest known timestamp, or the ``ParseError`` of its first bad
+    line."""
+    best = {}
+    with open(path, encoding="utf-8") as handle:
+        for line_no, raw_line in enumerate(handle, start=1):
+            line = raw_line.rstrip("\r\n")
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) not in (2, 3):
+                raise ParseError(
+                    path, line_no,
+                    f"expected 2 or 3 tab-separated fields, got {len(parts)}")
+            user, item = parts[0], parts[1]
+            if not user or not item:
+                raise ParseError(path, line_no, "empty user or item token")
+            ts = None
+            if len(parts) == 3:
+                try:
+                    ts = int(parts[2])
+                except ValueError:
+                    raise ParseError(
+                        path, line_no,
+                        f"invalid timestamp {parts[2]!r}") from None
+                if not NO_TIME < ts <= 2**63 - 1:
+                    raise ParseError(path, line_no,
+                                     f"timestamp {ts} outside int64 range")
+            key = (user, item)
+            if key in best:
+                prev = best[key]
+                if ts is not None and (prev is None or ts < prev):
+                    best[key] = ts
+            else:
+                best[key] = ts
+    if not best:
+        raise ParseError(path, None, "file contains no interaction records")
+    return tuple(sorted((u, i, t) for (u, i), t in best.items()))
+
+
+def cross_domain_from_records(source, target) -> CrossDomainDataset:
+    """``build_cross_domain`` over record lists, by token dictionaries:
+    target-only, overlap and source-only users, each group sorted."""
+    source_users = {r[0] for r in source}
+    target_users = {r[0] for r in target}
+    overlap = sorted(source_users & target_users)
+    target_only = sorted(target_users - source_users)
+    source_only = sorted(source_users - target_users)
+    user_tokens = tuple(target_only + overlap + source_only)
+    user_index = {tok: idx for idx, tok in enumerate(user_tokens)}
+
+    def domain_set(records, first_user, n_users):
+        item_tokens = tuple(sorted({r[1] for r in records}))
+        item_index = {tok: idx for idx, tok in enumerate(item_tokens)}
+        return item_tokens, InteractionSet.from_pairs(
+            n_users, len(item_tokens),
+            [user_index[r[0]] - first_user for r in records],
+            [item_index[r[1]] for r in records],
+            [NO_TIME if r[2] is None else r[2] for r in records])
+
+    source_items, source_set = domain_set(
+        source, len(target_only), len(overlap) + len(source_only))
+    target_items, target_set = domain_set(
+        target, 0, len(target_only) + len(overlap))
+    return CrossDomainDataset(source_set, target_set, user_tokens,
+                              source_items, target_items)
+
+
+def split_counts(n: int, ratios) -> list[int]:
+    """Floor proportions with remainder to train; each positive eval part
+    gets at least one interaction when the user can afford it."""
+    total = float(sum(ratios))
+    counts = [math.floor(n * r / total) for r in ratios]
+    eval_parts = [i for i in range(1, len(ratios)) if ratios[i] > 0]
+    if n >= 1 + len(eval_parts):
+        for i in eval_parts:
+            counts[i] = max(counts[i], 1)
+    counts[0] = n - sum(counts[1:])
+    return counts
+
+
+def split_per_user(inter: InteractionSet, ratios, seed: int) -> list:
+    """The split of ``corpus._split_interactions`` one user at a time:
+    ``[train, valid, test]``."""
+    rng = np.random.default_rng(seed)
+    part = np.empty(inter.n_interactions, dtype=np.int64)
+    labels = np.arange(len(ratios))
+    bounds = inter.indptr.tolist()
+    for user, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        if inter.timed[user]:
+            order = np.argsort(inter.times[start:stop], kind="stable")
+        else:
+            order = rng.permutation(stop - start)
+        part[start + order] = np.repeat(labels,
+                                        split_counts(stop - start, ratios))
+    return [InteractionSet.from_pairs(inter.n_users, inter.n_items,
+                                      inter.users[part == p],
+                                      inter.indices[part == p])
+            for p in range(3)]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cutrec.checkpoint import load_checkpoint, save_checkpoint
 from cutrec.cli import main
 from cutrec.corpus import load_dataset
 
@@ -313,3 +314,54 @@ def test_evaluate_k_zero_is_validation_error(pipeline_dirs, capsys):
                  "--k", "0", "--out", str(out)]) == 1
     assert "k must be >= 1" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("bad, word", [
+    ({"batch_size": "64"}, "batch_size must be an integer"),
+    ({"embedding_dim": True}, "embedding_dim must be an integer"),
+    ({"max_epochs": 1.5}, "max_epochs must be an integer"),
+    ({"batch_size": 64.5}, "batch_size must be an integer"),
+    ({"lr": "0.01"}, "lr must be a number"),
+    ({"lr": float("nan")}, "lr must be finite"),
+    ({"lr": -0.01}, "lr must be >= 0"),
+    ({"weight_decay": -1e-6}, "weight_decay must be >= 0"),
+    ({"no_contrastive": "yes"}, "no_contrastive must be true or false"),
+    ({"seed": -1}, "seed must be >= 0"),
+], ids=["batch-str", "dim-bool", "epochs-float", "batch-float", "lr-str",
+        "lr-nan", "lr-negative", "decay-negative", "flag-str",
+        "seed-negative"])
+def test_bad_training_config_is_validation_error(pipeline_dirs, capsys, bad,
+                                                 word):
+    tmp_path, _, data_dir = pipeline_dirs
+    cfg = write_json(tmp_path / "bad-train.json", {**TRAIN_CFG, **bad})
+    out = tmp_path / "phase1"
+    capsys.readouterr()
+    assert main(["train-target", "--data", str(data_dir), "--config",
+                 str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and word in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["table", "transform"])
+def test_non_finite_checkpoint_is_runtime_failure(pipeline_dirs, capsys,
+                                                  where):
+    tmp_path, train_cfg, data_dir = pipeline_dirs
+    if where == "table":
+        path = train_checkpoint(tmp_path, train_cfg, data_dir, "single")
+        name = "table 'user-target-phase1'"
+    else:
+        path = train_checkpoint(tmp_path, train_cfg, data_dir, "cut")
+        name = "transform bias"
+    ckpt = load_checkpoint(path)
+    values = (ckpt.tables[0].values if where == "table"
+              else ckpt.transform.bias)
+    values.flat[3] = float("nan")
+    save_checkpoint(tmp_path / "nan.ckpt", ckpt)
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--checkpoint", str(tmp_path / "nan.ckpt"),
+                 "--data", str(data_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure:") and name in err
+    assert not out.exists()

@@ -1,25 +1,29 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutrec import corpus
 from cutrec.checkpoint import Checkpoint, save_checkpoint
-from cutrec.corpus import (DomainId, InteractionSet, RawInteractions,
-                           build_cross_domain, filter_k_core, load_dataset,
-                           load_interactions, save_dataset, split_source,
-                           split_target, subsample_target)
+from cutrec.corpus import (DomainId, InteractionSet, build_cross_domain,
+                           filter_k_core, load_dataset, load_interactions,
+                           save_dataset, split_source, split_target,
+                           subsample_target)
 from cutrec.embeddings import EmbeddingTable
 from cutrec.errors import DatasetCollapsedError, ParseError
 from cutrec.experiment import write_manifest
 
-from helpers import brute_force_k_core, naive_rows
+from helpers import (brute_force_k_core, cross_domain_from_records,
+                     load_records, naive_rows, raw_interactions,
+                     split_per_user)
 
 
 def raw(records, domain=DomainId.TARGET):
-    return RawInteractions(tuple(records), domain)
+    return raw_interactions(records, domain)
 
 
 # --- load_interactions ------------------------------------------------------
@@ -64,6 +68,112 @@ def test_load_skips_comments_and_errors_on_empty(tmp_path):
 def test_load_missing_file():
     with pytest.raises(FileNotFoundError):
         load_interactions("/nonexistent/file.tsv", DomainId.TARGET)
+
+
+# Tokens that differ only in trailing NULs, which NumPy's fixed-width
+# unicode dtype would drop, and characters that are not line ends.
+TOKENS = st.one_of(
+    st.sampled_from(["u", "u\x00", "u\x00\x00", "\x00", "ü", "#u",
+                     "u\u2028", "u\x0b"]),
+    st.text(alphabet="ab\x00é #\u2028", min_size=1, max_size=3))
+STAMPS = st.one_of(
+    st.sampled_from([" 12", "1_000", "+7", "-5", "\u0663", "12 ", "0",
+                     "9223372036854775807", "-9223372036854775807",
+                     "9223372036854775808", "-9223372036854775808",
+                     "1__0", "1e3", "x", ""]),
+    st.integers(-2**64, 2**64).map(str))
+DATA_LINES = st.one_of(
+    st.tuples(TOKENS, TOKENS).map("\t".join),
+    st.tuples(TOKENS, TOKENS, st.sampled_from(["1", "2", "3"])).map(
+        "\t".join))
+LINES = st.one_of(
+    DATA_LINES, DATA_LINES, DATA_LINES,
+    st.tuples(TOKENS, TOKENS, STAMPS).map("\t".join),
+    st.sampled_from(["", "# comment\tx", "#", "u", "u\t", "\tx",
+                     "u\tx\t1\t2", " "]))
+
+
+@st.composite
+def tsv_texts(draw):
+    lines = draw(st.lists(st.tuples(LINES, st.sampled_from(
+        ["\n", "\r\n", "\r"])), min_size=1, max_size=25))
+    text = "".join(line + end for line, end in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+DUPLICATES = ("u\ti\t 12\r\nu\ti\t1_000\ru\x00\ti\n\n# note\r\n"
+              "u\x00\ti\t5\nu\ti\x00\nv\ti\nv\tj\t3\nu\tj\n")
+# User "a" is fully timestamped, with ties; "b" is not, as "b", "y" has
+# no timestamp ("b", "x0" keeps the one it has).
+TIMED = "".join(f"a\tx{k}\t{t}\nb\tx{k}\t{t}\n" for k, t in
+                enumerate([3, 1, 2, 1, 5, 9, 0, 4, 4, 7])) + "b\tx0\nb\ty\n"
+
+
+def _load_like_oracle(path, domain):
+    """The loaded records, or the oracle's ParseError after checking that
+    ``load_interactions`` raises the same one."""
+    try:
+        expected = load_records(path)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            load_interactions(path, domain)
+        assert (got.value.line_no, str(got.value)) == (err.line_no, str(err))
+        return None
+    raw = load_interactions(path, domain)
+    assert raw.records == expected
+    return raw
+
+
+def _assert_same_set(got: InteractionSet, expected: InteractionSet):
+    assert got.n_items == expected.n_items
+    for name in ("indptr", "indices", "times"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=tsv_texts(), target=tsv_texts(),
+       min_count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       ratios=st.sampled_from([((8, 1, 1), (8, 2)), ((0.8, 0.1, 0.1), (1, 0)),
+                               ((5, 0, 1), (0.5, 0.5))]))
+@example(source=DUPLICATES, target=DUPLICATES.replace("i", "t"),
+         min_count=1, seed=0, ratios=((8, 1, 1), (8, 2)))
+@example(source=TIMED, target=TIMED, min_count=2, seed=3,
+         ratios=((5, 0, 1), (0.5, 0.5)))
+def test_columnar_setup_matches_record_oracle(source, target, min_count,
+                                              seed, ratios):
+    kept = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for domain, text in ((DomainId.SOURCE, source),
+                             (DomainId.TARGET, target)):
+            path = Path(tmp) / f"{domain.value}.tsv"
+            path.write_bytes(text.encode("utf-8"))
+            raw = _load_like_oracle(path, domain)
+            if raw is None:
+                return
+            records = brute_force_k_core(raw.records, min_count)
+            if not records:
+                with pytest.raises(DatasetCollapsedError):
+                    filter_k_core(raw, min_count)
+                return
+            kept[domain] = filter_k_core(raw, min_count)
+            assert kept[domain].records == tuple(records)
+    ds = build_cross_domain(kept[DomainId.SOURCE], kept[DomainId.TARGET])
+    expected = cross_domain_from_records(kept[DomainId.SOURCE].records,
+                                         kept[DomainId.TARGET].records)
+    assert ds.user_tokens == expected.user_tokens
+    assert ds.source_item_tokens == expected.source_item_tokens
+    assert ds.target_item_tokens == expected.target_item_tokens
+    _assert_same_set(ds.source, expected.source)
+    _assert_same_set(ds.target, expected.target)
+    for split, inter, part_ratios in (
+            (split_target(ds, ratios[0], seed), expected.target, ratios[0]),
+            (split_source(ds, ratios[1], seed), expected.source, ratios[1])):
+        oracle = split_per_user(inter, part_ratios, seed)
+        for part, want in zip((split.train, split.valid, split.test), oracle):
+            _assert_same_set(part, want)
 
 
 # --- filter_k_core ----------------------------------------------------------
@@ -438,7 +548,7 @@ def _write_manifest(path, value):
 @pytest.mark.parametrize("name, write", [
     ("model.ckpt", _write_checkpoint),
     ("target.tsv", lambda path, value: corpus.write_interactions(
-        path, [(f"u{value}", "i0", None), ("u9", "i1", 5)])),
+        path, raw([(f"u{value}", "i0", None), ("u9", "i1", 5)]))),
     ("manifest.json", _write_manifest),
 ], ids=["checkpoint", "tsv", "manifest"])
 def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, name,

@@ -4,8 +4,8 @@ import pytest
 from cutrec import similarity, trainer
 from cutrec.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cutrec.config import TrainingConfig
-from cutrec.corpus import (DomainId, RawInteractions, build_cross_domain,
-                           split_source, split_target)
+from cutrec.corpus import (DomainId, build_cross_domain, split_source,
+                           split_target)
 from cutrec.embeddings import (ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET, ROLE_USER,
                                EmbeddingTable, assert_finite)
 from cutrec.errors import CheckpointError, ConfigError, TrainingDivergedError
@@ -16,7 +16,7 @@ from cutrec.trainer import (CutModel, EarlyStopper, LossBreakdown,
                             run_target_phase, run_transfer_phase,
                             transfer_forward_backward, transfer_step)
 
-from helpers import assert_grad_matches, dense_grads
+from helpers import assert_grad_matches, dense_grads, raw_interactions
 
 
 def toy_dataset(seed=0, n_target=9, n_source=6, overlap=3, per_user=6,
@@ -33,10 +33,10 @@ def toy_dataset(seed=0, n_target=9, n_source=6, overlap=3, per_user=6,
             records += [(user, f"{prefix}{i}", None) for i in items]
         return tuple(records)
 
-    source = RawInteractions(domain_records(source_users, "s"),
-                             DomainId.SOURCE)
-    target = RawInteractions(domain_records(target_users, "t"),
-                             DomainId.TARGET)
+    source = raw_interactions(domain_records(source_users, "s"),
+                              DomainId.SOURCE)
+    target = raw_interactions(domain_records(target_users, "t"),
+                              DomainId.TARGET)
     ds = build_cross_domain(source, target)
     return ds, split_target(ds, seed=seed), split_source(ds, seed=seed)
 
