@@ -7,6 +7,7 @@ experiment. Exit codes: 0 success, 1 validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -38,7 +39,7 @@ def _load_json(path) -> dict:
 
 def _training_config(args) -> TrainingConfig:
     data = _load_json(args.config) if args.config else {}
-    preset = data.pop("preset", None)
+    preset = data.pop("preset", None) if isinstance(data, dict) else None
     cfg = TrainingConfig.from_dict(data, preset=preset)
     if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
@@ -162,7 +163,7 @@ def cmd_evaluate(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
-        cfg.seeds = (args.seed,)
+        cfg = dataclasses.replace(cfg, seeds=(args.seed,))
     out = Path(args.out)
     ensure_writable([out / "report.json", out / "report.txt"], args.force)
     report = run_experiment(cfg, parallel_seeds=args.parallel_seeds,

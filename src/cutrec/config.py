@@ -22,6 +22,17 @@ _KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
           "bool": (bool, "true or false"), "str": (str, "a string")}
 
 
+def check_kind(name: str, value, kind: str) -> None:
+    """Raise a ``ConfigError`` unless ``value`` is of ``kind`` (a key of
+    ``_KINDS``) and, for a number, finite."""
+    types, wanted = _KINDS[kind]
+    if (not isinstance(value, types)
+            or isinstance(value, bool) != (kind == "bool")):
+        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass
 class TrainingConfig:
     alpha: float = 0.2
@@ -50,15 +61,7 @@ class TrainingConfig:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            kind, wanted = _KINDS[field.type]
-            if (not isinstance(value, kind)
-                    or isinstance(value, bool) != (field.type == "bool")):
-                raise ConfigError(f"{field.name} must be {wanted}, "
-                                  f"got {value!r}")
-            if field.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{field.name} must be finite, "
-                                  f"got {value!r}")
+            check_kind(field.name, getattr(self, field.name), field.type)
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.contrastive_weight < 0.0:
@@ -105,9 +108,12 @@ class TrainingConfig:
 
     @classmethod
     def from_dict(cls, data: dict, preset: str | None = None) -> "TrainingConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"training config must be an object, "
+                              f"got {data!r}")
         merged: dict = {}
         if preset is not None:
-            if preset not in PRESETS:
+            if not isinstance(preset, str) or preset not in PRESETS:
                 raise ConfigError(f"unknown preset {preset!r}; "
                                   f"available: {sorted(PRESETS)}")
             merged.update(PRESETS[preset])

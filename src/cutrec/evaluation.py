@@ -24,21 +24,24 @@ BLOCK_ENTRIES = 1 << 18
 def top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the indices and values of the ``min(k, n_items)`` best
     scores, by score descending, then index ascending."""
-    n_items = scores.shape[1]
+    n_rows, n_items = scores.shape
     k = min(k, n_items)
-    kth = np.partition(scores, n_items - k, axis=1)[:, n_items - k, None]
-    # Strictly better entries plus the lowest-index ties at the k-th value,
-    # cut only in the rows that have more ties than places left.
-    keep = scores >= kth
-    crowded = np.flatnonzero(keep.sum(axis=1) > k)
-    ties = scores[crowded] == kth[crowded]
-    need = k - (keep[crowded] & ~ties).sum(axis=1, keepdims=True)
-    keep[crowded] &= ~ties | (np.cumsum(ties, axis=1) <= need)
-    items = np.nonzero(keep)[1].reshape(-1, k)
-    order = np.argsort(-np.take_along_axis(scores, items, axis=1), axis=1,
-                       kind="stable")
-    items = np.take_along_axis(items, order, axis=1)
-    return items, np.take_along_axis(scores, items, axis=1)
+    # k distinct entries reach the k-th largest of >= k chunk maxima, so it
+    # bounds the row's k-th best score from below. The last chunk takes the
+    # columns left over, and NaN, which no comparison admits, propagates.
+    width = n_items // min(n_items, 2 * k)
+    maxima = np.maximum.reduceat(scores, np.arange(n_items // width) * width,
+                                 axis=1)
+    if np.isnan(maxima).any():
+        raise ValueError("scores hold NaN; cannot rank them")
+    bound = np.partition(maxima, -k, axis=1)[:, -k, None]
+    # Row-major candidates, so the stable sort keeps ties index-ascending.
+    flat = np.flatnonzero(scores >= bound)
+    rows, values = flat // n_items, np.take(scores, flat)
+    order = np.lexsort((-values, rows))
+    counts = np.bincount(rows, minlength=n_rows)
+    pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return flat[pick] % n_items, values[pick]
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,8 @@ def evaluate_full(scorer, split: SplitDataset, *, k: int = 10,
     are written into it as -inf and never count as hits. ``part='test'``
     masks train+valid items; ``part='valid'`` masks train items only.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     parts = {"test": (split.test, (split.train, split.valid)),

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import corpus, synthgen
 from .checkpoint import save_checkpoint
-from .config import TrainingConfig
+from .config import TrainingConfig, check_kind
 from .corpus import ensure_writable, write_atomic
 from .errors import ConfigError
 from .evaluation import METRIC_NAMES, evaluate_full
@@ -37,6 +37,10 @@ VARIANTS: dict[str, dict | None] = {
 
 DEFAULT_VARIANTS = ("target-only", "joint", "cut")
 
+# The kind of each entry of ExperimentConfig's list fields.
+_LIST_KINDS = {"seeds": "int", "variants": "str", "target_ratios": "float",
+               "source_ratios": "float", "sparsity_fractions": "float"}
+
 
 @dataclass
 class ExperimentConfig:
@@ -53,6 +57,8 @@ class ExperimentConfig:
     save_checkpoints: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.data, dict):
+            raise ConfigError(f"data must be an object, got {self.data!r}")
         kinds = [k for k in ("synthetic", "archive", "source_tsv")
                  if k in self.data]
         if len(kinds) != 1:
@@ -68,20 +74,54 @@ class ExperimentConfig:
         if kinds[0] == "synthetic":
             # The run seed replaces the generator's seed, so it may be absent.
             synthgen.SynthConfig.from_dict(self.data["synthetic"], seed=0)
+        else:
+            for key, path in self.data.items():
+                check_kind(f"data.{key}", path, "str")
+        if not isinstance(self.training, TrainingConfig):
+            raise ConfigError(f"training must be a TrainingConfig, "
+                              f"got {self.training!r}")
+        for name in ("eval_k", "min_interactions"):
+            value = getattr(self, name)
+            check_kind(name, value, "int")
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        for name in ("mask_seen", "save_checkpoints"):
+            check_kind(name, getattr(self, name), "bool")
+        for name, kind in _LIST_KINDS.items():
+            values = getattr(self, name)
+            if not isinstance(values, tuple):
+                raise ConfigError(f"{name} must be a list, got {values!r}")
+            for value in values:
+                check_kind(f"{name} entry", value, kind)
         for name in self.variants:
             if name not in VARIANTS:
                 raise ConfigError(f"unknown variant {name!r}; "
                                   f"available: {sorted(VARIANTS)}")
-        if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
-        if self.eval_k < 1:
-            raise ConfigError("eval_k must be >= 1")
+        for name in ("seeds", "variants"):
+            values = getattr(self, name)
+            if not values or len(set(values)) < len(values):
+                raise ConfigError(f"{name} must be a non-empty list without "
+                                  f"repeats, got {list(values)}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
+        if len(self.target_ratios) != 3 or min(self.target_ratios) <= 0:
+            raise ConfigError(f"target_ratios must be three numbers > 0 "
+                              f"(train, valid, test), "
+                              f"got {list(self.target_ratios)}")
+        if (len(self.source_ratios) != 2 or self.source_ratios[0] <= 0
+                or self.source_ratios[1] < 0):
+            raise ConfigError(f"source_ratios must be two numbers, train > 0 "
+                              f"and valid >= 0, "
+                              f"got {list(self.source_ratios)}")
         for fraction in self.sparsity_fractions:
             if not 0.0 < fraction <= 1.0:
                 raise ConfigError("sparsity fractions must be in (0, 1]")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"experiment config must be an object, "
+                              f"got {data!r}")
         payload = dict(data)
         preset = payload.pop("preset", None)
         training = TrainingConfig.from_dict(payload.pop("training", {}),
@@ -90,9 +130,8 @@ class ExperimentConfig:
         for key in payload:
             if key not in known:
                 raise ConfigError(f"unknown experiment config key {key!r}")
-        for tuple_key in ("seeds", "variants", "target_ratios",
-                          "source_ratios", "sparsity_fractions"):
-            if tuple_key in payload and payload[tuple_key] is not None:
+        for tuple_key in _LIST_KINDS:
+            if isinstance(payload.get(tuple_key), list):
                 payload[tuple_key] = tuple(payload[tuple_key])
         if "data" not in payload:
             raise ConfigError("experiment config needs a 'data' section")

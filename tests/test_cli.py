@@ -145,6 +145,62 @@ def test_experiment_synthetic_section_needs_no_seed_and_no_unknown_key(
     assert list(report["per_seed"]) == ["3"]
 
 
+EXPERIMENT_BASE = {"data": {"synthetic": SYNTH_CFG}, "training": TRAIN_CFG,
+                   "seeds": [3], "variants": ["target-only"],
+                   "min_interactions": 3}
+
+
+@pytest.mark.parametrize("bad, word", [
+    ({"eval_k": "10"}, "eval_k must be an integer"),
+    ({"eval_k": 2.5}, "eval_k must be an integer"),
+    ({"eval_k": 0}, "eval_k must be >= 1"),
+    ({"seeds": [-1]}, "seeds must be >= 0"),
+    ({"seeds": [1, 1]}, "seeds must be a non-empty list without repeats"),
+    ({"seeds": []}, "seeds must be a non-empty list"),
+    ({"seeds": 3}, "seeds must be a list"),
+    ({"seeds": [1.5]}, "seeds entry must be an integer"),
+    ({"variants": ["cut", "cut"]}, "variants must be a non-empty list"),
+    ({"mask_seen": "no"}, "mask_seen must be true or false"),
+    ({"save_checkpoints": 1}, "save_checkpoints must be true or false"),
+    ({"min_interactions": 0}, "min_interactions must be >= 1"),
+    ({"target_ratios": [8, 1]}, "target_ratios must be three numbers"),
+    ({"target_ratios": [8, 1, 0]}, "target_ratios must be three numbers"),
+    ({"target_ratios": [8, "1", 1]}, "target_ratios entry must be a number"),
+    ({"source_ratios": [8, -2]}, "source_ratios must be two numbers"),
+    ({"sparsity_fractions": ["0.5"]}, "sparsity_fractions entry must be"),
+    ({"sparsity_fractions": [float("inf")]}, "must be finite"),
+    ({"training": [1]}, "training config must be an object"),
+    ({"preset": ["amazon-like"]}, "unknown preset"),
+    ({"data": {"archive": 5}}, "data.archive must be a string"),
+    ({"data": ["x"]}, "data must be an object"),
+], ids=["k-str", "k-float", "k-zero", "seed-negative", "seeds-repeated",
+        "seeds-empty", "seeds-int", "seed-float", "variants-repeated",
+        "mask-str", "save-int", "min-zero", "target-two", "target-zero",
+        "target-str", "source-negative", "sparsity-str", "sparsity-inf",
+        "training-list", "preset-list", "archive-int", "data-list"])
+def test_bad_experiment_config_is_validation_error(tmp_path, capsys, bad,
+                                                   word):
+    cfg = write_json(tmp_path / "bad.json", {**EXPERIMENT_BASE, **bad})
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and word in err
+    assert not out.exists()
+
+
+def test_experiment_seed_flag_and_config_shape_are_checked(tmp_path,
+                                                           capsys):
+    out = tmp_path / "out"
+    cfg = write_json(tmp_path / "exp.json", EXPERIMENT_BASE)
+    assert main(["experiment", "--config", str(cfg), "--seed", "-1",
+                 "--out", str(out)]) == 1
+    assert "seeds must be >= 0" in capsys.readouterr().err
+    cfg = write_json(tmp_path / "list.json", [EXPERIMENT_BASE])
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "experiment config must be an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad, word", [
     ({**SYNTH_CFG, "bogus": 1}, "bogus"),
     ({k: v for k, v in SYNTH_CFG.items() if k != "n_users"}, "n_users"),
@@ -340,6 +396,18 @@ def test_bad_training_config_is_validation_error(pipeline_dirs, capsys, bad,
                  str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and word in err
+    assert not out.exists()
+
+
+def test_training_config_must_be_an_object(pipeline_dirs, capsys):
+    tmp_path, _, data_dir = pipeline_dirs
+    cfg = write_json(tmp_path / "list-train.json", [TRAIN_CFG])
+    out = tmp_path / "phase1"
+    capsys.readouterr()
+    assert main(["train-target", "--data", str(data_dir), "--config",
+                 str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be an object" in err
     assert not out.exists()
 
 

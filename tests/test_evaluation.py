@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from cutrec import evaluation
 from cutrec.corpus import SplitDataset
@@ -48,22 +47,47 @@ def test_rank_k_exceeding_catalogue_returns_all_unmasked():
     assert unmasked(items[0], values[0]) == [3, 2, 0]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_rank_matches_full_sort_oracle(data):
-    # Scores from a small set make ties the rule, not the exception.
-    shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40)))
-    scores = data.draw(hnp.arrays(np.float32, shape, elements=st.sampled_from(
-        [-np.inf, -1.0, 0.0, 0.25, 0.5, 1.0])))
-    k = data.draw(st.integers(1, shape[1] + 5))
+    # Catalogues up to 300 items and k up to 30, so that the chunk bound
+    # sees many chunk widths and leftover columns. Scores from a small set
+    # make ties the rule, not the exception; some rows are all -inf or keep
+    # fewer finite scores than k.
+    shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 300)))
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    k = data.draw(st.integers(1, 30))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        scores = rng.choice([-np.inf, -1.0, 0.0, 0.25, 0.5, 1.0], size=shape)
+    else:
+        scores = rng.normal(scale=10.0, size=shape)
+        scores[rng.random(shape) < data.draw(st.sampled_from([0, 0.1, 0.9]))] \
+            = -np.inf
+    scores = scores.astype(dtype)
+    for row in data.draw(st.lists(st.integers(0, shape[0] - 1), max_size=3)):
+        finite = data.draw(st.integers(0, k - 1))
+        scores[row, rng.permutation(shape[1])[finite:]] = -np.inf
+    before = scores.copy()
     items, values = top_k(scores, k)
+    assert np.array_equal(scores, before)
     assert items.shape == (shape[0], min(k, shape[1]))
     assert values.dtype == scores.dtype
+    assert np.array_equal(values, np.take_along_axis(scores, items, axis=1))
     for row, row_items, row_values in zip(scores, items, values):
         assert row_items.tolist() == full_sort_topk(row, None, k)
         masked = np.flatnonzero(row == -np.inf)
         assert unmasked(row_items, row_values) == \
             full_sort_topk(row, masked, k)
+
+
+@pytest.mark.parametrize("column", [4, 22], ids=["in-chunk", "leftover"])
+def test_rank_rejects_nan(column):
+    # 23 items at k = 5 make chunks of two and leave column 22 over.
+    scores = np.random.default_rng(3).normal(size=(3, 23))
+    scores[1, column] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        top_k(scores, 5)
 
 
 # --- metric formulas, through evaluate_full on one user -----------------------
@@ -237,6 +261,10 @@ def test_evaluate_rejects_bad_k_and_part():
         evaluate_full(scorer, tiny_split(), k=0)
     with pytest.raises(ValueError, match="part must be"):
         evaluate_full(scorer, tiny_split(), part="train")
+    for k in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            evaluate_full(scorer, tiny_split(), k=k)
+    assert evaluate_full(scorer, tiny_split(), k=np.int64(3)).k == 3
 
 
 def test_report_rendering():
