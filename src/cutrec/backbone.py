@@ -105,7 +105,7 @@ class SingleDomainModel:
     def from_checkpoint(cls, ckpt: Checkpoint,
                         target_split: SplitDataset) -> "SingleDomainModel":
         """Rebuild a model saved by ``to_checkpoint`` for its target split."""
-        config = TrainingConfig.from_dict(ckpt.hyper["training"])
+        config = ckpt.training_config()
         train = target_split.train
         items = ckpt.table(ROLE_ITEM_TARGET, train.n_items)
         graph = (build_graph(train, config.k_layers, items.values.dtype)

@@ -1,38 +1,36 @@
-"""Bit-exact binary checkpoint container.
+"""Bit-exact checkpoint files.
 
-Layout: magic bytes ``CUTCKPT1``, a 4-byte little-endian length, a JSON
-header (table roles/shapes, hyperparameters, optimizer step count, an
-optional transform section), then each table as row-major 32-bit
-little-endian floats in header order, then transform weight and bias if
-present.
+A checkpoint is a ``corpus.write_arrays`` file, an uncompressed ``.npz``:
+a JSON header ``{"version": 2, "step": ..., "hyper": {...}}``, then one
+2-D float32 little-endian member per table, named by its role, in table
+order, then ``transform-weight`` and ``transform-bias`` when the model
+has a transform. ``np.load(path, allow_pickle=False)`` opens it.
 
-What the tables are depends on the header's ``model_kind``: a ``single``
+What the tables are depends on ``hyper["model_kind"]``: a ``single``
 (phase-one) checkpoint holds ``user-target-phase1`` and ``item-target``;
-a ``frozen-user-table`` checkpoint holds ``user-target-phase1`` alone; a
-``cut`` (phase-two) checkpoint holds ``user``, one row per user of both
+a ``cut`` (phase-two) checkpoint holds ``user``, one row per user of both
 domains in dataset order (target-only, overlap, source-only), then
 ``item-target`` and ``item-source``, plus the transform unless it was
-ablated. The header does not record where the source users start in
-``user``: the user counts of the splits the model is loaded with fix it.
+ablated. Nothing records where the source users start in ``user``: the
+user counts of the splits the model is loaded with fix it.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import write_atomic
+from .config import TrainingConfig
+from .corpus import read_arrays, write_arrays
 from .embeddings import EmbeddingTable
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .transform import TransformLayer
 
-MAGIC = b"CUTCKPT1"
-VERSION = 1
+VERSION = 2
 _F4 = np.dtype("<f4")
+_TRANSFORM = ("transform-weight", "transform-bias")
 
 
 @dataclass
@@ -55,72 +53,56 @@ class Checkpoint:
         raise CheckpointError(f"checkpoint has no table with role {role!r} "
                               f"(it holds {present or 'no tables'})")
 
+    def training_config(self) -> TrainingConfig:
+        """The saved training config, or a ``CheckpointError``."""
+        try:
+            return TrainingConfig.from_dict(self.hyper["training"])
+        except (KeyError, ConfigError) as err:
+            raise CheckpointError(
+                f"checkpoint has no valid training config ({err})") from None
+
 
 def save_checkpoint(path, ckpt: Checkpoint) -> Path:
-    header = {
-        "version": VERSION,
-        "step": int(ckpt.step),
-        "hyper": ckpt.hyper,
-        "tables": [{"role": t.role, "rows": t.rows, "dim": t.dim}
-                   for t in ckpt.tables],
-        "transform": ({"dim": ckpt.transform.dim}
-                      if ckpt.transform is not None else None),
-    }
-    blob = json.dumps(header, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    arrays = [tbl.values for tbl in ckpt.tables]
+    arrays = {tbl.role: tbl.values for tbl in ckpt.tables}
     if ckpt.transform is not None:
-        arrays += [ckpt.transform.weight, ckpt.transform.bias]
-    return write_atomic(path, b"".join(
-        [MAGIC, struct.pack("<I", len(blob)), blob]
-        + [np.ascontiguousarray(a, dtype=_F4).tobytes() for a in arrays]))
-
-
-def _read_exact(handle, count: int, path, what: str) -> bytes:
-    data = handle.read(count)
-    if len(data) != count:
-        raise CheckpointError(f"{path}: truncated checkpoint while reading {what}")
-    return data
-
-
-def _finite(values: np.ndarray, path, what: str) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise CheckpointError(f"{path}: {what} holds non-finite values")
-    return values
+        arrays.update(zip(_TRANSFORM, (ckpt.transform.weight,
+                                       ckpt.transform.bias)))
+    header = {"version": VERSION, "step": int(ckpt.step), "hyper": ckpt.hyper}
+    return write_arrays(path, header, {
+        name: np.ascontiguousarray(values, dtype=_F4)
+        for name, values in arrays.items()})
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a table or transform with a NaN or an infinity
-    is refused."""
+    """Read a checkpoint: anything but a version-2 file of finite float32
+    members is a ``CheckpointError`` naming the file."""
     path = Path(path)
-    with open(path, "rb") as handle:
-        magic = handle.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file "
-                                  f"(bad magic {magic!r})")
-        (length,) = struct.unpack("<I", _read_exact(handle, 4, path, "header length"))
-        header = json.loads(_read_exact(handle, length, path, "header"))
-        version = header.get("version")
-        if version != VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported checkpoint version {version!r} "
-                f"(expected {VERSION})")
-        tables = []
-        for spec in header["tables"]:
-            rows, dim = int(spec["rows"]), int(spec["dim"])
-            raw = _read_exact(handle, rows * dim * 4, path,
-                              f"table {spec['role']!r}")
-            values = np.frombuffer(raw, dtype=_F4).reshape(rows, dim).copy()
-            tables.append(EmbeddingTable(spec["role"], _finite(
-                values, path, f"table {spec['role']!r}")))
-        transform = None
-        if header.get("transform") is not None:
-            dim = int(header["transform"]["dim"])
-            w_raw = _read_exact(handle, dim * dim * 4, path, "transform weight")
-            b_raw = _read_exact(handle, dim * 4, path, "transform bias")
-            transform = TransformLayer(
-                _finite(np.frombuffer(w_raw, dtype=_F4).reshape(dim, dim),
-                        path, "transform weight").copy(),
-                _finite(np.frombuffer(b_raw, dtype=_F4), path,
-                        "transform bias").copy())
-    return Checkpoint(tables, header["hyper"], int(header["step"]), transform)
+    try:
+        header, arrays = read_arrays(path)
+    except ValueError as err:
+        raise CheckpointError(str(err)) from None
+    if header.get("version") != VERSION:
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version "
+            f"{header.get('version')!r} (expected {VERSION})")
+    step = header.get("step")
+    if type(step) is not int or not isinstance(header.get("hyper"), dict):
+        raise CheckpointError(f"{path}: checkpoint header needs an integer "
+                              f"'step' and a 'hyper' object")
+    for name, values in arrays.items():
+        what = (name.replace("-", " ") if name in _TRANSFORM
+                else f"table {name!r}")
+        ndim = 1 if name == "transform-bias" else 2
+        if values.dtype != _F4 or values.ndim != ndim:
+            raise CheckpointError(f"{path}: {what} is not a {ndim}-D float32 "
+                                  f"array")
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: {what} holds non-finite values")
+    transform = None
+    if set(_TRANSFORM) & arrays.keys():
+        try:
+            transform = TransformLayer(*map(arrays.pop, _TRANSFORM))
+        except (KeyError, ValueError) as err:
+            raise CheckpointError(f"{path}: bad transform ({err})") from None
+    tables = [EmbeddingTable(role, values) for role, values in arrays.items()]
+    return Checkpoint(tables, header["hyper"], step, transform)

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
 
 from . import corpus, synthgen
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainingConfig
 from .backbone import SingleDomainModel
 from .embeddings import ROLE_USER_TARGET_PHASE1
@@ -27,18 +26,8 @@ from .similarity import SimilarityOracle
 from .trainer import CutModel, run_target_phase, run_transfer_phase
 
 
-def _load_json(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: invalid JSON ({err})") from err
-
-
 def _training_config(args) -> TrainingConfig:
-    data = _load_json(args.config) if args.config else {}
+    data = corpus.read_json(args.config) if args.config else {}
     preset = data.pop("preset", None) if isinstance(data, dict) else None
     cfg = TrainingConfig.from_dict(data, preset=preset)
     if args.seed is not None:
@@ -67,9 +56,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = synthgen.SynthConfig.from_dict(_load_json(args.config))
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
+    overrides = {} if args.seed is None else {"seed": args.seed}
+    cfg = synthgen.SynthConfig.from_dict(corpus.read_json(args.config),
+                                         **overrides)
     out = Path(args.out)
     paths = [out / "source.tsv", out / "target.tsv"]
     ensure_writable(paths, args.force)
@@ -86,21 +75,18 @@ def cmd_synth(args) -> int:
 def cmd_train_target(args) -> int:
     cfg = _training_config(args)
     out = Path(args.out)
-    phase1_path, frozen_path = out / "phase1.ckpt", out / "theta-t1.ckpt"
-    ensure_writable([phase1_path, frozen_path], args.force)
+    phase1_path = out / "phase1.ckpt"
+    ensure_writable([phase1_path], args.force)
     ds, target_split, _ = corpus.load_dataset(args.data)
     result = run_target_phase(ds, target_split, cfg)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(phase1_path, result.model.to_checkpoint(cfg))
-    save_checkpoint(frozen_path, Checkpoint(
-        [result.frozen], {"model_kind": "frozen-user-table",
-                          "training": cfg.to_dict()}, 0))
     inputs = {str(Path(args.data) / name): sha256_file(Path(args.data) / name)
               for name in (corpus.INDEX_FILE, corpus.SPLITS_FILE)}
-    write_manifest(out, inputs, [phase1_path, frozen_path])
+    write_manifest(out, inputs, [phase1_path])
     print(f"target phase done (best epoch {result.best_epoch}, "
           f"valid ndcg@10={max(result.valid_history):.4f}); "
-          f"checkpoints in {out}")
+          f"checkpoint at {phase1_path}")
     return 0
 
 
@@ -110,8 +96,7 @@ def cmd_train_transfer(args) -> int:
     model_path = out / "cut.ckpt"
     ensure_writable([model_path], args.force)
     ds, target_split, source_split = corpus.load_dataset(args.data)
-    embedding_oracle = not (cfg.effective_no_contrastive
-                            or cfg.history_similarity)
+    embedding_oracle = not (cfg.no_contrastive or cfg.history_similarity)
     frozen = oracle = None
     if cfg.warm_start or embedding_oracle:
         if not args.phase1:
@@ -140,15 +125,17 @@ def cmd_evaluate(args) -> int:
     ds, target_split, source_split = corpus.load_dataset(args.data)
     ckpt = load_checkpoint(args.checkpoint)
     kind = ckpt.hyper.get("model_kind")
-    if kind == "cut":
-        scorer = CutModel.from_checkpoint(
-            ckpt, target_split, source_split).make_target_scorer()
-    elif kind == "single":
-        scorer = SingleDomainModel.from_checkpoint(
-            ckpt, target_split).make_scorer()
-    else:
-        raise CheckpointError(
-            f"{args.checkpoint}: cannot evaluate model_kind {kind!r}")
+    try:
+        if kind == "cut":
+            scorer = CutModel.from_checkpoint(
+                ckpt, target_split, source_split).make_target_scorer()
+        elif kind == "single":
+            scorer = SingleDomainModel.from_checkpoint(
+                ckpt, target_split).make_scorer()
+        else:
+            raise CheckpointError(f"cannot evaluate model_kind {kind!r}")
+    except CheckpointError as err:
+        raise CheckpointError(f"{args.checkpoint}: {err}") from None
     report = evaluate_full(scorer, target_split, k=args.k,
                            mask_seen=not args.no_mask_seen)
     out.mkdir(parents=True, exist_ok=True)
@@ -161,7 +148,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = ExperimentConfig.from_dict(_load_json(args.config))
+    cfg = ExperimentConfig.from_dict(corpus.read_json(args.config))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seeds=(args.seed,))
     out = Path(args.out)
@@ -169,9 +156,8 @@ def cmd_experiment(args) -> int:
     report = run_experiment(cfg, parallel_seeds=args.parallel_seeds,
                             checkpoint_root=out if cfg.save_checkpoints
                             else None)
-    input_hashes = {str(args.config): sha256_file(args.config)}
-    write_experiment_outputs(report, out, force=True,
-                             input_hashes=input_hashes)
+    write_experiment_outputs(report, out, force=True, input_hashes={
+        str(args.config): sha256_file(args.config)})
     print(format_aggregate_table(report, cfg.eval_k), end="")
     print(f"full report in {out / 'report.json'}")
     return 0
@@ -216,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the transfer phase")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--phase1", type=Path, default=None,
-                   help="frozen user-table checkpoint from train-target")
+                   help="phase1.ckpt written by train-target")
     p.set_defaults(func=cmd_train_transfer)
 
     p = sub.add_parser("evaluate", parents=[common],

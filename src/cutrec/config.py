@@ -53,7 +53,6 @@ class TrainingConfig:
     no_contrastive: bool = False
     no_transform: bool = False
     history_similarity: bool = False
-    joint_training_baseline: bool = False
     # Non-default variants.
     warm_start: bool = False
     normalized_contrastive: bool = False
@@ -91,14 +90,6 @@ class TrainingConfig:
             minimum = 0 if field in ("k_layers", "seed") else 1
             if value < minimum:
                 raise ConfigError(f"{field} must be >= {minimum}, got {value}")
-
-    @property
-    def effective_no_transform(self) -> bool:
-        return self.no_transform or self.joint_training_baseline
-
-    @property
-    def effective_no_contrastive(self) -> bool:
-        return self.no_contrastive or self.joint_training_baseline
 
     def replace(self, **changes) -> "TrainingConfig":
         return dataclasses.replace(self, **changes)

@@ -9,10 +9,12 @@ arrays are marked read-only), so they can be shared across workers.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
 import os
+import zipfile
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -262,6 +264,9 @@ class InteractionSet:
             if array is not None:
                 array.setflags(write=False)
         indptr, indices = self.indptr, self.indices
+        if (indptr.dtype != np.int64 or indices.dtype != np.int64
+                or indices.ndim != 1):
+            raise ValueError("indptr and indices must be 1-D int64 arrays")
         if (indptr.ndim != 1 or indptr.size == 0 or indptr[0] != 0
                 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0)):
             raise ValueError("indptr must start at 0, never decrease and "
@@ -502,10 +507,10 @@ def subsample_target(split: SplitDataset, retain_fraction: float,
 # --- dataset archive --------------------------------------------------------
 
 INDEX_FILE = "index.json"
-SPLITS_FILE = "splits.json"
+SPLITS_FILE = "splits.npz"
 SOURCE_TSV = "source.tsv"
 TARGET_TSV = "target.tsv"
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 _PARTS = ("train", "valid", "test")
 _USER_GROUPS = ("target_only", "overlap", "source_only")
 
@@ -535,6 +540,55 @@ def write_atomic(path, data: bytes | str) -> Path:
     return path
 
 
+def read_json(path):
+    """The JSON value in ``path``; a file that is not JSON raises a
+    ValueError naming it."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as err:
+        raise ValueError(f"{path}: invalid JSON ({err})") from None
+
+
+def write_arrays(path, header: dict, arrays: dict[str, np.ndarray]) -> Path:
+    """Write an uncompressed ``.npz``, atomically: ``header`` as JSON text
+    in a ``header`` member, then the ``arrays`` in order. Every member
+    bears the same date, so equal content gives equal bytes."""
+    buffer = io.BytesIO()
+    members = {"header": np.array(json.dumps(header, sort_keys=True)),
+               **arrays}
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for name, array in members.items():
+            info = zipfile.ZipInfo(f"{name}.npy", (1980, 1, 1, 0, 0, 0))
+            with archive.open(info, "w") as member:
+                np.lib.format.write_array(member, np.asarray(array),
+                                          allow_pickle=False)
+    return write_atomic(path, buffer.getvalue())
+
+
+def read_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the named arrays of a ``write_arrays`` file; any
+    other, truncated or damaged file (the zip CRC covers every member)
+    raises a ValueError naming it."""
+    path = Path(path)
+    try:
+        with zipfile.ZipFile(path) as archive:
+            arrays = {name.removesuffix(".npy"): np.lib.format.read_array(
+                io.BytesIO(archive.read(name)), allow_pickle=False)
+                for name in archive.namelist()}
+        header = json.loads(str(arrays.pop("header")))
+    except FileNotFoundError:
+        raise
+    # What zipfile and numpy raise on a file that is not one or is damaged.
+    except (KeyError, ValueError, EOFError, OSError, RuntimeError,
+            NotImplementedError, zipfile.BadZipFile) as err:
+        raise ValueError(f"{path}: not a readable array file "
+                         f"({type(err).__name__}: {err})") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: the header is not a JSON object")
+    return header, arrays
+
+
 def _write_tsv(path: Path, inter: InteractionSet, user_tokens, item_tokens,
                domain_id: DomainId) -> None:
     """A user's timestamps are written only when all of them exist."""
@@ -547,7 +601,9 @@ def _write_tsv(path: Path, inter: InteractionSet, user_tokens, item_tokens,
 
 def save_dataset(out_dir, ds: CrossDomainDataset, target_split: SplitDataset,
                  source_split: SplitDataset, *, force: bool = False) -> list[Path]:
-    """Write the dataset archive: TSVs plus index.json and splits.json."""
+    """Write the dataset archive: TSVs, the tokens in index.json, and in
+    splits.npz the split seeds and each part's CSR, as int64
+    ``{domain}-{part}-indptr`` and ``-indices`` arrays."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / name for name in
@@ -569,16 +625,15 @@ def save_dataset(out_dir, ds: CrossDomainDataset, target_split: SplitDataset,
         "items": {"source": list(ds.source_item_tokens),
                   "target": list(ds.target_item_tokens)},
     }
-    splits = {"version": ARCHIVE_VERSION}
-    for domain, split in (("target", target_split), ("source", source_split)):
-        splits[domain] = {part: [row.tolist() for row in
-                                 getattr(split, part).rows]
-                          for part in _PARTS}
-        splits[domain]["seed"] = split.split_seed
     write_atomic(out / INDEX_FILE, json.dumps(index, sort_keys=True, indent=2)
                  + "\n")
-    write_atomic(out / SPLITS_FILE, json.dumps(splits, sort_keys=True,
-                                               indent=2) + "\n")
+    splits = (("target", target_split), ("source", source_split))
+    write_arrays(out / SPLITS_FILE, {
+        "version": ARCHIVE_VERSION,
+        "seeds": {domain: split.split_seed for domain, split in splits},
+    }, {f"{domain}-{part}-{name}": getattr(getattr(split, part), name)
+        for domain, split in splits for part in _PARTS
+        for name in ("indptr", "indices")})
     return paths
 
 
@@ -596,25 +651,24 @@ def _entry(blob, path: Path, *keys: str, kind: type = list):
     return blob
 
 
-def _lists_to_set(lists: list[list[int]], n_items: int) -> InteractionSet:
-    users = [user for user, row in enumerate(lists) for _ in row]
-    items = [item for row in lists for item in row]
-    return InteractionSet.from_pairs(len(lists), n_items, users, items)
-
-
-def _archive_split(splits, path: Path, domain: str,
+def _archive_split(header: dict, arrays: dict, path: Path, domain: str,
                    n_items: int) -> tuple[SplitDataset, InteractionSet]:
-    """One domain's split from ``splits.json``, and the union of its
-    parts: the domain's interactions."""
-    lists = [_entry(splits, path, domain, part) for part in _PARTS]
-    seed = _entry(splits, path, domain, "seed", kind=int)
-    if len({len(rows) for rows in lists}) != 1:
-        raise ValueError(f"{path}: {domain} train/valid/test lists differ "
-                         f"in user count")
+    """One domain's split from ``splits.npz``, and the union of its parts:
+    the domain's interactions."""
+    seed = _entry(header, path, "seeds", domain, kind=int)
     try:
-        parts = [_lists_to_set(rows, n_items) for rows in lists]
-        union = _lists_to_set([a + b + c for a, b, c in zip(*lists)], n_items)
-    except (TypeError, ValueError) as err:
+        parts = [InteractionSet(n_items, arrays[f"{domain}-{part}-indptr"],
+                                arrays[f"{domain}-{part}-indices"])
+                 for part in _PARTS]
+        if len({part.n_users for part in parts}) != 1:
+            raise ValueError("train/valid/test differ in user count")
+        union = InteractionSet.from_pairs(
+            parts[0].n_users, n_items,
+            np.concatenate([part.users for part in parts]),
+            np.concatenate([part.indices for part in parts]))
+    except KeyError as err:
+        raise ValueError(f"{path}: no member {err}") from None
+    except ValueError as err:
         raise ValueError(f"{path}: {domain} split: {err}") from None
     return SplitDataset(*parts, seed), union
 
@@ -623,14 +677,10 @@ def load_dataset(in_dir) -> tuple[CrossDomainDataset, SplitDataset, SplitDataset
     """Reload an archive written by :func:`save_dataset`; a malformed one
     raises ValueError naming the file at fault."""
     root = Path(in_dir)
-    index_path = root / INDEX_FILE
-    splits_path = root / SPLITS_FILE
-    for path in (index_path, splits_path):
-        if not path.exists():
-            raise FileNotFoundError(f"dataset archive file missing: {path}")
-    index = json.loads(index_path.read_text(encoding="utf-8"))
-    splits = json.loads(splits_path.read_text(encoding="utf-8"))
-    for blob, path in ((index, index_path), (splits, splits_path)):
+    index_path, splits_path = root / INDEX_FILE, root / SPLITS_FILE
+    index = read_json(index_path)
+    header, arrays = read_arrays(splits_path)
+    for blob, path in ((index, index_path), (header, splits_path)):
         if not isinstance(blob, dict) or blob.get("version") != ARCHIVE_VERSION:
             raise ValueError(f"unsupported archive version in {path}")
 
@@ -638,10 +688,10 @@ def load_dataset(in_dir) -> tuple[CrossDomainDataset, SplitDataset, SplitDataset
               for name in _USER_GROUPS]
     items = {domain: tuple(_entry(index, index_path, "items", domain))
              for domain in ("source", "target")}
-    target_split, target = _archive_split(splits, splits_path, "target",
-                                          len(items["target"]))
-    source_split, source = _archive_split(splits, splits_path, "source",
-                                          len(items["source"]))
+    target_split, target = _archive_split(header, arrays, splits_path,
+                                          "target", len(items["target"]))
+    source_split, source = _archive_split(header, arrays, splits_path,
+                                          "source", len(items["source"]))
     sizes = [len(group) for group in groups]
     if (target.n_users != sizes[0] + sizes[1]
             or source.n_users != sizes[1] + sizes[2]):

@@ -28,7 +28,7 @@ logger = logging.getLogger(__name__)
 # Variant name -> TrainingConfig overrides (None = phase-one model only).
 VARIANTS: dict[str, dict | None] = {
     "target-only": None,
-    "joint": {"joint_training_baseline": True},
+    "joint": {"no_transform": True, "no_contrastive": True},
     "cut": {},
     "cut-no-transform": {"no_transform": True},
     "cut-no-contrastive": {"no_contrastive": True},
@@ -138,14 +138,7 @@ class ExperimentConfig:
         return cls(training=training, **payload)
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["training"] = self.training.to_dict()
-        out["seeds"] = list(self.seeds)
-        out["variants"] = list(self.variants)
-        out["target_ratios"] = list(self.target_ratios)
-        out["source_ratios"] = list(self.source_ratios)
-        out["sparsity_fractions"] = list(self.sparsity_fractions)
-        return out
+        return dataclasses.asdict(self)
 
 
 def prepare_data(cfg: ExperimentConfig, seed: int):
@@ -169,13 +162,11 @@ def _evaluate_variants(cfg: ExperimentConfig, seed: int, ds, target_split,
                        source_split, checkpoint_dir: Path | None
                        ) -> dict[str, dict[str, float]]:
     training = cfg.training.replace(seed=seed)
-    needs_oracle = any(VARIANTS[name] is not None for name in cfg.variants)
-    phase1 = None
-    if "target-only" in cfg.variants or needs_oracle:
-        phase1 = run_target_phase(ds, target_split, training)
-        if checkpoint_dir is not None:
-            save_checkpoint(checkpoint_dir / "phase1.ckpt",
-                            phase1.model.to_checkpoint(training))
+    # The variants use phase one's model, frozen table or oracle.
+    phase1 = run_target_phase(ds, target_split, training)
+    if checkpoint_dir is not None:
+        save_checkpoint(checkpoint_dir / "phase1.ckpt",
+                        phase1.model.to_checkpoint(training))
 
     results: dict[str, dict[str, float]] = {}
     for name in cfg.variants:
@@ -190,11 +181,10 @@ def _evaluate_variants(cfg: ExperimentConfig, seed: int, ds, target_split,
                 oracle = SimilarityOracle.from_history(target_split.train,
                                                        variant_cfg.gamma)
             else:
-                oracle = phase1.oracle if not variant_cfg.effective_no_contrastive else None
+                oracle = None if variant_cfg.no_contrastive else phase1.oracle
             result = run_transfer_phase(ds, target_split, source_split,
                                         variant_cfg, oracle,
-                                        frozen=None if phase1 is None
-                                        else phase1.frozen)
+                                        frozen=phase1.frozen)
             if checkpoint_dir is not None:
                 save_checkpoint(checkpoint_dir / f"{name}.ckpt",
                                 result.model.to_checkpoint(result.step_count))
@@ -232,8 +222,6 @@ def run_single_seed(cfg: ExperimentConfig, seed: int,
 def _aggregate(per_seed: dict[str, dict]) -> dict:
     variants: dict[str, dict] = {}
     seeds = sorted(per_seed)
-    if not seeds:
-        return variants
     for name in per_seed[seeds[0]]:
         variants[name] = {}
         for metric in METRIC_NAMES:
@@ -245,10 +233,14 @@ def _aggregate(per_seed: dict[str, dict]) -> dict:
 
 def run_experiment(cfg: ExperimentConfig, *, parallel_seeds: int = 1,
                    checkpoint_root=None) -> dict:
-    """Run every seed, aggregate mean/std per variant, return the report."""
+    """Run every seed, in up to ``parallel_seeds`` worker processes,
+    aggregate mean/std per variant, return the report."""
+    if parallel_seeds < 1:
+        raise ConfigError(f"parallel_seeds must be >= 1, got {parallel_seeds}")
+    workers = min(parallel_seeds, len(cfg.seeds))
     per_seed: dict[str, dict] = {}
-    if parallel_seeds > 1:
-        with ProcessPoolExecutor(max_workers=parallel_seeds) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {str(seed): pool.submit(run_single_seed, cfg, seed,
                                               checkpoint_root)
                        for seed in cfg.seeds}

@@ -10,7 +10,7 @@ directly controllable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,9 +61,6 @@ class SynthConfig:
             return cls(**{**data, **overrides})
         except (TypeError, ValueError) as err:
             raise ConfigError(f"synthetic config: {err}") from err
-
-    def with_seed(self, seed: int) -> "SynthConfig":
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)

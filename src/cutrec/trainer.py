@@ -87,9 +87,7 @@ def _batches(order: np.ndarray, batch_size: int):
 def _recycling_batches(n: int, batch_size: int, rng: np.random.Generator):
     """Infinite batch stream; each pass over the data is reshuffled."""
     while True:
-        order = rng.permutation(n)
-        for batch in _batches(order, batch_size):
-            yield batch
+        yield from _batches(rng.permutation(n), batch_size)
 
 
 def fit(model, step, n_pairs: int, scorer, split: SplitDataset,
@@ -256,7 +254,7 @@ class CutModel:
             tables[ROLE_USER].values[:ds.target.n_users] = frozen.values
 
         transform = None
-        if not config.effective_no_transform:
+        if not config.no_transform:
             transform = TransformLayer.create(
                 dim, seeds[5], init=config.transform_init, dtype=dtype)
         return cls(config, tables, transform, ds.target.n_users,
@@ -302,7 +300,7 @@ class CutModel:
         """Rebuild a model saved by ``to_checkpoint`` for the splits it
         was trained on; the user counts of the splits place the source
         users in the user table."""
-        config = TrainingConfig.from_dict(ckpt.hyper["training"])
+        config = ckpt.training_config()
         tables = {role: ckpt.table(role, rows) for role, rows in (
             (ROLE_USER, None), (ROLE_ITEM_TARGET, target_split.train.n_items),
             (ROLE_ITEM_SOURCE, source_split.train.n_items))}
@@ -313,6 +311,9 @@ class CutModel:
             raise CheckpointError(
                 f"checkpoint user table has {rows} rows, which cannot hold "
                 f"{n_target} target users and {n_source} source users")
+        if config.no_transform != (ckpt.transform is None):
+            raise CheckpointError(f"checkpoint transform does not match "
+                                  f"no_transform={config.no_transform}")
         return cls(config, tables, ckpt.transform, n_target, source_offset,
                    *_graphs(config, target_split, source_split,
                             tables[ROLE_USER].values.dtype))
@@ -390,7 +391,7 @@ def transfer_step(model: CutModel, optimizer: Adam,
     tgt_neg = sample_negatives_batch(
         rng_tgt, model.tables[ROLE_ITEM_TARGET].rows, tgt_train, tgt_users)
     pairs = None
-    if not config.effective_no_contrastive:
+    if not config.no_contrastive:
         if oracle is None:
             raise ConfigError("contrastive training requires a similarity oracle")
         pairs = extract_pairs(tgt_users, oracle)
@@ -419,10 +420,10 @@ def run_transfer_phase(ds: CrossDomainDataset, target_split: SplitDataset,
     recycles. Early-stops on target validation NDCG@10 and returns the
     best-validation model.
     """
-    if not config.effective_no_contrastive and oracle is None:
+    if not config.no_contrastive and oracle is None:
         raise ConfigError("transfer phase needs a similarity oracle unless "
                           "the contrastive term is disabled")
-    if not config.effective_no_contrastive and oracle.n_pairs == 0:
+    if not config.no_contrastive and oracle.n_pairs == 0:
         logger.warning("no user pair has cosine above gamma=%g (largest "
                        "%.4f): the contrastive term will be zero for every "
                        "batch", oracle.gamma, oracle.max_cosine)

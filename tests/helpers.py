@@ -2,7 +2,8 @@
 
 The oracles here are deliberately written as the naive/brute-force route
 so they stay independent of the implementation under test;
-``interaction_set`` and ``raw_interactions`` only build test inputs.
+``interaction_set`` and ``raw_interactions`` only build test inputs, and
+``rewrite_arrays`` damages files for the malformed-input tests.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import math
 import numpy as np
 
 from cutrec.corpus import (NO_TIME, CrossDomainDataset, DomainId,
-                           InteractionSet, RawInteractions)
+                           InteractionSet, RawInteractions, read_arrays,
+                           write_arrays)
 from cutrec.errors import ParseError
 
 
@@ -397,3 +399,11 @@ def split_per_user(inter: InteractionSet, ratios, seed: int) -> list:
                                       inter.users[part == p],
                                       inter.indices[part == p])
             for p in range(3)]
+
+
+def rewrite_arrays(path, edit) -> None:
+    """Let ``edit(header, arrays)`` change the header and the arrays of
+    the ``write_arrays`` file at ``path`` in place, and write them back."""
+    header, arrays = read_arrays(path)
+    edit(header, arrays)
+    write_arrays(path, header, arrays)

@@ -1,13 +1,14 @@
-import struct
+import zipfile
 
 import numpy as np
 import pytest
 
-from cutrec.checkpoint import (MAGIC, Checkpoint, load_checkpoint,
-                               save_checkpoint)
+from cutrec.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cutrec.embeddings import EmbeddingTable
 from cutrec.errors import CheckpointError
 from cutrec.transform import TransformLayer
+
+from helpers import rewrite_arrays
 
 
 def make_checkpoint(seed=0, with_transform=True):
@@ -41,22 +42,34 @@ def test_round_trip_bit_exact(tmp_path):
     assert np.array_equal(loaded.transform.weight, ckpt.transform.weight)
     assert np.array_equal(loaded.transform.bias, ckpt.transform.bias)
 
-    # Saving the loaded checkpoint reproduces identical bytes.
+    # Saving the loaded checkpoint reproduces identical bytes, and no
+    # member bears the time it was written.
     second = tmp_path / "again.ckpt"
     save_checkpoint(second, loaded)
     assert path.read_bytes() == second.read_bytes()
+    with zipfile.ZipFile(path) as archive:
+        assert {info.date_time for info in archive.infolist()} == {
+            (1980, 1, 1, 0, 0, 0)}
 
 
 def test_round_trip_without_transform(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, make_checkpoint(with_transform=False))
-    assert load_checkpoint(path).transform is None
+    loaded = load_checkpoint(path)
+    assert loaded.transform is None
+    save_checkpoint(tmp_path / "again.ckpt", loaded)
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
-def test_magic_bytes_lead_the_file(tmp_path):
+def test_numpy_opens_checkpoint_without_pickle(tmp_path):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, make_checkpoint())
-    assert path.read_bytes()[:8] == MAGIC == b"CUTCKPT1"
+    ckpt = make_checkpoint()
+    save_checkpoint(path, ckpt)
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz.files == ["header", "user-target-phase1", "item-target",
+                             "transform-weight", "transform-bias"]
+        assert npz["item-target"].dtype == np.dtype("<f4")
+        assert np.array_equal(npz["transform-bias"], ckpt.transform.bias)
 
 
 def test_float64_tables_stored_as_float32(tmp_path):
@@ -71,15 +84,15 @@ def test_float64_tables_stored_as_float32(tmp_path):
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTCKPT0" + b"\x00" * 16)
-    with pytest.raises(CheckpointError, match="magic"):
+    with pytest.raises(CheckpointError, match="not a readable array file"):
         load_checkpoint(path)
 
 
 def test_version_mismatch_explicit_error(tmp_path):
     path = tmp_path / "old.ckpt"
-    header = b'{"tables":[],"version":99}'
-    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
-    with pytest.raises(CheckpointError, match="version"):
+    save_checkpoint(path, make_checkpoint())
+    rewrite_arrays(path, lambda header, arrays: header.update(version=99))
+    with pytest.raises(CheckpointError, match="version 99"):
         load_checkpoint(path)
 
 
@@ -88,7 +101,20 @@ def test_truncated_payload_rejected(tmp_path):
     save_checkpoint(path, make_checkpoint())
     data = path.read_bytes()
     path.write_bytes(data[:-8])
-    with pytest.raises(CheckpointError, match="truncated"):
+    with pytest.raises(CheckpointError, match="not a readable array file"):
+        load_checkpoint(path)
+
+
+def test_changed_array_header_rejected(tmp_path):
+    # A smaller shape in a member's .npy header leaves most of the member
+    # unread; the zip CRC must still cover all of it.
+    path = tmp_path / "m.ckpt"
+    table = EmbeddingTable("item-target", np.ones((4000, 4), np.float32))
+    save_checkpoint(path, Checkpoint([table], {}, 0))
+    data = path.read_bytes()
+    assert data.count(b"(4000, 4)") == 1
+    path.write_bytes(data.replace(b"(4000, 4)", b"(1000, 4)"))
+    with pytest.raises(CheckpointError, match="CRC"):
         load_checkpoint(path)
 
 

@@ -1,10 +1,14 @@
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from cutrec.checkpoint import load_checkpoint, save_checkpoint
 from cutrec.cli import main
 from cutrec.corpus import load_dataset
+
+from helpers import rewrite_arrays
 
 
 def write_json(path, payload):
@@ -24,8 +28,8 @@ TRAIN_CFG = {
 }
 
 
-@pytest.fixture()
-def pipeline_dirs(tmp_path):
+def make_archive(tmp_path):
+    """A training config file and a synthetic dataset archive."""
     synth_cfg = write_json(tmp_path / "synth.json", SYNTH_CFG)
     train_cfg = write_json(tmp_path / "train.json", TRAIN_CFG)
     raw_dir = tmp_path / "raw"
@@ -35,7 +39,22 @@ def pipeline_dirs(tmp_path):
     assert main(["ingest", str(raw_dir / "source.tsv"),
                  str(raw_dir / "target.tsv"), "--out", str(data_dir),
                  "--min-interactions", "3", "--seed", "7"]) == 0
-    return tmp_path, train_cfg, data_dir
+    return train_cfg, data_dir
+
+
+@pytest.fixture()
+def pipeline_dirs(tmp_path):
+    return (tmp_path, *make_archive(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def phase1_checkpoint(tmp_path_factory):
+    """A dataset archive and the phase-one checkpoint trained on it."""
+    tmp_path = tmp_path_factory.mktemp("phase1")
+    train_cfg, data_dir = make_archive(tmp_path)
+    assert main(["train-target", "--data", str(data_dir), "--config",
+                 str(train_cfg), "--out", str(tmp_path / "phase1")]) == 0
+    return data_dir, (tmp_path / "phase1" / "phase1.ckpt").read_bytes()
 
 
 def test_full_pipeline_through_cli(pipeline_dirs):
@@ -45,11 +64,11 @@ def test_full_pipeline_through_cli(pipeline_dirs):
     eval_out = tmp_path / "eval"
     assert main(["train-target", "--data", str(data_dir), "--config",
                  str(train_cfg), "--out", str(target_out)]) == 0
-    assert (target_out / "phase1.ckpt").exists()
-    assert (target_out / "theta-t1.ckpt").exists()
+    assert sorted(p.name for p in target_out.iterdir()) == [
+        "manifest.json", "phase1.ckpt"]
     assert main(["train-transfer", "--data", str(data_dir), "--config",
                  str(train_cfg), "--phase1",
-                 str(target_out / "theta-t1.ckpt"),
+                 str(target_out / "phase1.ckpt"),
                  "--out", str(transfer_out)]) == 0
     assert main(["evaluate", "--checkpoint", str(transfer_out / "cut.ckpt"),
                  "--data", str(data_dir), "--out", str(eval_out)]) == 0
@@ -59,18 +78,35 @@ def test_full_pipeline_through_cli(pipeline_dirs):
     assert "report.json" in manifest["outputs"]
 
 
-def test_malformed_archive_is_validation_error(pipeline_dirs, capsys):
+def _drop_member(path):
+    rewrite_arrays(path, lambda header, arrays: arrays.pop(
+        "source-valid-indptr"))
+
+
+def _float_indptr(path):
+    rewrite_arrays(path, lambda header, arrays: arrays.update({
+        "target-train-indptr": arrays["target-train-indptr"] * 1.0}))
+
+
+def _not_json(path):
+    path.with_name("index.json").write_text("{\n  users: []\n}\n")
+
+
+@pytest.mark.parametrize("corrupt, file, word", [
+    (_drop_member, "splits.npz", "no member 'source-valid-indptr'"),
+    (_float_indptr, "splits.npz", "indptr and indices must be 1-D int64"),
+    (_not_json, "index.json", "invalid JSON"),
+], ids=["missing-member", "float-indptr", "index-not-json"])
+def test_malformed_archive_is_validation_error(pipeline_dirs, capsys,
+                                               corrupt, file, word):
     tmp_path, train_cfg, data_dir = pipeline_dirs
-    splits_path = data_dir / "splits.json"
-    splits = json.loads(splits_path.read_text())
-    del splits["source"]["valid"]
-    splits_path.write_text(json.dumps(splits))
+    corrupt(data_dir / "splits.npz")
     capsys.readouterr()
     assert main(["train-target", "--data", str(data_dir), "--config",
                  str(train_cfg), "--out", str(tmp_path / "phase1")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert "splits.json" in err and "source/valid" in err
+    assert str(data_dir / file) in err and word in err
 
 
 def test_evaluate_single_domain_checkpoint(pipeline_dirs):
@@ -201,6 +237,18 @@ def test_experiment_seed_flag_and_config_shape_are_checked(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_parallel_seeds_below_one_is_validation_error(tmp_path, capsys,
+                                                      value):
+    cfg = write_json(tmp_path / "exp.json", EXPERIMENT_BASE)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg), "--parallel-seeds",
+                 value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "parallel_seeds must be >= 1" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad, word", [
     ({**SYNTH_CFG, "bogus": 1}, "bogus"),
     ({k: v for k, v in SYNTH_CFG.items() if k != "n_users"}, "n_users"),
@@ -254,6 +302,69 @@ def test_corrupt_checkpoint_is_runtime_failure(pipeline_dirs, capsys):
     assert code == 2
 
 
+def _v1_file(rows):
+    """A checkpoint in the retired first layout: magic bytes, header
+    length, JSON header, float32 payload."""
+    header = json.dumps({"version": 1, "step": 0,
+                         "hyper": {"model_kind": "single"}, "transform": None,
+                         "tables": [{"role": "item-target", "rows": rows,
+                                     "dim": 2}]}).encode()
+    return lambda path: path.write_bytes(
+        b"CUTCKPT1" + struct.pack("<I", len(header)) + header
+        + bytes(8 * max(rows, 0)))
+
+
+def _plain_npy(path):
+    with open(path, "wb") as handle:
+        np.save(handle, np.zeros((3, 2), dtype=np.float32))
+
+
+def _flip_payload_byte(path):
+    data = bytearray(path.read_bytes())
+    values = load_checkpoint(path).table("item-target").values
+    data[data.find(values.tobytes()) + 5] ^= 0x10
+    path.write_bytes(data)
+
+
+def _edit(edit):
+    return lambda path: rewrite_arrays(path, edit)
+
+
+BAD_CHECKPOINTS = {
+    "v1": _v1_file(3),
+    "v1-negative-rows": _v1_file(-1),
+    "plain-npy": _plain_npy,
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:-40]),
+    "flipped-byte": _flip_payload_byte,
+    "version-99": _edit(lambda header, arrays: header.update(version=99)),
+    "no-hyper": _edit(lambda header, arrays: header.pop("hyper")),
+    "no-step": _edit(lambda header, arrays: header.pop("step")),
+    "float64-table": _edit(lambda header, arrays: arrays.update(
+        {"item-target": arrays["item-target"].astype(np.float64)})),
+    "1-D-table": _edit(lambda header, arrays: arrays.update(
+        {"item-target": arrays["item-target"].ravel()})),
+    "cut-without-training": _edit(lambda header, arrays: header.update(
+        hyper={"model_kind": "cut"})),
+}
+
+
+@pytest.mark.parametrize("corrupt", BAD_CHECKPOINTS.values(),
+                         ids=list(BAD_CHECKPOINTS))
+def test_malformed_checkpoint_is_runtime_failure_naming_it(
+        phase1_checkpoint, tmp_path, capsys, corrupt):
+    data_dir, good = phase1_checkpoint
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(good)
+    corrupt(path)
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--checkpoint", str(path), "--data",
+                 str(data_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime failure: {path}: ")
+    assert not out.exists()
+
+
 def test_warm_start_with_history_oracle_loads_phase1(pipeline_dirs):
     tmp_path, train_cfg, data_dir = pipeline_dirs
     target_out = tmp_path / "phase1"
@@ -263,7 +374,7 @@ def test_warm_start_with_history_oracle_loads_phase1(pipeline_dirs):
                      {**TRAIN_CFG, "warm_start": True,
                       "history_similarity": True})
     assert main(["train-transfer", "--data", str(data_dir), "--config",
-                 str(cfg), "--phase1", str(target_out / "theta-t1.ckpt"),
+                 str(cfg), "--phase1", str(target_out / "phase1.ckpt"),
                  "--out", str(tmp_path / "phase2")]) == 0
     assert (tmp_path / "phase2" / "cut.ckpt").exists()
 

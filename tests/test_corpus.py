@@ -19,7 +19,7 @@ from cutrec.experiment import write_manifest
 
 from helpers import (brute_force_k_core, cross_domain_from_records,
                      load_records, naive_rows, raw_interactions,
-                     split_per_user)
+                     rewrite_arrays, split_per_user)
 
 
 def raw(records, domain=DomainId.TARGET):
@@ -431,6 +431,10 @@ MALFORMED = {
                                                        [4, 4, 4]),
     "negative-item": _csr([0, 1], [-1]),
     "item-past-n_items": _csr([0, 2], [0, 5]),
+    "float-indptr": lambda: InteractionSet(1, np.array([0.0, 1.0]),
+                                           np.array([0])),
+    "indices-2-D": lambda: InteractionSet(1, np.array([0, 1]),
+                                          np.array([[0]])),
     "indptr-not-from-0": _csr([1, 2], [0, 1]),
     "indptr-decreasing": _csr([0, 2, 1, 3], [0, 1, 2]),
     "indptr-short": _csr([0, 1], [0, 1]),
@@ -451,65 +455,92 @@ def test_interaction_rows_are_read_only():
         ds.target.rows[0][0] = 99
 
 
-def test_archive_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(5)
-    src_recs = list({(f"u{rng.integers(20)}", f"s{rng.integers(15)}", None)
-                     for _ in range(150)})
-    tgt_dedup = {(f"u{rng.integers(25)}", f"t{rng.integers(15)}"):
-                 int(rng.integers(1000)) for _ in range(180)}
-    tgt_recs = [(u, i, ts) for (u, i), ts in tgt_dedup.items()]
-    ds = build_cross_domain(filter_k_core(raw(src_recs, DomainId.SOURCE), 2),
-                            filter_k_core(raw(tgt_recs, DomainId.TARGET), 2))
-    t_split = split_target(ds, seed=7)
-    s_split = split_source(ds, seed=8)
-    save_dataset(tmp_path, ds, t_split, s_split)
+@st.composite
+def archive_datasets(draw):
+    """A small cross-domain dataset, timestamped in part, that may share no
+    user between its domains, and ratios that may leave eval parts empty."""
+    n_target = draw(st.integers(min_value=1, max_value=6))
+    first_source = draw(st.integers(min_value=0, max_value=n_target))
+    stamps = st.none() | st.integers(min_value=-5, max_value=5)
 
-    ds2, t2, s2 = load_dataset(tmp_path)
-    assert ds2.user_tokens == ds.user_tokens
-    assert (ds2.n_target_only, ds2.n_overlap, ds2.n_source_only) == \
-        (ds.n_target_only, ds.n_overlap, ds.n_source_only)
-    assert ds2.source_item_tokens == ds.source_item_tokens
-    assert ds2.target_item_tokens == ds.target_item_tokens
-    for a, b in zip(ds2.target.rows, ds.target.rows):
-        assert np.array_equal(a, b)
-    for a, b in zip(ds2.source.rows, ds.source.rows):
-        assert np.array_equal(a, b)
-    for part in ("train", "valid", "test"):
-        for a, b in zip(getattr(t2, part).rows, getattr(t_split, part).rows):
-            assert np.array_equal(a, b)
+    def records(users, prefix):
+        pairs = draw(st.lists(st.tuples(st.sampled_from(users),
+                                        st.integers(0, 6)),
+                              min_size=1, max_size=30, unique=True))
+        return [(u, f"{prefix}{i}", draw(stamps)) for u, i in pairs]
 
-    # Re-serialisation reproduces identical bytes.
-    before = {(tmp_path / name).read_bytes()
-              for name in (corpus.INDEX_FILE, corpus.SPLITS_FILE)}
-    save_dataset(tmp_path, ds2, t2, s2, force=True)
-    after = {(tmp_path / name).read_bytes()
-             for name in (corpus.INDEX_FILE, corpus.SPLITS_FILE)}
-    assert before == after
+    source = records([f"u{k}" for k in range(first_source, first_source
+                                             + draw(st.integers(1, 6)))], "s")
+    target = records([f"u{k}" for k in range(n_target)], "t")
+    ds = build_cross_domain(raw(source, DomainId.SOURCE), raw(target))
+    return (ds, draw(st.sampled_from([(8, 1, 1), (1, 0, 0), (3, 1, 0)])),
+            draw(st.sampled_from([(8, 2), (1, 0)])))
 
 
-def _break_user_counts(index, splits):
-    splits["target"]["test"].pop()
+@settings(max_examples=40, deadline=None)
+@given(case=archive_datasets(), seed=st.integers(0, 2**31 - 1))
+def test_archive_round_trip_bit_exact(case, seed):
+    ds, target_ratios, source_ratios = case
+    t_split = split_target(ds, target_ratios, seed)
+    s_split = split_source(ds, source_ratios, seed + 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(tmp, ds, t_split, s_split)
+        ds2, t2, s2 = load_dataset(tmp)
+        assert ds2.user_tokens == ds.user_tokens
+        assert (ds2.n_target_only, ds2.n_overlap, ds2.n_source_only) == \
+            (ds.n_target_only, ds.n_overlap, ds.n_source_only)
+        assert ds2.source_item_tokens == ds.source_item_tokens
+        assert ds2.target_item_tokens == ds.target_item_tokens
+        pairs = [(ds2.target, ds.target), (ds2.source, ds.source)]
+        for loaded, split in ((t2, t_split), (s2, s_split)):
+            assert loaded.split_seed == split.split_seed
+            pairs += [(getattr(loaded, part), getattr(split, part))
+                      for part in ("train", "valid", "test")]
+        for a, b in pairs:
+            assert (a.n_items, a.indptr.tolist(), a.indices.tolist()) == \
+                (b.n_items, b.indptr.tolist(), b.indices.tolist())
+        with np.load(Path(tmp) / corpus.SPLITS_FILE,
+                     allow_pickle=False) as npz:
+            assert npz["target-test-indices"].dtype == np.int64
+
+        # Re-serialisation reproduces identical bytes.
+        names = (corpus.INDEX_FILE, corpus.SPLITS_FILE)
+        before = [(Path(tmp) / name).read_bytes() for name in names]
+        save_dataset(tmp, ds2, t2, s2, force=True)
+        assert [(Path(tmp) / name).read_bytes() for name in names] == before
 
 
-def _break_partition(index, splits):
+def _break_user_counts(index, header, arrays):
+    indptr = arrays["target-test-indptr"][:-1]
+    arrays["target-test-indptr"] = indptr
+    arrays["target-test-indices"] = arrays["target-test-indices"][:indptr[-1]]
+
+
+def _break_partition(index, header, arrays):
     index["users"]["overlap"].append(index["users"]["source_only"].pop())
 
 
-def _drop_valid(index, splits):
-    del splits["source"]["valid"]
+def _drop_valid(index, header, arrays):
+    del arrays["source-valid-indices"]
 
 
-def _users_not_a_list(index, splits):
+def _users_not_a_list(index, header, arrays):
     index["users"]["overlap"] = "u2"
 
 
+def _float_indptr(index, header, arrays):
+    arrays["target-train-indptr"] = arrays["target-train-indptr"] * 1.0
+
+
 @pytest.mark.parametrize("corrupt, file, message", [
-    (_drop_valid, corpus.SPLITS_FILE, "source/valid"),
+    (_drop_valid, corpus.SPLITS_FILE, "no member 'source-valid-indices'"),
     (_break_user_counts, corpus.SPLITS_FILE, "user count"),
     (_break_partition, corpus.INDEX_FILE, "do not fit"),
     (_users_not_a_list, corpus.INDEX_FILE, "users/overlap is not a list"),
+    (_float_indptr, corpus.SPLITS_FILE,
+     "target split: indptr and indices must be 1-D int64 arrays"),
 ], ids=["missing-entry", "user-counts-differ", "partition-misfit",
-        "entry-not-a-list"])
+        "entry-not-a-list", "float-indptr"])
 def test_load_dataset_rejects_malformed_archive(tmp_path, corrupt, file,
                                                 message):
     recs = [(f"u{u}", f"i{k}", None) for u in range(4) for k in range(5)]
@@ -517,11 +548,10 @@ def test_load_dataset_rejects_malformed_archive(tmp_path, corrupt, file,
         raw([(f"u{u}", "s0", None) for u in range(2, 6)], DomainId.SOURCE),
         raw(recs))
     save_dataset(tmp_path, ds, split_target(ds), split_source(ds))
-    blobs = [json.loads((tmp_path / name).read_text())
-             for name in (corpus.INDEX_FILE, corpus.SPLITS_FILE)]
-    corrupt(*blobs)
-    for name, blob in zip((corpus.INDEX_FILE, corpus.SPLITS_FILE), blobs):
-        (tmp_path / name).write_text(json.dumps(blob))
+    index = json.loads((tmp_path / corpus.INDEX_FILE).read_text())
+    rewrite_arrays(tmp_path / corpus.SPLITS_FILE,
+                   lambda header, arrays: corrupt(index, header, arrays))
+    (tmp_path / corpus.INDEX_FILE).write_text(json.dumps(index))
     with pytest.raises(ValueError, match=message) as err:
         load_dataset(tmp_path)
     assert file in str(err.value)

@@ -1,8 +1,10 @@
 import json
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from cutrec import experiment
 from cutrec.config import TrainingConfig
 from cutrec.errors import ConfigError
 from cutrec.experiment import (ExperimentConfig, format_aggregate_table,
@@ -120,6 +122,46 @@ def test_write_outputs_and_overwrite_protection(tmp_path):
     with pytest.raises(FileExistsError):
         write_experiment_outputs(report, out)
     write_experiment_outputs(report, out, force=True)
+
+
+@pytest.mark.parametrize("parallel_seeds, seeds, workers", [
+    (64, [0], None), (64, [0, 1, 2], 3), (2, [0, 1, 2], 2), (1, [0, 1], None),
+])
+def test_parallel_seeds_start_at_most_one_worker_per_seed(
+        monkeypatch, parallel_seeds, seeds, workers):
+    started = []
+
+    class Pool:
+        """Records its size and runs each task at once, in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(experiment, "run_single_seed",
+                        lambda cfg, seed, root: {"variants": {}})
+    report = run_experiment(synth_experiment_config(seeds=seeds),
+                            parallel_seeds=parallel_seeds)
+    assert started == ([] if workers is None else [workers])
+    assert list(report["per_seed"]) == [str(seed) for seed in seeds]
+
+
+@pytest.mark.parametrize("parallel_seeds", [0, -2])
+def test_parallel_seeds_below_one_rejected(parallel_seeds):
+    with pytest.raises(ConfigError, match="parallel_seeds must be >= 1"):
+        run_experiment(synth_experiment_config(),
+                       parallel_seeds=parallel_seeds)
 
 
 def test_parallel_seeds_report_equals_serial():

@@ -238,7 +238,8 @@ def test_no_contrastive_flag_zeroes_term_and_runs_without_oracle():
 
 def test_joint_baseline_has_no_transform_and_no_contrastive():
     ds, target_split, source_split = toy_dataset(seed=12)
-    config = small_config(joint_training_baseline=True, max_epochs=2)
+    config = small_config(no_transform=True, no_contrastive=True,
+                          max_epochs=2)
     result = run_transfer_phase(ds, target_split, source_split, config)
     assert result.model.transform is None
     assert "transform-weight" not in result.model.params()
@@ -466,6 +467,9 @@ def test_cut_checkpoint_must_fit_the_splits():
     short = Checkpoint([too_few, *ckpt.tables[1:]], ckpt.hyper, 0)
     with pytest.raises(CheckpointError, match="rows"):
         CutModel.from_checkpoint(short, target_split, source_split)
+    untransformed = Checkpoint(ckpt.tables, ckpt.hyper, 0)
+    with pytest.raises(CheckpointError, match="no_transform=False"):
+        CutModel.from_checkpoint(untransformed, target_split, source_split)
 
     # Three per-partition user tables, as older cut checkpoints held.
     a, b = ds.n_target_only, ds.target.n_users
