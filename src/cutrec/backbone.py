@@ -114,10 +114,10 @@ class SingleDomainModel:
                    graph)
 
 
-def rows_read(graph: BipartiteGraph | None, users: np.ndarray) -> np.ndarray:
+def rows_read(graph: BipartiteGraph | None, users) -> np.ndarray | slice:
     """Sorted layer-0 user rows that a domain loss over ``users`` reads:
-    the distinct batch users, or every user when a graph propagates."""
-    return np.unique(users) if graph is None else np.arange(graph.n_users)
+    the distinct batch users, or a slice of all when a graph propagates."""
+    return np.unique(users) if graph is None else slice(0, graph.n_users)
 
 
 def domain_forward_backward(user_vals: np.ndarray, item_vals: np.ndarray,
@@ -129,11 +129,11 @@ def domain_forward_backward(user_vals: np.ndarray, item_vals: np.ndarray,
 
     ``users`` index rows of ``user_vals``. Without a graph the scores are
     plain dot products and the gradients cover the batch rows, repeats
-    included; with one they use the propagated embeddings and cover every
-    row. Returns ``(loss, (user_rows, user_grad), (item_rows,
-    item_grad))``. Positive item rows come before negative ones, so
-    accumulating them in order matches adding the two groups one after
-    the other.
+    included; with one they use the propagated embeddings and each is one
+    block over its whole table, its rows given as a slice. Returns
+    ``(loss, (user_rows, user_grad), (item_rows, item_grad))``. Positive
+    item rows come before negative ones, so accumulating them in order
+    matches adding the two groups one after the other.
     """
     if graph is None:
         user_final, item_final = user_vals, item_vals
@@ -151,14 +151,14 @@ def domain_forward_backward(user_vals: np.ndarray, item_vals: np.ndarray,
     d_item = d_scores[:, None] * np.concatenate([u_vecs, u_vecs])
     if graph is None:
         return loss, (users, d_user), (item_rows, d_item)
-    d_user_final = scatter_rows(users, d_user, graph.n_users)
-    d_item_final = scatter_rows(item_rows, d_item, graph.n_items)
-    # The adjacency is symmetric, so the backward pass through the
-    # propagation is the propagation itself, here in the table dtype.
-    d_user0, d_item0 = propagate(graph, d_user_final.astype(user_vals.dtype),
-                                 d_item_final.astype(item_vals.dtype))
-    return (loss, (np.arange(graph.n_users), d_user0),
-            (np.arange(graph.n_items), d_item0))
+    # One scatter over the stacked rows, fed float64 so SciPy copies nothing;
+    # the adjacency is symmetric, so the backward pass is the propagation.
+    d_final = scatter_rows(np.concatenate([users, item_rows + graph.n_users]),
+                           np.concatenate([d_user, d_item], dtype=np.float64),
+                           graph.adjacency.shape[0]).astype(user_vals.dtype)
+    d_user0, d_item0 = propagate(graph, *np.split(d_final, [graph.n_users]))
+    return (loss, (slice(0, graph.n_users), d_user0),
+            (slice(0, graph.n_items), d_item0))
 
 
 def single_domain_forward_backward(model: SingleDomainModel,

@@ -102,8 +102,12 @@ def cmd_train_transfer(args) -> int:
         if not args.phase1:
             raise ConfigError("--phase1 checkpoint required for warm_start "
                               "and for the embedding similarity oracle")
-        frozen = load_checkpoint(args.phase1).table(
-            ROLE_USER_TARGET_PHASE1, target_split.train.n_users)
+        phase1 = load_checkpoint(args.phase1)
+        try:
+            frozen = phase1.table(ROLE_USER_TARGET_PHASE1,
+                                  target_split.train.n_users)
+        except CheckpointError as err:
+            raise CheckpointError(f"{args.phase1}: {err}") from None
     if cfg.history_similarity:
         oracle = SimilarityOracle.from_history(target_split.train, cfg.gamma)
     elif embedding_oracle:

@@ -572,10 +572,15 @@ def read_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
     raises a ValueError naming it."""
     path = Path(path)
     try:
-        with zipfile.ZipFile(path) as archive:
+        data = path.read_bytes()
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
             arrays = {name.removesuffix(".npy"): np.lib.format.read_array(
                 io.BytesIO(archive.read(name)), allow_pickle=False)
                 for name in archive.namelist()}
+        # zipfile stops quietly at a damaged directory entry; the end record,
+        # the last 22 bytes (no zip comment is written), counts them all.
+        if len(arrays) != int.from_bytes(data[-12:-10], "little"):
+            raise zipfile.BadZipFile("the zip directory lost entries")
         header = json.loads(str(arrays.pop("header")))
     except FileNotFoundError:
         raise

@@ -2,7 +2,7 @@
 
 Weight decay is applied as a coupled L2 term added to the gradient before
 the moment update, and only on rows that received gradient in the step.
-Moments follow the parameter dtype; gradients merge by a sparse product.
+Moments follow the parameter dtype; gradients merge in float64.
 """
 
 from __future__ import annotations
@@ -30,20 +30,19 @@ def scatter_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarr
 class GradBuffer:
     """Accumulates one training step's gradients per named parameter.
 
-    Embedding tables use row-indexed accumulation; full-parameter
-    gradients (the transform layer) use ``add_dense``. Accumulation is in
-    float64, row parts merged by one sparse product; ``Adam`` casts to the
-    parameter dtype, which its moments share. ``add_rows`` keeps its arrays,
-    uncopied, until ``grads`` merges them over their distinct rows and
-    empties the buffer, so that they are freed before the optimizer step.
+    Tables take row parts: index arrays, merged by one sparse product, or
+    slices, blocks summed where they overlap and passed uncopied alone. The
+    transform layer uses ``add_dense``. Sums are float64. ``add_rows`` keeps
+    its arrays, uncopied, until ``grads`` merges them and empties the
+    buffer, so that they are freed before the optimizer step.
     """
 
     def __init__(self, params: Mapping[str, np.ndarray]):
         self._params = dict(params)
-        self._parts: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._parts: dict[str, list[tuple]] = {}
         self._dense: dict[str, np.ndarray] = {}
 
-    def add_rows(self, name: str, rows: np.ndarray, values: np.ndarray) -> None:
+    def add_rows(self, name: str, rows: np.ndarray | slice, values) -> None:
         if name in self._dense:
             raise ValueError(f"parameter {name!r} already has a dense gradient")
         self._parts.setdefault(name, []).append((rows, values))
@@ -57,10 +56,24 @@ class GradBuffer:
     def grads(self) -> dict[str, SparseGrad]:
         out: dict[str, SparseGrad] = {}
         for name, parts in self._parts.items():
-            rows, inverse = np.unique(np.concatenate([r for r, _ in parts]),
-                                      return_inverse=True)
-            out[name] = (rows, scatter_rows(
-                inverse, np.concatenate([v for _, v in parts]), rows.size))
+            shape = self._params[name].shape
+            n = shape[0]
+            blocks = [isinstance(rows, slice) for rows, _ in parts]
+            if blocks == [True]:
+                out[name] = (np.arange(n)[parts[0][0]], parts[0][1])
+            elif all(blocks):
+                total, touched = np.zeros(shape), np.zeros(n, bool)
+                for block, values in parts:
+                    total[block] += values
+                    touched[block] = True
+                rows = np.flatnonzero(touched)
+                out[name] = (rows, total[rows] if rows.size < n else total)
+            else:
+                rows, inverse = np.unique(np.concatenate([
+                    np.arange(n)[r] if isinstance(r, slice) else r
+                    for r, _ in parts]), return_inverse=True)
+                out[name] = (rows, scatter_rows(inverse, np.concatenate(
+                    [v for _, v in parts]), rows.size))
         for name, buf in self._dense.items():
             out[name] = (None, buf)
         self._parts, self._dense = {}, {}
@@ -105,21 +118,19 @@ class Adam:
                     f"non-finite or overflowing gradient for parameter "
                     f"{name!r} at step {t}")
             m, v = self._m[name], self._v[name]
-            if rows is not None and rows.size == param.shape[0]:
-                rows = None  # sorted, distinct rows that cover the table
-            if rows is None:
-                g = grad + self.weight_decay * param
-                m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-                v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-                param -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            else:
-                if rows.size == 0:
-                    continue
-                theta = param[rows]
-                g = grad + self.weight_decay * theta
-                m_rows = self.beta1 * m[rows] + (1.0 - self.beta1) * g
-                v_rows = self.beta2 * v[rows] + (1.0 - self.beta2) * g * g
-                m[rows] = m_rows
-                v[rows] = v_rows
-                param[rows] = theta - (self.lr * (m_rows / bias1)
-                                       / (np.sqrt(v_rows / bias2) + self.eps))
+            if rows is None or rows.size == param.shape[0]:  # all rows
+                self._update(param, m, v, grad, bias1, bias2)
+            elif rows.size:
+                theta, m_rows, v_rows = param[rows], m[rows], v[rows]
+                self._update(theta, m_rows, v_rows, grad, bias1, bias2)
+                param[rows], m[rows], v[rows] = theta, m_rows, v_rows
+
+    def _update(self, param, m, v, grad, bias1: float, bias2: float) -> None:
+        """Adam's update of ``param``, ``m`` and ``v``, in place. A zero
+        decay term could only flip the sign of a zero, which nothing keeps."""
+        g = grad + self.weight_decay * param if self.weight_decay else grad
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        param -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)

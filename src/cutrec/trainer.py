@@ -341,25 +341,29 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
     l_source, (rows, d_user), (item_rows, d_item) = domain_forward_backward(
         model.source_users, model.tables[ROLE_ITEM_SOURCE].values,
         model.graph_source, src_users, src_pos, src_neg, loss_fn, alpha)
-    buf.add_rows(ROLE_USER, rows + model.source_offset, d_user)
+    buf.add_rows(ROLE_USER, slice(model.source_offset, None) if isinstance(
+        rows, slice) else rows + model.source_offset, d_user)
     buf.add_rows(ROLE_ITEM_SOURCE, item_rows, d_item)
 
-    # -- target domain: transform once the base rows the loss reads --
-    rows = rows_read(model.graph_target, tgt_users)
+    # -- target domain: transform once the base rows the loss reads; a
+    #    graph reads every row, so there a user is its own position --
+    graph = model.graph_target
+    rows = rows_read(graph, tgt_users)
     base = model.target_users[rows]
     transformed = model.apply_transform(base)
-    l_target, (local, d_local), (item_rows, d_item) = domain_forward_backward(
-        transformed, model.tables[ROLE_ITEM_TARGET].values,
-        model.graph_target, np.searchsorted(rows, tgt_users), tgt_pos,
-        tgt_neg, loss_fn, 1.0 - alpha)
+    l_target, (block, d_local), (item_rows, d_item) = domain_forward_backward(
+        transformed, model.tables[ROLE_ITEM_TARGET].values, graph,
+        tgt_users if graph else np.searchsorted(rows, tgt_users),
+        tgt_pos, tgt_neg, loss_fn, 1.0 - alpha)
     buf.add_rows(ROLE_ITEM_TARGET, item_rows, d_item)
-    d_transformed = scatter_rows(local, d_local, transformed.shape[0])
+    d_transformed = (d_local.astype(np.float64) if graph else
+                     scatter_rows(block, d_local, transformed.shape[0]))
 
     # -- contrastive regulariser on the transformed batch users, which
     #    adds nothing to loss or gradient without similar pairs --
     l_contrastive = 0.0
     if pairs is not None and pairs.n_similar > 0:
-        local = np.searchsorted(rows, pairs.users)
+        local = pairs.users if graph else np.searchsorted(rows, pairs.users)
         l_contrastive, d_pairs = contrastive_loss(
             transformed[local], pairs, config.temperature,
             normalize=config.normalized_contrastive)

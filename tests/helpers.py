@@ -8,14 +8,20 @@ so they stay independent of the implementation under test;
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
+from cutrec.backbone import LOSS_FNS, row_dots
+from cutrec.contrastive import contrastive_loss
 from cutrec.corpus import (NO_TIME, CrossDomainDataset, DomainId,
                            InteractionSet, RawInteractions, read_arrays,
                            write_arrays)
+from cutrec.embeddings import ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET, ROLE_USER
 from cutrec.errors import ParseError
+from cutrec.graph import propagate
 
 
 def fd_gradient(loss_fn, array: np.ndarray, flat_indices, h: float = 1e-6):
@@ -142,6 +148,130 @@ def adam_row_step(param: np.ndarray, m: np.ndarray, v: np.ndarray,
     step = lr * (m[rows] / (1.0 - beta1 ** t)) \
         / (np.sqrt(v[rows] / (1.0 - beta2 ** t)) + eps)
     param[rows] = theta - step.astype(param.dtype)
+
+
+def adam_dense_step(param: np.ndarray, m: np.ndarray, v: np.ndarray,
+                    grad: np.ndarray, t: int, *, lr: float,
+                    weight_decay: float, beta1: float = 0.9,
+                    beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """Adam step ``t`` on the whole table, out of place: the decay term
+    always added, each moment rebuilt from fresh temporaries."""
+    bias1, bias2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    g = grad + weight_decay * param
+    m[...] = beta1 * m + (1.0 - beta1) * g
+    v[...] = beta2 * v + (1.0 - beta2) * g * g
+    param -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+
+
+def adam_step_oracle(params: dict, moments: dict, grads: dict, t: int, *,
+                     lr: float, weight_decay: float) -> None:
+    """``Adam.step`` over ``(rows, grad)`` pairs with the formulas above:
+    ``adam_dense_step`` where the rows cover the table or are None, else
+    ``adam_row_step``; ``moments`` maps a name to its ``(m, v)``."""
+    for name, (rows, grad) in grads.items():
+        param, (m, v) = params[name], moments[name]
+        grad = grad.astype(param.dtype)
+        if rows is None or rows.size == param.shape[0]:
+            adam_dense_step(param, m, v, grad, t, lr=lr,
+                            weight_decay=weight_decay)
+        else:
+            adam_row_step(param, m, v, rows, grad, t, lr=lr,
+                          weight_decay=weight_decay)
+
+
+def onehot_scatter(index: np.ndarray, values: np.ndarray,
+                   n_rows: int) -> np.ndarray:
+    """Rows of ``values`` summed into ``n_rows`` float64 rows by a product
+    with the transposed one-hot matrix of ``index``."""
+    n = index.size
+    onehot = sp.csr_matrix((np.ones(n), index, np.arange(n + 1)),
+                           shape=(n, n_rows))
+    return onehot.T.tocsr() @ values
+
+
+def unique_merge_grads(row_parts: dict, dense_parts: dict) -> dict:
+    """``GradBuffer.grads`` for index-array parts only: ``np.unique`` over
+    every part's rows, then one one-hot product, even when the parts are
+    ``np.arange`` rows that cover the table; dense parts summed."""
+    out = {}
+    for name, parts in row_parts.items():
+        rows, inverse = np.unique(np.concatenate([r for r, _ in parts]),
+                                  return_inverse=True)
+        out[name] = (rows, onehot_scatter(
+            inverse, np.concatenate([v for _, v in parts]), rows.size))
+    for name, parts in dense_parts.items():
+        out[name] = (None, sum(parts, np.zeros(parts[0].shape)))
+    return out
+
+
+def csr_graph(graph):
+    """``graph`` with its adjacency in CSR."""
+    return dataclasses.replace(graph, adjacency=graph.adjacency.tocsr())
+
+
+def lightgcn_domain_oracle(user_vals, item_vals, graph, users, pos_items,
+                           neg_items, loss_fn, weight):
+    """``backbone.domain_forward_backward`` with a graph, row-indexed: one
+    one-hot scatter per table, each cast to its own dtype, and
+    ``np.arange`` rows over each table."""
+    user_final, item_final = propagate(graph, user_vals, item_vals)
+    u_vecs = user_final[users]
+    pos_vecs, neg_vecs = item_final[pos_items], item_final[neg_items]
+    loss, d_pos, d_neg = loss_fn(row_dots(u_vecs, pos_vecs),
+                                 row_dots(u_vecs, neg_vecs))
+    d_scores = (weight * np.concatenate([d_pos, d_neg])).astype(u_vecs.dtype)
+    d_pos, d_neg = np.split(d_scores, 2)
+    d_user = d_pos[:, None] * pos_vecs + d_neg[:, None] * neg_vecs
+    item_rows = np.concatenate([pos_items, neg_items])
+    d_item = d_scores[:, None] * np.concatenate([u_vecs, u_vecs])
+    d_user0, d_item0 = propagate(
+        graph, onehot_scatter(users, d_user, graph.n_users).astype(
+            user_vals.dtype),
+        onehot_scatter(item_rows, d_item, graph.n_items).astype(
+            item_vals.dtype))
+    return (loss, (np.arange(graph.n_users), d_user0),
+            (np.arange(graph.n_items), d_item0))
+
+
+def lightgcn_transfer_oracle(model, src_users, src_pos, src_neg, tgt_users,
+                             tgt_pos, tgt_neg, pairs):
+    """``trainer.transfer_forward_backward`` for a LightGCN ``CutModel``,
+    row-indexed: the target rows read as an ``np.arange`` copy, batch
+    positions by ``searchsorted`` and ``lightgcn_domain_oracle`` for both
+    domains. Returns the target, source and contrastive losses and the
+    ``unique_merge_grads`` of the parts."""
+    config = model.config
+    loss_fn = LOSS_FNS[config.loss_kind]
+    l_source, (rows, d_user), (item_rows, d_item) = lightgcn_domain_oracle(
+        model.source_users, model.tables[ROLE_ITEM_SOURCE].values,
+        model.graph_source, src_users, src_pos, src_neg, loss_fn,
+        config.alpha)
+    row_parts = {ROLE_USER: [(rows + model.source_offset, d_user)],
+                 ROLE_ITEM_SOURCE: [(item_rows, d_item)]}
+    rows = np.arange(model.graph_target.n_users)
+    base = model.target_users[rows]
+    transformed = model.apply_transform(base)
+    l_target, (local, d_local), (item_rows, d_item) = lightgcn_domain_oracle(
+        transformed, model.tables[ROLE_ITEM_TARGET].values,
+        model.graph_target, np.searchsorted(rows, tgt_users), tgt_pos,
+        tgt_neg, loss_fn, 1.0 - config.alpha)
+    row_parts[ROLE_ITEM_TARGET] = [(item_rows, d_item)]
+    d_transformed = onehot_scatter(local, d_local, transformed.shape[0])
+    l_contrastive = 0.0
+    if pairs is not None and pairs.n_similar > 0:
+        local = np.searchsorted(rows, pairs.users)
+        l_contrastive, d_pairs = contrastive_loss(
+            transformed[local], pairs, config.temperature,
+            normalize=config.normalized_contrastive)
+        d_transformed[local] += config.contrastive_weight * d_pairs
+    dense_parts = {}
+    if model.transform is not None:
+        dense_parts = {"transform-weight": [d_transformed.T @ base],
+                       "transform-bias": [d_transformed.sum(axis=0)]}
+        d_transformed = d_transformed @ model.transform.weight
+    row_parts[ROLE_USER].append((rows, d_transformed))
+    return ((l_target, l_source, l_contrastive),
+            unique_merge_grads(row_parts, dense_parts))
 
 
 def dense_propagation_oracle(adjacency_dense: np.ndarray, base: np.ndarray,

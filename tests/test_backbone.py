@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cutrec.backbone import (SingleDomainModel, sample_negatives_batch,
+from cutrec.backbone import (LOSS_FNS, SingleDomainModel,
+                             sample_negatives_batch,
                              single_domain_forward_backward)
 from cutrec.checkpoint import load_checkpoint, save_checkpoint
 from cutrec.config import TrainingConfig
@@ -9,8 +10,9 @@ from cutrec.corpus import SplitDataset
 from cutrec.errors import CheckpointError
 from cutrec.optim import Adam
 
-from helpers import (assert_grad_matches, dense_grads, interaction_set,
-                     sample_negatives)
+from helpers import (adam_step_oracle, assert_grad_matches, csr_graph,
+                     dense_grads, interaction_set, lightgcn_domain_oracle,
+                     sample_negatives, unique_merge_grads)
 
 
 # --- negative sampling --------------------------------------------------------
@@ -129,6 +131,48 @@ def test_gradients_match_finite_differences(backbone, loss):
             lambda: single_domain_forward_backward(model, users, pos, neg,
                                                    loss)[0],
             model.params(), analytic, rtol=1e-4, h=1e-6)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("loss", ["bce", "bpr"])
+def test_lightgcn_steps_match_row_indexed_oracle(loss, dtype, weight_decay):
+    # Whole-table blocks, one stacked scatter, CSC propagation and the
+    # in-place Adam give the bits of the row-indexed route over CSR.
+    rng = np.random.default_rng(21)
+    n_users, n_items = 30, 25
+    rows = [np.unique(rng.integers(0, n_items, size=rng.integers(1, 8)))
+            for _ in range(n_users)]
+    train = interaction_set([list(r) for r in rows], n_items)
+    model = SingleDomainModel.create(n_users, n_items, 8, 5,
+                                     backbone="lightgcn", train=train,
+                                     k_layers=2, dtype=dtype)
+    opt = Adam(model.params(), lr=0.01, weight_decay=weight_decay)
+    params = {name: value.copy() for name, value in model.params().items()}
+    moments = {name: (np.zeros_like(value), np.zeros_like(value))
+               for name, value in params.items()}
+    graph = csr_graph(model.graph)
+    for t in range(1, 6):
+        batch = rng.integers(0, train.n_interactions, size=24)
+        users, pos = train.users[batch], train.indices[batch]
+        neg = sample_negatives_batch(rng, n_items, train, users)
+        loss_value, buf = single_domain_forward_backward(model, users, pos,
+                                                         neg, loss)
+        grads = buf.grads()
+        for name, (got_rows, _) in grads.items():
+            assert np.array_equal(got_rows, np.arange(len(params[name])))
+        opt.step(grads)
+        expected, (user_rows, d_user), (item_rows, d_item) = \
+            lightgcn_domain_oracle(params["user"], params["item"], graph,
+                                   users, pos, neg, LOSS_FNS[loss], 1.0)
+        adam_step_oracle(params, moments, unique_merge_grads(
+            {"user": [(user_rows, d_user)], "item": [(item_rows, d_item)]},
+            {}), t, lr=0.01, weight_decay=weight_decay)
+        assert loss_value == expected
+        for name, value in model.params().items():
+            assert value.tobytes() == params[name].tobytes()
+            assert opt._m[name].tobytes() == moments[name][0].tobytes()
+            assert opt._v[name].tobytes() == moments[name][1].tobytes()
 
 
 def test_untouched_rows_have_no_gradient():

@@ -105,6 +105,19 @@ def test_truncated_payload_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_lost_directory_entries_rejected(tmp_path):
+    # A flipped bit in a zip directory entry's comment length makes
+    # zipfile read the entries after it as that comment and stop without
+    # an error; the end record still counts every entry.
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, make_checkpoint())
+    data = bytearray(path.read_bytes())
+    data[data.index(b"PK\x01\x02") + 33] ^= 0x40  # comment length 16384
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match=f"{path}.*lost entries"):
+        load_checkpoint(path)
+
+
 def test_changed_array_header_rejected(tmp_path):
     # A smaller shape in a member's .npy header leaves most of the member
     # unread; the zip CRC must still cover all of it.

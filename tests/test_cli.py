@@ -393,6 +393,7 @@ def test_wrong_phase1_checkpoint_is_runtime_failure(pipeline_dirs, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "'user-target-phase1'" in err and "'user'" in err
+    assert f"{tmp_path / 'joint' / 'cut.ckpt'}: checkpoint has no" in err
 
 
 def ingest_archive(tmp_path, name, n_items):

@@ -7,7 +7,7 @@ from cutrec.embeddings import assert_finite, init_embeddings
 from cutrec.errors import TrainingDivergedError
 from cutrec.optim import Adam, GradBuffer
 
-from helpers import adam_row_step, full_table_grads
+from helpers import adam_dense_step, adam_row_step, full_table_grads
 
 
 # --- initialisation ----------------------------------------------------------
@@ -89,6 +89,29 @@ def test_adam_full_coverage_matches_row_path_bytes(dtype, weight_decay):
         opt.step({"p": (rows, grad)})
         adam_row_step(expected, m, v, rows, grad, t, lr=0.01,
                       weight_decay=weight_decay)
+        assert param.tobytes() == expected.tobytes()
+        assert opt._m["p"].tobytes() == m.tobytes()
+        assert opt._v["p"].tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_place_dense_step_matches_out_of_place_formula(dtype,
+                                                                weight_decay):
+    # Signed zeros in the gradient and the table: the decay term skipped
+    # at zero decay could only have flipped a zero's sign.
+    rng = np.random.default_rng(8)
+    param = rng.normal(size=(60, 5)).astype(dtype)
+    param[rng.random(param.shape) < 0.1] = -0.0
+    expected = param.copy()
+    m, v = np.zeros_like(param), np.zeros_like(param)
+    opt = Adam({"p": param}, lr=0.01, weight_decay=weight_decay)
+    for t in range(1, 21):
+        grad = rng.normal(size=param.shape).astype(dtype)
+        grad[rng.random(param.shape) < 0.2] = -0.0
+        opt.step({"p": (np.arange(60) if t % 2 else None, grad)})
+        adam_dense_step(expected, m, v, grad, t, lr=0.01,
+                        weight_decay=weight_decay)
         assert param.tobytes() == expected.tobytes()
         assert opt._m["p"].tobytes() == m.tobytes()
         assert opt._v["p"].tobytes() == v.tobytes()
@@ -203,11 +226,12 @@ def test_grad_buffer_dense_param():
     np.testing.assert_array_equal(grads, 2 * np.eye(2))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_tables=st.integers(1, 3),
-       n_dense=st.integers(0, 2), max_parts=st.integers(1, 4))
+       n_dense=st.integers(0, 2), max_parts=st.integers(1, 4),
+       block_share=st.sampled_from([0.0, 0.5, 1.0]))
 def test_grad_buffer_matches_full_table_oracle(seed, n_tables, n_dense,
-                                               max_parts):
+                                               max_parts, block_share):
     rng = np.random.default_rng(seed)
     params = {f"t{k}": np.zeros((int(rng.integers(1, 30)), 3), np.float32)
               for k in range(n_tables)}
@@ -222,10 +246,18 @@ def test_grad_buffer_matches_full_table_oracle(seed, n_tables, n_dense,
                 buf.add_dense(name, values)
                 dense_parts.setdefault(name, []).append(values)
                 continue
-            # Few distinct rows, so parts repeat rows within and across.
-            rows = rng.integers(0, param.shape[0],
-                                size=int(rng.integers(0, 40)))
-            values = (rng.normal(size=(rows.size, 3))
+            n = param.shape[0]
+            if rng.random() < block_share:
+                # Blocks: a third cover the table, the rest a random span
+                # that may be empty, overlap others or leave rows out.
+                start, stop = (0, n) if rng.random() < 1 / 3 else sorted(
+                    int(i) for i in rng.integers(0, n + 1, size=2))
+                rows, size = slice(start, stop), stop - start
+            else:
+                # Few distinct rows, so parts repeat rows within and across.
+                rows = rng.integers(0, n, size=int(rng.integers(0, 40)))
+                size = rows.size
+            values = (rng.normal(size=(size, 3))
                       * 10.0 ** rng.integers(-8, 8)).astype(dtype)
             buf.add_rows(name, rows, values)
             row_parts.setdefault(name, []).append((rows, values))
@@ -237,7 +269,13 @@ def test_grad_buffer_matches_full_table_oracle(seed, n_tables, n_dense,
         if rows is None:
             assert got_rows is None
         else:
+            assert got_rows.dtype.kind == "i"
             assert np.array_equal(got_rows, rows)
+        parts = row_parts.get(name, [])
+        if len(parts) == 1 and isinstance(parts[0][0], slice):
+            # A lone block passes through uncopied.
+            assert got_values is parts[0][1]
+            got_values = got_values.astype(np.float64)
         assert got_values.dtype == np.float64
         assert got_values.tobytes() == values.tobytes()
     assert buf.grads() == {}

@@ -3,7 +3,7 @@ import pytest
 
 from cutrec.graph import build_graph, propagate
 
-from helpers import dense_propagation_oracle, interaction_set
+from helpers import csr_graph, dense_propagation_oracle, interaction_set
 
 
 def test_single_edge_one_layer_average():
@@ -91,6 +91,25 @@ def test_float32_propagation_tracks_float64():
         mixed = propagate(graph, users.astype(dtype), items.astype(dtype))
         assert [a.dtype for a in mixed] == [dtype, dtype]
         np.testing.assert_allclose(mixed[0], expected[0], rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_csc_propagation_is_bit_equal_to_csr(dtype):
+    # The adjacency is symmetric, so the CSC product adds each output
+    # row's terms in the order the CSR product does.
+    rng = np.random.default_rng(9)
+    n_users, n_items = 120, 90
+    rows = [np.unique(rng.integers(0, n_items, size=rng.integers(0, 15)))
+            for _ in range(n_users)]
+    graph = build_graph(interaction_set([list(r) for r in rows], n_items),
+                        k_layers=3, dtype=dtype)
+    assert graph.adjacency.format == "csc"
+    assert (graph.adjacency != graph.adjacency.T).nnz == 0
+    users = rng.normal(size=(n_users, 16)).astype(dtype)
+    items = rng.normal(size=(n_items, 16)).astype(dtype)
+    for got, expected in zip(propagate(graph, users, items),
+                             propagate(csr_graph(graph), users, items)):
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_shape_validation():

@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from cutrec import similarity, trainer
+from cutrec.backbone import sample_negatives_batch
 from cutrec.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cutrec.config import TrainingConfig
 from cutrec.corpus import (DomainId, build_cross_domain, split_source,
@@ -16,7 +19,8 @@ from cutrec.trainer import (CutModel, EarlyStopper, LossBreakdown,
                             run_target_phase, run_transfer_phase,
                             transfer_forward_backward, transfer_step)
 
-from helpers import assert_grad_matches, dense_grads, raw_interactions
+from helpers import (adam_step_oracle, assert_grad_matches, csr_graph,
+                     dense_grads, lightgcn_transfer_oracle, raw_interactions)
 
 
 def toy_dataset(seed=0, n_target=9, n_source=6, overlap=3, per_user=6,
@@ -132,6 +136,66 @@ def test_transfer_step_gradients_match_finite_differences(backbone, loss_kind,
     assert_grad_matches(
         lambda: transfer_forward_backward(model, *batches, pairs)[0].total,
         model.params(), analytic, rtol=1e-4, h=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("gamma", [0.0, 1.0], ids=["pairs", "no-pairs"])
+@pytest.mark.parametrize("no_transform", [False, True],
+                         ids=["transform", "no-transform"])
+@pytest.mark.parametrize("loss_kind", ["bce", "bpr"])
+def test_lightgcn_transfer_steps_match_row_indexed_oracle(loss_kind,
+                                                          no_transform,
+                                                          gamma, dtype):
+    # Blocks over whole tables, the user table's source and target blocks
+    # summed where they overlap, CSC propagation and the in-place Adam give
+    # the bits of the row-indexed route over CSR: tables, moments and
+    # transform.
+    ds, target_split, source_split = toy_dataset(seed=3, n_target=12,
+                                                 n_source=10, overlap=4)
+    config = small_config(backbone="lightgcn", loss_kind=loss_kind,
+                          k_layers=2, alpha=0.4, contrastive_weight=0.1,
+                          no_transform=no_transform, weight_decay=1e-3)
+    model = CutModel.build(ds, target_split, source_split, config,
+                           dtype=dtype)
+    twin = copy.deepcopy(model)
+    twin.graph_target = csr_graph(model.graph_target)
+    twin.graph_source = csr_graph(model.graph_source)
+    opt = Adam(model.params(), lr=0.01, weight_decay=1e-3)
+    moments = {name: (np.zeros_like(value), np.zeros_like(value))
+               for name, value in twin.params().items()}
+    rng = np.random.default_rng(4)
+    oracle = SimilarityOracle.from_embeddings(
+        rng.normal(size=(ds.target.n_users, 4)), gamma=gamma)
+    tgt, src = target_split.train, source_split.train
+
+    def draw(train, size):
+        pick = rng.integers(0, train.n_interactions, size=size)
+        users = train.users[pick]
+        return users, train.indices[pick], sample_negatives_batch(
+            rng, train.n_items, train, users)
+
+    for t in range(1, 5):
+        (src_users, src_pos, src_neg), (tgt_users, tgt_pos, tgt_neg) = (
+            draw(src, 20), draw(tgt, 24))
+        batches = (src_users, src_pos, src_neg, tgt_users, tgt_pos, tgt_neg)
+        pairs = extract_pairs(tgt_users, oracle)
+        assert (pairs.n_similar > 0) == (gamma == 0.0)
+        breakdown, buf = transfer_forward_backward(model, *batches, pairs)
+        grads = buf.grads()
+        for name, (rows, _) in grads.items():
+            if not name.startswith("transform"):
+                n_rows = len(twin.params()[name])
+                assert np.array_equal(rows, np.arange(n_rows))
+        opt.step(grads)
+        losses, expected = lightgcn_transfer_oracle(twin, *batches, pairs)
+        adam_step_oracle(twin.params(), moments, expected, t, lr=0.01,
+                         weight_decay=1e-3)
+        assert (breakdown.target, breakdown.source,
+                breakdown.contrastive) == losses
+        for name, value in model.params().items():
+            assert value.tobytes() == twin.params()[name].tobytes(), name
+            assert opt._m[name].tobytes() == moments[name][0].tobytes()
+            assert opt._v[name].tobytes() == moments[name][1].tobytes()
 
 
 def test_breakdown_total_is_exact_recombination():
