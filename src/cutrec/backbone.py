@@ -6,6 +6,7 @@ interaction graph, trained with hand-derived gradients.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .checkpoint import Checkpoint
 from .config import TrainingConfig
@@ -14,7 +15,7 @@ from .embeddings import (EmbeddingTable, ROLE_ITEM_TARGET,
                          ROLE_USER_TARGET_PHASE1, init_embeddings)
 from .graph import BipartiteGraph, build_graph, propagate
 from .losses import bce_loss, bpr_loss
-from .optim import GradBuffer, scatter_rows
+from .optim import GradBuffer, distinct_rows
 
 BACKBONE_MF = "mf"
 BACKBONE_LIGHTGCN = "lightgcn"
@@ -114,10 +115,11 @@ class SingleDomainModel:
                    graph)
 
 
-def rows_read(graph: BipartiteGraph | None, users) -> np.ndarray | slice:
-    """Sorted layer-0 user rows that a domain loss over ``users`` reads:
-    the distinct batch users, or a slice of all when a graph propagates."""
-    return np.unique(users) if graph is None else slice(0, graph.n_users)
+def rows_read(graph: BipartiteGraph | None, index) -> tuple:
+    """The table rows that a loss over the batch entries ``index`` reads,
+    and each entry's position among them: the distinct entries, or all
+    rows when a graph propagates."""
+    return distinct_rows(index) if graph is None else (slice(None), index)
 
 
 def domain_forward_backward(user_vals: np.ndarray, item_vals: np.ndarray,
@@ -127,38 +129,38 @@ def domain_forward_backward(user_vals: np.ndarray, item_vals: np.ndarray,
     """One domain's batch loss and the gradient of ``weight * loss`` on
     the layer-0 user and item values.
 
-    ``users`` index rows of ``user_vals``. Without a graph the scores are
-    plain dot products and the gradients cover the batch rows, repeats
-    included; with one they use the propagated embeddings and each is one
-    block over its whole table, its rows given as a slice. Returns
-    ``(loss, (user_rows, user_grad), (item_rows, item_grad))``. Positive
-    item rows come before negative ones, so accumulating them in order
-    matches adding the two groups one after the other.
+    ``user_vals`` holds the user rows that ``rows_read`` gives, and
+    ``users`` index it. With ``S`` the sparse users x items matrix of the
+    score gradients, the gradients on the scored rows are ``S @ items``
+    and ``S.T @ users`` in float64: ``user_vals`` and the batch items, or
+    the propagated tables, whose gradients then go back through the graph
+    in the table dtype. Returns ``(loss, user_grad, (item_rows,
+    item_grad))``, the item rows as ``rows_read`` gives them.
     """
-    if graph is None:
-        user_final, item_final = user_vals, item_vals
-    else:
-        user_final, item_final = propagate(graph, user_vals, item_vals)
+    item_rows, item_local = rows_read(
+        graph, np.concatenate([pos_items, neg_items]))
+    user_final, item_final = user_vals, item_vals[item_rows]
+    if graph is not None:
+        user_final, item_final = propagate(graph, user_final, item_final)
     u_vecs = user_final[users]
-    pos_vecs = item_final[pos_items]
-    neg_vecs = item_final[neg_items]
-    loss, d_pos, d_neg = loss_fn(row_dots(u_vecs, pos_vecs),
-                                 row_dots(u_vecs, neg_vecs))
-    d_scores = (weight * np.concatenate([d_pos, d_neg])).astype(u_vecs.dtype)
-    d_pos, d_neg = np.split(d_scores, 2)
-    d_user = d_pos[:, None] * pos_vecs + d_neg[:, None] * neg_vecs
-    item_rows = np.concatenate([pos_items, neg_items])
-    d_item = d_scores[:, None] * np.concatenate([u_vecs, u_vecs])
-    if graph is None:
-        return loss, (users, d_user), (item_rows, d_item)
-    # One scatter over the stacked rows, fed float64 so SciPy copies nothing;
-    # the adjacency is symmetric, so the backward pass is the propagation.
-    d_final = scatter_rows(np.concatenate([users, item_rows + graph.n_users]),
-                           np.concatenate([d_user, d_item], dtype=np.float64),
-                           graph.adjacency.shape[0]).astype(user_vals.dtype)
-    d_user0, d_item0 = propagate(graph, *np.split(d_final, [graph.n_users]))
-    return (loss, (slice(0, graph.n_users), d_user0),
-            (slice(0, graph.n_items), d_item0))
+    pos_local, neg_local = np.split(item_local, 2)
+    loss, d_pos, d_neg = loss_fn(row_dots(u_vecs, item_final[pos_local]),
+                                 row_dots(u_vecs, item_final[neg_local]))
+    # Both products at once: the stacked rows times the symmetric
+    # [[0, S], [S.T, 0]] in COO, an entry per score and side, so that each
+    # output row adds its terms in batch order, positives first. Float64
+    # operands: SciPy would upcast float32 ones, over twice as slowly.
+    stacked = np.concatenate([user_final, item_final], dtype=np.float64)
+    ends = np.concatenate([users, users, item_local + len(user_final)])
+    d_scores = np.tile(weight * np.concatenate([d_pos, d_neg]), 2)
+    scores = sp.coo_matrix((d_scores, (ends, np.roll(ends, 2 * users.size))),
+                           shape=(len(stacked),) * 2)
+    d_user, d_item = np.split(scores @ stacked, [len(user_final)])
+    if graph is not None:
+        # The adjacency is symmetric: the backward pass is the propagation.
+        d_user, d_item = propagate(graph, d_user.astype(user_vals.dtype),
+                                   d_item.astype(item_vals.dtype))
+    return loss, d_user, (item_rows, d_item)
 
 
 def single_domain_forward_backward(model: SingleDomainModel,
@@ -169,9 +171,10 @@ def single_domain_forward_backward(model: SingleDomainModel,
     if users.size == 0:
         raise ValueError("batch must be non-empty")
     buf = GradBuffer(model.params())
-    loss, (user_rows, d_user), (item_rows, d_item) = domain_forward_backward(
-        model.users.values, model.items.values, model.graph, users,
+    rows, local = rows_read(model.graph, users)
+    loss, d_user, (item_rows, d_item) = domain_forward_backward(
+        model.users.values[rows], model.items.values, model.graph, local,
         pos_items, neg_items, LOSS_FNS[loss_kind], 1.0)
-    buf.add_rows("user", user_rows, d_user)
+    buf.add_rows("user", rows, d_user)
     buf.add_rows("item", item_rows, d_item)
     return loss, buf

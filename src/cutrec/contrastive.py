@@ -15,8 +15,8 @@ transformed vectors coincide or when S is empty.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
-from .optim import scatter_rows
 from .similarity import PairSets
 
 
@@ -74,10 +74,10 @@ def contrastive_loss(transformed: np.ndarray, pairs: PairSets, tau: float,
     # product of two users' features, so the feature gradient takes
     # d logits plus its transpose. The softmax part is symmetric: twice
     # the product above, scaled as an n x dim array. The similar part is
-    # a float64 sparse product over both ends of each similar pair.
-    ends_i = np.concatenate([sim_i, sim_j])
-    ends_j = np.concatenate([sim_j, sim_i])
-    pull = scatter_rows(ends_i, feats[ends_j], n)
+    # one float64 product with the matrix of both ends of each pair.
+    ends = (np.concatenate([sim_i, sim_j]), np.concatenate([sim_j, sim_i]))
+    pull = sp.coo_matrix((np.ones(ends[0].size), ends), shape=(n, n)) \
+        @ feats.astype(np.float64)
     d_feats = (prod[:, :-1] * (2.0 / denom) - pull / n_similar) / tau
 
     if normalize:

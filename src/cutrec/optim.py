@@ -1,8 +1,8 @@
-"""Adam with lazy per-row updates for embedding tables.
+"""Adam with lazy per-row updates, and a buffer for one step's gradients.
 
 Weight decay is applied as a coupled L2 term added to the gradient before
 the moment update, and only on rows that received gradient in the step.
-Moments follow the parameter dtype; gradients merge in float64.
+Moments follow the parameter dtype.
 """
 
 from __future__ import annotations
@@ -10,31 +10,30 @@ from __future__ import annotations
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import TrainingDivergedError
 
 SparseGrad = tuple[np.ndarray | None, np.ndarray]
 
 
-def scatter_rows(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
-    """``np.add.at`` of ``values`` rows into ``n_rows`` float64 zero rows,
-    adding in the same order, as one sparse product: the transposed
-    one-hot matrix keeps each output row's entries in input order."""
-    n = index.size
-    onehot = sp.csr_matrix((np.ones(n), index, np.arange(n + 1)),
-                           shape=(n, n_rows))
-    return onehot.T.tocsr() @ values
+def distinct_rows(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(index, return_inverse=True)`` for non-negative ints,
+    without a sort: the sorted distinct entries and each one's position."""
+    position = np.zeros(index.max(initial=-1) + 1, dtype=np.int64)
+    position[index] = 1
+    rows = np.flatnonzero(position)
+    position[rows] = np.arange(rows.size)
+    return rows, position[index]
 
 
 class GradBuffer:
     """Accumulates one training step's gradients per named parameter.
 
-    Tables take row parts: index arrays, merged by one sparse product, or
-    slices, blocks summed where they overlap and passed uncopied alone. The
-    transform layer uses ``add_dense``. Sums are float64. ``add_rows`` keeps
-    its arrays, uncopied, until ``grads`` merges them and empties the
-    buffer, so that they are freed before the optimizer step.
+    A table takes row parts: a slice or strictly increasing int rows, and
+    a value row each. A lone part passes through uncopied; parts sharing a
+    table, and the transform layer's dense parts, are summed in float64.
+    ``grads`` gives int rows and empties the buffer, so that the parts are
+    freed before the optimizer step.
     """
 
     def __init__(self, params: Mapping[str, np.ndarray]):
@@ -45,6 +44,13 @@ class GradBuffer:
     def add_rows(self, name: str, rows: np.ndarray | slice, values) -> None:
         if name in self._dense:
             raise ValueError(f"parameter {name!r} already has a dense gradient")
+        if isinstance(rows, slice):
+            rows = np.arange(len(self._params[name]))[rows]
+        elif (rows.ndim != 1 or rows.dtype.kind not in "iu"
+              or np.any(np.diff(rows) <= 0)):
+            # Summing parts by index would drop all but one of a repeat.
+            raise ValueError(f"rows of {name!r} must be a slice or strictly "
+                             "increasing integers")
         self._parts.setdefault(name, []).append((rows, values))
 
     def add_dense(self, name: str, values: np.ndarray) -> None:
@@ -56,24 +62,15 @@ class GradBuffer:
     def grads(self) -> dict[str, SparseGrad]:
         out: dict[str, SparseGrad] = {}
         for name, parts in self._parts.items():
-            shape = self._params[name].shape
-            n = shape[0]
-            blocks = [isinstance(rows, slice) for rows, _ in parts]
-            if blocks == [True]:
-                out[name] = (np.arange(n)[parts[0][0]], parts[0][1])
-            elif all(blocks):
-                total, touched = np.zeros(shape), np.zeros(n, bool)
-                for block, values in parts:
-                    total[block] += values
-                    touched[block] = True
-                rows = np.flatnonzero(touched)
-                out[name] = (rows, total[rows] if rows.size < n else total)
-            else:
-                rows, inverse = np.unique(np.concatenate([
-                    np.arange(n)[r] if isinstance(r, slice) else r
-                    for r, _ in parts]), return_inverse=True)
-                out[name] = (rows, scatter_rows(inverse, np.concatenate(
-                    [v for _, v in parts]), rows.size))
+            if len(parts) == 1:
+                out[name] = parts[0]
+                continue
+            rows, inverse = distinct_rows(np.concatenate([r for r, _ in parts]))
+            total = np.zeros((rows.size, *self._params[name].shape[1:]))
+            for part, values in parts:
+                total[inverse[:part.size]] += values
+                inverse = inverse[part.size:]
+            out[name] = (rows, total)
         for name, buf in self._dense.items():
             out[name] = (None, buf)
         self._parts, self._dense = {}, {}

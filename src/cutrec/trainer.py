@@ -8,7 +8,7 @@ interactions against transformed ones, and a contrastive term ties the
 transformed representations to the frozen phase-one similarity
 structure. Both phases run the same epoch loop, ``fit``, and both
 domains of both phases share one loss routine,
-``backbone.domain_forward_backward``.
+``backbone.domain_forward_backward``, with gradients summed over the batch.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .embeddings import (EmbeddingTable, ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET,
 from .errors import CheckpointError, ConfigError, TrainingDivergedError
 from .evaluation import evaluate_full
 from .graph import build_graph, propagate
-from .optim import Adam, GradBuffer, scatter_rows
+from .optim import Adam, GradBuffer
 from .similarity import PairSets, SimilarityOracle, extract_pairs
 from .transform import TransformLayer
 
@@ -338,43 +338,43 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
     buf = GradBuffer(model.params())
 
     # -- source domain, raw base embeddings --
-    l_source, (rows, d_user), (item_rows, d_item) = domain_forward_backward(
-        model.source_users, model.tables[ROLE_ITEM_SOURCE].values,
-        model.graph_source, src_users, src_pos, src_neg, loss_fn, alpha)
-    buf.add_rows(ROLE_USER, slice(model.source_offset, None) if isinstance(
-        rows, slice) else rows + model.source_offset, d_user)
+    rows, local = rows_read(model.graph_source, src_users)
+    l_source, d_user, (item_rows, d_item) = domain_forward_backward(
+        model.source_users[rows], model.tables[ROLE_ITEM_SOURCE].values,
+        model.graph_source, local, src_pos, src_neg, loss_fn, alpha)
+    buf.add_rows(ROLE_USER, np.arange(model.source_offset, len(
+        model.tables[ROLE_USER].values))[rows], d_user)
     buf.add_rows(ROLE_ITEM_SOURCE, item_rows, d_item)
 
-    # -- target domain: transform once the base rows the loss reads; a
-    #    graph reads every row, so there a user is its own position --
+    # -- target domain: transform once the base rows the loss reads --
     graph = model.graph_target
-    rows = rows_read(graph, tgt_users)
+    rows, local = rows_read(graph, tgt_users)
     base = model.target_users[rows]
     transformed = model.apply_transform(base)
-    l_target, (block, d_local), (item_rows, d_item) = domain_forward_backward(
-        transformed, model.tables[ROLE_ITEM_TARGET].values, graph,
-        tgt_users if graph else np.searchsorted(rows, tgt_users),
+    l_target, d_transformed, (item_rows, d_item) = domain_forward_backward(
+        transformed, model.tables[ROLE_ITEM_TARGET].values, graph, local,
         tgt_pos, tgt_neg, loss_fn, 1.0 - alpha)
     buf.add_rows(ROLE_ITEM_TARGET, item_rows, d_item)
-    d_transformed = (d_local.astype(np.float64) if graph else
-                     scatter_rows(block, d_local, transformed.shape[0]))
+    d_transformed = d_transformed.astype(np.float64, copy=False)
 
-    # -- contrastive regulariser on the transformed batch users, which
-    #    adds nothing to loss or gradient without similar pairs --
+    # -- contrastive regulariser on the transformed batch users (without
+    #    a graph, the rows read), nothing without similar pairs --
     l_contrastive = 0.0
     if pairs is not None and pairs.n_similar > 0:
-        local = pairs.users if graph else np.searchsorted(rows, pairs.users)
+        at = pairs.users if graph is not None else slice(None)
+        if graph is None and not np.array_equal(pairs.users, rows):
+            raise ValueError("pair users are not the distinct batch users")
         l_contrastive, d_pairs = contrastive_loss(
-            transformed[local], pairs, config.temperature,
+            transformed[at], pairs, config.temperature,
             normalize=config.normalized_contrastive)
-        d_transformed[local] += lam * d_pairs
+        d_transformed[at] += lam * d_pairs
 
     # -- chain both target terms through the transform at once --
     if model.transform is not None:
         buf.add_dense("transform-weight", d_transformed.T @ base)
         buf.add_dense("transform-bias", d_transformed.sum(axis=0))
         d_transformed = d_transformed @ model.transform.weight
-    buf.add_rows(ROLE_USER, rows, d_transformed)
+    buf.add_rows(ROLE_USER, np.arange(model.n_target)[rows], d_transformed)
 
     l_all = total_loss(l_target, l_source, l_contrastive, alpha, lam)
     return LossBreakdown(l_target, l_source, l_contrastive, l_all), buf

@@ -12,7 +12,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from cutrec.backbone import LOSS_FNS, row_dots
 from cutrec.contrastive import contrastive_loss
@@ -179,99 +178,82 @@ def adam_step_oracle(params: dict, moments: dict, grads: dict, t: int, *,
                           weight_decay=weight_decay)
 
 
-def onehot_scatter(index: np.ndarray, values: np.ndarray,
-                   n_rows: int) -> np.ndarray:
-    """Rows of ``values`` summed into ``n_rows`` float64 rows by a product
-    with the transposed one-hot matrix of ``index``."""
-    n = index.size
-    onehot = sp.csr_matrix((np.ones(n), index, np.arange(n + 1)),
-                           shape=(n, n_rows))
-    return onehot.T.tocsr() @ values
-
-
-def unique_merge_grads(row_parts: dict, dense_parts: dict) -> dict:
-    """``GradBuffer.grads`` for index-array parts only: ``np.unique`` over
-    every part's rows, then one one-hot product, even when the parts are
-    ``np.arange`` rows that cover the table; dense parts summed."""
-    out = {}
-    for name, parts in row_parts.items():
-        rows, inverse = np.unique(np.concatenate([r for r, _ in parts]),
-                                  return_inverse=True)
-        out[name] = (rows, onehot_scatter(
-            inverse, np.concatenate([v for _, v in parts]), rows.size))
-    for name, parts in dense_parts.items():
-        out[name] = (None, sum(parts, np.zeros(parts[0].shape)))
-    return out
-
-
 def csr_graph(graph):
     """``graph`` with its adjacency in CSR."""
     return dataclasses.replace(graph, adjacency=graph.adjacency.tocsr())
 
 
-def lightgcn_domain_oracle(user_vals, item_vals, graph, users, pos_items,
-                           neg_items, loss_fn, weight):
-    """``backbone.domain_forward_backward`` with a graph, row-indexed: one
-    one-hot scatter per table, each cast to its own dtype, and
-    ``np.arange`` rows over each table."""
-    user_final, item_final = propagate(graph, user_vals, item_vals)
+def per_entry_grads(user_vals, item_vals, graph, users, pos_items,
+                    neg_items, loss_fn, weight, *, row_dtype=np.float64,
+                    back: bool = True):
+    """``backbone.domain_forward_backward`` the per-entry way, over whole
+    tables: scores in the table dtype (propagated over ``graph`` if given),
+    then one gradient row per score for its user and one for its item,
+    the score's gradient times the other side's vector in ``row_dtype``,
+    added into float64 tables by ``np.add.at`` in batch order, positives
+    first. With a graph the sums are cast to the table dtype and
+    propagated back, unless ``back`` is false. Returns the loss and the
+    user and item gradients."""
+    if graph is None:
+        user_final, item_final = user_vals, item_vals
+    else:
+        user_final, item_final = propagate(graph, user_vals, item_vals)
     u_vecs = user_final[users]
     pos_vecs, neg_vecs = item_final[pos_items], item_final[neg_items]
     loss, d_pos, d_neg = loss_fn(row_dots(u_vecs, pos_vecs),
                                  row_dots(u_vecs, neg_vecs))
-    d_scores = (weight * np.concatenate([d_pos, d_neg])).astype(u_vecs.dtype)
-    d_pos, d_neg = np.split(d_scores, 2)
-    d_user = d_pos[:, None] * pos_vecs + d_neg[:, None] * neg_vecs
-    item_rows = np.concatenate([pos_items, neg_items])
-    d_item = d_scores[:, None] * np.concatenate([u_vecs, u_vecs])
-    d_user0, d_item0 = propagate(
-        graph, onehot_scatter(users, d_user, graph.n_users).astype(
-            user_vals.dtype),
-        onehot_scatter(item_rows, d_item, graph.n_items).astype(
-            item_vals.dtype))
-    return (loss, (np.arange(graph.n_users), d_user0),
-            (np.arange(graph.n_items), d_item0))
+    d_scores = (weight * np.concatenate([d_pos, d_neg]))[:, None]
+    d_user = np.zeros(user_final.shape)
+    d_item = np.zeros(item_final.shape)
+    np.add.at(d_user, np.concatenate([users, users]), d_scores.astype(
+        row_dtype) * np.concatenate([pos_vecs, neg_vecs]).astype(row_dtype))
+    np.add.at(d_item, np.concatenate([pos_items, neg_items]),
+              d_scores.astype(row_dtype)
+              * np.concatenate([u_vecs, u_vecs]).astype(row_dtype))
+    if graph is not None and back:
+        d_user, d_item = propagate(graph, d_user.astype(user_vals.dtype),
+                                   d_item.astype(item_vals.dtype))
+    return loss, d_user, d_item
 
 
 def lightgcn_transfer_oracle(model, src_users, src_pos, src_neg, tgt_users,
                              tgt_pos, tgt_neg, pairs):
     """``trainer.transfer_forward_backward`` for a LightGCN ``CutModel``,
-    row-indexed: the target rows read as an ``np.arange`` copy, batch
-    positions by ``searchsorted`` and ``lightgcn_domain_oracle`` for both
-    domains. Returns the target, source and contrastive losses and the
-    ``unique_merge_grads`` of the parts."""
+    row-indexed: ``per_entry_grads`` for both domains over whole tables,
+    the contrastive gradient added at the pair users' rows, and every
+    part as ``np.arange`` rows merged by ``full_table_grads``. Returns the
+    target, source and contrastive losses and the gradients."""
     config = model.config
     loss_fn = LOSS_FNS[config.loss_kind]
-    l_source, (rows, d_user), (item_rows, d_item) = lightgcn_domain_oracle(
+    l_source, d_user, d_item = per_entry_grads(
         model.source_users, model.tables[ROLE_ITEM_SOURCE].values,
         model.graph_source, src_users, src_pos, src_neg, loss_fn,
         config.alpha)
-    row_parts = {ROLE_USER: [(rows + model.source_offset, d_user)],
-                 ROLE_ITEM_SOURCE: [(item_rows, d_item)]}
-    rows = np.arange(model.graph_target.n_users)
-    base = model.target_users[rows]
+    row_parts = {
+        ROLE_USER: [(np.arange(len(d_user)) + model.source_offset, d_user)],
+        ROLE_ITEM_SOURCE: [(np.arange(len(d_item)), d_item)]}
+    base = model.target_users
     transformed = model.apply_transform(base)
-    l_target, (local, d_local), (item_rows, d_item) = lightgcn_domain_oracle(
+    l_target, d_transformed, d_item = per_entry_grads(
         transformed, model.tables[ROLE_ITEM_TARGET].values,
-        model.graph_target, np.searchsorted(rows, tgt_users), tgt_pos,
-        tgt_neg, loss_fn, 1.0 - config.alpha)
-    row_parts[ROLE_ITEM_TARGET] = [(item_rows, d_item)]
-    d_transformed = onehot_scatter(local, d_local, transformed.shape[0])
+        model.graph_target, tgt_users, tgt_pos, tgt_neg, loss_fn,
+        1.0 - config.alpha)
+    row_parts[ROLE_ITEM_TARGET] = [(np.arange(len(d_item)), d_item)]
+    d_transformed = d_transformed.astype(np.float64)
     l_contrastive = 0.0
     if pairs is not None and pairs.n_similar > 0:
-        local = np.searchsorted(rows, pairs.users)
         l_contrastive, d_pairs = contrastive_loss(
-            transformed[local], pairs, config.temperature,
+            transformed[pairs.users], pairs, config.temperature,
             normalize=config.normalized_contrastive)
-        d_transformed[local] += config.contrastive_weight * d_pairs
+        d_transformed[pairs.users] += config.contrastive_weight * d_pairs
     dense_parts = {}
     if model.transform is not None:
         dense_parts = {"transform-weight": [d_transformed.T @ base],
                        "transform-bias": [d_transformed.sum(axis=0)]}
         d_transformed = d_transformed @ model.transform.weight
-    row_parts[ROLE_USER].append((rows, d_transformed))
+    row_parts[ROLE_USER].append((np.arange(len(base)), d_transformed))
     return ((l_target, l_source, l_contrastive),
-            unique_merge_grads(row_parts, dense_parts))
+            full_table_grads(model.params(), row_parts, dense_parts))
 
 
 def dense_propagation_oracle(adjacency_dense: np.ndarray, base: np.ndarray,

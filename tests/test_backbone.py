@@ -1,18 +1,25 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cutrec import backbone as backbone_module
 from cutrec.backbone import (LOSS_FNS, SingleDomainModel,
+                             domain_forward_backward, rows_read,
                              sample_negatives_batch,
                              single_domain_forward_backward)
 from cutrec.checkpoint import load_checkpoint, save_checkpoint
 from cutrec.config import TrainingConfig
 from cutrec.corpus import SplitDataset
 from cutrec.errors import CheckpointError
+from cutrec.graph import build_graph, propagate
 from cutrec.optim import Adam
 
 from helpers import (adam_step_oracle, assert_grad_matches, csr_graph,
-                     dense_grads, interaction_set, lightgcn_domain_oracle,
-                     sample_negatives, unique_merge_grads)
+                     dense_grads, interaction_set, per_entry_grads,
+                     sample_negatives)
 
 
 # --- negative sampling --------------------------------------------------------
@@ -137,8 +144,8 @@ def test_gradients_match_finite_differences(backbone, loss):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("loss", ["bce", "bpr"])
 def test_lightgcn_steps_match_row_indexed_oracle(loss, dtype, weight_decay):
-    # Whole-table blocks, one stacked scatter, CSC propagation and the
-    # in-place Adam give the bits of the row-indexed route over CSR.
+    # Whole-table blocks, one score matrix, CSC propagation and the
+    # in-place Adam give the bits of the per-entry route over CSR.
     rng = np.random.default_rng(21)
     n_users, n_items = 30, 25
     rows = [np.unique(rng.integers(0, n_items, size=rng.integers(1, 8)))
@@ -162,17 +169,80 @@ def test_lightgcn_steps_match_row_indexed_oracle(loss, dtype, weight_decay):
         for name, (got_rows, _) in grads.items():
             assert np.array_equal(got_rows, np.arange(len(params[name])))
         opt.step(grads)
-        expected, (user_rows, d_user), (item_rows, d_item) = \
-            lightgcn_domain_oracle(params["user"], params["item"], graph,
-                                   users, pos, neg, LOSS_FNS[loss], 1.0)
-        adam_step_oracle(params, moments, unique_merge_grads(
-            {"user": [(user_rows, d_user)], "item": [(item_rows, d_item)]},
-            {}), t, lr=0.01, weight_decay=weight_decay)
+        expected, d_user, d_item = per_entry_grads(
+            params["user"], params["item"], graph, users, pos, neg,
+            LOSS_FNS[loss], 1.0)
+        adam_step_oracle(params, moments, {
+            "user": (np.arange(n_users), d_user),
+            "item": (np.arange(n_items), d_item)}, t, lr=0.01,
+            weight_decay=weight_decay)
         assert loss_value == expected
         for name, value in model.params().items():
             assert value.tobytes() == params[name].tobytes()
             assert opt._m[name].tobytes() == moments[name][0].tobytes()
             assert opt._v[name].tobytes() == moments[name][1].tobytes()
+
+
+def max_error(values, reference) -> float:
+    return float(np.abs(np.asarray(values, np.float64) - reference).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), backbone=st.sampled_from(["mf", "lightgcn"]),
+       loss=st.sampled_from(["bce", "bpr"]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       weight=st.one_of(st.just(1.0), st.floats(0.01, 10.0)),
+       n_users=st.integers(1, 6), n_items=st.integers(1, 6),
+       dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_batch_gradients_match_per_entry_oracle(data, backbone, loss, dtype,
+                                                weight, n_users, n_items,
+                                                dim, seed):
+    # Few users and items, so batches repeat users, positives and
+    # negatives, and a negative may equal a positive.
+    size = data.draw(st.integers(1, 12))
+    users, pos, neg = (np.array(data.draw(st.lists(
+        st.integers(0, n - 1), min_size=size, max_size=size)))
+        for n in (n_users, n_items, n_items))
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-1.0, 1.0)
+    user_vals = (scale * rng.normal(size=(n_users, dim))).astype(dtype)
+    item_vals = (scale * rng.normal(size=(n_items, dim))).astype(dtype)
+    graph = None
+    if backbone == "lightgcn":
+        train = interaction_set(
+            [list(np.flatnonzero(rng.random(n_items) < 0.5))
+             for _ in range(n_users)], n_items)
+        graph = build_graph(train, data.draw(st.integers(0, 2)), dtype)
+    loss_fn = LOSS_FNS[loss]
+    rows, local = rows_read(graph, users)
+    with mock.patch.object(backbone_module, "propagate",
+                           wraps=propagate) as spy:
+        value, d_rows, (item_rows, d_item_rows) = domain_forward_backward(
+            user_vals[rows], item_vals, graph, local, pos, neg, loss_fn,
+            weight)
+    d_user, d_item = np.zeros(user_vals.shape), np.zeros(item_vals.shape)
+    d_user[rows], d_item[item_rows] = d_rows, d_item_rows
+    expected, ref_user, ref_item = per_entry_grads(
+        user_vals, item_vals, graph, users, pos, neg, loss_fn, weight)
+    assert value == expected
+    if dtype == np.float64:
+        for got, ref in ((d_user, ref_user), (d_item, ref_item)):
+            assert max_error(got, ref) <= 1e-12 * np.abs(ref).max()
+        return
+    # On float32 tables the score matrix's products, the gradients a graph
+    # propagates back, are no farther from float64 per-score rows than
+    # rows rounded to float32, as the per-entry route rounded them.
+    if graph is not None:
+        d_user, d_item = spy.call_args_list[-1].args[1:]
+    _, *reference = per_entry_grads(user_vals, item_vals, graph, users, pos,
+                                    neg, loss_fn, weight, back=False)
+    _, *rounded = per_entry_grads(user_vals, item_vals, graph, users, pos,
+                                  neg, loss_fn, weight, row_dtype=dtype,
+                                  back=False)
+    for got, old, ref in zip((d_user, d_item), rounded, reference):
+        if graph is not None:
+            old = old.astype(dtype)
+        assert max_error(got, ref) <= max_error(old, ref)
 
 
 def test_untouched_rows_have_no_gradient():

@@ -208,12 +208,20 @@ def test_adam_bit_identical_runs():
 # --- GradBuffer --------------------------------------------------------------
 
 def test_grad_buffer_accumulates_duplicate_rows():
+    # Rows repeat across parts, never within one: a repeat within a part,
+    # unsorted rows and non-integer rows are refused.
     param = np.zeros((4, 2))
     buf = GradBuffer({"p": param})
-    buf.add_rows("p", np.array([1, 1, 3]), np.ones((3, 2)))
+    for rows in ([1, 1, 3], [3, 1], [[1, 3]], [1.0, 3.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            buf.add_rows("p", np.array(rows), np.ones((len(rows), 2)))
+    buf.add_rows("p", np.array([1, 3]), np.ones((2, 2)))
+    buf.add_rows("p", np.array([0, 1]), np.full((2, 2), 2.0))
+    buf.add_rows("p", slice(1, 2), np.full((1, 2), 4.0))
     rows, grads = buf.grads()["p"]
-    assert list(rows) == [1, 3]
-    np.testing.assert_array_equal(grads, [[2.0, 2.0], [1.0, 1.0]])
+    assert list(rows) == [0, 1, 3]
+    np.testing.assert_array_equal(grads, [[2.0, 2.0], [7.0, 7.0],
+                                          [1.0, 1.0]])
 
 
 def test_grad_buffer_dense_param():
@@ -254,8 +262,10 @@ def test_grad_buffer_matches_full_table_oracle(seed, n_tables, n_dense,
                     int(i) for i in rng.integers(0, n + 1, size=2))
                 rows, size = slice(start, stop), stop - start
             else:
-                # Few distinct rows, so parts repeat rows within and across.
-                rows = rng.integers(0, n, size=int(rng.integers(0, 40)))
+                # Distinct sorted rows, few of them, so parts repeat rows
+                # across one another.
+                rows = np.unique(rng.integers(0, n, size=int(
+                    rng.integers(0, 40))))
                 size = rows.size
             values = (rng.normal(size=(size, 3))
                       * 10.0 ** rng.integers(-8, 8)).astype(dtype)
@@ -272,8 +282,8 @@ def test_grad_buffer_matches_full_table_oracle(seed, n_tables, n_dense,
             assert got_rows.dtype.kind == "i"
             assert np.array_equal(got_rows, rows)
         parts = row_parts.get(name, [])
-        if len(parts) == 1 and isinstance(parts[0][0], slice):
-            # A lone block passes through uncopied.
+        if len(parts) == 1:
+            # A lone part passes through uncopied.
             assert got_values is parts[0][1]
             got_values = got_values.astype(np.float64)
         assert got_values.dtype == np.float64

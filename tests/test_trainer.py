@@ -146,10 +146,10 @@ def test_transfer_step_gradients_match_finite_differences(backbone, loss_kind,
 def test_lightgcn_transfer_steps_match_row_indexed_oracle(loss_kind,
                                                           no_transform,
                                                           gamma, dtype):
-    # Blocks over whole tables, the user table's source and target blocks
-    # summed where they overlap, CSC propagation and the in-place Adam give
-    # the bits of the row-indexed route over CSR: tables, moments and
-    # transform.
+    # Blocks over whole tables, one score matrix per domain, the user
+    # table's source and target blocks summed where they overlap, CSC
+    # propagation and the in-place Adam give the bits of the per-entry
+    # route over CSR: tables, moments and transform.
     ds, target_split, source_split = toy_dataset(seed=3, n_target=12,
                                                  n_source=10, overlap=4)
     config = small_config(backbone="lightgcn", loss_kind=loss_kind,
