@@ -31,6 +31,9 @@ from .transform import TransformLayer
 VERSION = 2
 _F4 = np.dtype("<f4")
 _TRANSFORM = ("transform-weight", "transform-bias")
+# Retired training options that older files record, each with the one
+# value this code still implements.
+_RETIRED = {"transform_init": "identity", "normalized_contrastive": False}
 
 
 @dataclass
@@ -54,9 +57,19 @@ class Checkpoint:
                               f"(it holds {present or 'no tables'})")
 
     def training_config(self) -> TrainingConfig:
-        """The saved training config, or a ``CheckpointError``."""
+        """The saved training config, or a ``CheckpointError``. A retired
+        key is dropped at the one value this code implements."""
         try:
-            return TrainingConfig.from_dict(self.hyper["training"])
+            saved = self.hyper["training"]
+            if isinstance(saved, dict):
+                for key, value in _RETIRED.items():
+                    got = saved.get(key, value)
+                    if got != value or type(got) is not type(value):
+                        raise CheckpointError(
+                            f"checkpoint training config sets retired key "
+                            f"{key!r} to {got!r}, not {value!r}")
+                saved = {k: v for k, v in saved.items() if k not in _RETIRED}
+            return TrainingConfig.from_dict(saved)
         except (KeyError, ConfigError) as err:
             raise CheckpointError(
                 f"checkpoint has no valid training config ({err})") from None

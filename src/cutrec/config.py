@@ -35,6 +35,9 @@ def check_kind(name: str, value, kind: str) -> None:
 
 @dataclass
 class TrainingConfig:
+    """Every setting of one training run: objective, model, optimiser,
+    schedule, seed and the variant switches."""
+
     alpha: float = 0.2
     contrastive_weight: float = 1e-4
     temperature: float = 0.1
@@ -53,10 +56,9 @@ class TrainingConfig:
     no_contrastive: bool = False
     no_transform: bool = False
     history_similarity: bool = False
-    # Non-default variants.
+    # Non-default variant: phase two starts the target users from the
+    # frozen phase-one rows.
     warm_start: bool = False
-    normalized_contrastive: bool = False
-    transform_init: str = "identity"
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
@@ -81,9 +83,6 @@ class TrainingConfig:
         if self.backbone not in ("mf", "lightgcn"):
             raise ConfigError(f"backbone must be 'mf' or 'lightgcn', "
                               f"got {self.backbone!r}")
-        if self.transform_init not in ("identity", "random"):
-            raise ConfigError(f"transform_init must be 'identity' or "
-                              f"'random', got {self.transform_init!r}")
         for field in ("batch_size", "k_layers", "embedding_dim",
                       "max_epochs", "patience", "seed"):
             value = getattr(self, field)

@@ -7,7 +7,8 @@ distinct batch users, the regulariser is
     -(1/|S|) * sum_{(i,j) in S} log( |A| * exp(z_ij / tau)
                                      / sum_{(x,y) in A} exp(z_xy / tau) )
 
-where z is the raw dot product of the transformed user vectors. The |A|
+where z is the raw dot product of the transformed user vectors: they are
+not normalised, so the term also sees the transform's scale. The |A|
 factor means individual terms may go negative; the value is 0 when all
 transformed vectors coincide or when S is empty.
 """
@@ -20,30 +21,18 @@ import scipy.sparse as sp
 from .similarity import PairSets
 
 
-def contrastive_loss(transformed: np.ndarray, pairs: PairSets, tau: float,
-                     *, normalize: bool = False
-                     ) -> tuple[float, np.ndarray]:
-    """Loss and gradient w.r.t. the transformed vectors.
-
-    ``transformed`` rows must align with ``pairs.users``. With
-    ``normalize=True``, dot products are taken between unit-normalised
-    vectors (non-default variant).
-    """
+def contrastive_loss(feats: np.ndarray, pairs: PairSets,
+                     tau: float) -> tuple[float, np.ndarray]:
+    """Loss and float64 gradient w.r.t. ``feats``, the transformed
+    vectors of ``pairs.users`` in order."""
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     n = pairs.n_users
-    if transformed.shape[0] != n:
+    if feats.shape[0] != n:
         raise ValueError("transformed rows do not match pair-set users")
     n_similar = pairs.n_similar
     if n < 2 or n_similar == 0:
-        return 0.0, np.zeros_like(transformed, dtype=np.float64)
-
-    if normalize:
-        norms = np.linalg.norm(transformed, axis=1, keepdims=True)
-        safe = np.maximum(norms, 1e-12)
-        feats = transformed / safe
-    else:
-        feats = transformed
+        return 0.0, np.zeros_like(feats, dtype=np.float64)
 
     # 1/tau goes into a fresh transposed operand: numpy sends a product of
     # a buffer with its own transpose down BLAS syrk and mirrors the
@@ -79,12 +68,6 @@ def contrastive_loss(transformed: np.ndarray, pairs: PairSets, tau: float,
     pull = sp.coo_matrix((np.ones(ends[0].size), ends), shape=(n, n)) \
         @ feats.astype(np.float64)
     d_feats = (prod[:, :-1] * (2.0 / denom) - pull / n_similar) / tau
-
-    if normalize:
-        # Through f = v / max(||v||, eps): remove the radial component.
-        radial = np.einsum("ij,ij->i", d_feats, feats)[:, None] * feats
-        d_feats = (d_feats - radial) / safe
-        d_feats[norms[:, 0] == 0.0] = 0.0
     return float(loss), d_feats
 
 

@@ -44,10 +44,10 @@ def assert_finite(params: Mapping[str, np.ndarray], context: str = "") -> None:
 
 
 def init_embeddings(rows: int, dim: int, seed, *, role: str = "user",
-                    scale: float = 0.1, dtype=np.float32) -> EmbeddingTable:
-    """Gaussian-initialised table: entries i.i.d. normal(0, scale)."""
+                    dtype=np.float32) -> EmbeddingTable:
+    """Gaussian-initialised table: entries i.i.d. normal(0, 0.1)."""
     if rows <= 0 or dim <= 0:
         raise ValueError("rows and dim must be positive")
     rng = np.random.default_rng(seed)
-    values = rng.normal(0.0, scale, size=(rows, dim)).astype(dtype)
+    values = rng.normal(0.0, 0.1, size=(rows, dim)).astype(dtype)
     return EmbeddingTable(role, values)

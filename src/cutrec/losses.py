@@ -1,21 +1,14 @@
 """Implicit-feedback prediction losses with hand-derived gradients.
 
 Both losses return (mean loss, d_loss/d_pos_scores, d_loss/d_neg_scores)
-with the 1/N factor already folded into the gradients.
+with the 1/N factor already folded into the gradients. Each gradient
+reuses the loss's softplus: sigma(x) - 1 = expm1(-softplus(-x)), which
+keeps full relative precision where sigma(x) rounds to 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -32,10 +25,9 @@ def bce_loss(pos_scores: np.ndarray,
     n = pos.size + neg.size
     if n == 0:
         raise ValueError("bce_loss needs at least one score")
-    loss = (softplus(-pos).sum() + softplus(neg).sum()) / n
-    d_pos = (sigmoid(pos) - 1.0) / n
-    d_neg = sigmoid(neg) / n
-    return float(loss), d_pos, d_neg
+    sp_pos, sp_neg = softplus(-pos), softplus(neg)
+    loss = (sp_pos.sum() + sp_neg.sum()) / n
+    return float(loss), np.expm1(-sp_pos) / n, -np.expm1(-sp_neg) / n
 
 
 def bpr_loss(pos_scores: np.ndarray,
@@ -48,7 +40,6 @@ def bpr_loss(pos_scores: np.ndarray,
         raise ValueError("bpr_loss needs paired scores of equal length")
     if pos.size == 0:
         raise ValueError("bpr_loss needs at least one pair")
-    margin = pos - neg
-    loss = softplus(-margin).mean()
-    d_pos = (sigmoid(margin) - 1.0) / pos.size
-    return float(loss), d_pos, -d_pos
+    sp = softplus(neg - pos)
+    d_pos = np.expm1(-sp) / pos.size
+    return float(sp.mean()), d_pos, -d_pos

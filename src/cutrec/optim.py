@@ -14,6 +14,8 @@ import numpy as np
 from .errors import TrainingDivergedError
 
 SparseGrad = tuple[np.ndarray | None, np.ndarray]
+# Adam's moment decay rates and denominator guard (Kingma & Ba, 2015).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def distinct_rows(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,14 +81,10 @@ class GradBuffer:
 
 class Adam:
     def __init__(self, params: Mapping[str, np.ndarray], *, lr: float = 0.001,
-                 weight_decay: float = 0.0, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 weight_decay: float = 0.0):
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._v = {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -97,8 +95,8 @@ class Adam:
         gradient of the whole parameter."""
         self.step_count += 1
         t = self.step_count
-        bias1 = 1.0 - self.beta1 ** t
-        bias2 = 1.0 - self.beta2 ** t
+        bias1 = 1.0 - BETA1 ** t
+        bias2 = 1.0 - BETA2 ** t
         for name, (rows, grad) in grads.items():
             if name not in self.params:
                 raise KeyError(f"unknown parameter {name!r}")
@@ -126,8 +124,8 @@ class Adam:
         """Adam's update of ``param``, ``m`` and ``v``, in place. A zero
         decay term could only flip the sign of a zero, which nothing keeps."""
         g = grad + self.weight_decay * param if self.weight_decay else grad
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        param -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        param -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)

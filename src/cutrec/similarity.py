@@ -63,10 +63,9 @@ class SimilarityOracle:
     decision, ``n_pairs`` counts its ordered pairs and ``max_cosine`` is
     the largest off-diagonal cosine."""
 
-    def __init__(self, mode: str, normed, gamma: float = 0.9):
+    def __init__(self, normed, gamma: float = 0.9):
         if not -1.0 < gamma <= 1.0:
             raise ValueError(f"gamma must be in (-1, 1], got {gamma}")
-        self.mode = mode
         self.gamma = gamma
         self.graph, self.max_cosine = _similar_pair_graph(normed, gamma)
         self.n_pairs = self.graph.nnz
@@ -77,8 +76,7 @@ class SimilarityOracle:
         values = np.asarray(table.values if isinstance(table, EmbeddingTable)
                             else table, dtype=np.float64)
         norms = np.linalg.norm(values, axis=1, keepdims=True)
-        return cls("embedding", values / np.where(norms == 0.0, 1.0, norms),
-                   gamma)
+        return cls(values / np.where(norms == 0.0, 1.0, norms), gamma)
 
     @classmethod
     def from_history(cls, train: InteractionSet,
@@ -89,7 +87,7 @@ class SimilarityOracle:
             (np.repeat(1.0 / np.sqrt(np.maximum(counts, 1)), counts),
              train.indices, train.indptr),
             shape=(train.n_users, train.n_items))
-        return cls("history", normed, gamma)
+        return cls(normed, gamma)
 
 
 @dataclass(frozen=True)

@@ -232,7 +232,7 @@ class CutModel:
               dtype=np.float32) -> "CutModel":
         dim = config.embedding_dim
         seeds = np.random.SeedSequence(
-            [config.seed, _STREAM_TRANSFER_INIT]).spawn(6)
+            [config.seed, _STREAM_TRANSFER_INIT]).spawn(5)
         # One init stream per user partition, in dataset order, so that a
         # partition's initial rows do not depend on the others' sizes.
         users = [init_embeddings(rows, dim, seed, dtype=dtype).values
@@ -253,10 +253,8 @@ class CutModel:
                                   "embeddings")
             tables[ROLE_USER].values[:ds.target.n_users] = frozen.values
 
-        transform = None
-        if not config.no_transform:
-            transform = TransformLayer.create(
-                dim, seeds[5], init=config.transform_init, dtype=dtype)
+        transform = (None if config.no_transform
+                     else TransformLayer.identity(dim, dtype))
         return cls(config, tables, transform, ds.target.n_users,
                    ds.n_target_only,
                    *_graphs(config, target_split, source_split, dtype))
@@ -365,8 +363,7 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
         if graph is None and not np.array_equal(pairs.users, rows):
             raise ValueError("pair users are not the distinct batch users")
         l_contrastive, d_pairs = contrastive_loss(
-            transformed[at], pairs, config.temperature,
-            normalize=config.normalized_contrastive)
+            transformed[at], pairs, config.temperature)
         d_transformed[at] += lam * d_pairs
 
     # -- chain both target terms through the transform at once --

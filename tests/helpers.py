@@ -23,6 +23,11 @@ from cutrec.errors import ParseError
 from cutrec.graph import propagate
 
 
+def sigmoid_reference(x) -> np.ndarray:
+    """The logistic function 1 / (1 + e^-x) in long double."""
+    return 1 / (1 + np.exp(-np.asarray(x, dtype=np.longdouble)))
+
+
 def fd_gradient(loss_fn, array: np.ndarray, flat_indices, h: float = 1e-6):
     """Central finite differences of ``loss_fn()`` w.r.t. entries of
     ``array`` (perturbed in place)."""
@@ -116,22 +121,15 @@ def full_table_grads(params: dict[str, np.ndarray], row_parts, dense_parts):
 
 
 def dense_contrastive_gradient(values: np.ndarray, sim_mask: np.ndarray,
-                               tau: float, normalize: bool) -> np.ndarray:
+                               tau: float) -> np.ndarray:
     """Gradient of the batch regulariser w.r.t. ``values``, through dense
-    u-by-u masks: (softmax - sim / |S|) / tau plus its transpose, then
-    (with ``normalize``) through f = v / ||v||."""
-    norms = np.linalg.norm(values, axis=1, keepdims=True)
-    feats = values / norms if normalize else values
-    n = feats.shape[0]
+    u-by-u masks: (softmax - sim / |S|) / tau plus its transpose."""
+    n = values.shape[0]
     off_diag = ~np.eye(n, dtype=bool)
-    logits = feats @ feats.T / tau
+    logits = values @ values.T / tau
     exp = np.where(off_diag, np.exp(logits - logits[off_diag].max()), 0.0)
     d_logits = (exp / exp.sum() - sim_mask / sim_mask.sum()) / tau
-    d_feats = (d_logits + d_logits.T) @ feats
-    if not normalize:
-        return d_feats
-    radial = (d_feats * feats).sum(axis=1, keepdims=True) * feats
-    return (d_feats - radial) / norms
+    return (d_logits + d_logits.T) @ values
 
 
 def adam_row_step(param: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -243,8 +241,7 @@ def lightgcn_transfer_oracle(model, src_users, src_pos, src_neg, tgt_users,
     l_contrastive = 0.0
     if pairs is not None and pairs.n_similar > 0:
         l_contrastive, d_pairs = contrastive_loss(
-            transformed[pairs.users], pairs, config.temperature,
-            normalize=config.normalized_contrastive)
+            transformed[pairs.users], pairs, config.temperature)
         d_transformed[pairs.users] += config.contrastive_weight * d_pairs
     dense_parts = {}
     if model.transform is not None:

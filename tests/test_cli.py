@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,6 +364,61 @@ def test_malformed_checkpoint_is_runtime_failure_naming_it(
     err = capsys.readouterr().err
     assert err.startswith(f"runtime failure: {path}: ")
     assert not out.exists()
+
+
+def test_checkpoint_with_retired_keys_at_their_value_evaluates_the_same(
+        pipeline_dirs):
+    # Files written before transform_init and normalized_contrastive were
+    # retired record both; at these values they load as they did.
+    tmp_path, train_cfg, data_dir = pipeline_dirs
+    ckpt = Path(train_checkpoint(tmp_path, train_cfg, data_dir, "cut"))
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(ckpt.read_bytes())
+    rewrite_arrays(old, lambda header, arrays: header["hyper"]["training"]
+                   .update(transform_init="identity",
+                           normalized_contrastive=False))
+    assert old.read_bytes() != ckpt.read_bytes()
+    reports = []
+    for path, out in ((ckpt, "eval-new"), (old, "eval-old")):
+        assert main(["evaluate", "--checkpoint", str(path), "--data",
+                     str(data_dir), "--out", str(tmp_path / out)]) == 0
+        reports.append((tmp_path / out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("normalized_contrastive", True), ("transform_init", "random"),
+    ("normalized_contrastive", 0)])
+def test_checkpoint_with_retired_key_set_is_runtime_failure(
+        phase1_checkpoint, tmp_path, capsys, key, value):
+    data_dir, good = phase1_checkpoint
+    path = tmp_path / "retired.ckpt"
+    path.write_bytes(good)
+    rewrite_arrays(path, lambda header, arrays:
+                   header["hyper"]["training"].update({key: value}))
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--checkpoint", str(path), "--data",
+                 str(data_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime failure: {path}: ")
+    assert f"retired key {key!r} to {value!r}" in err
+    assert not out.exists()
+
+
+def test_experiment_config_with_retired_key_is_validation_error(tmp_path,
+                                                                capsys):
+    exp_cfg = write_json(tmp_path / "exp.json", {
+        "data": {"synthetic": SYNTH_CFG},
+        "training": {**TRAIN_CFG, "transform_init": "identity"},
+        "seeds": [0], "variants": ["cut"], "min_interactions": 3})
+    code = main(["experiment", "--config", str(exp_cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "unknown training config key 'transform_init'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_warm_start_with_history_oracle_loads_phase1(pipeline_dirs):

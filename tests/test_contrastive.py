@@ -107,8 +107,7 @@ def test_value_matches_brute_force_on_hand_instance():
     assert loss == pytest.approx(expected, abs=1e-10)
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_gradients_match_finite_differences(normalize):
+def test_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
     for trial in range(5):
         n = int(rng.integers(3, 7))
@@ -119,17 +118,14 @@ def test_gradients_match_finite_differences(normalize):
                              size=rng.integers(1, len(candidates) + 1),
                              replace=False)]
         pairs = pair_sets(n, chosen)
-        _, grads = contrastive_loss(vectors, pairs, tau=0.1,
-                                    normalize=normalize)
+        _, grads = contrastive_loss(vectors, pairs, tau=0.1)
         fd = fd_gradient(
-            lambda: contrastive_loss(vectors, pairs, tau=0.1,
-                                     normalize=normalize)[0],
+            lambda: contrastive_loss(vectors, pairs, tau=0.1)[0],
             vectors, range(vectors.size), h=1e-6)
         np.testing.assert_allclose(grads.ravel(), fd, rtol=1e-5, atol=1e-8)
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_gradient_matches_dense_mask_formula(normalize):
+def test_gradient_matches_dense_mask_formula():
     rng = np.random.default_rng(5)
     for trial in range(10):
         n = int(rng.integers(2, 40))
@@ -139,9 +135,8 @@ def test_gradient_matches_dense_mask_formula(normalize):
         np.fill_diagonal(mask, False)
         mask[0, 1] = True
         pairs = mask_pairs(mask)
-        _, grads = contrastive_loss(vectors, pairs, tau=0.2,
-                                    normalize=normalize)
-        expected = dense_contrastive_gradient(vectors, mask, 0.2, normalize)
+        _, grads = contrastive_loss(vectors, pairs, tau=0.2)
+        expected = dense_contrastive_gradient(vectors, mask, 0.2)
         np.testing.assert_allclose(grads, expected, rtol=1e-12,
                                    atol=1e-12 * np.abs(expected).max())
 
@@ -177,16 +172,14 @@ def random_batch(rng, n, scale):
     return vectors, mask
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_float32_batch_tracks_float64(normalize):
+def test_float32_batch_tracks_float64():
     # Float32 input runs the logits, the exp and both products in float32;
     # about 1e-7 relative was seen on the loss and on the gradient.
     vectors, mask = random_batch(np.random.default_rng(21), 300, 0.3)
     pairs = mask_pairs(mask)
-    loss64, grads64 = contrastive_loss(vectors, pairs, tau=0.2,
-                                       normalize=normalize)
+    loss64, grads64 = contrastive_loss(vectors, pairs, tau=0.2)
     loss32, grads32 = contrastive_loss(vectors.astype(np.float32), pairs,
-                                       tau=0.2, normalize=normalize)
+                                       tau=0.2)
     assert grads32.dtype == np.float64
     assert loss32 == pytest.approx(loss64, rel=1e-5)
     np.testing.assert_allclose(grads32, grads64, rtol=0,
@@ -211,7 +204,7 @@ def test_large_norm_batch_float32_finite_and_close():
     np.testing.assert_allclose(grads32, grads64, rtol=0,
                                atol=1e-5 * np.abs(grads64).max())
     with np.errstate(over="ignore"):  # the oracle's exp on the diagonal
-        expected = dense_contrastive_gradient(vectors, mask, 0.1, False)
+        expected = dense_contrastive_gradient(vectors, mask, 0.1)
     np.testing.assert_allclose(grads64, expected, rtol=1e-12,
                                atol=1e-12 * np.abs(expected).max())
 
@@ -230,30 +223,27 @@ def clustered_batch(rng, n=1500, dim=64, n_clusters=8, n_pairs=60):
     return vectors, mask
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_batch_scale_gradient_matches_dense_mask_formula(normalize):
+def test_batch_scale_gradient_matches_dense_mask_formula():
     # At this size the denominator comes out of the gradient product and
     # the similar-pair term is a sparse product over a small share of
     # the matrix: both must still give the dense formula.
     vectors, mask = clustered_batch(np.random.default_rng(31))
     pairs = mask_pairs(mask)
     assert pairs.n_similar >= 100
-    _, grads = contrastive_loss(vectors, pairs, tau=0.1, normalize=normalize)
-    expected = dense_contrastive_gradient(vectors, mask, 0.1, normalize)
+    _, grads = contrastive_loss(vectors, pairs, tau=0.1)
+    expected = dense_contrastive_gradient(vectors, mask, 0.1)
     np.testing.assert_allclose(grads, expected, rtol=1e-12,
                                atol=1e-12 * np.abs(expected).max())
 
 
-@pytest.mark.parametrize("normalize", [False, True])
-def test_batch_scale_float32_tracks_float64(normalize):
-    # A few float32 ulps: 9.4e-8 / 1.8e-8 relative was seen on the loss
-    # and 3.5e-6 / 1.6e-7 of the largest entry on the gradient.
+def test_batch_scale_float32_tracks_float64():
+    # A few float32 ulps: 9.4e-8 relative was seen on the loss and 3.5e-6
+    # of the largest entry on the gradient.
     vectors, mask = clustered_batch(np.random.default_rng(31))
     pairs = mask_pairs(mask)
-    loss64, grads64 = contrastive_loss(vectors, pairs, tau=0.1,
-                                       normalize=normalize)
+    loss64, grads64 = contrastive_loss(vectors, pairs, tau=0.1)
     loss32, grads32 = contrastive_loss(vectors.astype(np.float32), pairs,
-                                       tau=0.1, normalize=normalize)
+                                       tau=0.1)
     assert grads32.dtype == np.float64
     assert loss32 == pytest.approx(loss64, rel=1e-6)
     np.testing.assert_allclose(grads32, grads64, rtol=0,

@@ -56,6 +56,16 @@ def test_preset_applies_per_dataset_defaults():
     assert amazon.training.weight_decay == pytest.approx(1e-6)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("transform_init", "identity"), ("normalized_contrastive", False)])
+def test_training_config_rejects_retired_keys(key, value):
+    # Even at the value the code still implements: only checkpoints
+    # written before the option was retired may carry it.
+    with pytest.raises(ConfigError,
+                       match=f"unknown training config key '{key}'"):
+        TrainingConfig.from_dict({key: value})
+
+
 def test_training_defaults_match_published_settings():
     cfg = TrainingConfig()
     assert cfg.alpha == 0.2

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cutrec.losses import bce_loss, bpr_loss, sigmoid
+from cutrec.losses import bce_loss, bpr_loss
 
-from helpers import fd_gradient
+from helpers import fd_gradient, sigmoid_reference
 
 
 def test_bce_zero_score_positive_is_ln2():
@@ -26,8 +26,31 @@ def test_bce_gradient_formula():
     neg = np.array([0.7])
     _, d_pos, d_neg = bce_loss(pos, neg)
     n = 3
-    np.testing.assert_allclose(d_pos, (sigmoid(pos) - 1.0) / n, atol=1e-15)
-    np.testing.assert_allclose(d_neg, sigmoid(neg) / n, atol=1e-15)
+    np.testing.assert_allclose(d_pos, (sigmoid_reference(pos) - 1) / n,
+                               atol=1e-15)
+    np.testing.assert_allclose(d_neg, sigmoid_reference(neg) / n, atol=1e-15)
+
+
+def relative_error(got, reference):
+    """Largest error relative to the reference, or to the smallest normal
+    float64 where the reference is smaller still."""
+    tiny = np.finfo(np.float64).tiny
+    return float(np.max(np.abs(got - reference)
+                        / np.maximum(np.abs(reference), tiny)))
+
+
+def test_gradients_keep_relative_precision_over_wide_scores():
+    # For large s the positive gradient sigma(s) - 1 is about -e^-s, but
+    # a rounded sigma(s) minus 1 is exactly 0 from s of about 37 on.
+    scores = np.random.default_rng(7).uniform(-800.0, 800.0, 400_000)
+    _, d_pos, d_neg = bce_loss(scores, scores)
+    n = 2 * scores.size
+    assert relative_error(d_pos, -sigmoid_reference(-scores) / n) <= 1e-15
+    assert relative_error(d_neg, sigmoid_reference(scores) / n) <= 1e-15
+    _, d_pos, d_neg = bpr_loss(scores, np.zeros_like(scores))
+    expected = -sigmoid_reference(-scores) / scores.size
+    assert relative_error(d_pos, expected) <= 1e-15
+    assert relative_error(d_neg, -expected) <= 1e-15
 
 
 def test_bce_gradient_matches_finite_difference():

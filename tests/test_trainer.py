@@ -254,7 +254,7 @@ def test_transform_gets_no_gradient_from_source_loss():
 
 def test_item_scores_identical_between_full_and_no_transform_at_identity():
     ds, target_split, source_split = toy_dataset(seed=10)
-    base = small_config(transform_init="identity")
+    base = small_config()
     full = CutModel.build(ds, target_split, source_split, base)
     bare = CutModel.build(ds, target_split, source_split,
                           base.replace(no_transform=True))
@@ -374,6 +374,13 @@ def test_overlap_embedding_shared_across_domains_without_transform():
 
 # --- phase orchestration -----------------------------------------------------------
 
+def same_graph(oracle, expected) -> bool:
+    """Whether two oracles hold the same similar-pair graph."""
+    return all(np.array_equal(getattr(oracle.graph, name),
+                              getattr(expected.graph, name))
+               for name in ("indptr", "indices", "data"))
+
+
 def test_target_phase_freezes_best_and_builds_oracle():
     ds, target_split, source_split = toy_dataset(seed=15)
     config = small_config(max_epochs=5, patience=2)
@@ -381,7 +388,8 @@ def test_target_phase_freezes_best_and_builds_oracle():
     assert result.frozen.role == "user-target-phase1"
     assert result.frozen.values.shape == (ds.target.n_users, 4)
     assert not result.frozen.values.flags.writeable
-    assert result.oracle.mode == "embedding"
+    expected = SimilarityOracle.from_embeddings(result.frozen, config.gamma)
+    assert same_graph(result.oracle, expected)
     assert len(result.valid_history) <= 5
     assert result.best_epoch >= 1
 
@@ -399,7 +407,10 @@ def test_target_phase_history_similarity_flag():
     ds, target_split, _ = toy_dataset(seed=16)
     config = small_config(history_similarity=True, max_epochs=2)
     result = run_target_phase(ds, target_split, config)
-    assert result.oracle.mode == "history"
+    assert same_graph(result.oracle, SimilarityOracle.from_history(
+        target_split.train, config.gamma))
+    assert not same_graph(result.oracle, SimilarityOracle.from_embeddings(
+        result.frozen, config.gamma))
 
 
 def test_target_phase_early_stopping_bounds_epochs():
