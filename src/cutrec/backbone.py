@@ -11,8 +11,8 @@ import scipy.sparse as sp
 from .checkpoint import Checkpoint
 from .config import TrainingConfig
 from .corpus import InteractionSet, SplitDataset
-from .embeddings import (EmbeddingTable, ROLE_ITEM_TARGET,
-                         ROLE_USER_TARGET_PHASE1, init_embeddings)
+from .embeddings import (ROLE_ITEM_TARGET, ROLE_USER_TARGET_PHASE1,
+                         init_embeddings)
 from .graph import BipartiteGraph, build_graph, propagate
 from .losses import bce_loss, bpr_loss
 from .optim import GradBuffer, distinct_rows
@@ -51,14 +51,12 @@ def sample_negatives_batch(rng: np.random.Generator, n_items: int,
 
 class SingleDomainModel:
     """A backbone over one user/item index space: MF without a graph,
-    LightGCN with one."""
+    LightGCN with one. Its params are the ``user-target-phase1`` and
+    ``item-target`` tables."""
 
-    def __init__(self, users: EmbeddingTable, items: EmbeddingTable,
+    def __init__(self, params: dict[str, np.ndarray],
                  graph: BipartiteGraph | None = None):
-        if users.dim != items.dim:
-            raise ValueError("user and item tables must share one dimension")
-        self.users = users
-        self.items = items
+        self._params = params
         self.graph = graph
 
     @classmethod
@@ -71,27 +69,28 @@ class SingleDomainModel:
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(seed)
         user_seed, item_seed = seed.spawn(2)
-        users = init_embeddings(n_users, dim, user_seed,
-                                role=ROLE_USER_TARGET_PHASE1, dtype=dtype)
-        items = init_embeddings(n_items, dim, item_seed,
-                                role=ROLE_ITEM_TARGET, dtype=dtype)
+        params = {
+            ROLE_USER_TARGET_PHASE1: init_embeddings(n_users, dim, user_seed,
+                                                     dtype),
+            ROLE_ITEM_TARGET: init_embeddings(n_items, dim, item_seed, dtype)}
         graph = None
         if backbone == BACKBONE_LIGHTGCN:
             if train is None:
                 raise ValueError("lightgcn backbone needs train interactions")
             graph = build_graph(train, k_layers, dtype)
-        return cls(users, items, graph)
+        return cls(params, graph)
 
     @property
     def n_items(self) -> int:
-        return self.items.rows
+        return len(self._params[ROLE_ITEM_TARGET])
 
     def params(self) -> dict[str, np.ndarray]:
-        return {"user": self.users.values, "item": self.items.values}
+        return self._params
 
     def make_scorer(self):
         """Read-only scorer: user ids to their score rows over all items."""
-        user_final, item_final = self.users.values, self.items.values
+        user_final = self._params[ROLE_USER_TARGET_PHASE1]
+        item_final = self._params[ROLE_ITEM_TARGET]
         if self.graph is not None:
             user_final, item_final = propagate(self.graph, user_final,
                                                item_final)
@@ -100,7 +99,7 @@ class SingleDomainModel:
 
     def to_checkpoint(self, config: TrainingConfig) -> Checkpoint:
         hyper = {"model_kind": "single", "training": config.to_dict()}
-        return Checkpoint([self.users, self.items], hyper, 0)
+        return Checkpoint(self._params, hyper, 0)
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint,
@@ -108,11 +107,12 @@ class SingleDomainModel:
         """Rebuild a model saved by ``to_checkpoint`` for its target split."""
         config = ckpt.training_config()
         train = target_split.train
-        items = ckpt.table(ROLE_ITEM_TARGET, train.n_items)
-        graph = (build_graph(train, config.k_layers, items.values.dtype)
+        params = ckpt.take({ROLE_USER_TARGET_PHASE1: train.n_users,
+                            ROLE_ITEM_TARGET: train.n_items})
+        graph = (build_graph(train, config.k_layers,
+                             params[ROLE_ITEM_TARGET].dtype)
                  if config.backbone == BACKBONE_LIGHTGCN else None)
-        return cls(ckpt.table(ROLE_USER_TARGET_PHASE1, train.n_users), items,
-                   graph)
+        return cls(params, graph)
 
 
 def rows_read(graph: BipartiteGraph | None, index) -> tuple:
@@ -170,11 +170,12 @@ def single_domain_forward_backward(model: SingleDomainModel,
     """Forward scores, loss, and hand-derived gradients for one batch."""
     if users.size == 0:
         raise ValueError("batch must be non-empty")
-    buf = GradBuffer(model.params())
+    params = model.params()
+    buf = GradBuffer(params)
     rows, local = rows_read(model.graph, users)
     loss, d_user, (item_rows, d_item) = domain_forward_backward(
-        model.users.values[rows], model.items.values, model.graph, local,
-        pos_items, neg_items, LOSS_FNS[loss_kind], 1.0)
-    buf.add_rows("user", rows, d_user)
-    buf.add_rows("item", item_rows, d_item)
+        params[ROLE_USER_TARGET_PHASE1][rows], params[ROLE_ITEM_TARGET],
+        model.graph, local, pos_items, neg_items, LOSS_FNS[loss_kind], 1.0)
+    buf.add_rows(ROLE_USER_TARGET_PHASE1, rows, d_user)
+    buf.add_rows(ROLE_ITEM_TARGET, item_rows, d_item)
     return loss, buf

@@ -1,36 +1,37 @@
 """Bit-exact checkpoint files.
 
 A checkpoint is a ``corpus.write_arrays`` file, an uncompressed ``.npz``:
-a JSON header ``{"version": 2, "step": ..., "hyper": {...}}``, then one
-2-D float32 little-endian member per table, named by its role, in table
-order, then ``transform-weight`` and ``transform-bias`` when the model
-has a transform. ``np.load(path, allow_pickle=False)`` opens it.
+a JSON header ``{"version": 2, "step": ..., "hyper": {...}}``, then the
+model's ``params()`` in their order, one float32 little-endian member
+each, under the parameter's name (see ``embeddings``).
+``np.load(path, allow_pickle=False)`` opens it.
 
-What the tables are depends on ``hyper["model_kind"]``: a ``single``
+What the members are depends on ``hyper["model_kind"]``: a ``single``
 (phase-one) checkpoint holds ``user-target-phase1`` and ``item-target``;
 a ``cut`` (phase-two) checkpoint holds ``user``, one row per user of both
 domains in dataset order (target-only, overlap, source-only), then
-``item-target`` and ``item-source``, plus the transform unless it was
-ablated. Nothing records where the source users start in ``user``: the
-user counts of the splits the model is loaded with fix it.
+``item-target`` and ``item-source``, then ``transform-weight`` and
+``transform-bias`` unless the transform was ablated. Nothing records
+where the source users start in ``user``: the user counts of the splits
+the model is loaded with fix it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from .config import TrainingConfig
 from .corpus import read_arrays, write_arrays
-from .embeddings import EmbeddingTable
+from .embeddings import TRANSFORM_BIAS, TRANSFORM_WEIGHT
 from .errors import CheckpointError, ConfigError
-from .transform import TransformLayer
 
 VERSION = 2
 _F4 = np.dtype("<f4")
-_TRANSFORM = ("transform-weight", "transform-bias")
+_TRANSFORM = (TRANSFORM_WEIGHT, TRANSFORM_BIAS)
 # Retired training options that older files record, each with the one
 # value this code still implements.
 _RETIRED = {"transform_init": "identity", "normalized_contrastive": False}
@@ -38,23 +39,34 @@ _RETIRED = {"transform_init": "identity", "normalized_contrastive": False}
 
 @dataclass
 class Checkpoint:
-    tables: list[EmbeddingTable]
+    arrays: dict[str, np.ndarray]
     hyper: dict
     step: int
-    transform: TransformLayer | None = None
 
-    def table(self, role: str, rows: int | None = None) -> EmbeddingTable:
-        """The table with ``role``, refused unless it has ``rows`` rows."""
-        for tbl in self.tables:
-            if tbl.role == role:
-                if rows is not None and tbl.rows != rows:
-                    raise CheckpointError(
-                        f"checkpoint table {role!r} has {tbl.rows} rows, "
-                        f"the dataset needs {rows}")
-                return tbl
-        present = ", ".join(repr(tbl.role) for tbl in self.tables)
-        raise CheckpointError(f"checkpoint has no table with role {role!r} "
-                              f"(it holds {present or 'no tables'})")
+    def take(self, rows: Mapping[str, int | None]) -> dict[str, np.ndarray]:
+        """The members named in ``rows``, in its order, as a model's
+        params. Each must exist and have the rows ``rows`` gives it (None:
+        any), and all must share one embedding width: every table's
+        columns, both sides of the transform weight and the bias length."""
+        out = {}
+        for name, n_rows in rows.items():
+            if name not in self.arrays:
+                present = ", ".join(map(repr, self.arrays))
+                raise CheckpointError(f"checkpoint has no member {name!r} "
+                                      f"(it holds {present or 'nothing'})")
+            values = out[name] = self.arrays[name]
+            if n_rows is not None and len(values) != n_rows:
+                raise CheckpointError(
+                    f"checkpoint table {name!r} has {len(values)} rows, "
+                    f"the dataset needs {n_rows}")
+        widths = {n for name, values in out.items() for n in (
+            values.shape if name in _TRANSFORM else values.shape[1:])}
+        if len(widths) > 1:
+            shapes = ", ".join(f"{name} {values.shape}"
+                               for name, values in out.items())
+            raise CheckpointError(f"checkpoint members differ in embedding "
+                                  f"width ({shapes})")
+        return out
 
     def training_config(self) -> TrainingConfig:
         """The saved training config, or a ``CheckpointError``. A retired
@@ -76,14 +88,10 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> Path:
-    arrays = {tbl.role: tbl.values for tbl in ckpt.tables}
-    if ckpt.transform is not None:
-        arrays.update(zip(_TRANSFORM, (ckpt.transform.weight,
-                                       ckpt.transform.bias)))
     header = {"version": VERSION, "step": int(ckpt.step), "hyper": ckpt.hyper}
     return write_arrays(path, header, {
         name: np.ascontiguousarray(values, dtype=_F4)
-        for name, values in arrays.items()})
+        for name, values in ckpt.arrays.items()})
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -105,17 +113,10 @@ def load_checkpoint(path) -> Checkpoint:
     for name, values in arrays.items():
         what = (name.replace("-", " ") if name in _TRANSFORM
                 else f"table {name!r}")
-        ndim = 1 if name == "transform-bias" else 2
+        ndim = 1 if name == TRANSFORM_BIAS else 2
         if values.dtype != _F4 or values.ndim != ndim:
             raise CheckpointError(f"{path}: {what} is not a {ndim}-D float32 "
                                   f"array")
         if not np.isfinite(values).all():
             raise CheckpointError(f"{path}: {what} holds non-finite values")
-    transform = None
-    if set(_TRANSFORM) & arrays.keys():
-        try:
-            transform = TransformLayer(*map(arrays.pop, _TRANSFORM))
-        except (KeyError, ValueError) as err:
-            raise CheckpointError(f"{path}: bad transform ({err})") from None
-    tables = [EmbeddingTable(role, values) for role, values in arrays.items()]
-    return Checkpoint(tables, header["hyper"], step, transform)
+    return Checkpoint(arrays, header["hyper"], step)

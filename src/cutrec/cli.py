@@ -103,9 +103,9 @@ def cmd_train_transfer(args) -> int:
             raise ConfigError("--phase1 checkpoint required for warm_start "
                               "and for the embedding similarity oracle")
         phase1 = load_checkpoint(args.phase1)
+        rows = {ROLE_USER_TARGET_PHASE1: target_split.train.n_users}
         try:
-            frozen = phase1.table(ROLE_USER_TARGET_PHASE1,
-                                  target_split.train.n_users)
+            frozen, = phase1.take(rows).values()
         except CheckpointError as err:
             raise CheckpointError(f"{args.phase1}: {err}") from None
     if cfg.history_similarity:

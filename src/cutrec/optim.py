@@ -33,7 +33,7 @@ class GradBuffer:
 
     A table takes row parts: a slice or strictly increasing int rows, and
     a value row each. A lone part passes through uncopied; parts sharing a
-    table, and the transform layer's dense parts, are summed in float64.
+    table, and the dense parts of a whole parameter, are summed in float64.
     ``grads`` gives int rows and empties the buffer, so that the parts are
     freed before the optimizer step.
     """

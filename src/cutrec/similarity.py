@@ -13,7 +13,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import InteractionSet
-from .embeddings import EmbeddingTable
 from .errors import ConfigError
 
 # Ordered pairs (5 bytes each). Past it, slicing a batch costs more than
@@ -71,10 +70,9 @@ class SimilarityOracle:
         self.n_pairs = self.graph.nnz
 
     @classmethod
-    def from_embeddings(cls, table: EmbeddingTable | np.ndarray,
+    def from_embeddings(cls, table: np.ndarray,
                         gamma: float = 0.9) -> "SimilarityOracle":
-        values = np.asarray(table.values if isinstance(table, EmbeddingTable)
-                            else table, dtype=np.float64)
+        values = np.asarray(table, dtype=np.float64)
         norms = np.linalg.norm(values, axis=1, keepdims=True)
         return cls(values / np.where(norms == 0.0, 1.0, norms), gamma)
 

@@ -27,15 +27,11 @@ class SynthConfig:
     distortion: float
     interactions_per_user: int
     seed: int
-    # Source density may differ (denser source = stronger transfer pressure).
-    source_interactions_per_user: int | None = None
     # 0 = users uniform on the sphere; >0 draws users around cluster centres.
     n_clusters: int = 0
     cluster_spread: float = 0.35
     # Gumbel noise on scores before top-k selection.
     score_noise: float = 0.05
-    # Optional Zipf popularity bonus added per item (0 = off).
-    zipf_exponent: float = 0.0
     share_item_factors: bool = False
 
     def __post_init__(self):
@@ -49,8 +45,7 @@ class SynthConfig:
             raise ValueError("overlap_fraction must be in [0, 1]")
         if not 0.0 <= self.distortion <= 1.0:
             raise ValueError("distortion must be in [0, 1]")
-        src_k = self.source_interactions_per_user or self.interactions_per_user
-        if max(self.interactions_per_user, src_k) > self.n_items_per_domain:
+        if self.interactions_per_user > self.n_items_per_domain:
             raise ValueError("interactions_per_user exceeds item catalogue")
 
     @classmethod
@@ -92,11 +87,8 @@ def _user_factors(rng: np.random.Generator, n: int, cfg: SynthConfig,
 
 def _top_k_interactions(rng: np.random.Generator, factors: np.ndarray,
                         item_factors: np.ndarray, k: int,
-                        noise: float, zipf_exponent: float) -> np.ndarray:
+                        noise: float) -> np.ndarray:
     scores = factors @ item_factors.T
-    if zipf_exponent > 0.0:
-        ranks = np.arange(1, item_factors.shape[0] + 1, dtype=np.float64)
-        scores = scores - zipf_exponent * np.log(ranks)
     if noise > 0.0:
         scores = scores + rng.gumbel(0.0, noise, size=scores.shape)
     # Stable ordering keeps ties deterministic under a fixed seed.
@@ -164,13 +156,12 @@ def generate(cfg: SynthConfig) -> tuple[RawInteractions, RawInteractions, SynthM
         items_target = _unit_rows(
             rng.normal(size=(cfg.n_items_per_domain, cfg.latent_dim)))
 
-    k_source = cfg.source_interactions_per_user or cfg.interactions_per_user
     source_top = _top_k_interactions(rng, z_source[source_ids], items_source,
-                                     k_source, cfg.score_noise,
-                                     cfg.zipf_exponent)
+                                     cfg.interactions_per_user,
+                                     cfg.score_noise)
     target_top = _top_k_interactions(rng, z_target[target_ids], items_target,
                                      cfg.interactions_per_user,
-                                     cfg.score_noise, cfg.zipf_exponent)
+                                     cfg.score_noise)
 
     meta = SynthMeta(
         user_tokens=user_tokens,

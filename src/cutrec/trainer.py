@@ -27,15 +27,14 @@ from .checkpoint import Checkpoint
 from .config import TrainingConfig
 from .contrastive import contrastive_loss, total_loss
 from .corpus import CrossDomainDataset, InteractionSet, SplitDataset
-from .embeddings import (EmbeddingTable, ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET,
-                         ROLE_USER, ROLE_USER_TARGET_PHASE1, assert_finite,
-                         init_embeddings)
+from .embeddings import (ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET, ROLE_USER,
+                         ROLE_USER_TARGET_PHASE1, TRANSFORM_BIAS,
+                         TRANSFORM_WEIGHT, assert_finite, init_embeddings)
 from .errors import CheckpointError, ConfigError, TrainingDivergedError
 from .evaluation import evaluate_full
 from .graph import build_graph, propagate
 from .optim import Adam, GradBuffer
 from .similarity import PairSets, SimilarityOracle, extract_pairs
-from .transform import TransformLayer
 
 logger = logging.getLogger(__name__)
 
@@ -137,7 +136,7 @@ def fit(model, step, n_pairs: int, scorer, split: SplitDataset,
 @dataclass
 class TargetPhaseResult:
     model: SingleDomainModel
-    frozen: EmbeddingTable
+    frozen: np.ndarray  # read-only copy of the best-epoch user table
     best_epoch: int
     valid_history: list[float]
     config: TrainingConfig
@@ -182,9 +181,8 @@ def run_target_phase(ds: CrossDomainDataset, target_split: SplitDataset,
     best_epoch, history = fit(model, step, train.n_interactions,
                               model.make_scorer, target_split, config,
                               shuffle_rng, "target")
-    frozen = EmbeddingTable(ROLE_USER_TARGET_PHASE1,
-                            model.users.values.copy())
-    frozen.values.setflags(write=False)
+    frozen = model.params()[ROLE_USER_TARGET_PHASE1].copy()
+    frozen.setflags(write=False)
     return TargetPhaseResult(model, frozen, best_epoch, history, config, train)
 
 
@@ -200,87 +198,89 @@ def _graphs(config: TrainingConfig, target_split: SplitDataset,
 
 class CutModel:
     """Phase-two model: one base user table, per-domain item tables,
-    optional per-domain graphs, and the user transformation layer.
+    optional per-domain graphs, and the user transformation layer
+    ``x -> W x + b``.
 
-    The user table (role ``user``) holds every user in
-    ``CrossDomainDataset`` order: target-only, overlap, source-only.
-    Target-local user ``u`` is row ``u``, and source-local user ``v`` is
-    row ``source_offset + v``, so both domains read and train an overlap
-    user's one row. Target-domain scoring applies the transform to the
-    base embedding; source-domain scoring uses it raw. Item embeddings
-    are never transformed.
+    The params are ``user``, ``item-target`` and ``item-source``, then
+    ``transform-weight`` and ``transform-bias`` unless ``no_transform``.
+    The user table holds every user in ``CrossDomainDataset`` order:
+    target-only, overlap, source-only. Target-local user ``u`` is row
+    ``u``, and source-local user ``v`` is row ``source_offset + v``, so
+    both domains read and train an overlap user's one row. Target-domain
+    scoring applies the transform to the base embedding; source-domain
+    scoring uses it raw. Item embeddings are never transformed.
     """
 
-    def __init__(self, config: TrainingConfig, tables: dict[str, EmbeddingTable],
-                 transform: TransformLayer | None, n_target: int,
-                 source_offset: int, graph_target=None, graph_source=None):
+    def __init__(self, config: TrainingConfig, params: dict[str, np.ndarray],
+                 n_target: int, source_offset: int, graph_target=None,
+                 graph_source=None):
         self.config = config
-        self.tables = tables
-        self.transform = transform
+        self._params = params
         self.n_target = n_target
         self.source_offset = source_offset
         self.graph_target = graph_target
         self.graph_source = graph_source
-        dims = {t.dim for t in tables.values()}
-        if len(dims) != 1:
-            raise ValueError("all tables must share one embedding dimension")
 
     @classmethod
     def build(cls, ds: CrossDomainDataset, target_split: SplitDataset,
               source_split: SplitDataset, config: TrainingConfig, *,
-              frozen: EmbeddingTable | None = None,
+              frozen: np.ndarray | None = None,
               dtype=np.float32) -> "CutModel":
         dim = config.embedding_dim
         seeds = np.random.SeedSequence(
             [config.seed, _STREAM_TRANSFER_INIT]).spawn(5)
         # One init stream per user partition, in dataset order, so that a
         # partition's initial rows do not depend on the others' sizes.
-        users = [init_embeddings(rows, dim, seed, dtype=dtype).values
+        users = [init_embeddings(rows, dim, seed, dtype)
                  for rows, seed in zip((ds.n_target_only, ds.n_overlap,
                                         ds.n_source_only), seeds) if rows]
-        tables = {
-            ROLE_USER: EmbeddingTable(ROLE_USER, np.vstack(users)),
-            ROLE_ITEM_TARGET: init_embeddings(
-                ds.target.n_items, dim, seeds[3], role=ROLE_ITEM_TARGET,
-                dtype=dtype),
-            ROLE_ITEM_SOURCE: init_embeddings(
-                ds.source.n_items, dim, seeds[4], role=ROLE_ITEM_SOURCE,
-                dtype=dtype),
+        params = {
+            ROLE_USER: np.vstack(users),
+            ROLE_ITEM_TARGET: init_embeddings(ds.target.n_items, dim,
+                                              seeds[3], dtype),
+            ROLE_ITEM_SOURCE: init_embeddings(ds.source.n_items, dim,
+                                              seeds[4], dtype),
         }
         if config.warm_start:
             if frozen is None:
                 raise ConfigError("warm_start requires frozen phase-one "
                                   "embeddings")
-            tables[ROLE_USER].values[:ds.target.n_users] = frozen.values
-
-        transform = (None if config.no_transform
-                     else TransformLayer.identity(dim, dtype))
-        return cls(config, tables, transform, ds.target.n_users,
-                   ds.n_target_only,
+            target_users = params[ROLE_USER][:ds.target.n_users]
+            if frozen.shape != target_users.shape:
+                raise ConfigError(
+                    f"warm_start: the phase-one user table is "
+                    f"{frozen.shape[-1]} wide ({frozen.shape[0]} rows), "
+                    f"embedding_dim is {dim} ({len(target_users)} target "
+                    f"users)")
+            target_users[...] = frozen
+        if not config.no_transform:
+            params[TRANSFORM_WEIGHT] = np.eye(dim, dtype=dtype)
+            params[TRANSFORM_BIAS] = np.zeros(dim, dtype=dtype)
+        return cls(config, params, ds.target.n_users, ds.n_target_only,
                    *_graphs(config, target_split, source_split, dtype))
 
     @property
     def target_users(self) -> np.ndarray:
-        return self.tables[ROLE_USER].values[:self.n_target]
+        return self._params[ROLE_USER][:self.n_target]
 
     @property
     def source_users(self) -> np.ndarray:
-        return self.tables[ROLE_USER].values[self.source_offset:]
+        return self._params[ROLE_USER][self.source_offset:]
 
     def params(self) -> dict[str, np.ndarray]:
-        out = {role: tbl.values for role, tbl in self.tables.items()}
-        if self.transform is not None:
-            out["transform-weight"] = self.transform.weight
-            out["transform-bias"] = self.transform.bias
-        return out
+        return self._params
 
     def apply_transform(self, x: np.ndarray) -> np.ndarray:
-        return x if self.transform is None else self.transform.apply(x)
+        """Each row u becomes ``W @ u + b``; the identity when ablated."""
+        if self.config.no_transform:
+            return x
+        weight = self._params[TRANSFORM_WEIGHT]
+        return x @ weight.T + self._params[TRANSFORM_BIAS]
 
     def make_target_scorer(self):
         """Read-only target-path scorer: user ids to their score rows."""
         user_final = self.apply_transform(self.target_users)
-        item_final = self.tables[ROLE_ITEM_TARGET].values
+        item_final = self._params[ROLE_ITEM_TARGET]
         if self.graph_target is not None:
             user_final, item_final = propagate(self.graph_target, user_final,
                                                item_final)
@@ -289,8 +289,7 @@ class CutModel:
 
     def to_checkpoint(self, step: int = 0) -> Checkpoint:
         hyper = {"model_kind": "cut", "training": self.config.to_dict()}
-        return Checkpoint(list(self.tables.values()), hyper, step,
-                          self.transform)
+        return Checkpoint(self._params, hyper, step)
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint, target_split: SplitDataset,
@@ -299,22 +298,24 @@ class CutModel:
         was trained on; the user counts of the splits place the source
         users in the user table."""
         config = ckpt.training_config()
-        tables = {role: ckpt.table(role, rows) for role, rows in (
-            (ROLE_USER, None), (ROLE_ITEM_TARGET, target_split.train.n_items),
-            (ROLE_ITEM_SOURCE, source_split.train.n_items))}
-        rows = tables[ROLE_USER].rows
+        transform = dict.fromkeys((TRANSFORM_WEIGHT, TRANSFORM_BIAS))
+        if config.no_transform == bool(transform.keys() & ckpt.arrays.keys()):
+            raise CheckpointError(f"checkpoint transform does not match "
+                                  f"no_transform={config.no_transform}")
+        params = ckpt.take({
+            ROLE_USER: None, ROLE_ITEM_TARGET: target_split.train.n_items,
+            ROLE_ITEM_SOURCE: source_split.train.n_items,
+            **({} if config.no_transform else transform)})
+        rows = len(params[ROLE_USER])
         n_target, n_source = target_split.train.n_users, source_split.train.n_users
         source_offset = rows - n_source
         if not 0 <= source_offset <= n_target <= rows:
             raise CheckpointError(
                 f"checkpoint user table has {rows} rows, which cannot hold "
                 f"{n_target} target users and {n_source} source users")
-        if config.no_transform != (ckpt.transform is None):
-            raise CheckpointError(f"checkpoint transform does not match "
-                                  f"no_transform={config.no_transform}")
-        return cls(config, tables, ckpt.transform, n_target, source_offset,
+        return cls(config, params, n_target, source_offset,
                    *_graphs(config, target_split, source_split,
-                            tables[ROLE_USER].values.dtype))
+                            params[ROLE_USER].dtype))
 
 
 def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
@@ -333,15 +334,16 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
     loss_fn = LOSS_FNS[config.loss_kind]
     alpha = config.alpha
     lam = config.contrastive_weight
-    buf = GradBuffer(model.params())
+    params = model.params()
+    buf = GradBuffer(params)
 
     # -- source domain, raw base embeddings --
     rows, local = rows_read(model.graph_source, src_users)
     l_source, d_user, (item_rows, d_item) = domain_forward_backward(
-        model.source_users[rows], model.tables[ROLE_ITEM_SOURCE].values,
+        model.source_users[rows], params[ROLE_ITEM_SOURCE],
         model.graph_source, local, src_pos, src_neg, loss_fn, alpha)
     buf.add_rows(ROLE_USER, np.arange(model.source_offset, len(
-        model.tables[ROLE_USER].values))[rows], d_user)
+        params[ROLE_USER]))[rows], d_user)
     buf.add_rows(ROLE_ITEM_SOURCE, item_rows, d_item)
 
     # -- target domain: transform once the base rows the loss reads --
@@ -350,7 +352,7 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
     base = model.target_users[rows]
     transformed = model.apply_transform(base)
     l_target, d_transformed, (item_rows, d_item) = domain_forward_backward(
-        transformed, model.tables[ROLE_ITEM_TARGET].values, graph, local,
+        transformed, params[ROLE_ITEM_TARGET], graph, local,
         tgt_pos, tgt_neg, loss_fn, 1.0 - alpha)
     buf.add_rows(ROLE_ITEM_TARGET, item_rows, d_item)
     d_transformed = d_transformed.astype(np.float64, copy=False)
@@ -367,10 +369,10 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
         d_transformed[at] += lam * d_pairs
 
     # -- chain both target terms through the transform at once --
-    if model.transform is not None:
-        buf.add_dense("transform-weight", d_transformed.T @ base)
-        buf.add_dense("transform-bias", d_transformed.sum(axis=0))
-        d_transformed = d_transformed @ model.transform.weight
+    if not config.no_transform:
+        buf.add_dense(TRANSFORM_WEIGHT, d_transformed.T @ base)
+        buf.add_dense(TRANSFORM_BIAS, d_transformed.sum(axis=0))
+        d_transformed = d_transformed @ params[TRANSFORM_WEIGHT]
     buf.add_rows(ROLE_USER, np.arange(model.n_target)[rows], d_transformed)
 
     l_all = total_loss(l_target, l_source, l_contrastive, alpha, lam)
@@ -386,11 +388,11 @@ def transfer_step(model: CutModel, optimizer: Adam,
                   rng_tgt: np.random.Generator) -> LossBreakdown:
     """Negative sampling, pair extraction, combined gradients, one Adam
     step over all touched parameters."""
-    config = model.config
-    src_neg = sample_negatives_batch(
-        rng_src, model.tables[ROLE_ITEM_SOURCE].rows, src_train, src_users)
-    tgt_neg = sample_negatives_batch(
-        rng_tgt, model.tables[ROLE_ITEM_TARGET].rows, tgt_train, tgt_users)
+    config, params = model.config, model.params()
+    src_neg = sample_negatives_batch(rng_src, len(params[ROLE_ITEM_SOURCE]),
+                                     src_train, src_users)
+    tgt_neg = sample_negatives_batch(rng_tgt, len(params[ROLE_ITEM_TARGET]),
+                                     tgt_train, tgt_users)
     pairs = None
     if not config.no_contrastive:
         if oracle is None:
@@ -413,7 +415,7 @@ class TransferPhaseResult:
 def run_transfer_phase(ds: CrossDomainDataset, target_split: SplitDataset,
                        source_split: SplitDataset, config: TrainingConfig,
                        oracle: SimilarityOracle | None = None, *,
-                       frozen: EmbeddingTable | None = None
+                       frozen: np.ndarray | None = None
                        ) -> TransferPhaseResult:
     """Train the phase-two model on paired source/target batch streams.
 

@@ -221,10 +221,10 @@ def lightgcn_transfer_oracle(model, src_users, src_pos, src_neg, tgt_users,
     the contrastive gradient added at the pair users' rows, and every
     part as ``np.arange`` rows merged by ``full_table_grads``. Returns the
     target, source and contrastive losses and the gradients."""
-    config = model.config
+    config, params = model.config, model.params()
     loss_fn = LOSS_FNS[config.loss_kind]
     l_source, d_user, d_item = per_entry_grads(
-        model.source_users, model.tables[ROLE_ITEM_SOURCE].values,
+        model.source_users, params[ROLE_ITEM_SOURCE],
         model.graph_source, src_users, src_pos, src_neg, loss_fn,
         config.alpha)
     row_parts = {
@@ -233,7 +233,7 @@ def lightgcn_transfer_oracle(model, src_users, src_pos, src_neg, tgt_users,
     base = model.target_users
     transformed = model.apply_transform(base)
     l_target, d_transformed, d_item = per_entry_grads(
-        transformed, model.tables[ROLE_ITEM_TARGET].values,
+        transformed, params[ROLE_ITEM_TARGET],
         model.graph_target, tgt_users, tgt_pos, tgt_neg, loss_fn,
         1.0 - config.alpha)
     row_parts[ROLE_ITEM_TARGET] = [(np.arange(len(d_item)), d_item)]
@@ -244,13 +244,13 @@ def lightgcn_transfer_oracle(model, src_users, src_pos, src_neg, tgt_users,
             transformed[pairs.users], pairs, config.temperature)
         d_transformed[pairs.users] += config.contrastive_weight * d_pairs
     dense_parts = {}
-    if model.transform is not None:
+    if not config.no_transform:
         dense_parts = {"transform-weight": [d_transformed.T @ base],
                        "transform-bias": [d_transformed.sum(axis=0)]}
-        d_transformed = d_transformed @ model.transform.weight
+        d_transformed = d_transformed @ params["transform-weight"]
     row_parts[ROLE_USER].append((np.arange(len(base)), d_transformed))
     return ((l_target, l_source, l_contrastive),
-            full_table_grads(model.params(), row_parts, dense_parts))
+            full_table_grads(params, row_parts, dense_parts))
 
 
 def dense_propagation_oracle(adjacency_dense: np.ndarray, base: np.ndarray,

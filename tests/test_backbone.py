@@ -13,6 +13,8 @@ from cutrec.backbone import (LOSS_FNS, SingleDomainModel,
 from cutrec.checkpoint import load_checkpoint, save_checkpoint
 from cutrec.config import TrainingConfig
 from cutrec.corpus import SplitDataset
+from cutrec.embeddings import ROLE_ITEM_TARGET as ITEM
+from cutrec.embeddings import ROLE_USER_TARGET_PHASE1 as USER
 from cutrec.errors import CheckpointError
 from cutrec.graph import build_graph, propagate
 from cutrec.optim import Adam
@@ -170,11 +172,11 @@ def test_lightgcn_steps_match_row_indexed_oracle(loss, dtype, weight_decay):
             assert np.array_equal(got_rows, np.arange(len(params[name])))
         opt.step(grads)
         expected, d_user, d_item = per_entry_grads(
-            params["user"], params["item"], graph, users, pos, neg,
+            params[USER], params[ITEM], graph, users, pos, neg,
             LOSS_FNS[loss], 1.0)
         adam_step_oracle(params, moments, {
-            "user": (np.arange(n_users), d_user),
-            "item": (np.arange(n_items), d_item)}, t, lr=0.01,
+            USER: (np.arange(n_users), d_user),
+            ITEM: (np.arange(n_items), d_item)}, t, lr=0.01,
             weight_decay=weight_decay)
         assert loss_value == expected
         for name, value in model.params().items():
@@ -249,9 +251,9 @@ def test_untouched_rows_have_no_gradient():
     model, _, users, pos, neg = small_model(0, backbone="mf")
     _, buf = single_domain_forward_backward(model, users, pos, neg, "bce")
     grads = buf.grads()
-    rows, _ = grads["user"]
+    rows, _ = grads[USER]
     assert set(rows.tolist()) == set(users.tolist())
-    item_rows, _ = grads["item"]
+    item_rows, _ = grads[ITEM]
     assert set(item_rows.tolist()) == set(pos.tolist()) | set(neg.tolist())
 
 
@@ -288,7 +290,7 @@ def test_training_deterministic():
             _, buf = single_domain_forward_backward(model, users, items, neg,
                                                     "bpr")
             opt.step(buf.grads())
-        return model.users.values.copy(), model.items.values.copy()
+        return model.params()[USER].copy(), model.params()[ITEM].copy()
     a_users, a_items = run()
     b_users, b_items = run()
     assert np.array_equal(a_users, b_users)
@@ -299,7 +301,8 @@ def test_scorer_matches_mf_score():
     model, _, _, _, _ = small_model(4, backbone="mf")
     scorer = model.make_scorer()
     scores = scorer(2)
-    expected = [np.dot(model.users.values[2], model.items.values[i])
+    params = model.params()
+    expected = [np.dot(params[USER][2], params[ITEM][i])
                 for i in range(model.n_items)]
     np.testing.assert_allclose(scores, expected, rtol=1e-12)
 

@@ -58,6 +58,19 @@ def phase1_checkpoint(tmp_path_factory):
     return data_dir, (tmp_path / "phase1" / "phase1.ckpt").read_bytes()
 
 
+@pytest.fixture(scope="module")
+def cut_checkpoint(phase1_checkpoint, tmp_path_factory):
+    """The archive of ``phase1_checkpoint`` and a phase-two checkpoint,
+    with the transform, trained on it without the contrastive term."""
+    data_dir, _ = phase1_checkpoint
+    tmp_path = tmp_path_factory.mktemp("cut")
+    joint = write_json(tmp_path / "joint.json",
+                       {**TRAIN_CFG, "no_contrastive": True})
+    assert main(["train-transfer", "--data", str(data_dir), "--config",
+                 str(joint), "--out", str(tmp_path / "cut")]) == 0
+    return data_dir, (tmp_path / "cut" / "cut.ckpt").read_bytes()
+
+
 def test_full_pipeline_through_cli(pipeline_dirs):
     tmp_path, train_cfg, data_dir = pipeline_dirs
     target_out = tmp_path / "phase1"
@@ -257,6 +270,9 @@ def test_parallel_seeds_below_one_is_validation_error(tmp_path, capsys,
     ({**SYNTH_CFG, "n_users": 50.5}, "integers"),
     ({**SYNTH_CFG, "distortion": "high"}, "synthetic config"),
     ([1, 2], "synthetic config"),
+    ({**SYNTH_CFG, "source_interactions_per_user": 12},
+     "source_interactions_per_user"),
+    ({**SYNTH_CFG, "zipf_exponent": 0.0}, "zipf_exponent"),
 ])
 def test_synth_config_errors_are_validation_errors(tmp_path, capsys, bad,
                                                    word):
@@ -322,7 +338,7 @@ def _plain_npy(path):
 
 def _flip_payload_byte(path):
     data = bytearray(path.read_bytes())
-    values = load_checkpoint(path).table("item-target").values
+    values = load_checkpoint(path).arrays["item-target"]
     data[data.find(values.tobytes()) + 5] ^= 0x10
     path.write_bytes(data)
 
@@ -363,6 +379,30 @@ def test_malformed_checkpoint_is_runtime_failure_naming_it(
                  str(data_dir), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"runtime failure: {path}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, keep", [
+    ("cut", {"transform-weight": np.s_[:3, :3], "transform-bias": np.s_[:3]}),
+    ("single", {"item-target": np.s_[:, :4]}),
+    ("cut", {"item-source": np.s_[:, :4]}),
+], ids=["cut-transform-3x3", "single-item-target-4-wide",
+        "cut-item-source-4-wide"])
+def test_checkpoint_of_mixed_widths_is_runtime_failure_naming_it(
+        phase1_checkpoint, cut_checkpoint, tmp_path, capsys, kind, keep):
+    data_dir, good = phase1_checkpoint if kind == "single" else cut_checkpoint
+    path = tmp_path / "mixed.ckpt"
+    path.write_bytes(good)
+    rewrite_arrays(path, lambda header, arrays: arrays.update(
+        {name: arrays[name][part] for name, part in keep.items()}))
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--checkpoint", str(path), "--data",
+                 str(data_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime failure: {path}: ")
+    assert "differ in embedding width" in err
+    assert all(name in err for name in keep)
     assert not out.exists()
 
 
@@ -450,6 +490,24 @@ def test_wrong_phase1_checkpoint_is_runtime_failure(pipeline_dirs, capsys):
     err = capsys.readouterr().err
     assert "'user-target-phase1'" in err and "'user'" in err
     assert f"{tmp_path / 'joint' / 'cut.ckpt'}: checkpoint has no" in err
+
+
+def test_warm_start_from_phase1_of_another_width_is_validation_error(
+        phase1_checkpoint, tmp_path, capsys):
+    data_dir, good = phase1_checkpoint
+    phase1 = tmp_path / "phase1.ckpt"
+    phase1.write_bytes(good)
+    cfg = write_json(tmp_path / "warm.json", {
+        **TRAIN_CFG, "embedding_dim": 16, "warm_start": True,
+        "no_contrastive": True})
+    capsys.readouterr()
+    out = tmp_path / "phase2"
+    assert main(["train-transfer", "--data", str(data_dir), "--config",
+                 str(cfg), "--phase1", str(phase1), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: warm_start:")
+    assert "8 wide" in err and "embedding_dim is 16" in err
+    assert not out.exists()
 
 
 def ingest_archive(tmp_path, name, n_items):
@@ -590,8 +648,8 @@ def test_non_finite_checkpoint_is_runtime_failure(pipeline_dirs, capsys,
         path = train_checkpoint(tmp_path, train_cfg, data_dir, "cut")
         name = "transform bias"
     ckpt = load_checkpoint(path)
-    values = (ckpt.tables[0].values if where == "table"
-              else ckpt.transform.bias)
+    values = ckpt.arrays["user-target-phase1" if where == "table"
+                         else "transform-bias"]
     values.flat[3] = float("nan")
     save_checkpoint(tmp_path / "nan.ckpt", ckpt)
     capsys.readouterr()

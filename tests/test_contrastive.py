@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from cutrec.config import TrainingConfig
 from cutrec.contrastive import contrastive_loss, total_loss
 from cutrec.similarity import PairSets
-from cutrec.transform import TransformLayer
+from cutrec.trainer import CutModel
 
 from helpers import (brute_force_contrastive, dense_contrastive_gradient,
                      fd_gradient)
@@ -32,25 +33,33 @@ def index_pairs(pairs):
 
 # --- transform layer ----------------------------------------------------------
 
+def transform(weight, bias):
+    """``CutModel.apply_transform`` over the given weight and bias."""
+    return CutModel(TrainingConfig(), {"transform-weight": weight,
+                                       "transform-bias": bias},
+                    0, 0).apply_transform
+
+
 def test_transform_identity_passthrough():
-    layer = TransformLayer.identity(3, dtype=np.float64)
+    apply = transform(np.eye(3), np.zeros(3))
     x = np.random.default_rng(0).normal(size=(4, 3))
-    np.testing.assert_array_equal(layer.apply(x), x)
+    np.testing.assert_array_equal(apply(x), x)
 
 
 def test_transform_constant_map():
-    layer = TransformLayer(np.zeros((2, 2)), np.array([5.0, -1.0]))
-    out = layer.apply(np.random.default_rng(1).normal(size=(3, 2)))
+    apply = transform(np.zeros((2, 2)), np.array([5.0, -1.0]))
+    out = apply(np.random.default_rng(1).normal(size=(3, 2)))
     np.testing.assert_array_equal(out, np.tile([5.0, -1.0], (3, 1)))
 
 
 def test_transform_matches_matrix_convention():
     # Row x maps to W @ x + b.
     rng = np.random.default_rng(2)
-    layer = TransformLayer(rng.normal(size=(3, 3)), rng.normal(size=3))
+    weight, bias = rng.normal(size=(3, 3)), rng.normal(size=3)
     x = rng.normal(size=(1, 3))
-    expected = layer.weight @ x[0] + layer.bias
-    np.testing.assert_allclose(layer.apply(x)[0], expected, rtol=1e-12)
+    expected = weight @ x[0] + bias
+    np.testing.assert_allclose(transform(weight, bias)(x)[0], expected,
+                               rtol=1e-12)
 
 
 def test_transform_gradient_through_downstream_scalar():
@@ -61,8 +70,7 @@ def test_transform_gradient_through_downstream_scalar():
     coeff = rng.normal(size=(4, 3))
 
     def loss():
-        layer = TransformLayer(weight, bias)
-        return float((coeff * layer.apply(x)).sum())
+        return float((coeff * transform(weight, bias)(x)).sum())
 
     # Analytic: d/dW = coeff^T x, d/db = sum coeff, d/dx = coeff W.
     d_weight = coeff.T @ x

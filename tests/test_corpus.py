@@ -13,7 +13,6 @@ from cutrec.corpus import (DomainId, InteractionSet, build_cross_domain,
                            filter_k_core, load_dataset, load_interactions,
                            save_dataset, split_source, split_target,
                            subsample_target)
-from cutrec.embeddings import EmbeddingTable
 from cutrec.errors import DatasetCollapsedError, ParseError
 from cutrec.experiment import write_manifest
 
@@ -567,8 +566,7 @@ def test_archive_refuses_overwrite(tmp_path):
 
 
 def _write_checkpoint(path, value):
-    save_checkpoint(path, Checkpoint(
-        [EmbeddingTable("user", np.full((3, 2), value))], {}, 0))
+    save_checkpoint(path, Checkpoint({"user": np.full((3, 2), value)}, {}, 0))
 
 
 def _write_manifest(path, value):

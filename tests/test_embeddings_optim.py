@@ -15,14 +15,14 @@ from helpers import adam_dense_step, adam_row_step, full_table_grads
 def test_init_deterministic():
     a = init_embeddings(2, 64, seed=7)
     b = init_embeddings(2, 64, seed=7)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     c = init_embeddings(2, 64, seed=8)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
 
 
 def test_init_distribution_statistics():
     table = init_embeddings(10_000, 100, seed=123, dtype=np.float64)
-    flat = table.values.ravel()  # 10^6 draws
+    flat = table.ravel()  # 10^6 draws
     assert -0.001 <= flat.mean() <= 0.001
     assert 0.099 <= flat.std() <= 0.101
 

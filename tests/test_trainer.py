@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from cutrec import similarity, trainer
-from cutrec.backbone import sample_negatives_batch
+from cutrec.backbone import SingleDomainModel, sample_negatives_batch
 from cutrec.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cutrec.config import TrainingConfig
 from cutrec.corpus import (DomainId, build_cross_domain, split_source,
                            split_target)
 from cutrec.embeddings import (ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET, ROLE_USER,
-                               EmbeddingTable, assert_finite)
+                               assert_finite)
 from cutrec.errors import CheckpointError, ConfigError, TrainingDivergedError
 from cutrec.optim import Adam
 from cutrec.similarity import SimilarityOracle, extract_pairs
@@ -259,8 +259,7 @@ def test_item_scores_identical_between_full_and_no_transform_at_identity():
     bare = CutModel.build(ds, target_split, source_split,
                           base.replace(no_transform=True))
     for role in (ROLE_USER, ROLE_ITEM_TARGET, ROLE_ITEM_SOURCE):
-        assert np.array_equal(full.tables[role].values,
-                              bare.tables[role].values)
+        assert np.array_equal(full.params()[role], bare.params()[role])
     score_full = full.make_target_scorer()
     score_bare = bare.make_target_scorer()
     for user in range(ds.target.n_users):
@@ -271,7 +270,7 @@ def test_transform_weight_nan_is_divergence():
     ds, target_split, source_split = toy_dataset(seed=22)
     model = CutModel.build(ds, target_split, source_split, small_config())
     assert_finite(model.params())
-    model.transform.weight[0, 1] = np.nan
+    model.params()["transform-weight"][0, 1] = np.nan
     with pytest.raises(TrainingDivergedError, match="transform-weight"):
         assert_finite(model.params())
 
@@ -283,7 +282,7 @@ def test_no_contrastive_flag_zeroes_term_and_runs_without_oracle():
     config = small_config(no_contrastive=True, max_epochs=2)
     result = run_transfer_phase(ds, target_split, source_split, config,
                                 oracle=None)
-    assert result.model.transform is not None
+    assert "transform-weight" in result.model.params()
     model = result.model
     opt = Adam(model.params(), lr=0.01)
     rng = np.random.default_rng(1)
@@ -305,8 +304,8 @@ def test_joint_baseline_has_no_transform_and_no_contrastive():
     config = small_config(no_transform=True, no_contrastive=True,
                           max_epochs=2)
     result = run_transfer_phase(ds, target_split, source_split, config)
-    assert result.model.transform is None
-    assert "transform-weight" not in result.model.params()
+    assert list(result.model.params()) == [ROLE_USER, ROLE_ITEM_TARGET,
+                                           ROLE_ITEM_SOURCE]
 
 
 def test_missing_oracle_rejected_when_contrastive_active():
@@ -385,9 +384,10 @@ def test_target_phase_freezes_best_and_builds_oracle():
     ds, target_split, source_split = toy_dataset(seed=15)
     config = small_config(max_epochs=5, patience=2)
     result = run_target_phase(ds, target_split, config)
-    assert result.frozen.role == "user-target-phase1"
-    assert result.frozen.values.shape == (ds.target.n_users, 4)
-    assert not result.frozen.values.flags.writeable
+    assert result.frozen.shape == (ds.target.n_users, 4)
+    assert not result.frozen.flags.writeable
+    assert np.array_equal(result.frozen,
+                          result.model.params()["user-target-phase1"])
     expected = SimilarityOracle.from_embeddings(result.frozen, config.gamma)
     assert same_graph(result.oracle, expected)
     assert len(result.valid_history) <= 5
@@ -469,7 +469,7 @@ def test_warm_start_requires_frozen_and_copies_rows():
     model = CutModel.build(ds, target_split, source_split, config,
                            frozen=frozen)
     np.testing.assert_array_equal(model.target_users,
-                                  frozen.values.astype(np.float32))
+                                  frozen.astype(np.float32))
     cold = CutModel.build(ds, target_split, source_split,
                           config.replace(warm_start=False))
     source_only = slice(ds.n_overlap, None)
@@ -500,8 +500,9 @@ def test_frozen_table_checkpoint_reproduces_oracle_answers(tmp_path):
     config = small_config(max_epochs=2, gamma=0.3)
     phase1 = run_target_phase(ds, target_split, config)
     path = tmp_path / "frozen.ckpt"
-    save_checkpoint(path, Checkpoint([phase1.frozen], {}, 0))
-    reloaded = load_checkpoint(path).table("user-target-phase1")
+    save_checkpoint(path, Checkpoint({"user-target-phase1": phase1.frozen},
+                                     {}, 0))
+    reloaded = load_checkpoint(path).arrays["user-target-phase1"]
     oracle_b = SimilarityOracle.from_embeddings(reloaded, gamma=0.3)
     assert phase1.oracle.n_pairs > 0
     assert (phase1.oracle.graph != oracle_b.graph).nnz == 0
@@ -531,27 +532,73 @@ def test_cut_checkpoint_must_fit_the_splits():
     config = small_config()
     ckpt = CutModel.build(ds, target_split, source_split,
                           config).to_checkpoint()
-    assert [tbl.role for tbl in ckpt.tables] == [
-        ROLE_USER, ROLE_ITEM_TARGET, ROLE_ITEM_SOURCE]
+    assert list(ckpt.arrays) == [ROLE_USER, ROLE_ITEM_TARGET,
+                                 ROLE_ITEM_SOURCE, "transform-weight",
+                                 "transform-bias"]
     model = CutModel.from_checkpoint(ckpt, target_split, source_split)
     assert model.source_offset == ds.n_target_only
     assert model.n_target == ds.target.n_users
 
-    users = ckpt.table(ROLE_USER)
-    too_few = EmbeddingTable(ROLE_USER, users.values[:ds.source.n_users - 1])
-    short = Checkpoint([too_few, *ckpt.tables[1:]], ckpt.hyper, 0)
+    users = ckpt.arrays[ROLE_USER]
+    short = Checkpoint({**ckpt.arrays,
+                        ROLE_USER: users[:ds.source.n_users - 1]},
+                       ckpt.hyper, 0)
     with pytest.raises(CheckpointError, match="rows"):
         CutModel.from_checkpoint(short, target_split, source_split)
-    untransformed = Checkpoint(ckpt.tables, ckpt.hyper, 0)
+    tables = {name: ckpt.arrays[name]
+              for name in (ROLE_USER, ROLE_ITEM_TARGET, ROLE_ITEM_SOURCE)}
+    untransformed = Checkpoint(tables, ckpt.hyper, 0)
     with pytest.raises(CheckpointError, match="no_transform=False"):
         CutModel.from_checkpoint(untransformed, target_split, source_split)
+    no_bias = Checkpoint({**tables, "transform-weight":
+                          ckpt.arrays["transform-weight"]}, ckpt.hyper, 0)
+    with pytest.raises(CheckpointError, match="no member 'transform-bias'"):
+        CutModel.from_checkpoint(no_bias, target_split, source_split)
 
     # Three per-partition user tables, as older cut checkpoints held.
     a, b = ds.n_target_only, ds.target.n_users
-    parts = [EmbeddingTable(role, values) for role, values in (
-        ("user-target-only", users.values[:a]),
-        ("user-overlap", users.values[a:b]),
-        ("user-source-only", users.values[b:]))]
-    older = Checkpoint([*parts, *ckpt.tables[1:]], ckpt.hyper, 0)
+    older = {"user-target-only": users[:a], "user-overlap": users[a:b],
+             "user-source-only": users[b:],
+             **{k: v for k, v in ckpt.arrays.items() if k != ROLE_USER}}
     with pytest.raises(CheckpointError, match="'user'"):
-        CutModel.from_checkpoint(older, target_split, source_split)
+        CutModel.from_checkpoint(Checkpoint(older, ckpt.hyper, 0),
+                                 target_split, source_split)
+
+
+PARAM_NAMES = {
+    "single": ["user-target-phase1", "item-target"],
+    "cut": [ROLE_USER, ROLE_ITEM_TARGET, ROLE_ITEM_SOURCE,
+            "transform-weight", "transform-bias"],
+    "cut-no-transform": [ROLE_USER, ROLE_ITEM_TARGET, ROLE_ITEM_SOURCE],
+}
+
+
+@pytest.mark.parametrize("backbone", ["mf", "lightgcn"])
+@pytest.mark.parametrize("kind", list(PARAM_NAMES))
+def test_checkpoint_members_are_the_params_in_order(tmp_path, kind,
+                                                    backbone):
+    ds, target_split, source_split = toy_dataset(seed=25)
+    config = small_config(backbone=backbone,
+                          no_transform=kind == "cut-no-transform")
+    if kind == "single":
+        model = SingleDomainModel.create(
+            ds.target.n_users, ds.target.n_items, config.embedding_dim, 0,
+            backbone=backbone, train=target_split.train)
+        ckpt = model.to_checkpoint(config)
+    else:
+        model = CutModel.build(ds, target_split, source_split, config)
+        ckpt = model.to_checkpoint(3)
+    params = model.params()
+    assert list(params) == PARAM_NAMES[kind]
+    assert ckpt.arrays is params
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, ckpt)
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz.files == ["header", *params]
+    loaded = load_checkpoint(path)
+    back = (SingleDomainModel.from_checkpoint(loaded, target_split)
+            if kind == "single" else
+            CutModel.from_checkpoint(loaded, target_split, source_split))
+    assert list(loaded.arrays) == list(back.params()) == list(params)
+    for name, values in params.items():
+        assert back.params()[name].tobytes() == values.tobytes(), name
