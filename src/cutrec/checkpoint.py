@@ -46,8 +46,9 @@ class Checkpoint:
     def take(self, rows: Mapping[str, int | None]) -> dict[str, np.ndarray]:
         """The members named in ``rows``, in its order, as a model's
         params. Each must exist and have the rows ``rows`` gives it (None:
-        any), and all must share one embedding width: every table's
-        columns, both sides of the transform weight and the bias length."""
+        any), and all must share one embedding width, the recorded
+        ``embedding_dim`` if any: every table's columns, both sides of the
+        transform weight and the bias length."""
         out = {}
         for name, n_rows in rows.items():
             if name not in self.arrays:
@@ -61,11 +62,14 @@ class Checkpoint:
                     f"the dataset needs {n_rows}")
         widths = {n for name, values in out.items() for n in (
             values.shape if name in _TRANSFORM else values.shape[1:])}
+        shapes = [f"{name} {values.shape}" for name, values in out.items()]
+        if "training" in self.hyper:
+            dim = self.training_config().embedding_dim
+            widths.add(dim)
+            shapes.append(f"embedding_dim {dim}")
         if len(widths) > 1:
-            shapes = ", ".join(f"{name} {values.shape}"
-                               for name, values in out.items())
             raise CheckpointError(f"checkpoint members differ in embedding "
-                                  f"width ({shapes})")
+                                  f"width ({', '.join(shapes)})")
         return out
 
     def training_config(self) -> TrainingConfig:

@@ -1,5 +1,4 @@
-"""Contrastive similarity-preservation regulariser and the combined
-training objective.
+"""Contrastive similarity-preservation regulariser.
 
 For one batch with similar pair set S and all-ordered-pair set A over the
 distinct batch users, the regulariser is
@@ -10,7 +9,9 @@ distinct batch users, the regulariser is
 where z is the raw dot product of the transformed user vectors: they are
 not normalised, so the term also sees the transform's scale. The |A|
 factor means individual terms may go negative; the value is 0 when all
-transformed vectors coincide or when S is empty.
+transformed vectors coincide or when S is empty. Phase two minimises
+(1 - alpha) * L_t + alpha * L_s + lambda * L_c, with this term as L_c
+(``trainer.transfer_forward_backward``).
 """
 
 from __future__ import annotations
@@ -69,9 +70,3 @@ def contrastive_loss(feats: np.ndarray, pairs: PairSets,
         @ feats.astype(np.float64)
     d_feats = (prod[:, :-1] * (2.0 / denom) - pull / n_similar) / tau
     return float(loss), d_feats
-
-
-def total_loss(l_target: float, l_source: float, l_contrastive: float,
-               alpha: float, lam: float) -> float:
-    """Weighted combination: (1 - alpha) * L_t + alpha * L_s + lambda * L_c."""
-    return (1.0 - alpha) * l_target + alpha * l_source + lam * l_contrastive

@@ -15,6 +15,10 @@ class ParseError(CutRecError):
         location = self.path if line_no is None else f"{self.path}:{line_no}"
         super().__init__(f"{location}: {reason}")
 
+    def __reduce__(self):
+        # A worker process sends its exception back pickled.
+        return type(self), (self.path, self.line_no, self.reason)
+
 
 class DatasetCollapsedError(CutRecError):
     """Filtering removed every interaction."""

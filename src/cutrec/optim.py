@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import TrainingDivergedError
 
-SparseGrad = tuple[np.ndarray | None, np.ndarray]
+SparseGrad = tuple[np.ndarray, np.ndarray]
 # Adam's moment decay rates and denominator guard (Kingma & Ba, 2015).
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -31,21 +31,18 @@ def distinct_rows(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class GradBuffer:
     """Accumulates one training step's gradients per named parameter.
 
-    A table takes row parts: a slice or strictly increasing int rows, and
-    a value row each. A lone part passes through uncopied; parts sharing a
-    table, and the dense parts of a whole parameter, are summed in float64.
-    ``grads`` gives int rows and empties the buffer, so that the parts are
-    freed before the optimizer step.
+    A parameter takes row parts: a slice or strictly increasing int rows,
+    and a value row each. A lone part passes through uncopied; parts
+    sharing a parameter are summed in float64. ``grads`` gives int rows
+    and empties the buffer, so that the parts are freed before the
+    optimizer step.
     """
 
     def __init__(self, params: Mapping[str, np.ndarray]):
         self._params = dict(params)
         self._parts: dict[str, list[tuple]] = {}
-        self._dense: dict[str, np.ndarray] = {}
 
     def add_rows(self, name: str, rows: np.ndarray | slice, values) -> None:
-        if name in self._dense:
-            raise ValueError(f"parameter {name!r} already has a dense gradient")
         if isinstance(rows, slice):
             rows = np.arange(len(self._params[name]))[rows]
         elif (rows.ndim != 1 or rows.dtype.kind not in "iu"
@@ -54,12 +51,6 @@ class GradBuffer:
             raise ValueError(f"rows of {name!r} must be a slice or strictly "
                              "increasing integers")
         self._parts.setdefault(name, []).append((rows, values))
-
-    def add_dense(self, name: str, values: np.ndarray) -> None:
-        if name in self._parts:
-            raise ValueError(f"parameter {name!r} already has row gradients")
-        self._dense.setdefault(name, np.zeros(self._params[name].shape))
-        self._dense[name] += values
 
     def grads(self) -> dict[str, SparseGrad]:
         out: dict[str, SparseGrad] = {}
@@ -73,9 +64,7 @@ class GradBuffer:
                 total[inverse[:part.size]] += values
                 inverse = inverse[part.size:]
             out[name] = (rows, total)
-        for name, buf in self._dense.items():
-            out[name] = (None, buf)
-        self._parts, self._dense = {}, {}
+        self._parts = {}
         return out
 
 
@@ -91,8 +80,7 @@ class Adam:
 
     def step(self, grads: Mapping[str, SparseGrad]) -> None:
         """``grads`` maps a parameter to ``(rows, grad)``: ``rows`` sorted
-        and distinct, as ``GradBuffer.grads`` returns them, or None for a
-        gradient of the whole parameter."""
+        and distinct ints, as ``GradBuffer.grads`` returns them."""
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - BETA1 ** t
@@ -113,7 +101,7 @@ class Adam:
                     f"non-finite or overflowing gradient for parameter "
                     f"{name!r} at step {t}")
             m, v = self._m[name], self._v[name]
-            if rows is None or rows.size == param.shape[0]:  # all rows
+            if rows.size == param.shape[0]:  # all rows
                 self._update(param, m, v, grad, bias1, bias2)
             elif rows.size:
                 theta, m_rows, v_rows = param[rows], m[rows], v[rows]

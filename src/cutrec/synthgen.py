@@ -9,11 +9,13 @@ directly controllable.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_kind
 from .corpus import DomainId, RawInteractions
 from .errors import ConfigError
 
@@ -35,12 +37,14 @@ class SynthConfig:
     share_item_factors: bool = False
 
     def __post_init__(self):
-        counts = (self.n_users, self.n_items_per_domain, self.latent_dim,
-                  self.interactions_per_user)
-        if not all(isinstance(n, int) for n in (*counts, self.seed)):
-            raise TypeError("counts and seed must be integers")
-        if min(counts) <= 0:
-            raise ValueError("all counts must be positive")
+        for field in dataclasses.fields(self):
+            check_kind(field.name, getattr(self, field.name), field.type)
+        for name, minimum in (("n_users", 1), ("n_items_per_domain", 1),
+                              ("latent_dim", 1), ("interactions_per_user", 1),
+                              ("seed", 0), ("n_clusters", 0),
+                              ("cluster_spread", 0), ("score_noise", 0)):
+            if (value := getattr(self, name)) < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {value}")
         if not 0.0 <= self.overlap_fraction <= 1.0:
             raise ValueError("overlap_fraction must be in [0, 1]")
         if not 0.0 <= self.distortion <= 1.0:
@@ -54,7 +58,7 @@ class SynthConfig:
         mistyped field or a bad value is a ``ConfigError``."""
         try:
             return cls(**{**data, **overrides})
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, ConfigError) as err:
             raise ConfigError(f"synthetic config: {err}") from err
 
 

@@ -25,7 +25,7 @@ from .backbone import (BACKBONE_LIGHTGCN, LOSS_FNS, SingleDomainModel,
                        single_domain_forward_backward)
 from .checkpoint import Checkpoint
 from .config import TrainingConfig
-from .contrastive import contrastive_loss, total_loss
+from .contrastive import contrastive_loss
 from .corpus import CrossDomainDataset, InteractionSet, SplitDataset
 from .embeddings import (ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET, ROLE_USER,
                          ROLE_USER_TARGET_PHASE1, TRANSFORM_BIAS,
@@ -55,29 +55,6 @@ class LossBreakdown:
     total: float
 
 
-class EarlyStopper:
-    """Stops after ``patience`` consecutive epochs without improvement."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = -np.inf
-        self.best_epoch: int | None = None
-        self._since_best = 0
-
-    def update(self, value: float, epoch: int) -> bool:
-        if value > self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self._since_best = 0
-            return True
-        self._since_best += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self._since_best >= self.patience
-
-
 def _batches(order: np.ndarray, batch_size: int):
     for start in range(0, order.size, batch_size):
         yield order[start:start + batch_size]
@@ -97,16 +74,18 @@ def fit(model, step, n_pairs: int, scorer, split: SplitDataset,
     Each epoch visits the ``n_pairs`` training pairs in a fresh shuffled
     order, calling ``step(batch)`` on each batch of pair indices; ``step``
     trains and returns the batch loss. After each epoch ``scorer()``
-    builds the scorer for validation NDCG@10. Training early-stops on that
-    metric, then restores the best epoch's parameters and checks that
-    they are finite. Returns the best epoch and the validation curve.
+    builds the scorer for validation NDCG@10. The best epoch is the first
+    to raise that metric above all earlier ones; training stops once
+    ``config.patience`` epochs have passed since it, then restores its
+    parameters and checks that they are finite. Returns the best epoch
+    (0 when no epoch gave a metric above -inf) and the validation curve.
     """
     params = model.params()
 
     def snapshot() -> dict[str, np.ndarray]:
         return {name: value.copy() for name, value in params.items()}
 
-    stopper = EarlyStopper(config.patience)
+    best, best_epoch = -np.inf, 0
     best_state = snapshot()
     history: list[float] = []
     for epoch in range(1, config.max_epochs + 1):
@@ -121,16 +100,16 @@ def fit(model, step, n_pairs: int, scorer, split: SplitDataset,
         metric = evaluate_full(scorer(), split, k=10,
                                part="valid").means["ndcg"]
         history.append(metric)
-        if stopper.update(metric, epoch):
-            best_state = snapshot()
+        if metric > best:
+            best, best_epoch, best_state = metric, epoch, snapshot()
         logger.debug("%s phase epoch %d: loss=%.4f valid ndcg@10=%.4f",
                      phase, epoch, epoch_loss, metric)
-        if stopper.should_stop:
+        if epoch - best_epoch >= config.patience:
             break
     for name, value in params.items():
         value[...] = best_state[name]
     assert_finite(params, f"{phase} phase end")
-    return stopper.best_epoch or 0, history
+    return best_epoch, history
 
 
 @dataclass
@@ -370,12 +349,12 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
 
     # -- chain both target terms through the transform at once --
     if not config.no_transform:
-        buf.add_dense(TRANSFORM_WEIGHT, d_transformed.T @ base)
-        buf.add_dense(TRANSFORM_BIAS, d_transformed.sum(axis=0))
+        buf.add_rows(TRANSFORM_WEIGHT, slice(None), d_transformed.T @ base)
+        buf.add_rows(TRANSFORM_BIAS, slice(None), d_transformed.sum(axis=0))
         d_transformed = d_transformed @ params[TRANSFORM_WEIGHT]
     buf.add_rows(ROLE_USER, np.arange(model.n_target)[rows], d_transformed)
 
-    l_all = total_loss(l_target, l_source, l_contrastive, alpha, lam)
+    l_all = (1.0 - alpha) * l_target + alpha * l_source + lam * l_contrastive
     return LossBreakdown(l_target, l_source, l_contrastive, l_all), buf
 
 

@@ -76,10 +76,7 @@ def dense_grads(grads: dict, params: dict[str, np.ndarray]) -> dict[str, np.ndar
     out = {}
     for name, (rows, values) in grads.items():
         dense = np.zeros(params[name].shape, dtype=np.float64)
-        if rows is None:
-            dense[...] = values
-        else:
-            dense[rows] = values
+        dense[rows] = values
         out[name] = dense
     return out
 
@@ -99,10 +96,9 @@ def sample_negatives(rng: np.random.Generator, n_items: int,
     return np.array(out, dtype=np.int64)
 
 
-def full_table_grads(params: dict[str, np.ndarray], row_parts, dense_parts):
+def full_table_grads(params: dict[str, np.ndarray], row_parts):
     """``GradBuffer.grads()`` the long way: scatter every row part into a
-    zeroed float64 copy of its whole table, keep the touched rows; sum
-    dense parts into a whole-table buffer."""
+    zeroed float64 copy of its whole table, keep the touched rows."""
     out = {}
     for name, parts in row_parts.items():
         table = np.zeros(params[name].shape, dtype=np.float64)
@@ -112,11 +108,6 @@ def full_table_grads(params: dict[str, np.ndarray], row_parts, dense_parts):
             touched[rows] = True
         rows = np.flatnonzero(touched)
         out[name] = (rows, table[rows])
-    for name, parts in dense_parts.items():
-        table = np.zeros(params[name].shape, dtype=np.float64)
-        for values in parts:
-            table += values
-        out[name] = (None, table)
     return out
 
 
@@ -163,12 +154,12 @@ def adam_dense_step(param: np.ndarray, m: np.ndarray, v: np.ndarray,
 def adam_step_oracle(params: dict, moments: dict, grads: dict, t: int, *,
                      lr: float, weight_decay: float) -> None:
     """``Adam.step`` over ``(rows, grad)`` pairs with the formulas above:
-    ``adam_dense_step`` where the rows cover the table or are None, else
+    ``adam_dense_step`` where the rows cover the table, else
     ``adam_row_step``; ``moments`` maps a name to its ``(m, v)``."""
     for name, (rows, grad) in grads.items():
         param, (m, v) = params[name], moments[name]
         grad = grad.astype(param.dtype)
-        if rows is None or rows.size == param.shape[0]:
+        if rows.size == param.shape[0]:
             adam_dense_step(param, m, v, grad, t, lr=lr,
                             weight_decay=weight_decay)
         else:
@@ -243,14 +234,14 @@ def lightgcn_transfer_oracle(model, src_users, src_pos, src_neg, tgt_users,
         l_contrastive, d_pairs = contrastive_loss(
             transformed[pairs.users], pairs, config.temperature)
         d_transformed[pairs.users] += config.contrastive_weight * d_pairs
-    dense_parts = {}
     if not config.no_transform:
-        dense_parts = {"transform-weight": [d_transformed.T @ base],
-                       "transform-bias": [d_transformed.sum(axis=0)]}
+        every = np.arange(base.shape[1])
+        row_parts["transform-weight"] = [(every, d_transformed.T @ base)]
+        row_parts["transform-bias"] = [(every, d_transformed.sum(axis=0))]
         d_transformed = d_transformed @ params["transform-weight"]
     row_parts[ROLE_USER].append((np.arange(len(base)), d_transformed))
     return ((l_target, l_source, l_contrastive),
-            full_table_grads(params, row_parts, dense_parts))
+            full_table_grads(params, row_parts))
 
 
 def dense_propagation_oracle(adjacency_dense: np.ndarray, base: np.ndarray,

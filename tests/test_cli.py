@@ -263,16 +263,47 @@ def test_parallel_seeds_below_one_is_validation_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_malformed_tsv_is_validation_error_serial_or_parallel(tmp_path,
+                                                              capsys,
+                                                              parallel):
+    source, target = tmp_path / "src.tsv", tmp_path / "tgt.tsv"
+    source.write_text("u1\ti1\n")
+    target.write_text("u1\ti1\tnotatime\n")
+    cfg = write_json(tmp_path / "exp.json", {
+        **EXPERIMENT_BASE, "seeds": [0, 1], "save_checkpoints": False,
+        "data": {"source_tsv": str(source), "target_tsv": str(target)}})
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg), "--parallel-seeds",
+                 parallel, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {target}:1: invalid timestamp 'notatime'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad, word", [
     ({**SYNTH_CFG, "bogus": 1}, "bogus"),
     ({k: v for k, v in SYNTH_CFG.items() if k != "n_users"}, "n_users"),
-    ({**SYNTH_CFG, "n_users": "50"}, "integers"),
-    ({**SYNTH_CFG, "n_users": 50.5}, "integers"),
+    ({**SYNTH_CFG, "n_users": "50"}, "n_users must be an integer"),
+    ({**SYNTH_CFG, "n_users": 50.5}, "n_users must be an integer"),
     ({**SYNTH_CFG, "distortion": "high"}, "synthetic config"),
     ([1, 2], "synthetic config"),
     ({**SYNTH_CFG, "source_interactions_per_user": 12},
      "source_interactions_per_user"),
     ({**SYNTH_CFG, "zipf_exponent": 0.0}, "zipf_exponent"),
+    ({**SYNTH_CFG, "share_item_factors": "false"},
+     "share_item_factors must be true or false"),
+    ({**SYNTH_CFG, "n_users": True}, "n_users must be an integer"),
+    ({**SYNTH_CFG, "overlap_fraction": True},
+     "overlap_fraction must be a number"),
+    ({**SYNTH_CFG, "cluster_spread": float("nan")},
+     "cluster_spread must be finite"),
+    ({**SYNTH_CFG, "cluster_spread": "x"}, "cluster_spread must be a number"),
+    ({**SYNTH_CFG, "score_noise": -1}, "score_noise must be >= 0"),
+    ({**SYNTH_CFG, "n_clusters": -3}, "n_clusters must be >= 0"),
+    ({**SYNTH_CFG, "n_clusters": 2.5}, "n_clusters must be an integer"),
+    ({**SYNTH_CFG, "n_users": 0}, "n_users must be >= 1"),
+    ({**SYNTH_CFG, "seed": -1}, "seed must be >= 0"),
 ])
 def test_synth_config_errors_are_validation_errors(tmp_path, capsys, bad,
                                                    word):
@@ -280,7 +311,15 @@ def test_synth_config_errors_are_validation_errors(tmp_path, capsys, bad,
     out = tmp_path / "raw"
     assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and word in err
+    assert err.startswith("error: synthetic config: ") and word in err
+    assert not out.exists()
+    if "seed" in word:
+        return  # an experiment's run seed replaces the generator's
+    cfg = write_json(tmp_path / "exp.json",
+                     {**EXPERIMENT_BASE, "data": {"synthetic": bad}})
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: synthetic config: ") and word in err
     assert not out.exists()
 
 
@@ -386,8 +425,14 @@ def test_malformed_checkpoint_is_runtime_failure_naming_it(
     ("cut", {"transform-weight": np.s_[:3, :3], "transform-bias": np.s_[:3]}),
     ("single", {"item-target": np.s_[:, :4]}),
     ("cut", {"item-source": np.s_[:, :4]}),
+    # All members agree, but not with the recorded embedding_dim 8.
+    ("cut", {"user": np.s_[:, :4], "item-target": np.s_[:, :4],
+             "item-source": np.s_[:, :4], "transform-weight": np.s_[:4, :4],
+             "transform-bias": np.s_[:4]}),
+    ("single", {"user-target-phase1": np.s_[:, :4],
+                "item-target": np.s_[:, :4]}),
 ], ids=["cut-transform-3x3", "single-item-target-4-wide",
-        "cut-item-source-4-wide"])
+        "cut-item-source-4-wide", "cut-all-4-wide", "single-all-4-wide"])
 def test_checkpoint_of_mixed_widths_is_runtime_failure_naming_it(
         phase1_checkpoint, cut_checkpoint, tmp_path, capsys, kind, keep):
     data_dir, good = phase1_checkpoint if kind == "single" else cut_checkpoint
@@ -403,6 +448,25 @@ def test_checkpoint_of_mixed_widths_is_runtime_failure_naming_it(
     assert err.startswith(f"runtime failure: {path}: ")
     assert "differ in embedding width" in err
     assert all(name in err for name in keep)
+    assert not out.exists()
+
+
+def test_phase1_narrower_than_its_embedding_dim_is_runtime_failure(
+        phase1_checkpoint, tmp_path, capsys):
+    data_dir, good = phase1_checkpoint
+    phase1 = tmp_path / "phase1.ckpt"
+    phase1.write_bytes(good)
+    rewrite_arrays(phase1, lambda header, arrays: arrays.update(
+        {name: values[:, :4] for name, values in arrays.items()}))
+    capsys.readouterr()
+    out = tmp_path / "phase2"
+    assert main(["train-transfer", "--data", str(data_dir), "--config",
+                 str(write_json(tmp_path / "cut.json", TRAIN_CFG)),
+                 "--phase1", str(phase1), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime failure: {phase1}: ")
+    assert "differ in embedding width" in err
+    assert "user-target-phase1" in err and "embedding_dim 8" in err
     assert not out.exists()
 
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from cutrec.config import TrainingConfig
-from cutrec.contrastive import contrastive_loss, total_loss
-from cutrec.similarity import PairSets
-from cutrec.trainer import CutModel
+from cutrec.contrastive import contrastive_loss
+from cutrec.embeddings import (ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET, ROLE_USER,
+                               TRANSFORM_BIAS, TRANSFORM_WEIGHT)
+from cutrec.similarity import PairSets, SimilarityOracle, extract_pairs
+from cutrec.trainer import CutModel, transfer_forward_backward
 
 from helpers import (brute_force_contrastive, dense_contrastive_gradient,
                      fd_gradient)
@@ -265,26 +267,71 @@ def test_tau_validation():
 
 # --- total loss ------------------------------------------------------------------
 
+def transfer_batch(alpha, lam, pairs=True):
+    """``transfer_forward_backward`` on one fixed MF batch whose target
+    users have similar pairs: six target users (rows 0-5, the last three
+    overlap) and five source users (rows 3-7)."""
+    rng = np.random.default_rng(3)
+    params = {name: rng.normal(scale=0.5, size=shape).astype(np.float32)
+              for name, shape in (
+                  (ROLE_USER, (8, 4)), (ROLE_ITEM_TARGET, (7, 4)),
+                  (ROLE_ITEM_SOURCE, (6, 4)), (TRANSFORM_WEIGHT, (4, 4)),
+                  (TRANSFORM_BIAS, (4,)))}
+    config = TrainingConfig(alpha=alpha, contrastive_weight=lam,
+                            embedding_dim=4)
+    model = CutModel(config, params, n_target=6, source_offset=3)
+    tgt_users = np.arange(6)
+    oracle = SimilarityOracle.from_embeddings(params[ROLE_USER][:6], 0.0)
+    return transfer_forward_backward(
+        model, np.array([0, 2, 4]), np.array([1, 3, 5]), np.array([0, 0, 2]),
+        tgt_users, np.array([0, 1, 2, 3, 4, 5]),
+        np.array([6, 5, 4, 3, 2, 1]),
+        extract_pairs(tgt_users, oracle) if pairs else None)
+
+
 def test_total_loss_paper_default_weights():
-    assert total_loss(1.0, 0.5, 0.0, alpha=0.2, lam=1e-4) == pytest.approx(0.9)
+    defaults = TrainingConfig()
+    assert (defaults.alpha, defaults.contrastive_weight) == (0.2, 1e-4)
+    breakdown, _ = transfer_batch(defaults.alpha, defaults.contrastive_weight)
+    assert breakdown.contrastive != 0.0
+    assert breakdown.total == (0.8 * breakdown.target
+                               + 0.2 * breakdown.source
+                               + 1e-4 * breakdown.contrastive)
 
 
 def test_total_loss_alpha_zero_ignores_source():
-    assert total_loss(2.0, 123.0, 4.0, alpha=0.0, lam=0.5) == \
-        pytest.approx(2.0 + 0.5 * 4.0)
+    breakdown, buf = transfer_batch(alpha=0.0, lam=0.5)
+    assert breakdown.source > 0.0
+    assert breakdown.total == breakdown.target + 0.5 * breakdown.contrastive
+    _, source_items = buf.grads()[ROLE_ITEM_SOURCE]
+    assert not source_items.any()
 
 
 def test_total_loss_lambda_zero_is_weighted_joint():
-    assert total_loss(2.0, 3.0, 99.0, alpha=0.25, lam=0.0) == \
-        pytest.approx(0.75 * 2.0 + 0.25 * 3.0)
+    # The contrastive term is computed and reported, and moves nothing.
+    with_pairs, buf = transfer_batch(alpha=0.25, lam=0.0)
+    without, buf_joint = transfer_batch(alpha=0.25, lam=0.0, pairs=False)
+    assert with_pairs.contrastive != 0.0 and without.contrastive == 0.0
+    assert with_pairs.total == without.total \
+        == 0.75 * with_pairs.target + 0.25 * with_pairs.source
+    grads, joint = buf.grads(), buf_joint.grads()
+    assert grads.keys() == joint.keys()
+    for name, (rows, values) in grads.items():
+        assert np.array_equal(rows, joint[name][0])
+        assert values.tobytes() == joint[name][1].tobytes()
 
 
 def test_total_loss_exact_recombination():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        l_t, l_s, l_c = rng.normal(size=3)
-        alpha = float(rng.uniform(0, 1))
-        lam = float(rng.uniform(0, 1))
-        combined = total_loss(l_t, l_s, l_c, alpha, lam)
-        direct = (1.0 - alpha) * l_t + alpha * l_s + lam * l_c
-        assert combined == direct
+    # The components do not depend on the weights, and the total weighs
+    # them exactly as written.
+    parts = None
+    for alpha in (0.0, 0.2, 1.0):
+        for lam in (0.0, 1e-4, 0.5):
+            breakdown, _ = transfer_batch(alpha, lam)
+            got = (breakdown.target, breakdown.source, breakdown.contrastive)
+            assert breakdown.contrastive != 0.0
+            assert parts in (None, got)
+            parts = got
+            assert breakdown.total == ((1 - alpha) * breakdown.target
+                                       + alpha * breakdown.source
+                                       + lam * breakdown.contrastive)

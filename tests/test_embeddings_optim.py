@@ -60,15 +60,18 @@ def test_adam_first_step_magnitude():
 
 
 def test_adam_dense_and_sparse_paths_agree():
+    # Rows covering the table take the dense path; the same rows of a
+    # table one row longer take the row path.
     rng = np.random.default_rng(0)
     dense_param = rng.normal(size=(4, 3))
-    sparse_param = dense_param.copy()
+    sparse_param = np.vstack([dense_param, np.ones((1, 3))])
     grad = rng.normal(size=(4, 3))
     opt_a = Adam({"p": dense_param}, lr=0.01, weight_decay=0.1)
     opt_b = Adam({"p": sparse_param}, lr=0.01, weight_decay=0.1)
-    opt_a.step({"p": (None, grad)})
+    opt_a.step({"p": (np.arange(4), grad)})
     opt_b.step({"p": (np.arange(4), grad)})
-    np.testing.assert_allclose(dense_param, sparse_param, atol=1e-15)
+    np.testing.assert_allclose(dense_param, sparse_param[:4], atol=1e-15)
+    np.testing.assert_array_equal(sparse_param[4], 1.0)
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
@@ -109,7 +112,7 @@ def test_adam_in_place_dense_step_matches_out_of_place_formula(dtype,
     for t in range(1, 21):
         grad = rng.normal(size=param.shape).astype(dtype)
         grad[rng.random(param.shape) < 0.2] = -0.0
-        opt.step({"p": (np.arange(60) if t % 2 else None, grad)})
+        opt.step({"p": (np.arange(60), grad)})
         adam_dense_step(expected, m, v, grad, t, lr=0.01,
                         weight_decay=weight_decay)
         assert param.tobytes() == expected.tobytes()
@@ -145,14 +148,15 @@ def test_adam_gradient_overflowing_the_table_dtype_diverges():
     np.testing.assert_array_equal(param, 0.0)
 
 
-@pytest.mark.parametrize("rows", [np.array([1]), None], ids=["rows", "dense"])
+@pytest.mark.parametrize("rows", [np.array([1]), np.arange(2)],
+                         ids=["rows", "dense"])
 def test_adam_gradient_overflowing_the_second_moment_diverges(rows):
     # 1e20 is finite in float32, but its square, and so v / bias2, is not:
     # float32 moments would freeze the entry at a zero step.
     param = np.zeros((2, 2), dtype=np.float32)
     opt = Adam({"user-table": param})
-    grad = np.array([[1e20, 0.0]] if rows is not None else [[0.0, 0.0],
-                                                             [-1e20, 0.0]])
+    grad = np.array([[1e20, 0.0]] if rows.size == 1 else [[0.0, 0.0],
+                                                           [-1e20, 0.0]])
     with pytest.raises(TrainingDivergedError, match="'user-table' at step 1"):
         opt.step({"user-table": (rows, grad)})
     np.testing.assert_array_equal(param, 0.0)
@@ -225,13 +229,16 @@ def test_grad_buffer_accumulates_duplicate_rows():
 
 
 def test_grad_buffer_dense_param():
-    param = np.zeros((2, 2))
-    buf = GradBuffer({"w": param})
-    buf.add_dense("w", np.eye(2))
-    buf.add_dense("w", np.eye(2))
-    rows, grads = buf.grads()["w"]
-    assert rows is None
-    np.testing.assert_array_equal(grads, 2 * np.eye(2))
+    # A whole weight and bias, as the transform's gradients arrive.
+    buf = GradBuffer({"w": np.zeros((2, 2)), "b": np.zeros(2)})
+    buf.add_rows("w", slice(None), np.eye(2))
+    buf.add_rows("w", slice(None), np.eye(2))
+    buf.add_rows("b", slice(None), np.ones(2))
+    grads = buf.grads()
+    for name, expected in (("w", 2 * np.eye(2)), ("b", np.ones(2))):
+        rows, values = grads[name]
+        assert rows.dtype.kind == "i" and list(rows) == [0, 1]
+        np.testing.assert_array_equal(values, expected)
 
 
 @settings(max_examples=120, deadline=None)
@@ -243,16 +250,17 @@ def test_grad_buffer_matches_full_table_oracle(seed, n_tables, n_dense,
     rng = np.random.default_rng(seed)
     params = {f"t{k}": np.zeros((int(rng.integers(1, 30)), 3), np.float32)
               for k in range(n_tables)}
-    params.update({f"d{k}": np.zeros((3, 2)) for k in range(n_dense)})
+    # Biases: 1-D parameters that only take whole-parameter parts.
+    params.update({f"d{k}": np.zeros(3) for k in range(n_dense)})
     buf = GradBuffer(params)
-    row_parts, dense_parts = {}, {}
+    row_parts = {}
     for _ in range(int(rng.integers(1, max_parts + 1))):
         for name, param in params.items():
             dtype = rng.choice([np.float32, np.float64])
             if name.startswith("d"):
                 values = rng.normal(size=param.shape).astype(dtype)
-                buf.add_dense(name, values)
-                dense_parts.setdefault(name, []).append(values)
+                buf.add_rows(name, slice(None), values)
+                row_parts.setdefault(name, []).append((slice(None), values))
                 continue
             n = param.shape[0]
             if rng.random() < block_share:
@@ -272,15 +280,12 @@ def test_grad_buffer_matches_full_table_oracle(seed, n_tables, n_dense,
             buf.add_rows(name, rows, values)
             row_parts.setdefault(name, []).append((rows, values))
     got = buf.grads()
-    expected = full_table_grads(params, row_parts, dense_parts)
+    expected = full_table_grads(params, row_parts)
     assert got.keys() == expected.keys()
     for name, (rows, values) in expected.items():
         got_rows, got_values = got[name]
-        if rows is None:
-            assert got_rows is None
-        else:
-            assert got_rows.dtype.kind == "i"
-            assert np.array_equal(got_rows, rows)
+        assert got_rows.dtype.kind == "i"
+        assert np.array_equal(got_rows, rows)
         parts = row_parts.get(name, [])
         if len(parts) == 1:
             # A lone part passes through uncopied.
@@ -289,14 +294,3 @@ def test_grad_buffer_matches_full_table_oracle(seed, n_tables, n_dense,
         assert got_values.dtype == np.float64
         assert got_values.tobytes() == values.tobytes()
     assert buf.grads() == {}
-
-
-def test_grad_buffer_rejects_mixed_row_and_dense_gradients():
-    buf = GradBuffer({"w": np.zeros((2, 2)), "p": np.zeros((2, 2))})
-    buf.add_dense("w", np.eye(2))
-    with pytest.raises(ValueError, match="dense"):
-        buf.add_rows("w", np.array([0]), np.ones((1, 2)))
-    buf.add_rows("p", np.array([1]), np.ones((1, 2)))
-    with pytest.raises(ValueError, match="row"):
-        buf.add_dense("p", np.eye(2))
-

@@ -1,10 +1,11 @@
 import json
+import pickle
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from cutrec import experiment
+from cutrec import errors, experiment
 from cutrec.config import TrainingConfig
 from cutrec.errors import ConfigError
 from cutrec.experiment import (ExperimentConfig, format_aggregate_table,
@@ -165,6 +166,22 @@ def test_parallel_seeds_start_at_most_one_worker_per_seed(
                             parallel_seeds=parallel_seeds)
     assert started == ([] if workers is None else [workers])
     assert list(report["per_seed"]) == [str(seed) for seed in seeds]
+
+
+def test_every_error_survives_pickling():
+    # A seed's worker process sends its exception back pickled.
+    raised = [errors.ParseError("t.tsv", 3, "invalid timestamp 'x'"),
+              errors.ParseError("t.tsv", None, "no records"),
+              errors.CutRecError("a"), errors.DatasetCollapsedError("b"),
+              errors.ConfigError("c"), errors.CheckpointError("d"),
+              errors.TrainingDivergedError("e")]
+    assert {type(err) for err in raised} == {
+        value for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, Exception)}
+    for err in raised:
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err)
+        assert (back.args, vars(back)) == (err.args, vars(err))
 
 
 @pytest.mark.parametrize("parallel_seeds", [0, -2])

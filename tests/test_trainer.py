@@ -1,4 +1,5 @@
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from cutrec.errors import CheckpointError, ConfigError, TrainingDivergedError
 from cutrec.optim import Adam
 from cutrec.similarity import SimilarityOracle, extract_pairs
 from cutrec.synthgen import SynthConfig, generate
-from cutrec.trainer import (CutModel, EarlyStopper, LossBreakdown,
-                            run_target_phase, run_transfer_phase,
-                            transfer_forward_backward, transfer_step)
+from cutrec.trainer import (CutModel, LossBreakdown, run_target_phase,
+                            run_transfer_phase, transfer_forward_backward,
+                            transfer_step)
 
 from helpers import (adam_step_oracle, assert_grad_matches, csr_graph,
                      dense_grads, lightgcn_transfer_oracle, raw_interactions)
@@ -82,26 +83,52 @@ def fixed_batches(ds, target_split, source_split, rng):
 
 # --- early stopping contract ---------------------------------------------------
 
-def test_early_stopper_stops_by_epoch_eleven():
-    stopper = EarlyStopper(patience=10)
-    stopper.update(1.0, 1)
-    stopped_at = None
-    for epoch in range(2, 50):
-        stopper.update(0.5, epoch)  # never improves after epoch 1
-        if stopper.should_stop:
-            stopped_at = epoch
-            break
-    assert stopped_at == 11
-    assert stopper.best_epoch == 1
+def fit_on_curve(monkeypatch, curve, patience):
+    """``fit`` over the scripted validation ``curve``, one epoch per
+    value at most, where each epoch is one step that adds 1 to the only
+    parameter. Returns the best epoch, the curve read and the restored
+    parameter."""
+    values = iter(curve)
+    monkeypatch.setattr(trainer, "evaluate_full", lambda *args, **kwargs:
+                        SimpleNamespace(means={"ndcg": next(values)}))
+    params = {"p": np.zeros(1)}
+
+    def step(batch):
+        params["p"] += 1.0
+        return 0.0
+
+    config = small_config(max_epochs=len(curve), patience=patience)
+    best_epoch, history = trainer.fit(
+        SimpleNamespace(params=lambda: params), step, 1, lambda: None, None,
+        config, np.random.default_rng(0), "target")
+    return best_epoch, history, float(params["p"][0])
 
 
-def test_early_stopper_resets_on_improvement():
-    stopper = EarlyStopper(patience=2)
-    stopper.update(1.0, 1)
-    stopper.update(0.5, 2)
-    stopper.update(2.0, 3)
-    assert not stopper.should_stop
-    assert stopper.best_epoch == 3
+def test_early_stopper_stops_by_epoch_eleven(monkeypatch):
+    curve = [1.0] + [0.5] * 48  # never improves after epoch 1
+    best_epoch, history, _ = fit_on_curve(monkeypatch, curve, patience=10)
+    assert len(history) == 11
+    assert best_epoch == 1
+
+
+def test_early_stopper_resets_on_improvement(monkeypatch):
+    # Without the reset at epoch 3, patience 2 would stop there.
+    curve = [1.0, 0.5, 2.0, 0.5, 0.5, 9.0]
+    best_epoch, history, _ = fit_on_curve(monkeypatch, curve, patience=2)
+    assert history == curve[:5]
+    assert best_epoch == 3
+
+
+@pytest.mark.parametrize("curve, best_epoch", [
+    ([0.1, 0.3, 0.2, 0.3, 0.25], 2),  # a tie is no gain
+    ([0.1, 0.2, 0.3, 0.4, 0.5], 5),
+    ([np.nan] * 5, 0)])  # no epoch beats -inf: the initial parameters
+def test_fit_restores_the_best_epoch_parameters(monkeypatch, curve,
+                                               best_epoch):
+    got, history, restored = fit_on_curve(monkeypatch, curve, patience=5)
+    assert len(history) == 5
+    assert got == best_epoch
+    assert restored == best_epoch
 
 
 # --- full-step gradients ---------------------------------------------------------
