@@ -17,7 +17,6 @@ from .graph import BipartiteGraph, build_graph, propagate
 from .losses import bce_loss, bpr_loss
 from .optim import GradBuffer, distinct_rows
 
-BACKBONE_MF = "mf"
 BACKBONE_LIGHTGCN = "lightgcn"
 LOSS_FNS = {"bce": bce_loss, "bpr": bpr_loss}
 
@@ -49,36 +48,45 @@ def sample_negatives_batch(rng: np.random.Generator, n_items: int,
     return out
 
 
-class SingleDomainModel:
-    """A backbone over one user/item index space: MF without a graph,
-    LightGCN with one. Its params are the ``user-target-phase1`` and
-    ``item-target`` tables."""
+def make_scorer(user_final: np.ndarray, item_final: np.ndarray,
+                graph: BipartiteGraph | None):
+    """Read-only scorer over layer-0 user and item tables: user ids to
+    their score rows over all items, after ``graph``'s propagation when
+    there is one."""
+    if graph is not None:
+        user_final, item_final = propagate(graph, user_final, item_final)
+    item_t = item_final.T.copy()
+    return lambda users: user_final[users] @ item_t
 
-    def __init__(self, params: dict[str, np.ndarray],
-                 graph: BipartiteGraph | None = None):
+
+class SingleDomainModel:
+    """A backbone over one user/item index space, as its ``config`` says:
+    MF without a graph, LightGCN with one over ``train``, in the tables'
+    dtype. Its params are the ``user-target-phase1`` and ``item-target``
+    tables."""
+
+    def __init__(self, config: TrainingConfig, params: dict[str, np.ndarray],
+                 train: InteractionSet):
+        self.config = config
         self._params = params
-        self.graph = graph
+        self.graph = (build_graph(train, config.k_layers,
+                                  params[ROLE_ITEM_TARGET].dtype)
+                      if config.backbone == BACKBONE_LIGHTGCN else None)
 
     @classmethod
-    def create(cls, n_users: int, n_items: int, dim: int, seed, *,
-               backbone: str = BACKBONE_MF,
-               train: InteractionSet | None = None, k_layers: int = 2,
+    def create(cls, config: TrainingConfig, train: InteractionSet,
+               seed: np.random.SeedSequence, *,
                dtype=np.float32) -> "SingleDomainModel":
-        if backbone not in (BACKBONE_MF, BACKBONE_LIGHTGCN):
-            raise ValueError(f"unknown backbone {backbone!r}")
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed)
+        """A fresh model for ``train``'s users and items, its two tables
+        drawn from streams spawned from ``seed``."""
         user_seed, item_seed = seed.spawn(2)
+        dim = config.embedding_dim
         params = {
-            ROLE_USER_TARGET_PHASE1: init_embeddings(n_users, dim, user_seed,
-                                                     dtype),
-            ROLE_ITEM_TARGET: init_embeddings(n_items, dim, item_seed, dtype)}
-        graph = None
-        if backbone == BACKBONE_LIGHTGCN:
-            if train is None:
-                raise ValueError("lightgcn backbone needs train interactions")
-            graph = build_graph(train, k_layers, dtype)
-        return cls(params, graph)
+            ROLE_USER_TARGET_PHASE1: init_embeddings(train.n_users, dim,
+                                                     user_seed, dtype),
+            ROLE_ITEM_TARGET: init_embeddings(train.n_items, dim, item_seed,
+                                              dtype)}
+        return cls(config, params, train)
 
     @property
     def n_items(self) -> int:
@@ -87,19 +95,13 @@ class SingleDomainModel:
     def params(self) -> dict[str, np.ndarray]:
         return self._params
 
-    def make_scorer(self):
-        """Read-only scorer: user ids to their score rows over all items."""
-        user_final = self._params[ROLE_USER_TARGET_PHASE1]
-        item_final = self._params[ROLE_ITEM_TARGET]
-        if self.graph is not None:
-            user_final, item_final = propagate(self.graph, user_final,
-                                               item_final)
-        item_t = item_final.T.copy()
-        return lambda users: user_final[users] @ item_t
+    def make_target_scorer(self):
+        return make_scorer(self._params[ROLE_USER_TARGET_PHASE1],
+                           self._params[ROLE_ITEM_TARGET], self.graph)
 
-    def to_checkpoint(self, config: TrainingConfig) -> Checkpoint:
-        hyper = {"model_kind": "single", "training": config.to_dict()}
-        return Checkpoint(self._params, hyper, 0)
+    def to_checkpoint(self, step: int = 0) -> Checkpoint:
+        hyper = {"model_kind": "single", "training": self.config.to_dict()}
+        return Checkpoint(self._params, hyper, step)
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint,
@@ -109,10 +111,7 @@ class SingleDomainModel:
         train = target_split.train
         params = ckpt.take({ROLE_USER_TARGET_PHASE1: train.n_users,
                             ROLE_ITEM_TARGET: train.n_items})
-        graph = (build_graph(train, config.k_layers,
-                             params[ROLE_ITEM_TARGET].dtype)
-                 if config.backbone == BACKBONE_LIGHTGCN else None)
-        return cls(params, graph)
+        return cls(config, params, train)
 
 
 def rows_read(graph: BipartiteGraph | None, index) -> tuple:

@@ -36,11 +36,13 @@ def _training_config(args) -> TrainingConfig:
 
 
 def cmd_ingest(args) -> int:
+    seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     raw = [corpus.load_interactions(args.source_tsv, corpus.DomainId.SOURCE),
            corpus.load_interactions(args.target_tsv, corpus.DomainId.TARGET)]
     ds = corpus.build_cross_domain(
         *(corpus.filter_k_core(r, args.min_interactions) for r in raw))
-    seed = args.seed if args.seed is not None else 0
     target_split = corpus.split_target(ds, seed=seed)
     source_split = corpus.split_source(ds, seed=seed)
     out = Path(args.out)
@@ -80,10 +82,9 @@ def cmd_train_target(args) -> int:
     ds, target_split, _ = corpus.load_dataset(args.data)
     result = run_target_phase(ds, target_split, cfg)
     out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(phase1_path, result.model.to_checkpoint(cfg))
-    inputs = {str(Path(args.data) / name): sha256_file(Path(args.data) / name)
-              for name in (corpus.INDEX_FILE, corpus.SPLITS_FILE)}
-    write_manifest(out, inputs, [phase1_path])
+    save_checkpoint(phase1_path, result.model.to_checkpoint())
+    archive = Path(args.data) / corpus.ARCHIVE_FILE
+    write_manifest(out, {str(archive): sha256_file(archive)}, [phase1_path])
     print(f"target phase done (best epoch {result.best_epoch}, "
           f"valid ndcg@10={max(result.valid_history):.4f}); "
           f"checkpoint at {phase1_path}")
@@ -131,13 +132,12 @@ def cmd_evaluate(args) -> int:
     kind = ckpt.hyper.get("model_kind")
     try:
         if kind == "cut":
-            scorer = CutModel.from_checkpoint(
-                ckpt, target_split, source_split).make_target_scorer()
+            model = CutModel.from_checkpoint(ckpt, target_split, source_split)
         elif kind == "single":
-            scorer = SingleDomainModel.from_checkpoint(
-                ckpt, target_split).make_scorer()
+            model = SingleDomainModel.from_checkpoint(ckpt, target_split)
         else:
             raise CheckpointError(f"cannot evaluate model_kind {kind!r}")
+        scorer = model.make_target_scorer()
     except CheckpointError as err:
         raise CheckpointError(f"{args.checkpoint}: {err}") from None
     report = evaluate_full(scorer, target_split, k=args.k,
@@ -157,11 +157,11 @@ def cmd_experiment(args) -> int:
         cfg = dataclasses.replace(cfg, seeds=(args.seed,))
     out = Path(args.out)
     ensure_writable([out / "report.json", out / "report.txt"], args.force)
-    report = run_experiment(cfg, parallel_seeds=args.parallel_seeds,
-                            checkpoint_root=out if cfg.save_checkpoints
-                            else None)
-    write_experiment_outputs(report, out, force=True, input_hashes={
-        str(args.config): sha256_file(args.config)})
+    report, checkpoints = run_experiment(
+        cfg, parallel_seeds=args.parallel_seeds, checkpoint_root=out)
+    write_experiment_outputs(report, out, checkpoints, force=True,
+                             input_hashes={str(args.config):
+                                           sha256_file(args.config)})
     print(format_aggregate_table(report, cfg.eval_k), end="")
     print(f"full report in {out / 'report.json'}")
     return 0

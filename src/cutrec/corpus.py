@@ -1,5 +1,6 @@
 """Interaction corpora: ingestion, k-core filtering, cross-domain index
-spaces, and per-user train/validation/test splits.
+spaces, per-user train/validation/test splits, and the dataset archive
+that stores one split, a single ``dataset.npz`` (version 3).
 
 Every interaction matrix is an ``InteractionSet`` in CSR form, which the
 graph, the history oracle, the trainers and the splits read directly.
@@ -506,11 +507,8 @@ def subsample_target(split: SplitDataset, retain_fraction: float,
 
 # --- dataset archive --------------------------------------------------------
 
-INDEX_FILE = "index.json"
-SPLITS_FILE = "splits.npz"
-SOURCE_TSV = "source.tsv"
-TARGET_TSV = "target.tsv"
-ARCHIVE_VERSION = 2
+ARCHIVE_FILE = "dataset.npz"
+ARCHIVE_VERSION = 3
 _PARTS = ("train", "valid", "test")
 _USER_GROUPS = ("target_only", "overlap", "source_only")
 
@@ -594,52 +592,30 @@ def read_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def _write_tsv(path: Path, inter: InteractionSet, user_tokens, item_tokens,
-               domain_id: DomainId) -> None:
-    """A user's timestamps are written only when all of them exist."""
-    times = (None if inter.times is None
-             else np.where(inter.timed[inter.users], inter.times, NO_TIME))
-    write_interactions(path, RawInteractions.from_codes(
-        domain_id, user_tokens, inter.users, item_tokens, inter.indices,
-        times))
-
-
 def save_dataset(out_dir, ds: CrossDomainDataset, target_split: SplitDataset,
                  source_split: SplitDataset, *, force: bool = False) -> list[Path]:
-    """Write the dataset archive: TSVs, the tokens in index.json, and in
-    splits.npz the split seeds and each part's CSR, as int64
-    ``{domain}-{part}-indptr`` and ``-indices`` arrays."""
+    """Write the dataset archive, one ``dataset.npz``: its header holds
+    the version, the split seeds and the user and item tokens, and its
+    members each part's CSR, as int64 ``{domain}-{part}-indptr`` and
+    ``-indices`` arrays."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = [out / name for name in
-             (SOURCE_TSV, TARGET_TSV, INDEX_FILE, SPLITS_FILE)]
-    ensure_writable(paths, force)
-
-    a = ds.n_target_only
-    n = ds.target.n_users
-    _write_tsv(out / SOURCE_TSV, ds.source, ds.user_tokens[a:],
-               ds.source_item_tokens, DomainId.SOURCE)
-    _write_tsv(out / TARGET_TSV, ds.target, ds.user_tokens[:n],
-               ds.target_item_tokens, DomainId.TARGET)
-
+    path = out / ARCHIVE_FILE
+    ensure_writable([path], force)
+    a, n = ds.n_target_only, ds.target.n_users
     groups = (ds.user_tokens[:a], ds.user_tokens[a:n], ds.user_tokens[n:])
-    index = {
+    splits = (("target", target_split), ("source", source_split))
+    write_arrays(path, {
         "version": ARCHIVE_VERSION,
+        "seeds": {domain: split.split_seed for domain, split in splits},
         "users": {name: list(group)
                   for name, group in zip(_USER_GROUPS, groups)},
         "items": {"source": list(ds.source_item_tokens),
                   "target": list(ds.target_item_tokens)},
-    }
-    write_atomic(out / INDEX_FILE, json.dumps(index, sort_keys=True, indent=2)
-                 + "\n")
-    splits = (("target", target_split), ("source", source_split))
-    write_arrays(out / SPLITS_FILE, {
-        "version": ARCHIVE_VERSION,
-        "seeds": {domain: split.split_seed for domain, split in splits},
     }, {f"{domain}-{part}-{name}": getattr(getattr(split, part), name)
         for domain, split in splits for part in _PARTS
         for name in ("indptr", "indices")})
-    return paths
+    return [path]
 
 
 def _entry(blob, path: Path, *keys: str, kind: type = list):
@@ -658,7 +634,7 @@ def _entry(blob, path: Path, *keys: str, kind: type = list):
 
 def _archive_split(header: dict, arrays: dict, path: Path, domain: str,
                    n_items: int) -> tuple[SplitDataset, InteractionSet]:
-    """One domain's split from ``splits.npz``, and the union of its parts:
+    """One domain's split from the archive, and the union of its parts:
     the domain's interactions."""
     seed = _entry(header, path, "seeds", domain, kind=int)
     try:
@@ -679,31 +655,26 @@ def _archive_split(header: dict, arrays: dict, path: Path, domain: str,
 
 
 def load_dataset(in_dir) -> tuple[CrossDomainDataset, SplitDataset, SplitDataset]:
-    """Reload an archive written by :func:`save_dataset`; a malformed one
-    raises ValueError naming the file at fault."""
-    root = Path(in_dir)
-    index_path, splits_path = root / INDEX_FILE, root / SPLITS_FILE
-    index = read_json(index_path)
-    header, arrays = read_arrays(splits_path)
-    for blob, path in ((index, index_path), (header, splits_path)):
-        if not isinstance(blob, dict) or blob.get("version") != ARCHIVE_VERSION:
-            raise ValueError(f"unsupported archive version in {path}")
-
-    groups = [_entry(index, index_path, "users", name)
-              for name in _USER_GROUPS]
-    items = {domain: tuple(_entry(index, index_path, "items", domain))
+    """Reload the ``dataset.npz`` that :func:`save_dataset` wrote in
+    ``in_dir``; a malformed one raises ValueError naming it."""
+    path = Path(in_dir) / ARCHIVE_FILE
+    header, arrays = read_arrays(path)
+    if header.get("version") != ARCHIVE_VERSION:
+        raise ValueError(f"unsupported archive version in {path}")
+    groups = [_entry(header, path, "users", name) for name in _USER_GROUPS]
+    items = {domain: tuple(_entry(header, path, "items", domain))
              for domain in ("source", "target")}
-    target_split, target = _archive_split(header, arrays, splits_path,
-                                          "target", len(items["target"]))
-    source_split, source = _archive_split(header, arrays, splits_path,
-                                          "source", len(items["source"]))
+    target_split, target = _archive_split(header, arrays, path, "target",
+                                          len(items["target"]))
+    source_split, source = _archive_split(header, arrays, path, "source",
+                                          len(items["source"]))
     sizes = [len(group) for group in groups]
     if (target.n_users != sizes[0] + sizes[1]
             or source.n_users != sizes[1] + sizes[2]):
         raise ValueError(
-            f"{index_path}: target-only/overlap/source-only users "
-            f"{sizes} do not fit the {target.n_users} target and "
-            f"{source.n_users} source users of {splits_path}")
+            f"{path}: target-only/overlap/source-only users {sizes} do not "
+            f"fit the {target.n_users} target and {source.n_users} source "
+            f"users")
     ds = CrossDomainDataset(source, target, tuple(sum(groups, [])),
                             items["source"], items["target"])
     return ds, target_split, source_split

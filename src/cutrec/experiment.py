@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, synthgen
-from .checkpoint import save_checkpoint
+from .checkpoint import Checkpoint, save_checkpoint
 from .config import TrainingConfig, check_kind
 from .corpus import ensure_writable, write_atomic
 from .errors import ConfigError
@@ -159,23 +159,18 @@ def prepare_data(cfg: ExperimentConfig, seed: int):
 
 
 def _evaluate_variants(cfg: ExperimentConfig, seed: int, ds, target_split,
-                       source_split, checkpoint_dir: Path | None
-                       ) -> dict[str, dict[str, float]]:
+                       source_split) -> tuple[dict[str, dict[str, float]],
+                                              dict[str, Checkpoint]]:
+    """Each variant's test metrics, and the checkpoints of the phase-one
+    model and of each transfer variant, by file stem."""
     training = cfg.training.replace(seed=seed)
     # The variants use phase one's model, frozen table or oracle.
     phase1 = run_target_phase(ds, target_split, training)
-    if checkpoint_dir is not None:
-        save_checkpoint(checkpoint_dir / "phase1.ckpt",
-                        phase1.model.to_checkpoint(training))
-
+    checkpoints = {"phase1": phase1.model.to_checkpoint()}
     results: dict[str, dict[str, float]] = {}
     for name in cfg.variants:
-        overrides = VARIANTS[name]
-        if overrides is None:
-            report = evaluate_full(phase1.model.make_scorer(), target_split,
-                                   k=cfg.eval_k, mask_seen=cfg.mask_seen,
-                                   seed=seed)
-        else:
+        model, overrides = phase1.model, VARIANTS[name]
+        if overrides is not None:
             variant_cfg = training.replace(**overrides)
             if variant_cfg.history_similarity:
                 oracle = SimilarityOracle.from_history(target_split.train,
@@ -185,37 +180,40 @@ def _evaluate_variants(cfg: ExperimentConfig, seed: int, ds, target_split,
             result = run_transfer_phase(ds, target_split, source_split,
                                         variant_cfg, oracle,
                                         frozen=phase1.frozen)
-            if checkpoint_dir is not None:
-                save_checkpoint(checkpoint_dir / f"{name}.ckpt",
-                                result.model.to_checkpoint(result.step_count))
-            report = evaluate_full(result.model.make_target_scorer(),
-                                   target_split, k=cfg.eval_k,
-                                   mask_seen=cfg.mask_seen, seed=seed)
+            model = result.model
+            checkpoints[name] = model.to_checkpoint(result.step_count)
+        report = evaluate_full(model.make_target_scorer(), target_split,
+                               k=cfg.eval_k, mask_seen=cfg.mask_seen,
+                               seed=seed)
         results[name] = {metric: report.means[metric]
                          for metric in METRIC_NAMES}
         logger.info("seed %d variant %-18s ndcg@%d=%.4f", seed, name,
                     cfg.eval_k, results[name]["ndcg"])
-    return results
+    return results, checkpoints
 
 
 def run_single_seed(cfg: ExperimentConfig, seed: int,
                     checkpoint_root: Path | str | None = None) -> dict:
     """Full pipeline for one seed: data, phases, all variants, optional
-    sparsity sweep."""
-    checkpoint_dir = None
-    if checkpoint_root is not None and cfg.save_checkpoints:
-        checkpoint_dir = Path(checkpoint_root) / f"seed-{seed}"
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
+    sparsity sweep. With a ``checkpoint_root`` and ``save_checkpoints``,
+    the seed's checkpoints go to ``seed-N/`` under it once all of that
+    has finished, and ``checkpoints`` lists their paths."""
     ds, target_split, source_split = prepare_data(cfg, seed)
-    out = {"variants": _evaluate_variants(cfg, seed, ds, target_split,
-                                          source_split, checkpoint_dir)}
+    results, checkpoints = _evaluate_variants(cfg, seed, ds, target_split,
+                                              source_split)
+    out: dict = {"variants": results, "checkpoints": []}
     if cfg.sparsity_fractions:
-        sweep: dict[str, dict] = {}
-        for fraction in cfg.sparsity_fractions:
-            sub_split = corpus.subsample_target(target_split, fraction, seed)
-            sweep[f"{fraction:g}"] = _evaluate_variants(
-                cfg, seed, ds, sub_split, source_split, None)
-        out["sparsity"] = sweep
+        out["sparsity"] = {
+            f"{fraction:g}": _evaluate_variants(
+                cfg, seed, ds,
+                corpus.subsample_target(target_split, fraction, seed),
+                source_split)[0]
+            for fraction in cfg.sparsity_fractions}
+    if checkpoint_root is not None and cfg.save_checkpoints:
+        directory = Path(checkpoint_root) / f"seed-{seed}"
+        directory.mkdir(parents=True, exist_ok=True)
+        out["checkpoints"] = [save_checkpoint(directory / f"{stem}.ckpt", ckpt)
+                              for stem, ckpt in checkpoints.items()]
     return out
 
 
@@ -232,9 +230,10 @@ def _aggregate(per_seed: dict[str, dict]) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig, *, parallel_seeds: int = 1,
-                   checkpoint_root=None) -> dict:
+                   checkpoint_root=None) -> tuple[dict, list[Path]]:
     """Run every seed, in up to ``parallel_seeds`` worker processes,
-    aggregate mean/std per variant, return the report."""
+    aggregate mean/std per variant; return the report and the checkpoint
+    files the run wrote under ``checkpoint_root``."""
     if parallel_seeds < 1:
         raise ConfigError(f"parallel_seeds must be >= 1, got {parallel_seeds}")
     workers = min(parallel_seeds, len(cfg.seeds))
@@ -264,7 +263,8 @@ def run_experiment(cfg: ExperimentConfig, *, parallel_seeds: int = 1,
         }
         report["sparsity_per_seed"] = {s: per_seed[s]["sparsity"]
                                        for s in per_seed}
-    return report
+    return report, [path for s in per_seed
+                    for path in per_seed[s]["checkpoints"]]
 
 
 def format_aggregate_table(report: dict, k: int) -> str:
@@ -298,9 +298,13 @@ def write_manifest(out_dir: Path, inputs: dict[str, str],
                         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def write_experiment_outputs(report: dict, out_dir, *, force: bool = False,
+def write_experiment_outputs(report: dict, out_dir,
+                             checkpoints: list[Path] | tuple = (), *,
+                             force: bool = False,
                              input_hashes: dict[str, str] | None = None
                              ) -> list[Path]:
+    """Write ``report.json`` and ``report.txt`` into ``out_dir``, and a
+    manifest of both and of the run's ``checkpoints``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_json = out / "report.json"
@@ -310,7 +314,6 @@ def write_experiment_outputs(report: dict, out_dir, *, force: bool = False,
                  json.dumps(report, sort_keys=True, indent=2) + "\n")
     write_atomic(report_txt,
                  format_aggregate_table(report, report["config"]["eval_k"]))
-    outputs = [report_json, report_txt]
-    outputs += [p for p in out.rglob("*.ckpt")]
+    outputs = [report_json, report_txt, *checkpoints]
     write_manifest(out, input_hashes or {}, outputs)
     return outputs

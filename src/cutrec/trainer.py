@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .backbone import (BACKBONE_LIGHTGCN, LOSS_FNS, SingleDomainModel,
-                       domain_forward_backward, rows_read,
+                       domain_forward_backward, make_scorer, rows_read,
                        sample_negatives_batch,
                        single_domain_forward_backward)
 from .checkpoint import Checkpoint
@@ -32,7 +32,7 @@ from .embeddings import (ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET, ROLE_USER,
                          TRANSFORM_WEIGHT, assert_finite, init_embeddings)
 from .errors import CheckpointError, ConfigError, TrainingDivergedError
 from .evaluation import evaluate_full
-from .graph import build_graph, propagate
+from .graph import build_graph, propagate  # noqa: F401 (perfbench wraps it)
 from .optim import Adam, GradBuffer
 from .similarity import PairSets, SimilarityOracle, extract_pairs
 
@@ -118,16 +118,16 @@ class TargetPhaseResult:
     frozen: np.ndarray  # read-only copy of the best-epoch user table
     best_epoch: int
     valid_history: list[float]
-    config: TrainingConfig
     train: InteractionSet
 
     @cached_property
     def oracle(self) -> SimilarityOracle:
         """Built on first use: only the contrastive term needs it, and a
         low gamma can make its graph too large to build."""
-        if self.config.history_similarity:
-            return SimilarityOracle.from_history(self.train, self.config.gamma)
-        return SimilarityOracle.from_embeddings(self.frozen, self.config.gamma)
+        config = self.model.config
+        if config.history_similarity:
+            return SimilarityOracle.from_history(self.train, config.gamma)
+        return SimilarityOracle.from_embeddings(self.frozen, config.gamma)
 
 
 def run_target_phase(ds: CrossDomainDataset, target_split: SplitDataset,
@@ -138,9 +138,8 @@ def run_target_phase(ds: CrossDomainDataset, target_split: SplitDataset,
     the corresponding ablation)."""
     train = target_split.train
     model = SingleDomainModel.create(
-        ds.target.n_users, ds.target.n_items, config.embedding_dim,
-        np.random.SeedSequence([config.seed, _STREAM_TARGET_INIT]),
-        backbone=config.backbone, train=train, k_layers=config.k_layers)
+        config, train,
+        np.random.SeedSequence([config.seed, _STREAM_TARGET_INIT]))
     optimizer = Adam(model.params(), lr=config.lr,
                      weight_decay=config.weight_decay)
     shuffle_rng, negative_rng = (
@@ -158,11 +157,11 @@ def run_target_phase(ds: CrossDomainDataset, target_split: SplitDataset,
         return loss
 
     best_epoch, history = fit(model, step, train.n_interactions,
-                              model.make_scorer, target_split, config,
+                              model.make_target_scorer, target_split, config,
                               shuffle_rng, "target")
     frozen = model.params()[ROLE_USER_TARGET_PHASE1].copy()
     frozen.setflags(write=False)
-    return TargetPhaseResult(model, frozen, best_epoch, history, config, train)
+    return TargetPhaseResult(model, frozen, best_epoch, history, train)
 
 
 def _graphs(config: TrainingConfig, target_split: SplitDataset,
@@ -258,13 +257,8 @@ class CutModel:
 
     def make_target_scorer(self):
         """Read-only target-path scorer: user ids to their score rows."""
-        user_final = self.apply_transform(self.target_users)
-        item_final = self._params[ROLE_ITEM_TARGET]
-        if self.graph_target is not None:
-            user_final, item_final = propagate(self.graph_target, user_final,
-                                               item_final)
-        item_t = item_final.T.copy()
-        return lambda users: user_final[users] @ item_t
+        return make_scorer(self.apply_transform(self.target_users),
+                           self._params[ROLE_ITEM_TARGET], self.graph_target)
 
     def to_checkpoint(self, step: int = 0) -> Checkpoint:
         hyper = {"model_kind": "cut", "training": self.config.to_dict()}

@@ -119,9 +119,10 @@ def small_model(seed, backbone="mf", loss="bce", n_users=6, n_items=7, dim=4):
     rows = [np.unique(rng.integers(0, n_items, size=rng.integers(1, 5)))
             for _ in range(n_users)]
     train = interaction_set([list(r) for r in rows], n_items)
-    model = SingleDomainModel.create(n_users, n_items, dim, seed,
-                                     backbone=backbone, train=train,
-                                     k_layers=2, dtype=np.float64)
+    config = TrainingConfig(backbone=backbone, embedding_dim=dim, k_layers=2)
+    model = SingleDomainModel.create(config, train,
+                                     np.random.SeedSequence(seed),
+                                     dtype=np.float64)
     users = rng.integers(0, n_users, size=5)
     pos = np.array([rng.choice(rows[u]) for u in users])
     neg = np.array([sample_negatives(rng, n_items, rows[u], 1)[0]
@@ -153,9 +154,9 @@ def test_lightgcn_steps_match_row_indexed_oracle(loss, dtype, weight_decay):
     rows = [np.unique(rng.integers(0, n_items, size=rng.integers(1, 8)))
             for _ in range(n_users)]
     train = interaction_set([list(r) for r in rows], n_items)
-    model = SingleDomainModel.create(n_users, n_items, 8, 5,
-                                     backbone="lightgcn", train=train,
-                                     k_layers=2, dtype=dtype)
+    config = TrainingConfig(backbone="lightgcn", embedding_dim=8, k_layers=2)
+    model = SingleDomainModel.create(config, train, np.random.SeedSequence(5),
+                                     dtype=dtype)
     opt = Adam(model.params(), lr=0.01, weight_decay=weight_decay)
     params = {name: value.copy() for name, value in model.params().items()}
     moments = {name: (np.zeros_like(value), np.zeros_like(value))
@@ -262,7 +263,8 @@ def test_training_reduces_loss():
     n_users, n_items = 20, 15
     rows = [np.unique(rng.integers(0, n_items, size=6)) for _ in range(n_users)]
     train = interaction_set([list(r) for r in rows], n_items)
-    model = SingleDomainModel.create(n_users, n_items, 8, 3, train=train)
+    model = SingleDomainModel.create(TrainingConfig(embedding_dim=8), train,
+                                     np.random.SeedSequence(3))
     opt = Adam(model.params(), lr=0.01)
     users, items = train.users, train.indices
     losses = []
@@ -281,7 +283,8 @@ def test_training_deterministic():
         rng = np.random.default_rng(11)
         rows = [[0, 1, 2], [1, 3], [0, 4]]
         train = interaction_set(rows, 5)
-        model = SingleDomainModel.create(3, 5, 4, 11, train=train)
+        model = SingleDomainModel.create(TrainingConfig(embedding_dim=4),
+                                         train, np.random.SeedSequence(11))
         opt = Adam(model.params(), lr=0.01, weight_decay=1e-5)
         users = np.array([0, 1, 2, 0])
         items = np.array([0, 1, 4, 2])
@@ -299,7 +302,7 @@ def test_training_deterministic():
 
 def test_scorer_matches_mf_score():
     model, _, _, _, _ = small_model(4, backbone="mf")
-    scorer = model.make_scorer()
+    scorer = model.make_target_scorer()
     scores = scorer(2)
     params = model.params()
     expected = [np.dot(params[USER][2], params[ITEM][i])
@@ -311,11 +314,11 @@ def test_scorer_matches_mf_score():
 def test_graph_dtype_follows_the_tables(tmp_path, dtype):
     config = TrainingConfig(backbone="lightgcn", embedding_dim=4, k_layers=2)
     train = interaction_set([[0, 2], [1], [3, 4, 5], [6]], 7)
-    model = SingleDomainModel.create(4, 7, 4, 0, backbone="lightgcn",
-                                     train=train, k_layers=2, dtype=dtype)
+    model = SingleDomainModel.create(config, train, np.random.SeedSequence(0),
+                                     dtype=dtype)
     assert model.graph.adjacency.dtype == dtype
     split = SplitDataset(train, train, train, 0)
-    ckpt = model.to_checkpoint(config)
+    ckpt = model.to_checkpoint()
     assert SingleDomainModel.from_checkpoint(
         ckpt, split).graph.adjacency.dtype == dtype
     # A saved checkpoint holds float32 tables, so its graph is float32.
@@ -330,21 +333,20 @@ def test_single_checkpoint_round_trip(tmp_path, backbone):
     config = TrainingConfig(backbone=backbone, embedding_dim=4, k_layers=2)
     rows = [[0, 2], [1], [3, 4, 5], [6]]
     train = interaction_set(rows, 7)
-    model = SingleDomainModel.create(4, 7, 4, 0, backbone=backbone,
-                                     train=train, k_layers=2)
-    save_checkpoint(tmp_path / "phase1.ckpt", model.to_checkpoint(config))
+    model = SingleDomainModel.create(config, train, np.random.SeedSequence(0))
+    save_checkpoint(tmp_path / "phase1.ckpt", model.to_checkpoint())
     ckpt = load_checkpoint(tmp_path / "phase1.ckpt")
     empty = interaction_set([[]] * 4, 7)
     loaded = SingleDomainModel.from_checkpoint(
         ckpt, SplitDataset(train, empty, empty, 0))
     users = np.arange(4)
-    block = model.make_scorer()(users)
+    block = model.make_target_scorer()(users)
     assert block.shape == (4, 7)
-    np.testing.assert_array_equal(loaded.make_scorer()(users), block)
+    np.testing.assert_array_equal(loaded.make_target_scorer()(users), block)
     # A scalar user gets one row; a vector-matrix product may round the
     # last float32 bit differently from the block product.
-    np.testing.assert_allclose(model.make_scorer()(2), block[2], rtol=1e-6,
-                               atol=1e-9)
+    np.testing.assert_allclose(model.make_target_scorer()(2), block[2],
+                               rtol=1e-6, atol=1e-9)
 
     wider = interaction_set(rows, 9)
     with pytest.raises(CheckpointError, match="has 7 rows, the dataset needs 9"):

@@ -7,7 +7,9 @@ import pytest
 
 from cutrec.checkpoint import load_checkpoint, save_checkpoint
 from cutrec.cli import main
-from cutrec.corpus import load_dataset
+from cutrec.corpus import load_dataset, read_arrays, write_arrays
+from cutrec.errors import TrainingDivergedError
+from cutrec.trainer import run_transfer_phase
 
 from helpers import rewrite_arrays
 
@@ -102,25 +104,62 @@ def _float_indptr(path):
         "target-train-indptr": arrays["target-train-indptr"] * 1.0}))
 
 
-def _not_json(path):
-    path.with_name("index.json").write_text("{\n  users: []\n}\n")
+def _header_not_an_object(path):
+    header, arrays = read_arrays(path)
+    write_arrays(path, [header], arrays)
 
 
-@pytest.mark.parametrize("corrupt, file, word", [
-    (_drop_member, "splits.npz", "no member 'source-valid-indptr'"),
-    (_float_indptr, "splits.npz", "indptr and indices must be 1-D int64"),
-    (_not_json, "index.json", "invalid JSON"),
-], ids=["missing-member", "float-indptr", "index-not-json"])
+@pytest.mark.parametrize("corrupt, word", [
+    (_drop_member, "no member 'source-valid-indptr'"),
+    (_float_indptr, "indptr and indices must be 1-D int64"),
+    (_header_not_an_object, "the header is not a JSON object"),
+], ids=["missing-member", "float-indptr", "header-not-an-object"])
 def test_malformed_archive_is_validation_error(pipeline_dirs, capsys,
-                                               corrupt, file, word):
+                                               corrupt, word):
     tmp_path, train_cfg, data_dir = pipeline_dirs
-    corrupt(data_dir / "splits.npz")
+    corrupt(data_dir / "dataset.npz")
     capsys.readouterr()
     assert main(["train-target", "--data", str(data_dir), "--config",
                  str(train_cfg), "--out", str(tmp_path / "phase1")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert str(data_dir / file) in err and word in err
+    assert str(data_dir / "dataset.npz") in err and word in err
+
+
+def test_ingest_writes_one_archive_and_its_manifest(pipeline_dirs):
+    tmp_path, train_cfg, data_dir = pipeline_dirs
+    assert sorted(p.name for p in data_dir.iterdir()) == [
+        "dataset.npz", "manifest.json"]
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    assert list(manifest["outputs"]) == ["dataset.npz"]
+    out = tmp_path / "phase1"
+    assert main(["train-target", "--data", str(data_dir), "--config",
+                 str(train_cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["inputs"]) == [str(data_dir / "dataset.npz")]
+
+
+def test_version_2_archive_is_refused_naming_the_archive_file(
+        pipeline_dirs, capsys):
+    # Version 2 kept the tokens in index.json and the splits in splits.npz.
+    tmp_path, train_cfg, data_dir = pipeline_dirs
+    header, arrays = read_arrays(data_dir / "dataset.npz")
+    old = tmp_path / "v2"
+    old.mkdir()
+    (old / "index.json").write_text(json.dumps(
+        {"version": 2, "users": header["users"], "items": header["items"]}))
+    write_arrays(old / "splits.npz", {"version": 2, "seeds": header["seeds"]},
+                 arrays)
+    capsys.readouterr()
+    out = tmp_path / "phase1"
+    assert main(["train-target", "--data", str(old), "--config",
+                 str(train_cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: "
+        f"'{old / 'dataset.npz'}'\n")
+    assert not out.exists()
+    assert sorted(p.name for p in old.iterdir()) == ["index.json",
+                                                     "splits.npz"]
 
 
 def test_evaluate_single_domain_checkpoint(pipeline_dirs):
@@ -251,6 +290,29 @@ def test_experiment_seed_flag_and_config_shape_are_checked(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    ("ingest", "error: seed must be >= 0, got -1"),
+    ("synth", "error: synthetic config: seed must be >= 0, got -1"),
+    ("train-target", "error: seed must be >= 0, got -1"),
+    ("train-transfer", "error: seed must be >= 0, got -1"),
+], ids=["ingest", "synth", "train-target", "train-transfer"])
+def test_negative_seed_flag_is_validation_error(pipeline_dirs, capsys,
+                                                command, message):
+    tmp_path, train_cfg, data_dir = pipeline_dirs
+    args = {"ingest": [str(tmp_path / "raw" / "source.tsv"),
+                       str(tmp_path / "raw" / "target.tsv")],
+            "synth": ["--config", str(tmp_path / "synth.json")],
+            "train-target": ["--data", str(data_dir), "--config",
+                             str(train_cfg)],
+            "train-transfer": ["--data", str(data_dir), "--config",
+                               str(train_cfg)]}[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, *args, "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_parallel_seeds_below_one_is_validation_error(tmp_path, capsys,
                                                       value):
@@ -271,13 +333,56 @@ def test_malformed_tsv_is_validation_error_serial_or_parallel(tmp_path,
     source.write_text("u1\ti1\n")
     target.write_text("u1\ti1\tnotatime\n")
     cfg = write_json(tmp_path / "exp.json", {
-        **EXPERIMENT_BASE, "seeds": [0, 1], "save_checkpoints": False,
+        **EXPERIMENT_BASE, "seeds": [0, 1],
         "data": {"source_tsv": str(source), "target_tsv": str(target)}})
     out = tmp_path / "out"
     assert main(["experiment", "--config", str(cfg), "--parallel-seeds",
                  parallel, "--out", str(out)]) == 1
     assert capsys.readouterr().err == \
         f"error: {target}:1: invalid timestamp 'notatime'\n"
+    assert not out.exists()
+
+
+def test_experiment_manifest_lists_exactly_the_files_of_this_run(
+        tmp_path):
+    out = tmp_path / "out"
+
+    def run(*flags, **config):
+        cfg = write_json(tmp_path / "exp.json", {
+            **EXPERIMENT_BASE, "variants": ["target-only", "cut"], **config})
+        assert main(["experiment", "--config", str(cfg), "--out", str(out),
+                     *flags]) == 0
+        return sorted(json.loads((out / "manifest.json").read_text())
+                      ["outputs"])
+
+    reports = ["report.json", "report.txt"]
+    assert run(seeds=[0, 1]) == reports + [
+        "seed-0/cut.ckpt", "seed-0/phase1.ckpt", "seed-1/cut.ckpt",
+        "seed-1/phase1.ckpt"]
+    assert run("--force", seeds=[0]) == reports + [
+        "seed-0/cut.ckpt", "seed-0/phase1.ckpt"]
+    assert run("--force", seeds=[0], save_checkpoints=False) == reports
+    # The earlier runs' checkpoints stay on disk, outside the manifest.
+    assert (out / "seed-1" / "cut.ckpt").exists()
+
+
+def test_experiment_failing_in_a_variant_leaves_no_checkpoint(
+        tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise TrainingDivergedError("second variant diverged")
+        return run_transfer_phase(*args, **kwargs)
+
+    monkeypatch.setattr("cutrec.experiment.run_transfer_phase", fail_second)
+    cfg = write_json(tmp_path / "exp.json", {
+        **EXPERIMENT_BASE, "variants": ["target-only", "joint", "cut"]})
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+    assert len(calls) == 2
+    assert "second variant diverged" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,4 +1,3 @@
-import json
 import tempfile
 from pathlib import Path
 
@@ -483,7 +482,8 @@ def test_archive_round_trip_bit_exact(case, seed):
     t_split = split_target(ds, target_ratios, seed)
     s_split = split_source(ds, source_ratios, seed + 1)
     with tempfile.TemporaryDirectory() as tmp:
-        save_dataset(tmp, ds, t_split, s_split)
+        archive = Path(tmp) / "dataset.npz"
+        assert save_dataset(tmp, ds, t_split, s_split) == [archive]
         ds2, t2, s2 = load_dataset(tmp)
         assert ds2.user_tokens == ds.user_tokens
         assert (ds2.n_target_only, ds2.n_overlap, ds2.n_source_only) == \
@@ -498,62 +498,59 @@ def test_archive_round_trip_bit_exact(case, seed):
         for a, b in pairs:
             assert (a.n_items, a.indptr.tolist(), a.indices.tolist()) == \
                 (b.n_items, b.indptr.tolist(), b.indices.tolist())
-        with np.load(Path(tmp) / corpus.SPLITS_FILE,
-                     allow_pickle=False) as npz:
+        with np.load(archive, allow_pickle=False) as npz:
             assert npz["target-test-indices"].dtype == np.int64
 
-        # Re-serialisation reproduces identical bytes.
-        names = (corpus.INDEX_FILE, corpus.SPLITS_FILE)
-        before = [(Path(tmp) / name).read_bytes() for name in names]
+        # Re-serialisation reproduces identical bytes in the one file.
+        before = archive.read_bytes()
         save_dataset(tmp, ds2, t2, s2, force=True)
-        assert [(Path(tmp) / name).read_bytes() for name in names] == before
+        assert archive.read_bytes() == before
+        assert list(Path(tmp).iterdir()) == [archive]
 
 
-def _break_user_counts(index, header, arrays):
+def _break_user_counts(header, arrays):
     indptr = arrays["target-test-indptr"][:-1]
     arrays["target-test-indptr"] = indptr
     arrays["target-test-indices"] = arrays["target-test-indices"][:indptr[-1]]
 
 
-def _break_partition(index, header, arrays):
-    index["users"]["overlap"].append(index["users"]["source_only"].pop())
+def _break_partition(header, arrays):
+    header["users"]["overlap"].append(header["users"]["source_only"].pop())
 
 
-def _drop_valid(index, header, arrays):
+def _drop_valid(header, arrays):
     del arrays["source-valid-indices"]
 
 
-def _users_not_a_list(index, header, arrays):
-    index["users"]["overlap"] = "u2"
+def _users_not_a_list(header, arrays):
+    header["users"]["overlap"] = "u2"
 
 
-def _float_indptr(index, header, arrays):
+def _float_indptr(header, arrays):
     arrays["target-train-indptr"] = arrays["target-train-indptr"] * 1.0
 
 
-@pytest.mark.parametrize("corrupt, file, message", [
-    (_drop_valid, corpus.SPLITS_FILE, "no member 'source-valid-indices'"),
-    (_break_user_counts, corpus.SPLITS_FILE, "user count"),
-    (_break_partition, corpus.INDEX_FILE, "do not fit"),
-    (_users_not_a_list, corpus.INDEX_FILE, "users/overlap is not a list"),
-    (_float_indptr, corpus.SPLITS_FILE,
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_valid, "no member 'source-valid-indices'"),
+    (_break_user_counts, "user count"),
+    (_break_partition, "do not fit"),
+    (_users_not_a_list, "users/overlap is not a list"),
+    (_float_indptr,
      "target split: indptr and indices must be 1-D int64 arrays"),
+    (lambda header, arrays: header.update(version=2),
+     "unsupported archive version"),
 ], ids=["missing-entry", "user-counts-differ", "partition-misfit",
-        "entry-not-a-list", "float-indptr"])
-def test_load_dataset_rejects_malformed_archive(tmp_path, corrupt, file,
-                                                message):
+        "entry-not-a-list", "float-indptr", "version-2"])
+def test_load_dataset_rejects_malformed_archive(tmp_path, corrupt, message):
     recs = [(f"u{u}", f"i{k}", None) for u in range(4) for k in range(5)]
     ds = build_cross_domain(
         raw([(f"u{u}", "s0", None) for u in range(2, 6)], DomainId.SOURCE),
         raw(recs))
-    save_dataset(tmp_path, ds, split_target(ds), split_source(ds))
-    index = json.loads((tmp_path / corpus.INDEX_FILE).read_text())
-    rewrite_arrays(tmp_path / corpus.SPLITS_FILE,
-                   lambda header, arrays: corrupt(index, header, arrays))
-    (tmp_path / corpus.INDEX_FILE).write_text(json.dumps(index))
+    archive, = save_dataset(tmp_path, ds, split_target(ds), split_source(ds))
+    rewrite_arrays(archive, corrupt)
     with pytest.raises(ValueError, match=message) as err:
         load_dataset(tmp_path)
-    assert file in str(err.value)
+    assert str(archive) in str(err.value)
 
 
 def test_archive_refuses_overwrite(tmp_path):

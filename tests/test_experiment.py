@@ -100,8 +100,8 @@ def test_run_single_seed_reports_all_variants():
 
 def test_run_experiment_aggregates_and_is_deterministic():
     cfg = synth_experiment_config()
-    report_a = run_experiment(cfg)
-    report_b = run_experiment(cfg)
+    report_a, _ = run_experiment(cfg)
+    report_b, _ = run_experiment(cfg)
     assert json.dumps(report_a, sort_keys=True) == \
         json.dumps(report_b, sort_keys=True)
     assert set(report_a["per_seed"]) == {"0", "1"}
@@ -116,7 +116,7 @@ def test_run_experiment_aggregates_and_is_deterministic():
 def test_sparsity_sweep_structure():
     cfg = synth_experiment_config(seeds=[0], variants=["cut"],
                                   sparsity_fractions=[0.5])
-    report = run_experiment(cfg)
+    report, _ = run_experiment(cfg)
     assert "sparsity" in report
     assert set(report["sparsity"]) == {"0.5"}
     assert "cut" in report["sparsity"]["0.5"]
@@ -124,7 +124,7 @@ def test_sparsity_sweep_structure():
 
 def test_write_outputs_and_overwrite_protection(tmp_path):
     cfg = synth_experiment_config(seeds=[0])
-    report = run_experiment(cfg)
+    report, _ = run_experiment(cfg)
     out = tmp_path / "exp"
     write_experiment_outputs(report, out)
     manifest = json.loads((out / "manifest.json").read_text())
@@ -161,8 +161,9 @@ def test_parallel_seeds_start_at_most_one_worker_per_seed(
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(experiment, "run_single_seed",
-                        lambda cfg, seed, root: {"variants": {}})
-    report = run_experiment(synth_experiment_config(seeds=seeds),
+                        lambda cfg, seed, root: {"variants": {},
+                                                 "checkpoints": []})
+    report, _ = run_experiment(synth_experiment_config(seeds=seeds),
                             parallel_seeds=parallel_seeds)
     assert started == ([] if workers is None else [workers])
     assert list(report["per_seed"]) == [str(seed) for seed in seeds]

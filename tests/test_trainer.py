@@ -608,16 +608,15 @@ def test_checkpoint_members_are_the_params_in_order(tmp_path, kind,
     config = small_config(backbone=backbone,
                           no_transform=kind == "cut-no-transform")
     if kind == "single":
-        model = SingleDomainModel.create(
-            ds.target.n_users, ds.target.n_items, config.embedding_dim, 0,
-            backbone=backbone, train=target_split.train)
-        ckpt = model.to_checkpoint(config)
+        model = SingleDomainModel.create(config, target_split.train,
+                                         np.random.SeedSequence(0))
     else:
         model = CutModel.build(ds, target_split, source_split, config)
-        ckpt = model.to_checkpoint(3)
+    ckpt = model.to_checkpoint(3)
     params = model.params()
     assert list(params) == PARAM_NAMES[kind]
     assert ckpt.arrays is params
+    assert ckpt.training_config() == config
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, ckpt)
     with np.load(path, allow_pickle=False) as npz:
@@ -626,6 +625,7 @@ def test_checkpoint_members_are_the_params_in_order(tmp_path, kind,
     back = (SingleDomainModel.from_checkpoint(loaded, target_split)
             if kind == "single" else
             CutModel.from_checkpoint(loaded, target_split, source_split))
+    assert (loaded.step, back.config) == (3, config)
     assert list(loaded.arrays) == list(back.params()) == list(params)
     for name, values in params.items():
         assert back.params()[name].tobytes() == values.tobytes(), name
