@@ -1,13 +1,20 @@
 """Command-line front end.
 
 Commands: ingest, synth, train-target, train-transfer, evaluate,
-experiment. Exit codes: 0 success, 1 validation error, 2 runtime failure.
+experiment. Exit codes: 0 success, 1 validation or usage error, 2 runtime
+failure. Every command refuses, before any work and unless ``--force``,
+when one of its files or a ``manifest.json`` exists under ``--out``; it
+writes its files, atomically, only once its work has succeeded; and it
+writes ``manifest.json`` last, with the SHA-256 of each file it read and
+wrote, so a complete manifest marks a finished run.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
+import json
 import logging
 import sys
 from pathlib import Path
@@ -19,11 +26,36 @@ from .backbone import SingleDomainModel
 from .embeddings import ROLE_USER_TARGET_PHASE1
 from .errors import (CheckpointError, ConfigError, CutRecError, ParseError)
 from .evaluation import evaluate_full, format_report
-from .experiment import (ExperimentConfig, ensure_writable,
-                         format_aggregate_table, run_experiment, sha256_file,
-                         write_experiment_outputs, write_manifest)
+from .experiment import (ExperimentConfig, format_aggregate_table,
+                         run_experiment)
 from .similarity import SimilarityOracle
 from .trainer import CutModel, run_target_phase, run_transfer_phase
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _outputs(args, *names: str) -> list[Path]:
+    """The command's files under ``--out``; unless ``--force``, an
+    existing one, or an existing manifest, is refused."""
+    paths = [args.out / name for name in names]
+    for path in (*paths, args.out / "manifest.json"):
+        if path.exists() and not args.force:
+            raise FileExistsError(f"refusing to overwrite {path} (use --force)")
+    return paths
+
+
+def _write_manifest(args, inputs, outputs: list[Path]) -> None:
+    """Write ``manifest.json``, the command's last file: the SHA-256 of
+    each file it read, ``--config`` included, and of each it wrote."""
+    if getattr(args, "config", None):
+        inputs = [*inputs, args.config]
+    manifest = {"inputs": {str(p): _sha256(p) for p in inputs},
+                "outputs": {str(p.relative_to(args.out)): _sha256(p)
+                            for p in sorted(outputs)}}
+    corpus.write_atomic(args.out / "manifest.json",
+                        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _training_config(args) -> TrainingConfig:
@@ -36,55 +68,48 @@ def _training_config(args) -> TrainingConfig:
 
 
 def cmd_ingest(args) -> int:
+    _outputs(args, corpus.ARCHIVE_FILE)
     seed = args.seed if args.seed is not None else 0
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    if args.min_interactions < 1:
+        raise ConfigError(f"min_interactions must be >= 1, "
+                          f"got {args.min_interactions}")
     raw = [corpus.load_interactions(args.source_tsv, corpus.DomainId.SOURCE),
            corpus.load_interactions(args.target_tsv, corpus.DomainId.TARGET)]
     ds = corpus.build_cross_domain(
         *(corpus.filter_k_core(r, args.min_interactions) for r in raw))
     target_split = corpus.split_target(ds, seed=seed)
     source_split = corpus.split_source(ds, seed=seed)
-    out = Path(args.out)
-    paths = corpus.save_dataset(out, ds, target_split, source_split,
-                                force=args.force)
-    inputs = {str(p): sha256_file(p)
-              for p in (args.source_tsv, args.target_tsv)}
-    write_manifest(out, inputs, paths)
-    print(f"wrote dataset archive to {out} "
+    paths = corpus.save_dataset(args.out, ds, target_split, source_split)
+    _write_manifest(args, [args.source_tsv, args.target_tsv], paths)
+    print(f"wrote dataset archive to {args.out} "
           f"({ds.target.n_users} target users, {ds.source.n_users} source "
           f"users, {ds.n_overlap} overlapping)")
     return 0
 
 
 def cmd_synth(args) -> int:
+    paths = _outputs(args, "source.tsv", "target.tsv")
     overrides = {} if args.seed is None else {"seed": args.seed}
     cfg = synthgen.SynthConfig.from_dict(corpus.read_json(args.config),
                                          **overrides)
-    out = Path(args.out)
-    paths = [out / "source.tsv", out / "target.tsv"]
-    ensure_writable(paths, args.force)
     source, target, _ = synthgen.generate(cfg)
-    out.mkdir(parents=True, exist_ok=True)
     for path, raw in zip(paths, (source, target)):
         corpus.write_interactions(path, raw)
-    write_manifest(out, {str(args.config): sha256_file(args.config)}, paths)
-    print(f"wrote synthetic domains to {out} "
+    _write_manifest(args, [], paths)
+    print(f"wrote synthetic domains to {args.out} "
           f"({len(source)} source, {len(target)} target interactions)")
     return 0
 
 
 def cmd_train_target(args) -> int:
+    phase1_path, = _outputs(args, "phase1.ckpt")
     cfg = _training_config(args)
-    out = Path(args.out)
-    phase1_path = out / "phase1.ckpt"
-    ensure_writable([phase1_path], args.force)
     ds, target_split, _ = corpus.load_dataset(args.data)
     result = run_target_phase(ds, target_split, cfg)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(phase1_path, result.model.to_checkpoint())
-    archive = Path(args.data) / corpus.ARCHIVE_FILE
-    write_manifest(out, {str(archive): sha256_file(archive)}, [phase1_path])
+    _write_manifest(args, [args.data / corpus.ARCHIVE_FILE], [phase1_path])
     print(f"target phase done (best epoch {result.best_epoch}, "
           f"valid ndcg@10={max(result.valid_history):.4f}); "
           f"checkpoint at {phase1_path}")
@@ -92,11 +117,10 @@ def cmd_train_target(args) -> int:
 
 
 def cmd_train_transfer(args) -> int:
+    model_path, = _outputs(args, "cut.ckpt")
     cfg = _training_config(args)
-    out = Path(args.out)
-    model_path = out / "cut.ckpt"
-    ensure_writable([model_path], args.force)
     ds, target_split, source_split = corpus.load_dataset(args.data)
+    inputs = [args.data / corpus.ARCHIVE_FILE]
     embedding_oracle = not (cfg.no_contrastive or cfg.history_similarity)
     frozen = oracle = None
     if cfg.warm_start or embedding_oracle:
@@ -104,6 +128,7 @@ def cmd_train_transfer(args) -> int:
             raise ConfigError("--phase1 checkpoint required for warm_start "
                               "and for the embedding similarity oracle")
         phase1 = load_checkpoint(args.phase1)
+        inputs.append(args.phase1)
         rows = {ROLE_USER_TARGET_PHASE1: target_split.train.n_users}
         try:
             frozen, = phase1.take(rows).values()
@@ -115,18 +140,15 @@ def cmd_train_transfer(args) -> int:
         oracle = SimilarityOracle.from_embeddings(frozen, cfg.gamma)
     result = run_transfer_phase(ds, target_split, source_split, cfg, oracle,
                                 frozen=frozen)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model_path, result.model.to_checkpoint(result.step_count))
-    write_manifest(out, {}, [model_path])
+    _write_manifest(args, inputs, [model_path])
     print(f"transfer phase done (best epoch {result.best_epoch}); "
           f"model checkpoint at {model_path}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    out = Path(args.out)
-    json_path, txt_path = out / "report.json", out / "report.txt"
-    ensure_writable([json_path, txt_path], args.force)
+    json_path, txt_path = _outputs(args, "report.json", "report.txt")
     ds, target_split, source_split = corpus.load_dataset(args.data)
     ckpt = load_checkpoint(args.checkpoint)
     kind = ckpt.hyper.get("model_kind")
@@ -142,86 +164,96 @@ def cmd_evaluate(args) -> int:
         raise CheckpointError(f"{args.checkpoint}: {err}") from None
     report = evaluate_full(scorer, target_split, k=args.k,
                            mask_seen=not args.no_mask_seen)
-    out.mkdir(parents=True, exist_ok=True)
     corpus.write_atomic(json_path, report.to_json())
     corpus.write_atomic(txt_path, format_report(report))
-    write_manifest(out, {str(args.checkpoint): sha256_file(args.checkpoint)},
-                   [json_path, txt_path])
+    _write_manifest(args, [args.data / corpus.ARCHIVE_FILE, args.checkpoint],
+                    [json_path, txt_path])
     print(format_report(report), end="")
     return 0
 
 
 def cmd_experiment(args) -> int:
+    json_path, txt_path = _outputs(args, "report.json", "report.txt")
     cfg = ExperimentConfig.from_dict(corpus.read_json(args.config))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seeds=(args.seed,))
-    out = Path(args.out)
-    ensure_writable([out / "report.json", out / "report.txt"], args.force)
-    report, checkpoints = run_experiment(
-        cfg, parallel_seeds=args.parallel_seeds, checkpoint_root=out)
-    write_experiment_outputs(report, out, checkpoints, force=True,
-                             input_hashes={str(args.config):
-                                           sha256_file(args.config)})
-    print(format_aggregate_table(report, cfg.eval_k), end="")
-    print(f"full report in {out / 'report.json'}")
+    report, checkpoints = run_experiment(cfg,
+                                         parallel_seeds=args.parallel_seeds)
+    table = format_aggregate_table(report, cfg.eval_k)
+    corpus.write_atomic(json_path,
+                        json.dumps(report, sort_keys=True, indent=2) + "\n")
+    corpus.write_atomic(txt_path, table)
+    outputs = [json_path, txt_path,
+               *(save_checkpoint(args.out / name, ckpt)
+                 for name, ckpt in checkpoints.items())]
+    inputs = [cfg.data[key] for key in ("source_tsv", "target_tsv")
+              if key in cfg.data]
+    if "archive" in cfg.data:
+        inputs.append(Path(cfg.data["archive"]) / corpus.ARCHIVE_FILE)
+    _write_manifest(args, inputs, outputs)
+    print(table, end="")
+    print(f"full report in {json_path}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, not 2: a usage error is invalid input
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cutrec",
         description="Cross-domain recommendation with two-phase "
                     "similarity-preserving transfer training.")
     parser.add_argument("--verbose", action="store_true",
                         help="enable debug logging")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, default=None,
-                        help="JSON config file")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the configured seed")
     common.add_argument("--out", type=Path, required=True,
                         help="output directory")
     common.add_argument("--force", action="store_true",
                         help="overwrite existing outputs")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common],
-                       help="build a dataset archive from two TSV files")
+    def command(name, func, help, *, seed=True, config=None):
+        """A command's parser: --out, --force and, only if the command
+        reads them, --seed and --config (required if ``config``)."""
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the configured seed")
+        if config is not None:
+            p.add_argument("--config", type=Path, required=config,
+                           help="JSON config file")
+        return p
+
+    p = command("ingest", cmd_ingest,
+                "build a dataset archive from two TSV files")
     p.add_argument("source_tsv", type=Path)
     p.add_argument("target_tsv", type=Path)
     p.add_argument("--min-interactions", type=int, default=5)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic domain pair")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train-target", parents=[common],
-                       help="run the target phase on a dataset archive")
+    command("synth", cmd_synth, "generate a synthetic domain pair",
+            config=True)
+    p = command("train-target", cmd_train_target,
+                "run the target phase on a dataset archive", config=False)
     p.add_argument("--data", type=Path, required=True)
-    p.set_defaults(func=cmd_train_target)
-
-    p = sub.add_parser("train-transfer", parents=[common],
-                       help="run the transfer phase")
+    p = command("train-transfer", cmd_train_transfer,
+                "run the transfer phase", config=False)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--phase1", type=Path, default=None,
                    help="phase1.ckpt written by train-target")
-    p.set_defaults(func=cmd_train_transfer)
-
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="evaluate a checkpoint on the target test split")
+    p = command("evaluate", cmd_evaluate,
+                "evaluate a checkpoint on the target test split", seed=False)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--no-mask-seen", action="store_true",
                    help="rank over all items including seen ones")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("experiment", parents=[common],
-                       help="full multi-seed pipeline with aggregation")
+    p = command("experiment", cmd_experiment,
+                "full multi-seed pipeline with aggregation", config=True)
     p.add_argument("--parallel-seeds", type=int, default=1)
-    p.set_defaults(func=cmd_experiment)
     return parser
 
 

@@ -513,17 +513,13 @@ _PARTS = ("train", "valid", "test")
 _USER_GROUPS = ("target_only", "overlap", "source_only")
 
 
-def ensure_writable(paths: list[Path], force: bool) -> None:
-    existing = [p for p in paths if p.exists()]
-    if existing and not force:
-        raise FileExistsError(
-            f"refusing to overwrite {existing[0]} (use --force)")
-
-
 def write_atomic(path, data: bytes | str) -> Path:
     """Write ``data`` (text as UTF-8) to a temporary file beside ``path``,
-    then rename it over ``path``: a failure leaves the old file whole."""
+    then rename it over ``path``: a failure leaves the old file whole.
+    Missing parent directories are created; an existing ``path`` is
+    replaced, as refusing is the caller's choice."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as handle:
@@ -593,15 +589,12 @@ def read_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def save_dataset(out_dir, ds: CrossDomainDataset, target_split: SplitDataset,
-                 source_split: SplitDataset, *, force: bool = False) -> list[Path]:
-    """Write the dataset archive, one ``dataset.npz``: its header holds
-    the version, the split seeds and the user and item tokens, and its
-    members each part's CSR, as int64 ``{domain}-{part}-indptr`` and
-    ``-indices`` arrays."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / ARCHIVE_FILE
-    ensure_writable([path], force)
+                 source_split: SplitDataset) -> list[Path]:
+    """Write the dataset archive, one ``dataset.npz`` in ``out_dir``
+    (replacing any earlier one): its header holds the version, the split
+    seeds and the user and item tokens, and its members each part's CSR,
+    as int64 ``{domain}-{part}-indptr`` and ``-indices`` arrays."""
+    path = Path(out_dir) / ARCHIVE_FILE
     a, n = ds.n_target_only, ds.target.n_users
     groups = (ds.user_tokens[:a], ds.user_tokens[a:n], ds.user_tokens[n:])
     splits = (("target", target_split), ("source", source_split))

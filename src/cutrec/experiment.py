@@ -1,23 +1,20 @@
 """End-to-end experiment pipelines: data preparation, two-phase training
-across variants and seeds, evaluation, and report/manifest emission.
+across variants and seeds, evaluation and aggregation. Nothing here
+writes a file: the report and the checkpoints go back to the caller.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import corpus, synthgen
-from .checkpoint import Checkpoint, save_checkpoint
+from .checkpoint import Checkpoint
 from .config import TrainingConfig, check_kind
-from .corpus import ensure_writable, write_atomic
 from .errors import ConfigError
 from .evaluation import METRIC_NAMES, evaluate_full
 from .similarity import SimilarityOracle
@@ -192,16 +189,17 @@ def _evaluate_variants(cfg: ExperimentConfig, seed: int, ds, target_split,
     return results, checkpoints
 
 
-def run_single_seed(cfg: ExperimentConfig, seed: int,
-                    checkpoint_root: Path | str | None = None) -> dict:
+def run_single_seed(cfg: ExperimentConfig, seed: int) -> dict:
     """Full pipeline for one seed: data, phases, all variants, optional
-    sparsity sweep. With a ``checkpoint_root`` and ``save_checkpoints``,
-    the seed's checkpoints go to ``seed-N/`` under it once all of that
-    has finished, and ``checkpoints`` lists their paths."""
+    sparsity sweep. With ``save_checkpoints``, ``checkpoints`` maps each
+    checkpoint's file name under the output directory,
+    ``seed-N/<stem>.ckpt``, to the checkpoint."""
     ds, target_split, source_split = prepare_data(cfg, seed)
     results, checkpoints = _evaluate_variants(cfg, seed, ds, target_split,
                                               source_split)
-    out: dict = {"variants": results, "checkpoints": []}
+    out: dict = {"variants": results, "checkpoints": {
+        f"seed-{seed}/{stem}.ckpt": ckpt for stem, ckpt in checkpoints.items()
+        if cfg.save_checkpoints}}
     if cfg.sparsity_fractions:
         out["sparsity"] = {
             f"{fraction:g}": _evaluate_variants(
@@ -209,11 +207,6 @@ def run_single_seed(cfg: ExperimentConfig, seed: int,
                 corpus.subsample_target(target_split, fraction, seed),
                 source_split)[0]
             for fraction in cfg.sparsity_fractions}
-    if checkpoint_root is not None and cfg.save_checkpoints:
-        directory = Path(checkpoint_root) / f"seed-{seed}"
-        directory.mkdir(parents=True, exist_ok=True)
-        out["checkpoints"] = [save_checkpoint(directory / f"{stem}.ckpt", ckpt)
-                              for stem, ckpt in checkpoints.items()]
     return out
 
 
@@ -229,24 +222,25 @@ def _aggregate(per_seed: dict[str, dict]) -> dict:
     return variants
 
 
-def run_experiment(cfg: ExperimentConfig, *, parallel_seeds: int = 1,
-                   checkpoint_root=None) -> tuple[dict, list[Path]]:
-    """Run every seed, in up to ``parallel_seeds`` worker processes,
-    aggregate mean/std per variant; return the report and the checkpoint
-    files the run wrote under ``checkpoint_root``."""
+def run_experiment(cfg: ExperimentConfig, *, parallel_seeds: int = 1
+                   ) -> tuple[dict, dict[str, Checkpoint]]:
+    """Run every seed, in up to ``parallel_seeds`` worker processes (whose
+    checkpoints come back pickled), and aggregate mean/std per variant.
+    Return the report and every seed's checkpoints by file name,
+    ``seed-N/<stem>.ckpt``, for the caller to write once all seeds have
+    finished."""
     if parallel_seeds < 1:
         raise ConfigError(f"parallel_seeds must be >= 1, got {parallel_seeds}")
     workers = min(parallel_seeds, len(cfg.seeds))
     per_seed: dict[str, dict] = {}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {str(seed): pool.submit(run_single_seed, cfg, seed,
-                                              checkpoint_root)
+            futures = {str(seed): pool.submit(run_single_seed, cfg, seed)
                        for seed in cfg.seeds}
             per_seed = {key: fut.result() for key, fut in futures.items()}
     else:
         for seed in cfg.seeds:
-            per_seed[str(seed)] = run_single_seed(cfg, seed, checkpoint_root)
+            per_seed[str(seed)] = run_single_seed(cfg, seed)
 
     report = {
         "config": cfg.to_dict(),
@@ -263,8 +257,8 @@ def run_experiment(cfg: ExperimentConfig, *, parallel_seeds: int = 1,
         }
         report["sparsity_per_seed"] = {s: per_seed[s]["sparsity"]
                                        for s in per_seed}
-    return report, [path for s in per_seed
-                    for path in per_seed[s]["checkpoints"]]
+    return report, {name: ckpt for s in per_seed
+                    for name, ckpt in per_seed[s]["checkpoints"].items()}
 
 
 def format_aggregate_table(report: dict, k: int) -> str:
@@ -278,42 +272,3 @@ def format_aggregate_table(report: dict, k: int) -> str:
         lines.append(f"{name:<20}" + cells)
     return "\n".join(lines) + "\n"
 
-
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def write_manifest(out_dir: Path, inputs: dict[str, str],
-                   outputs: list[Path]) -> Path:
-    manifest = {
-        "inputs": inputs,
-        "outputs": {str(p.relative_to(out_dir)): sha256_file(p)
-                    for p in sorted(outputs)},
-    }
-    return write_atomic(out_dir / "manifest.json",
-                        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-
-def write_experiment_outputs(report: dict, out_dir,
-                             checkpoints: list[Path] | tuple = (), *,
-                             force: bool = False,
-                             input_hashes: dict[str, str] | None = None
-                             ) -> list[Path]:
-    """Write ``report.json`` and ``report.txt`` into ``out_dir``, and a
-    manifest of both and of the run's ``checkpoints``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report_json = out / "report.json"
-    report_txt = out / "report.txt"
-    ensure_writable([report_json, report_txt], force)
-    write_atomic(report_json,
-                 json.dumps(report, sort_keys=True, indent=2) + "\n")
-    write_atomic(report_txt,
-                 format_aggregate_table(report, report["config"]["eval_k"]))
-    outputs = [report_json, report_txt, *checkpoints]
-    write_manifest(out, input_hashes or {}, outputs)
-    return outputs

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -136,7 +137,8 @@ def test_ingest_writes_one_archive_and_its_manifest(pipeline_dirs):
     assert main(["train-target", "--data", str(data_dir), "--config",
                  str(train_cfg), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert list(manifest["inputs"]) == [str(data_dir / "dataset.npz")]
+    assert list(manifest["inputs"]) == [str(data_dir / "dataset.npz"),
+                                        str(train_cfg)]
 
 
 def test_version_2_archive_is_refused_naming_the_archive_file(
@@ -731,10 +733,15 @@ def test_checkpoint_of_another_dataset_is_runtime_failure(pipeline_dirs,
     ("train-target", "phase1.ckpt", "run_target_phase"),
     ("train-transfer", "cut.ckpt", "run_transfer_phase"),
     ("evaluate", "report.json", "load_checkpoint"),
+    ("ingest", "dataset.npz", "corpus.load_interactions"),
+    ("synth", "target.tsv", "synthgen.generate"),
+    ("experiment", "report.txt", "run_experiment"),
+    # A manifest alone marks another command's finished run.
+    ("train-transfer", "manifest.json", "run_transfer_phase"),
 ])
 def test_existing_outputs_are_refused_before_the_work(
         pipeline_dirs, monkeypatch, capsys, command, output, work):
-    tmp_path, _, data_dir = pipeline_dirs
+    tmp_path, train_cfg, data_dir = pipeline_dirs
     out = tmp_path / "out"
     out.mkdir()
     (out / output).write_text("keep me")
@@ -746,14 +753,151 @@ def test_existing_outputs_are_refused_before_the_work(
     # Without the contrastive term train-transfer needs no --phase1.
     joint = write_json(tmp_path / "joint.json",
                        {**TRAIN_CFG, "no_contrastive": True})
-    args = [command, "--data", str(data_dir), "--config", str(joint),
-            "--out", str(out)]
-    if command == "evaluate":
-        args += ["--checkpoint", str(tmp_path / "missing.ckpt")]
+    training = ["--data", str(data_dir), "--config", str(joint)]
+    args = {"train-target": training, "train-transfer": training,
+            "evaluate": ["--data", str(data_dir), "--checkpoint",
+                         str(tmp_path / "missing.ckpt")],
+            "ingest": [str(tmp_path / "raw" / "source.tsv"),
+                       str(tmp_path / "raw" / "target.tsv")],
+            "synth": ["--config", str(tmp_path / "synth.json")],
+            "experiment": ["--config", str(write_json(
+                tmp_path / "exp.json", EXPERIMENT_BASE))]}[command]
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: refusing to overwrite {out / output} (use --force)\n")
+    assert [p.name for p in out.iterdir()] == [output]
+    assert (out / output).read_text() == "keep me"
+
+
+def test_experiment_write_outputs_and_overwrite_protection(tmp_path, capsys):
+    cfg = write_json(tmp_path / "exp.json", {**EXPERIMENT_BASE,
+                                             "save_checkpoints": False})
+    out = tmp_path / "exp"
+    args = ["experiment", "--config", str(cfg), "--out", str(out)]
+    assert main(args) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == ["report.json", "report.txt"]
+    report = (out / "report.json").read_bytes()
     capsys.readouterr()
     assert main(args) == 1
     assert "refusing to overwrite" in capsys.readouterr().err
-    assert (out / output).read_text() == "keep me"
+    assert main([*args, "--force"]) == 0
+    assert (out / "report.json").read_bytes() == report
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_experiment_failing_in_a_later_seed_writes_nothing(
+        tmp_path, monkeypatch, capsys, parallel):
+    def fail_seed_1(ds, target_split, source_split, cfg, *args, **kwargs):
+        if cfg.seed == 1:
+            raise TrainingDivergedError("diverged in seed 1")
+        return run_transfer_phase(ds, target_split, source_split, cfg,
+                                  *args, **kwargs)
+
+    # Worker processes are forked, so they see the patch too.
+    monkeypatch.setattr("cutrec.experiment.run_transfer_phase", fail_seed_1)
+    cfg = write_json(tmp_path / "exp.json", {
+        **EXPERIMENT_BASE, "seeds": [0, 1], "variants": ["target-only", "cut"]})
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(cfg), "--parallel-seeds",
+                 parallel, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "runtime failure: diverged in seed 1\n"
+    assert not out.exists()
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_every_manifest_lists_exactly_the_files_the_command_read(
+        pipeline_dirs):
+    tmp_path, train_cfg, data_dir = pipeline_dirs
+    raw_dir = tmp_path / "raw"
+
+    def inputs(out, *flags):
+        if flags:
+            assert main([*flags, "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())["inputs"]
+
+    def hashes(*paths):
+        return {str(path): sha256(path) for path in paths}
+
+    archive = data_dir / "dataset.npz"
+    assert inputs(raw_dir) == hashes(tmp_path / "synth.json")
+    assert inputs(data_dir) == hashes(raw_dir / "source.tsv",
+                                      raw_dir / "target.tsv")
+    training = ["--data", str(data_dir), "--config", str(train_cfg)]
+    phase1 = tmp_path / "phase1" / "phase1.ckpt"
+    assert inputs(phase1.parent, "train-target", *training) == hashes(
+        archive, train_cfg)
+    cut = tmp_path / "cut" / "cut.ckpt"
+    assert inputs(cut.parent, "train-transfer", *training, "--phase1",
+                  str(phase1)) == hashes(archive, train_cfg, phase1)
+    # Without the contrastive term the phase-one checkpoint is not read.
+    joint = write_json(tmp_path / "joint.json",
+                       {**TRAIN_CFG, "no_contrastive": True})
+    assert inputs(tmp_path / "joint", "train-transfer", "--data",
+                  str(data_dir), "--config", str(joint), "--phase1",
+                  str(phase1)) == hashes(archive, joint)
+    assert inputs(tmp_path / "eval", "evaluate", "--data", str(data_dir),
+                  "--checkpoint", str(cut)) == hashes(archive, cut)
+    tsvs = [raw_dir / "source.tsv", raw_dir / "target.tsv"]
+    for name, data, read in (
+            ("synthetic", {"synthetic": SYNTH_CFG}, []),
+            ("archive", {"archive": str(data_dir)}, [archive]),
+            ("tsv", {"source_tsv": str(tsvs[0]), "target_tsv": str(tsvs[1])},
+             tsvs)):
+        cfg = write_json(tmp_path / f"exp-{name}.json",
+                         {**EXPERIMENT_BASE, "data": data})
+        assert inputs(tmp_path / f"exp-{name}", "experiment", "--config",
+                      str(cfg)) == hashes(*read, cfg)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evaluate", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["evaluate", "--config", "train.json"], "unrecognized arguments"),
+    (["ingest", "--config", "train.json"], "unrecognized arguments"),
+    (["synth"], "the following arguments are required: --config"),
+    (["experiment"], "the following arguments are required: --config"),
+], ids=["evaluate-seed", "evaluate-config", "ingest-config",
+        "synth-without-config", "experiment-without-config"])
+def test_flag_a_command_does_not_read_is_a_usage_error(pipeline_dirs,
+                                                       capsys, argv,
+                                                       message):
+    tmp_path, _, data_dir = pipeline_dirs
+    out = tmp_path / "out"
+    operands = {"evaluate": ["--data", str(data_dir), "--checkpoint",
+                             str(tmp_path / "missing.ckpt")],
+                "ingest": [str(tmp_path / "raw" / "source.tsv"),
+                           str(tmp_path / "raw" / "target.tsv")]}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, *operands.get(argv[0], []), "--out", str(out)])
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cutrec") and message in err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["evaluate", "--help"])
+    assert stop.value.code == 0
+    assert "--seed" not in capsys.readouterr().out
+
+
+def test_ingest_min_interactions_is_checked_before_reading(tmp_path,
+                                                           capsys):
+    # The TSVs do not exist: reading them first would fail otherwise.
+    out = tmp_path / "out"
+    assert main(["ingest", str(tmp_path / "missing-source.tsv"),
+                 str(tmp_path / "missing-target.tsv"), "--min-interactions",
+                 "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: min_interactions must be >= 1, got 0\n")
+    assert not out.exists()
 
 
 def test_evaluate_k_zero_is_validation_error(pipeline_dirs, capsys):

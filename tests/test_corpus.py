@@ -1,4 +1,5 @@
 import tempfile
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -6,14 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cutrec import corpus
+from cutrec import cli, corpus
 from cutrec.checkpoint import Checkpoint, save_checkpoint
 from cutrec.corpus import (DomainId, InteractionSet, build_cross_domain,
                            filter_k_core, load_dataset, load_interactions,
                            save_dataset, split_source, split_target,
                            subsample_target)
 from cutrec.errors import DatasetCollapsedError, ParseError
-from cutrec.experiment import write_manifest
 
 from helpers import (brute_force_k_core, cross_domain_from_records,
                      load_records, naive_rows, raw_interactions,
@@ -503,7 +503,7 @@ def test_archive_round_trip_bit_exact(case, seed):
 
         # Re-serialisation reproduces identical bytes in the one file.
         before = archive.read_bytes()
-        save_dataset(tmp, ds2, t2, s2, force=True)
+        save_dataset(tmp, ds2, t2, s2)
         assert archive.read_bytes() == before
         assert list(Path(tmp).iterdir()) == [archive]
 
@@ -553,21 +553,15 @@ def test_load_dataset_rejects_malformed_archive(tmp_path, corrupt, message):
     assert str(archive) in str(err.value)
 
 
-def test_archive_refuses_overwrite(tmp_path):
-    ds = _single_user_ds(5)
-    t_split = split_target(ds, seed=0)
-    s_split = split_source(ds, seed=0)
-    save_dataset(tmp_path, ds, t_split, s_split)
-    with pytest.raises(FileExistsError):
-        save_dataset(tmp_path, ds, t_split, s_split)
-
-
 def _write_checkpoint(path, value):
     save_checkpoint(path, Checkpoint({"user": np.full((3, 2), value)}, {}, 0))
 
 
 def _write_manifest(path, value):
-    write_manifest(path.parent, {"input": str(value)}, [])
+    # The manifest of a command that read nothing, then of one that read
+    # this file.
+    cli._write_manifest(Namespace(out=path.parent),
+                        [] if value == 1 else [Path(__file__)], [])
 
 
 @pytest.mark.parametrize("name, write", [

@@ -9,8 +9,7 @@ from cutrec import errors, experiment
 from cutrec.config import TrainingConfig
 from cutrec.errors import ConfigError
 from cutrec.experiment import (ExperimentConfig, format_aggregate_table,
-                               prepare_data, run_experiment, run_single_seed,
-                               write_experiment_outputs)
+                               prepare_data, run_experiment, run_single_seed)
 
 
 def synth_experiment_config(**overrides):
@@ -122,19 +121,6 @@ def test_sparsity_sweep_structure():
     assert "cut" in report["sparsity"]["0.5"]
 
 
-def test_write_outputs_and_overwrite_protection(tmp_path):
-    cfg = synth_experiment_config(seeds=[0])
-    report, _ = run_experiment(cfg)
-    out = tmp_path / "exp"
-    write_experiment_outputs(report, out)
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert "report.json" in manifest["outputs"]
-    assert "report.txt" in manifest["outputs"]
-    with pytest.raises(FileExistsError):
-        write_experiment_outputs(report, out)
-    write_experiment_outputs(report, out, force=True)
-
-
 @pytest.mark.parametrize("parallel_seeds, seeds, workers", [
     (64, [0], None), (64, [0, 1, 2], 3), (2, [0, 1, 2], 2), (1, [0, 1], None),
 ])
@@ -161,8 +147,8 @@ def test_parallel_seeds_start_at_most_one_worker_per_seed(
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(experiment, "run_single_seed",
-                        lambda cfg, seed, root: {"variants": {},
-                                                 "checkpoints": []})
+                        lambda cfg, seed: {"variants": {},
+                                           "checkpoints": {}})
     report, _ = run_experiment(synth_experiment_config(seeds=seeds),
                             parallel_seeds=parallel_seeds)
     assert started == ([] if workers is None else [workers])
@@ -193,8 +179,20 @@ def test_parallel_seeds_below_one_rejected(parallel_seeds):
 
 
 def test_parallel_seeds_report_equals_serial():
-    cfg = synth_experiment_config(variants=["target-only", "cut"])
-    serial = run_experiment(cfg)
-    parallel = run_experiment(cfg, parallel_seeds=2)
+    cfg = synth_experiment_config(variants=["target-only", "cut"],
+                                  save_checkpoints=True)
+    serial, serial_ckpts = run_experiment(cfg)
+    parallel, parallel_ckpts = run_experiment(cfg, parallel_seeds=2)
     assert json.dumps(parallel, sort_keys=True) == \
         json.dumps(serial, sort_keys=True)
+    # The workers' checkpoints come back pickled, equal to the serial ones.
+    assert list(parallel_ckpts) == list(serial_ckpts) == [
+        "seed-0/phase1.ckpt", "seed-0/cut.ckpt", "seed-1/phase1.ckpt",
+        "seed-1/cut.ckpt"]
+    for name, ckpt in serial_ckpts.items():
+        back = parallel_ckpts[name]
+        assert (back.hyper, back.step, list(back.arrays)) == \
+            (ckpt.hyper, ckpt.step, list(ckpt.arrays))
+        for member, values in ckpt.arrays.items():
+            assert np.array_equal(back.arrays[member], values)
+    assert run_experiment(synth_experiment_config(seeds=[0]))[1] == {}
