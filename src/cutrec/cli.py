@@ -28,7 +28,6 @@ from .errors import (CheckpointError, ConfigError, CutRecError, ParseError)
 from .evaluation import evaluate_full, format_report
 from .experiment import (ExperimentConfig, format_aggregate_table,
                          run_experiment)
-from .similarity import SimilarityOracle
 from .trainer import CutModel, run_target_phase, run_transfer_phase
 
 
@@ -121,9 +120,8 @@ def cmd_train_transfer(args) -> int:
     cfg = _training_config(args)
     ds, target_split, source_split = corpus.load_dataset(args.data)
     inputs = [args.data / corpus.ARCHIVE_FILE]
-    embedding_oracle = not (cfg.no_contrastive or cfg.history_similarity)
-    frozen = oracle = None
-    if cfg.warm_start or embedding_oracle:
+    frozen = None
+    if cfg.warm_start or not (cfg.no_contrastive or cfg.history_similarity):
         if not args.phase1:
             raise ConfigError("--phase1 checkpoint required for warm_start "
                               "and for the embedding similarity oracle")
@@ -134,11 +132,7 @@ def cmd_train_transfer(args) -> int:
             frozen, = phase1.take(rows).values()
         except CheckpointError as err:
             raise CheckpointError(f"{args.phase1}: {err}") from None
-    if cfg.history_similarity:
-        oracle = SimilarityOracle.from_history(target_split.train, cfg.gamma)
-    elif embedding_oracle:
-        oracle = SimilarityOracle.from_embeddings(frozen, cfg.gamma)
-    result = run_transfer_phase(ds, target_split, source_split, cfg, oracle,
+    result = run_transfer_phase(ds, target_split, source_split, cfg,
                                 frozen=frozen)
     save_checkpoint(model_path, result.model.to_checkpoint(result.step_count))
     _write_manifest(args, inputs, [model_path])

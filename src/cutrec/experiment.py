@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
+                                wait)
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -17,7 +19,6 @@ from .checkpoint import Checkpoint
 from .config import TrainingConfig, check_kind
 from .errors import ConfigError
 from .evaluation import METRIC_NAMES, evaluate_full
-from .similarity import SimilarityOracle
 from .trainer import run_target_phase, run_transfer_phase
 
 logger = logging.getLogger(__name__)
@@ -113,6 +114,12 @@ class ExperimentConfig:
         for fraction in self.sparsity_fractions:
             if not 0.0 < fraction <= 1.0:
                 raise ConfigError("sparsity fractions must be in (0, 1]")
+        for f in dataclasses.fields(self):  # an archive fixes its splits
+            if (f.name in ("min_interactions", "target_ratios",
+                           "source_ratios") and "archive" in self.data
+                    and getattr(self, f.name) != f.default):
+                raise ConfigError(f"{f.name} does not apply to "
+                                  f"data.archive, whose splits are fixed")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -161,21 +168,15 @@ def _evaluate_variants(cfg: ExperimentConfig, seed: int, ds, target_split,
     """Each variant's test metrics, and the checkpoints of the phase-one
     model and of each transfer variant, by file stem."""
     training = cfg.training.replace(seed=seed)
-    # The variants use phase one's model, frozen table or oracle.
+    # The variants use phase one's model or its frozen table.
     phase1 = run_target_phase(ds, target_split, training)
     checkpoints = {"phase1": phase1.model.to_checkpoint()}
     results: dict[str, dict[str, float]] = {}
     for name in cfg.variants:
         model, overrides = phase1.model, VARIANTS[name]
         if overrides is not None:
-            variant_cfg = training.replace(**overrides)
-            if variant_cfg.history_similarity:
-                oracle = SimilarityOracle.from_history(target_split.train,
-                                                       variant_cfg.gamma)
-            else:
-                oracle = None if variant_cfg.no_contrastive else phase1.oracle
             result = run_transfer_phase(ds, target_split, source_split,
-                                        variant_cfg, oracle,
+                                        training.replace(**overrides),
                                         frozen=phase1.frozen)
             model = result.model
             checkpoints[name] = model.to_checkpoint(result.step_count)
@@ -232,15 +233,21 @@ def run_experiment(cfg: ExperimentConfig, *, parallel_seeds: int = 1
     if parallel_seeds < 1:
         raise ConfigError(f"parallel_seeds must be >= 1, got {parallel_seeds}")
     workers = min(parallel_seeds, len(cfg.seeds))
-    per_seed: dict[str, dict] = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {str(seed): pool.submit(run_single_seed, cfg, seed)
-                       for seed in cfg.seeds}
-            per_seed = {key: fut.result() for key, fut in futures.items()}
+    done: dict[int, dict] = {}
+    if workers == 1:
+        done = {seed: run_single_seed(cfg, seed) for seed in cfg.seeds}
     else:
-        for seed in cfg.seeds:
-            per_seed[str(seed)] = run_single_seed(cfg, seed)
+        # A seed starts as another ends: a failure starts no more seeds.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            queue = iter(cfg.seeds)
+            running = {pool.submit(run_single_seed, cfg, seed): seed
+                       for seed in islice(queue, workers)}
+            while running:
+                for future in wait(running, return_when=FIRST_COMPLETED)[0]:
+                    done[running.pop(future)] = future.result()
+                    running.update((pool.submit(run_single_seed, cfg, seed),
+                                    seed) for seed in islice(queue, 1))
+    per_seed = {str(seed): done[seed] for seed in cfg.seeds}
 
     report = {
         "config": cfg.to_dict(),

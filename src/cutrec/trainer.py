@@ -5,9 +5,9 @@ freezes its user embeddings as the similarity source. Phase two trains a
 fresh model on both domains jointly. It keeps one base embedding per
 user: source interactions score against the raw base embeddings, target
 interactions against transformed ones, and a contrastive term ties the
-transformed representations to the frozen phase-one similarity
-structure. Both phases run the same epoch loop, ``fit``, and both
-domains of both phases share one loss routine,
+transformed representations to the phase-one similarity oracle, which
+``run_transfer_phase`` alone picks. Both phases run one epoch loop,
+``fit``, and both domains of both phases share one loss routine,
 ``backbone.domain_forward_backward``, with gradients summed over the batch.
 """
 
@@ -118,24 +118,20 @@ class TargetPhaseResult:
     frozen: np.ndarray  # read-only copy of the best-epoch user table
     best_epoch: int
     valid_history: list[float]
-    train: InteractionSet
 
     @cached_property
     def oracle(self) -> SimilarityOracle:
-        """Built on first use: only the contrastive term needs it, and a
-        low gamma can make its graph too large to build."""
-        config = self.model.config
-        if config.history_similarity:
-            return SimilarityOracle.from_history(self.train, config.gamma)
-        return SimilarityOracle.from_embeddings(self.frozen, config.gamma)
+        """The frozen table's oracle at phase one's gamma, built on first
+        use: only the contrastive term needs it, and a low gamma can make
+        its graph too large to build."""
+        return SimilarityOracle.from_embeddings(self.frozen,
+                                                self.model.config.gamma)
 
 
 def run_target_phase(ds: CrossDomainDataset, target_split: SplitDataset,
                      config: TrainingConfig) -> TargetPhaseResult:
     """Train the phase-one backbone on the target domain, early-stopping
-    on validation NDCG@10, and freeze the best-epoch user embeddings. The
-    result's similarity oracle reads them (or the training history under
-    the corresponding ablation)."""
+    on validation NDCG@10, and freeze the best-epoch user embeddings."""
     train = target_split.train
     model = SingleDomainModel.create(
         config, train,
@@ -161,17 +157,7 @@ def run_target_phase(ds: CrossDomainDataset, target_split: SplitDataset,
                               shuffle_rng, "target")
     frozen = model.params()[ROLE_USER_TARGET_PHASE1].copy()
     frozen.setflags(write=False)
-    return TargetPhaseResult(model, frozen, best_epoch, history, train)
-
-
-def _graphs(config: TrainingConfig, target_split: SplitDataset,
-            source_split: SplitDataset, dtype) -> tuple:
-    """The (target, source) training graphs LightGCN propagates over, in
-    the tables' ``dtype``; MF has none."""
-    if config.backbone != BACKBONE_LIGHTGCN:
-        return None, None
-    return (build_graph(target_split.train, config.k_layers, dtype),
-            build_graph(source_split.train, config.k_layers, dtype))
+    return TargetPhaseResult(model, frozen, best_epoch, history)
 
 
 class CutModel:
@@ -186,18 +172,21 @@ class CutModel:
     ``u``, and source-local user ``v`` is row ``source_offset + v``, so
     both domains read and train an overlap user's one row. Target-domain
     scoring applies the transform to the base embedding; source-domain
-    scoring uses it raw. Item embeddings are never transformed.
+    scoring uses it raw. Item embeddings are never transformed. The
+    training sets ``target`` and ``source`` place the users and, under
+    LightGCN, give each domain's graph in the tables' dtype.
     """
 
     def __init__(self, config: TrainingConfig, params: dict[str, np.ndarray],
-                 n_target: int, source_offset: int, graph_target=None,
-                 graph_source=None):
+                 target: InteractionSet, source: InteractionSet):
         self.config = config
         self._params = params
-        self.n_target = n_target
-        self.source_offset = source_offset
-        self.graph_target = graph_target
-        self.graph_source = graph_source
+        self.n_target = target.n_users
+        self.source_offset = len(params[ROLE_USER]) - source.n_users
+        lightgcn = config.backbone == BACKBONE_LIGHTGCN
+        self.graph_target, self.graph_source = (
+            build_graph(train, config.k_layers, params[ROLE_USER].dtype)
+            if lightgcn else None for train in (target, source))
 
     @classmethod
     def build(cls, ds: CrossDomainDataset, target_split: SplitDataset,
@@ -234,8 +223,7 @@ class CutModel:
         if not config.no_transform:
             params[TRANSFORM_WEIGHT] = np.eye(dim, dtype=dtype)
             params[TRANSFORM_BIAS] = np.zeros(dim, dtype=dtype)
-        return cls(config, params, ds.target.n_users, ds.n_target_only,
-                   *_graphs(config, target_split, source_split, dtype))
+        return cls(config, params, target_split.train, source_split.train)
 
     @property
     def target_users(self) -> np.ndarray:
@@ -275,20 +263,18 @@ class CutModel:
         if config.no_transform == bool(transform.keys() & ckpt.arrays.keys()):
             raise CheckpointError(f"checkpoint transform does not match "
                                   f"no_transform={config.no_transform}")
+        target, source = target_split.train, source_split.train
         params = ckpt.take({
-            ROLE_USER: None, ROLE_ITEM_TARGET: target_split.train.n_items,
-            ROLE_ITEM_SOURCE: source_split.train.n_items,
+            ROLE_USER: None, ROLE_ITEM_TARGET: target.n_items,
+            ROLE_ITEM_SOURCE: source.n_items,
             **({} if config.no_transform else transform)})
         rows = len(params[ROLE_USER])
-        n_target, n_source = target_split.train.n_users, source_split.train.n_users
-        source_offset = rows - n_source
-        if not 0 <= source_offset <= n_target <= rows:
+        if not 0 <= rows - source.n_users <= target.n_users <= rows:
             raise CheckpointError(
                 f"checkpoint user table has {rows} rows, which cannot hold "
-                f"{n_target} target users and {n_source} source users")
-        return cls(config, params, n_target, source_offset,
-                   *_graphs(config, target_split, source_split,
-                            params[ROLE_USER].dtype))
+                f"{target.n_users} target users and {source.n_users} source "
+                f"users")
+        return cls(config, params, target, source)
 
 
 def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
@@ -392,14 +378,24 @@ def run_transfer_phase(ds: CrossDomainDataset, target_split: SplitDataset,
                        ) -> TransferPhaseResult:
     """Train the phase-two model on paired source/target batch streams.
 
+    The contrastive term reads no oracle under ``no_contrastive``, the
+    target training history's under ``history_similarity``, and else
+    ``oracle`` or, without one, that of ``frozen``, the phase-one table.
     Epochs follow the target stream; the source stream reshuffles and
     recycles. Early-stops on target validation NDCG@10 and returns the
     best-validation model.
     """
-    if not config.no_contrastive and oracle is None:
-        raise ConfigError("transfer phase needs a similarity oracle unless "
-                          "the contrastive term is disabled")
-    if not config.no_contrastive and oracle.n_pairs == 0:
+    tgt, src = target_split.train, source_split.train
+    if config.no_contrastive:
+        oracle = None
+    elif config.history_similarity:
+        oracle = SimilarityOracle.from_history(tgt, config.gamma)
+    elif oracle is None and frozen is None:
+        raise ConfigError("the embedding similarity oracle needs the "
+                          "frozen phase-one user table")
+    elif oracle is None:
+        oracle = SimilarityOracle.from_embeddings(frozen, config.gamma)
+    if oracle is not None and oracle.n_pairs == 0:
         logger.warning("no user pair has cosine above gamma=%g (largest "
                        "%.4f): the contrastive term will be zero for every "
                        "batch", oracle.gamma, oracle.max_cosine)
@@ -412,7 +408,6 @@ def run_transfer_phase(ds: CrossDomainDataset, target_split: SplitDataset,
     shuffle_rng, source_rng, neg_src_rng, neg_tgt_rng = (
         np.random.default_rng(s) for s in streams)
 
-    tgt, src = target_split.train, source_split.train
     if src.n_interactions == 0:
         raise ValueError("source training split is empty")
     source_stream = _recycling_batches(src.n_interactions, config.batch_size,

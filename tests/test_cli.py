@@ -10,6 +10,7 @@ from cutrec.checkpoint import load_checkpoint, save_checkpoint
 from cutrec.cli import main
 from cutrec.corpus import load_dataset, read_arrays, write_arrays
 from cutrec.errors import TrainingDivergedError
+from cutrec.experiment import VARIANTS
 from cutrec.trainer import run_transfer_phase
 
 from helpers import rewrite_arrays
@@ -264,11 +265,21 @@ EXPERIMENT_BASE = {"data": {"synthetic": SYNTH_CFG}, "training": TRAIN_CFG,
     ({"preset": ["amazon-like"]}, "unknown preset"),
     ({"data": {"archive": 5}}, "data.archive must be a string"),
     ({"data": ["x"]}, "data must be an object"),
+    # An archive's splits are fixed: a split setting it ignores is refused.
+    ({"data": {"archive": "d"}},
+     "min_interactions does not apply to data.archive"),
+    ({"data": {"archive": "d"}, "min_interactions": 5,
+      "target_ratios": [1, 1, 1]},
+     "target_ratios does not apply to data.archive"),
+    ({"data": {"archive": "d"}, "min_interactions": 5,
+      "source_ratios": [1, 1]},
+     "source_ratios does not apply to data.archive"),
 ], ids=["k-str", "k-float", "k-zero", "seed-negative", "seeds-repeated",
         "seeds-empty", "seeds-int", "seed-float", "variants-repeated",
         "mask-str", "save-int", "min-zero", "target-two", "target-zero",
         "target-str", "source-negative", "sparsity-str", "sparsity-inf",
-        "training-list", "preset-list", "archive-int", "data-list"])
+        "training-list", "preset-list", "archive-int", "data-list",
+        "archive-min", "archive-target", "archive-source"])
 def test_bad_experiment_config_is_validation_error(tmp_path, capsys, bad,
                                                    word):
     cfg = write_json(tmp_path / "bad.json", {**EXPERIMENT_BASE, **bad})
@@ -646,6 +657,34 @@ def test_warm_start_with_history_oracle_loads_phase1(pipeline_dirs):
     assert (tmp_path / "phase2" / "cut.ckpt").exists()
 
 
+def test_step_commands_write_the_experiments_checkpoints(pipeline_dirs):
+    # Both front ends leave the choice of oracle to the transfer phase, so
+    # train-target and then train-transfer from its phase1.ckpt write the
+    # checkpoints that the experiment writes for the same seed.
+    tmp_path, train_cfg, data_dir = pipeline_dirs
+    variants = ["joint", "cut", "cut-no-transform", "cut-history"]
+    exp_cfg = write_json(tmp_path / "exp.json", {
+        "data": {"archive": str(data_dir)}, "training": TRAIN_CFG,
+        "seeds": [TRAIN_CFG["seed"]], "variants": variants})
+    assert main(["experiment", "--config", str(exp_cfg),
+                 "--out", str(tmp_path / "exp")]) == 0
+    written = tmp_path / "exp" / f"seed-{TRAIN_CFG['seed']}"
+    phase1 = tmp_path / "phase1" / "phase1.ckpt"
+    assert main(["train-target", "--data", str(data_dir), "--config",
+                 str(train_cfg), "--out", str(phase1.parent)]) == 0
+    assert phase1.read_bytes() == (written / "phase1.ckpt").read_bytes()
+    for name in variants:
+        cfg = write_json(tmp_path / f"{name}.json",
+                         {**TRAIN_CFG, **VARIANTS[name]})
+        assert main(["train-transfer", "--data", str(data_dir), "--config",
+                     str(cfg), "--phase1", str(phase1),
+                     "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / name / "cut.ckpt").read_bytes() == \
+            (written / f"{name}.ckpt").read_bytes(), name
+    assert (written / "cut.ckpt").read_bytes() != \
+        (written / "cut-history.ckpt").read_bytes()
+
+
 def test_wrong_phase1_checkpoint_is_runtime_failure(pipeline_dirs, capsys):
     tmp_path, train_cfg, data_dir = pipeline_dirs
     no_contrastive = write_json(tmp_path / "joint.json",
@@ -848,8 +887,10 @@ def test_every_manifest_lists_exactly_the_files_the_command_read(
             ("archive", {"archive": str(data_dir)}, [archive]),
             ("tsv", {"source_tsv": str(tsvs[0]), "target_tsv": str(tsvs[1])},
              tsvs)):
-        cfg = write_json(tmp_path / f"exp-{name}.json",
-                         {**EXPERIMENT_BASE, "data": data})
+        payload = {**EXPERIMENT_BASE, "data": data}
+        if "archive" in data:  # whose splits fix min_interactions
+            del payload["min_interactions"]
+        cfg = write_json(tmp_path / f"exp-{name}.json", payload)
         assert inputs(tmp_path / f"exp-{name}", "experiment", "--config",
                       str(cfg)) == hashes(*read, cfg)
 

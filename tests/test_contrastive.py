@@ -9,7 +9,7 @@ from cutrec.similarity import PairSets, SimilarityOracle, extract_pairs
 from cutrec.trainer import CutModel, transfer_forward_backward
 
 from helpers import (brute_force_contrastive, dense_contrastive_gradient,
-                     fd_gradient)
+                     fd_gradient, interaction_set)
 
 
 def mask_pairs(mask):
@@ -36,10 +36,13 @@ def index_pairs(pairs):
 # --- transform layer ----------------------------------------------------------
 
 def transform(weight, bias):
-    """``CutModel.apply_transform`` over the given weight and bias."""
-    return CutModel(TrainingConfig(), {"transform-weight": weight,
+    """``CutModel.apply_transform`` over the given weight and bias, on a
+    model without users."""
+    empty = interaction_set([], 1)
+    return CutModel(TrainingConfig(), {ROLE_USER: np.zeros((0, len(bias))),
+                                       "transform-weight": weight,
                                        "transform-bias": bias},
-                    0, 0).apply_transform
+                    empty, empty).apply_transform
 
 
 def test_transform_identity_passthrough():
@@ -279,7 +282,9 @@ def transfer_batch(alpha, lam, pairs=True):
                   (TRANSFORM_BIAS, (4,)))}
     config = TrainingConfig(alpha=alpha, contrastive_weight=lam,
                             embedding_dim=4)
-    model = CutModel(config, params, n_target=6, source_offset=3)
+    model = CutModel(config, params, interaction_set([[]] * 6, 7),
+                     interaction_set([[]] * 5, 6))
+    assert (model.n_target, model.source_offset) == (6, 3)
     tgt_users = np.arange(6)
     oracle = SimilarityOracle.from_embeddings(params[ROLE_USER][:6], 0.0)
     return transfer_forward_backward(

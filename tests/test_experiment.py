@@ -1,6 +1,9 @@
 import json
+import os
 import pickle
+import time
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +156,26 @@ def test_parallel_seeds_start_at_most_one_worker_per_seed(
                             parallel_seeds=parallel_seeds)
     assert started == ([] if workers is None else [workers])
     assert list(report["per_seed"]) == [str(seed) for seed in seeds]
+
+
+def fail_first_seed(cfg, seed):
+    """A stand-in for ``run_single_seed``, at module level so that it
+    pickles: each seed marks its start, then seed 0 fails and the others
+    take half a second."""
+    (Path(os.environ["SEED_MARKERS"]) / str(seed)).touch()
+    if seed == 0:
+        raise errors.TrainingDivergedError("seed 0 diverged")
+    time.sleep(0.5)
+    return {"variants": {}, "checkpoints": {}}
+
+
+def test_a_failed_seed_starts_no_more_parallel_seeds(monkeypatch, tmp_path):
+    monkeypatch.setenv("SEED_MARKERS", str(tmp_path))
+    monkeypatch.setattr(experiment, "run_single_seed", fail_first_seed)
+    with pytest.raises(errors.TrainingDivergedError, match="seed 0"):
+        run_experiment(synth_experiment_config(seeds=list(range(6))),
+                       parallel_seeds=2)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["0", "1"]
 
 
 def test_every_error_survives_pickling():

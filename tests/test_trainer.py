@@ -337,7 +337,7 @@ def test_joint_baseline_has_no_transform_and_no_contrastive():
 
 def test_missing_oracle_rejected_when_contrastive_active():
     ds, target_split, source_split = toy_dataset(seed=13)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="frozen phase-one user table"):
         run_transfer_phase(ds, target_split, source_split, small_config())
 
 
@@ -431,13 +431,16 @@ def test_target_phase_builds_its_oracle_only_when_asked(monkeypatch):
 
 
 def test_target_phase_history_similarity_flag():
+    # Phase one's oracle is the frozen table's whatever the flag says: the
+    # transfer phase builds the history oracle itself.
     ds, target_split, _ = toy_dataset(seed=16)
-    config = small_config(history_similarity=True, max_epochs=2)
-    result = run_target_phase(ds, target_split, config)
-    assert same_graph(result.oracle, SimilarityOracle.from_history(
-        target_split.train, config.gamma))
-    assert not same_graph(result.oracle, SimilarityOracle.from_embeddings(
-        result.frozen, config.gamma))
+    for history in (False, True):
+        config = small_config(history_similarity=history, max_epochs=2)
+        result = run_target_phase(ds, target_split, config)
+        assert same_graph(result.oracle, SimilarityOracle.from_embeddings(
+            result.frozen, config.gamma))
+        assert not same_graph(result.oracle, SimilarityOracle.from_history(
+            target_split.train, config.gamma))
 
 
 def test_target_phase_early_stopping_bounds_epochs():
@@ -485,6 +488,39 @@ def test_transfer_phase_improves_and_is_deterministic():
     assert set(state_a) == set(state_b)
     for name in state_a:
         assert np.array_equal(state_a[name], state_b[name])
+
+
+def assert_same_params(a, b):
+    assert list(a) == list(b)
+    for name in a:
+        assert a[name].tobytes() == b[name].tobytes(), name
+
+
+def test_transfer_phase_builds_the_embedding_oracle_from_frozen():
+    ds, target_split, source_split = toy_dataset(seed=18, per_user=8)
+    config = small_config(max_epochs=2, gamma=0.3)
+    phase1 = run_target_phase(ds, target_split, config)
+    assert phase1.oracle.n_pairs > 0
+    given = run_transfer_phase(ds, target_split, source_split, config,
+                               phase1.oracle, frozen=phase1.frozen)
+    built = run_transfer_phase(ds, target_split, source_split, config,
+                               frozen=phase1.frozen)
+    assert_same_params(built.model.params(), given.model.params())
+
+
+def test_history_similarity_ignores_a_passed_oracle():
+    ds, target_split, source_split = toy_dataset(seed=18, per_user=8)
+    config = small_config(max_epochs=2, gamma=0.3, contrastive_weight=1.0,
+                          history_similarity=True)
+    frozen = run_target_phase(ds, target_split, config).frozen
+    embedding = SimilarityOracle.from_embeddings(frozen, config.gamma)
+    history = SimilarityOracle.from_history(target_split.train, config.gamma)
+    assert embedding.n_pairs > 0 and history.n_pairs > 0
+    assert not same_graph(embedding, history)
+    runs = [run_transfer_phase(ds, target_split, source_split, config,
+                               oracle).model.params()
+            for oracle in (embedding, history)]
+    assert_same_params(*runs)
 
 
 def test_warm_start_requires_frozen_and_copies_rows():
