@@ -150,15 +150,19 @@ def domain_forward_backward(user_vals: np.ndarray, item_vals: np.ndarray,
     # output row adds its terms in batch order, positives first. Float64
     # operands: SciPy would upcast float32 ones, over twice as slowly.
     stacked = np.concatenate([user_final, item_final], dtype=np.float64)
-    ends = np.concatenate([users, users, item_local + len(user_final)])
+    del user_final, item_final, u_vecs  # the stacked copy holds them
+    ends = np.concatenate([users, users, item_local + len(user_vals)])
     d_scores = np.tile(weight * np.concatenate([d_pos, d_neg]), 2)
     scores = sp.coo_matrix((d_scores, (ends, np.roll(ends, 2 * users.size))),
                            shape=(len(stacked),) * 2)
-    d_user, d_item = np.split(scores @ stacked, [len(user_final)])
+    d_user, d_item = np.split(scores @ stacked, [len(user_vals)])
+    del stacked, scores
     if graph is not None:
-        # The adjacency is symmetric: the backward pass is the propagation.
-        d_user, d_item = propagate(graph, d_user.astype(user_vals.dtype),
-                                   d_item.astype(item_vals.dtype))
+        # The adjacency is symmetric: the backward pass is the propagation,
+        # with only its operands, cast to the table dtype, alive beside it.
+        d_user, d_item = (d_user.astype(user_vals.dtype),
+                          d_item.astype(item_vals.dtype))
+        d_user, d_item = propagate(graph, d_user, d_item)
     return loss, d_user, (item_rows, d_item)
 
 

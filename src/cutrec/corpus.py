@@ -227,7 +227,8 @@ def write_interactions(path, raw: RawInteractions) -> None:
 
 def filter_k_core(raw: RawInteractions, min_count: int = 5) -> RawInteractions:
     """Iteratively drop users and items with fewer than ``min_count``
-    interactions until no more removals occur; rows keep their order."""
+    interactions until no more removals occur; rows keep their order.
+    When no row is dropped, ``raw`` itself is returned."""
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     users, items, times = raw.users, raw.items, raw.times
@@ -240,6 +241,8 @@ def filter_k_core(raw: RawInteractions, min_count: int = 5) -> RawInteractions:
     if not users.size:
         raise DatasetCollapsedError(
             f"dataset collapsed: no interactions survive {min_count}-core filtering")
+    if users is raw.users:
+        return raw
     return RawInteractions.from_codes(raw.domain_id, raw.user_tokens, users,
                                       raw.item_tokens, items, times)
 

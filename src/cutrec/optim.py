@@ -33,9 +33,10 @@ class GradBuffer:
 
     A parameter takes row parts: a slice or strictly increasing int rows,
     and a value row each. A lone part passes through uncopied; parts
-    sharing a parameter are summed in float64. ``grads`` gives int rows
-    and empties the buffer, so that the parts are freed before the
-    optimizer step.
+    sharing a parameter are summed in float64 in the order they came, by
+    slice where a part's rows are consecutive among the summed rows, as a
+    whole-range part's are. ``grads`` gives int rows and empties the
+    buffer, so that the parts are freed before the optimizer step.
     """
 
     def __init__(self, params: Mapping[str, np.ndarray]):
@@ -61,8 +62,10 @@ class GradBuffer:
             rows, inverse = distinct_rows(np.concatenate([r for r, _ in parts]))
             total = np.zeros((rows.size, *self._params[name].shape[1:]))
             for part, values in parts:
-                total[inverse[:part.size]] += values
-                inverse = inverse[part.size:]
+                at, inverse = inverse[:part.size], inverse[part.size:]
+                if at.size and at[-1] - at[0] == at.size - 1:
+                    at = slice(at[0], at[-1] + 1)
+                total[at] += values
             out[name] = (rows, total)
         self._parts = {}
         return out

@@ -18,9 +18,10 @@ from .errors import ConfigError
 # Ordered pairs (5 bytes each). Past it, slicing a batch costs more than
 # scoring the batch's users against each other (see CHANGES.md).
 MAX_SIMILAR_PAIRS = 1 << 19
-# Scores per block (16 MB of float64). Freeing a block this large lifts
-# glibc's trim threshold, so later steps keep their temporaries (CHANGES.md).
-BLOCK_ENTRIES = 1 << 21
+# Scores per block (4 MB of float64). One block lives at a time, so the
+# build's peak is a few MB above its unit rows; smaller blocks slow the
+# products (1 MB blocks took 1.5x as long for 26,000 users, CHANGES.md).
+BLOCK_ENTRIES = 1 << 19
 
 
 def _similar_pair_graph(normed, gamma: float) -> tuple[sp.csr_matrix, float]:
@@ -38,6 +39,7 @@ def _similar_pair_graph(normed, gamma: float) -> tuple[sp.csr_matrix, float]:
         scores[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = -np.inf
         max_cosine = max(max_cosine, float(scores.max()))
         i, j = np.nonzero(scores > gamma)
+        del scores  # freed before the next block is scored
         found += 2 * i.size
         if found > MAX_SIMILAR_PAIRS:
             raise ConfigError(
@@ -72,9 +74,10 @@ class SimilarityOracle:
     @classmethod
     def from_embeddings(cls, table: np.ndarray,
                         gamma: float = 0.9) -> "SimilarityOracle":
-        values = np.asarray(table, dtype=np.float64)
+        values = np.array(table, dtype=np.float64)
         norms = np.linalg.norm(values, axis=1, keepdims=True)
-        return cls(values / np.where(norms == 0.0, 1.0, norms), gamma)
+        values /= np.where(norms == 0.0, 1.0, norms)
+        return cls(values, gamma)
 
     @classmethod
     def from_history(cls, train: InteractionSet,

@@ -2,14 +2,16 @@
 
 The oracles here are deliberately written as the naive/brute-force route
 so they stay independent of the implementation under test;
-``interaction_set`` and ``raw_interactions`` only build test inputs, and
-``rewrite_arrays`` damages files for the malformed-input tests.
+``interaction_set`` and ``raw_interactions`` only build test inputs,
+``rewrite_arrays`` damages files for the malformed-input tests, and
+``traced_peak`` measures a call's memory.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -507,3 +509,20 @@ def rewrite_arrays(path, edit) -> None:
     header, arrays = read_arrays(path)
     edit(header, arrays)
     write_arrays(path, header, arrays)
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak bytes that ``tracemalloc`` traces during ``fn(*args)``,
+    above what was traced when the call began. NumPy reports its buffers
+    there, so the figure does not depend on the allocator."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -21,7 +21,7 @@ from cutrec.optim import Adam
 
 from helpers import (adam_step_oracle, assert_grad_matches, csr_graph,
                      dense_grads, interaction_set, per_entry_grads,
-                     sample_negatives)
+                     sample_negatives, traced_peak)
 
 
 # --- negative sampling --------------------------------------------------------
@@ -246,6 +246,25 @@ def test_batch_gradients_match_per_entry_oracle(data, backbone, loss, dtype,
         if graph is not None:
             old = old.astype(dtype)
         assert max_error(got, ref) <= max_error(old, ref)
+
+
+def test_lightgcn_step_frees_graph_sized_temporaries():
+    # The medium target graph in float32: the float64 stacked rows and
+    # their float64 product take two tables' bytes each. The propagated
+    # tables go once they are stacked, the stacked rows once multiplied
+    # and the product once cast, so no other graph-sized array lives
+    # beside those two.
+    rng = np.random.default_rng(0)
+    n_users, n_items, batch = 2600, 2000, 2048
+    rows = [rng.choice(n_items, 24, replace=False) for _ in range(n_users)]
+    graph = build_graph(interaction_set(rows, n_items), 2, np.float32)
+    users, items = (rng.normal(size=(n, 64)).astype(np.float32)
+                    for n in (n_users, n_items))
+    args = (users, items, graph, rng.integers(0, n_users, batch),
+            rng.integers(0, n_items, batch), rng.integers(0, n_items, batch),
+            LOSS_FNS["bpr"], 1.0)
+    peak = traced_peak(backbone_module.domain_forward_backward, *args)
+    assert peak <= 5 * (users.nbytes + items.nbytes)
 
 
 def test_untouched_rows_have_no_gradient():

@@ -183,8 +183,13 @@ def _grid_records(n_users, n_items):
 
 def test_k_core_identity_when_already_dense():
     records = _grid_records(6, 6)  # every user/item has 6 interactions
-    out = filter_k_core(raw(records), 5)
-    assert out.records == raw(records).records
+    dense = raw(records)
+    assert filter_k_core(dense, 5) is dense
+    # A dropped row gives a new set, rebuilt from the surviving rows.
+    weak = raw(records + [("u_weak", "i0", 7)])
+    out = filter_k_core(weak, 5)
+    assert out is not weak
+    assert out.records == dense.records
 
 
 def test_k_core_collapse_raises():

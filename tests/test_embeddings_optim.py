@@ -266,6 +266,7 @@ def test_grad_buffer_matches_full_table_oracle(seed, n_tables, n_dense,
             if rng.random() < block_share:
                 # Blocks: a third cover the table, the rest a random span
                 # that may be empty, overlap others or leave rows out.
+                # They reach ``grads`` as int ranges, which it adds by slice.
                 start, stop = (0, n) if rng.random() < 1 / 3 else sorted(
                     int(i) for i in rng.integers(0, n + 1, size=2))
                 rows, size = slice(start, stop), stop - start

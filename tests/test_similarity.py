@@ -8,7 +8,10 @@ from cutrec.corpus import SplitDataset, subsample_target
 from cutrec.errors import ConfigError
 from cutrec.similarity import PairSets, SimilarityOracle, extract_pairs
 
-from helpers import interaction_set, materialised_similarity, pair_cosines
+from helpers import (interaction_set, materialised_similarity, pair_cosines,
+                     traced_peak)
+
+DEFAULT_BLOCK = similarity.BLOCK_ENTRIES
 
 
 def embedding_oracle(values, gamma=0.9):
@@ -149,6 +152,16 @@ def test_scale_invariance(scale, seed):
 NEAR = 1e-12
 
 
+def build_oracle(mode, reps, gamma):
+    """The embedding oracle of the rows ``reps``, or the history oracle
+    of their non-zero columns."""
+    if mode == "embedding":
+        return SimilarityOracle.from_embeddings(reps, gamma)
+    rows = [np.flatnonzero(row) for row in reps]
+    return SimilarityOracle.from_history(
+        interaction_set(rows, reps.shape[1]), gamma)
+
+
 @settings(max_examples=120, deadline=None)
 @given(mode=st.sampled_from(["embedding", "history"]),
        clustered=st.booleans(), n=st.integers(min_value=0, max_value=30),
@@ -156,10 +169,11 @@ NEAR = 1e-12
        n_zero=st.integers(min_value=0, max_value=3),
        gamma=st.one_of(st.floats(min_value=-0.9, max_value=1.0),
                        st.sampled_from([-0.5, 0.0, 0.5, 1.0])),
+       block=st.sampled_from([1, 7, DEFAULT_BLOCK]),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_graph_matches_per_pair_cosine_oracle(mode, clustered, n,
                                               n_duplicates, n_zero, gamma,
-                                              seed):
+                                              block, seed):
     rng = np.random.default_rng(seed)
     if mode == "embedding":
         centres = rng.normal(size=(3, 5))
@@ -175,12 +189,9 @@ def test_graph_matches_per_pair_cosine_oracle(mode, clustered, n,
         for _ in range(n_duplicates):
             reps[rng.integers(n)] = reps[rng.integers(n)]
         reps[rng.integers(0, n, size=n_zero)] = 0.0
-    if mode == "embedding":
-        oracle = SimilarityOracle.from_embeddings(reps, gamma)
-    else:
-        rows = [np.flatnonzero(row) for row in reps]
-        oracle = SimilarityOracle.from_history(interaction_set(rows, 12),
-                                               gamma)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(similarity, "BLOCK_ENTRIES", block)
+        oracle = build_oracle(mode, reps, gamma)
 
     cosines = pair_cosines(reps)
     graph = oracle.graph.toarray()
@@ -219,6 +230,74 @@ def test_graph_above_size_limit_is_config_error(monkeypatch):
     monkeypatch.setattr(similarity, "MAX_SIMILAR_PAIRS", 29)
     with pytest.raises(ConfigError, match=r"gamma=-0\.99.*\(30 after"):
         embedding_oracle(values, gamma=-0.99)
+
+
+# --- block sizes ----------------------------------------------------------------
+
+def exact_rows(rng, n):
+    """Clustered rows of 0 and +-1 with 1, 4 or 16 non-zeros among 16
+    columns, each times a power of two. Their norms are powers of two, so
+    the unit rows and every sum of their products are exact, in whatever
+    order a BLAS kernel adds: the cosines lie on a grid of sixteenths."""
+    rows = rng.choice([-1.0, 1.0], size=(3, 16))[rng.integers(0, 3, n)]
+    rows[rng.random((n, 16)) < 0.15] *= -1.0
+    for row, nnz in zip(rows, rng.choice([1, 4, 16], size=n)):
+        row[rng.choice(16, 16 - nnz, replace=False)] = 0.0
+    return rows * 2.0 ** rng.integers(-3, 4, size=(n, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(["embedding", "history"]),
+       n=st.integers(min_value=2, max_value=60),
+       n_duplicates=st.integers(min_value=0, max_value=3),
+       n_zero=st.integers(min_value=0, max_value=3),
+       gamma=st.one_of(st.floats(min_value=-0.9, max_value=1.0),
+                       st.sampled_from([-0.25, 0.0, 0.25, 0.5, 0.75, 1.0])),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_graph_is_the_same_for_every_block_size(mode, n, n_duplicates,
+                                                n_zero, gamma, seed):
+    # A BLAS product's last bit can depend on the block's shape, so the
+    # embedding rows here have exact products (the per-pair oracle test
+    # covers general rows). History products add in item order, exactly
+    # as the rows are split.
+    rng = np.random.default_rng(seed)
+    if mode == "embedding":
+        reps = exact_rows(rng, n)
+    else:
+        templates = rng.random((3, 12)) < 0.4
+        reps = (templates[rng.integers(0, 3, size=n)]
+                ^ (rng.random((n, 12)) < 0.1)).astype(np.float64)
+    for _ in range(n_duplicates):
+        reps[rng.integers(n)] = reps[rng.integers(n)]
+    reps[rng.integers(0, n, size=n_zero)] = 0.0
+
+    built = []
+    for block in (1, 7, n, n * n, DEFAULT_BLOCK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(similarity, "BLOCK_ENTRIES", block)
+            built.append(build_oracle(mode, reps, gamma))
+            if built[-1].n_pairs:
+                patch.setattr(similarity, "MAX_SIMILAR_PAIRS",
+                              built[-1].n_pairs - 1)
+                with pytest.raises(ConfigError, match="raise gamma"):
+                    build_oracle(mode, reps, gamma)
+    first = built[0]
+    for oracle in built[1:]:
+        assert (oracle.graph != first.graph).nnz == 0
+        assert oracle.n_pairs == first.n_pairs
+        assert oracle.max_cosine == first.max_cosine
+    event(f"similar pairs: {'none' if first.n_pairs == 0 else 'some'}")
+
+
+def test_oracle_build_holds_one_small_block():
+    # Phase one's frozen table on the medium data: 2600 users of 64 dims,
+    # whose scores above the diagonal take 27 MB of float64. One 4 MB
+    # block lives at a time, beside its mask and the float64 unit rows
+    # (1.3 MB).
+    table = np.random.default_rng(0).normal(size=(2600, 64)).astype(
+        np.float32)
+    peak = traced_peak(SimilarityOracle.from_embeddings, table, 0.9)
+    assert peak <= 8 << 20
 
 
 # --- pair extraction ------------------------------------------------------------
