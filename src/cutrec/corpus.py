@@ -112,12 +112,84 @@ def _token_table(names, codes) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(names[i] for i in used), renumber[codes]
 
 
-def _encode(tokens: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The distinct tokens, sorted, and each token's position among them."""
-    table = tuple(sorted(set(tokens)))
-    index = dict(zip(table, range(len(table))))
-    return table, np.fromiter(map(index.__getitem__, tokens), np.int64,
-                              count=len(tokens))
+def _decoded(data: np.ndarray, starts, stops) -> list[str]:
+    """The UTF-8 text of each byte span ``data[starts[r]:stops[r]]``, in
+    one gather, one decode and one split: no span holds a tab."""
+    if not starts.size:
+        return []
+    # Each span and the byte after it, which becomes the joining tab: the
+    # gather index steps by one within a span and jumps between spans.
+    ends = np.cumsum(stops - starts + 1)
+    index = np.ones(ends[-1], dtype=np.int64)
+    index[0] = starts[0]
+    index[ends[:-1]] = starts[1:] - stops[:-1]
+    joined = data[np.cumsum(index, out=index)]
+    joined[ends - 1] = ord("\t")
+    return joined[:-1].tobytes().decode("utf-8").split("\t")
+
+
+# _HEAD_BYTES[k] keeps the first k bytes of a big-endian 8-byte word.
+_HEAD_BYTES = np.array([(1 << 64) - (1 << 8 * (8 - k)) for k in range(9)],
+                       dtype=np.uint64)
+
+
+def _token_codes(data: np.ndarray, starts,
+                 stops) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct tokens ``data[starts[r]:stops[r]]``, decoded and sorted,
+    and each row's position among them.
+
+    Rows sort on their bytes as big-endian 8-byte words, zero-padded, with
+    the length as the last key: UTF-8 byte order is code-point order, and
+    the length orders tokens that differ only in trailing NULs. Each pass
+    reads the next word only for the runs of tied rows that hold a longer
+    row, so one long token costs no word for every row. ``data`` must hold
+    8 bytes past the last span."""
+    words = np.ndarray((data.size - 7,), ">u8", data, strides=(1,))
+    sizes = stops - starts
+    # order[i] is the row at position i; new[i] marks the first position
+    # of each run of rows whose keys so far are equal.
+    order = np.arange(sizes.size)
+    new = np.zeros(sizes.size, dtype=bool)
+    new[0] = True
+
+    def split(at, key):
+        """Sort the rows at the positions ``at``, whole runs, by ``key``
+        within their runs, and start a run where it changes."""
+        # A quicksort on the key, then a stable sort on the run, which is
+        # one run on the first pass: lexsort's stable passes took three
+        # times as long on the item column of the synthetic logs.
+        by = np.argsort(key)
+        by = by[np.argsort(np.cumsum(new[at])[by], kind="stable")]
+        order[at], key = order[at][by], key[by]
+        new[at[1:]] |= key[1:] != key[:-1]
+
+    def runs_where(at, keep):
+        """The positions ``at`` of the runs whose rows' sizes pass
+        ``keep(longest, shortest)``; ``at`` holds whole runs."""
+        first = np.flatnonzero(new[at])
+        length = np.diff(first, append=at.size)
+        held = sizes[order[at]]
+        return at[np.repeat((length > 1) & keep(
+            np.maximum.reduceat(held, first),
+            np.minimum.reduceat(held, first)), length)]
+
+    at = np.arange(sizes.size)
+    for offset in range(0, int(sizes.max()), 8):
+        at = runs_where(at, lambda longest, _: longest > offset)
+        if not at.size:
+            break
+        rows = order[at]
+        split(at, words[np.minimum(starts[rows] + offset, len(words) - 1)]
+              & _HEAD_BYTES[np.clip(sizes[rows] - offset, 0, 8)])
+    # Rows tied on every padded word differ in length only where the
+    # longer one ends in NUL bytes.
+    if not data[stops - 1].all():
+        at = runs_where(np.arange(sizes.size), np.not_equal)
+        split(at, sizes[order[at]])
+    codes = np.empty(sizes.size, dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    first = order[new]
+    return tuple(_decoded(data, starts[first], stops[first])), codes
 
 
 def _timestamp(text: str) -> int:
@@ -143,6 +215,48 @@ def _line_error(line: str) -> str:
         return f"invalid timestamp {parts[2]!r}"
 
 
+def _data_lines(path, data: np.ndarray, size: int):
+    """The user and the item byte spans, as (starts, stops), and the
+    timestamp or ``NO_TIME`` of each data line among the first ``size``
+    bytes of ``data``. Raises the ``ParseError`` of the first bad line."""
+    # Field f is data[seps[f] + 1:seps[f + 1]]. In UTF-8 a tab or a newline
+    # byte is never part of another character.
+    seps = np.concatenate(([-1], np.flatnonzero((data == 9) | (data == 10)),
+                           [size]))
+
+    def span(field):
+        return seps[field] + 1, seps[field + 1]
+
+    line_start = np.flatnonzero(np.append(True, data[seps[1:-1]] == 10))
+    line_fields = np.diff(line_start, append=seps.size - 1)
+    lead = seps[line_start] + 1
+    lines = np.flatnonzero(((line_fields > 1) | (seps[line_start + 1] > lead))
+                           & (data[lead] != ord("#")))
+    del lead
+    head, count = line_start[lines], line_fields[lines]
+    stamped = count == 3
+    stamps = _decoded(data, *span(head[stamped] + 2))
+    times = np.full(lines.size, NO_TIME)
+    try:
+        times[stamped] = list(map(int, stamps))
+    except (ValueError, OverflowError):
+        times[stamped] = [_timestamp(stamp) for stamp in stamps]
+    user = span(head)
+    # A last line of one field has no field after it; its count refuses it.
+    item = span(np.minimum(head + 1, seps.size - 2))
+    bad = ((count < 2) | (count > 3) | (user[0] == user[1])
+           | (item[0] == item[1]) | (stamped & (times == NO_TIME)))
+    if bad.any():
+        line = lines[bad.argmax()]
+        first = line_start[line]
+        text = data[seps[first] + 1:seps[first + line_fields[line]]]
+        raise ParseError(path, int(line) + 1,
+                         _line_error(text.tobytes().decode("utf-8")))
+    if not lines.size:
+        raise ParseError(path, None, "file contains no interaction records")
+    return user, item, times
+
+
 def load_interactions(path, domain_id: DomainId) -> RawInteractions:
     """Read a TAB-separated interaction file.
 
@@ -151,53 +265,32 @@ def load_interactions(path, domain_id: DomainId) -> RawInteractions:
     blank lines are ignored. Duplicate (user, item) pairs are collapsed,
     keeping the earliest known timestamp. Rows come sorted by user, then
     item.
+
+    The file is parsed as bytes. The loader holds them, one int64 byte
+    position per field (the separator that ends it) and a few int64
+    columns per line, and never a string per field: only the distinct
+    tokens and the timestamps are decoded to ``str``.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"interaction file not found: {path}")
-    # Text mode ends a line at \r\n, \r or \n alike.
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    # Every field of every line, in one list. The separators' byte
-    # positions tell which fields make up each line: in UTF-8 a tab or a
-    # newline byte is never part of another character.
-    fields = text.replace("\n", "\t").split("\t")
-    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    ends = np.flatnonzero((data == 9) | (data == 10))
-    size = np.diff(ends, prepend=-1, append=data.size) - 1
-    line_start = np.flatnonzero(np.append(True, data[ends] == 10))
-    line_fields = np.diff(line_start, append=len(fields))
-    lead = np.append(data, 0)[np.append(0, ends + 1)[line_start]]
-    lines = np.flatnonzero(((line_fields > 1) | (size[line_start] > 0))
-                           & (lead != ord("#")))
-    head, count = line_start[lines], line_fields[lines]
-    stamped = count == 3
-    stamps = list(map(fields.__getitem__, (head[stamped] + 2).tolist()))
-    times = np.full(lines.size, NO_TIME)
+    # Line ends as text mode reads them: \r\n, \r and \n alike.
+    text = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        times[stamped] = list(map(int, stamps))
-    except (ValueError, OverflowError):
-        times[stamped] = [_timestamp(stamp) for stamp in stamps]
-    bad = ((count < 2) | (count > 3) | (size[head] == 0)
-           | (np.append(size, 0)[head + 1] == 0)
-           | (stamped & (times == NO_TIME)))
-    if bad.any():
-        line = lines[bad.argmax()]
-        first = line_start[line]
-        raise ParseError(path, int(line) + 1, _line_error(
-            "\t".join(fields[first:first + line_fields[line]])))
-    if not lines.size:
-        raise ParseError(path, None, "file contains no interaction records")
-
-    user_tokens, users = _encode(list(map(fields.__getitem__, head.tolist())))
-    item_tokens, items = _encode(
-        list(map(fields.__getitem__, (head + 1).tolist())))
-    # The kept tokens lie scattered among the per-field strings, and once
-    # those are freed they would keep most of the allocator's arenas in
-    # use. New copies (a token holds no tab) let the arenas go.
-    del fields, stamps
-    user_tokens, item_tokens = (tuple("\t".join(table).split("\t"))
-                                for table in (user_tokens, item_tokens))
+        text.decode("utf-8")
+    except UnicodeDecodeError as err:
+        column = err.start - text.rfind(b"\n", 0, err.start)
+        raise ParseError(path, text.count(b"\n", 0, err.start) + 1,
+                         f"invalid UTF-8 at byte {column}") from None
+    # Eight zero bytes past the end, so that every 8-byte word of a token
+    # can be read whole.
+    data, size = np.frombuffer(text + bytes(8), dtype=np.uint8), len(text)
+    del text
+    # Rebinding each column of spans to its codes frees the spans before
+    # the next column is coded.
+    users, items, times = _data_lines(path, data, size)
+    user_tokens, users = _token_codes(data, *users)
+    item_tokens, items = _token_codes(data, *items)
     order = np.argsort(users * len(item_tokens) + items)
     users, items, times = users[order], items[order], times[order]
     pair = np.flatnonzero(np.append(True, (np.diff(users) != 0)

@@ -36,6 +36,9 @@ def _similar_pair_graph(normed, gamma: float) -> tuple[sp.csr_matrix, float]:
         hi = min(n, lo + max(1, BLOCK_ENTRIES // (n - lo)))
         scores = normed[lo:hi] @ normed[lo:].T
         scores = scores.toarray() if sp.issparse(scores) else scores
+        # Rounding can lift a product of equal unit rows above 1, which
+        # would make duplicates similar at gamma = 1.
+        np.minimum(scores, 1.0, out=scores)
         scores[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = -np.inf
         max_cosine = max(max_cosine, float(scores.max()))
         i, j = np.nonzero(scores > gamma)
@@ -75,7 +78,13 @@ class SimilarityOracle:
     def from_embeddings(cls, table: np.ndarray,
                         gamma: float = 0.9) -> "SimilarityOracle":
         values = np.array(table, dtype=np.float64)
-        norms = np.linalg.norm(values, axis=1, keepdims=True)
+        # Row norms a block of squares at a time, as np.linalg.norm sums
+        # them, without squaring the whole table at once.
+        norms = np.empty((len(values), 1))
+        step = max(1, BLOCK_ENTRIES // max(1, values.shape[1]))
+        for lo in range(0, len(values), step):
+            block = values[lo:lo + step]
+            norms[lo:lo + step, 0] = np.sqrt((block * block).sum(axis=1))
         values /= np.where(norms == 0.0, 1.0, norms)
         return cls(values, gamma)
 

@@ -44,6 +44,14 @@ _STREAM_TARGET_TRAIN = 1
 _STREAM_TRANSFER_INIT = 2
 _STREAM_TRANSFER_TRAIN = 3
 
+# An untouched block of this many bytes, which ``fit`` frees before the
+# first step. glibc's malloc then serves blocks up to that size from its
+# heap and trims the heap top only past twice that size (mallopt(3), the
+# dynamic mmap threshold), so each step's multi-MB temporaries are reused
+# instead of being mapped and faulted in anew on every step, whatever the
+# process freed before training.
+_HEAP_RESERVE = 16 << 20
+
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -81,6 +89,7 @@ def fit(model, step, n_pairs: int, scorer, split: SplitDataset,
     (0 when no epoch gave a metric above -inf) and the validation curve.
     """
     params = model.params()
+    np.empty(_HEAP_RESERVE, dtype=np.uint8)  # allocated and freed at once
 
     def snapshot() -> dict[str, np.ndarray]:
         return {name: value.copy() for name, value in params.items()}

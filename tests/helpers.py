@@ -404,39 +404,48 @@ def load_records(path) -> tuple:
     """``load_interactions`` one line at a time: the sorted (user, item,
     timestamp-or-None) records of a TSV file, each pair once with its
     earliest known timestamp, or the ``ParseError`` of its first bad
-    line."""
+    line. A file that is not all UTF-8 fails at the line of its first bad
+    byte, before any line is parsed."""
     best = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, raw_line in enumerate(handle, start=1):
-            line = raw_line.rstrip("\r\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3):
+    # Bytes that are not UTF-8 come through as lone surrogates, so each
+    # line's own bytes can be checked.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        lines = [line.rstrip("\r\n") for line in handle]
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ParseError(path, line_no, "invalid UTF-8 at byte "
+                             f"{err.start + 1}") from None
+    for line_no, line in enumerate(lines, start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (2, 3):
+            raise ParseError(
+                path, line_no,
+                f"expected 2 or 3 tab-separated fields, got {len(parts)}")
+        user, item = parts[0], parts[1]
+        if not user or not item:
+            raise ParseError(path, line_no, "empty user or item token")
+        ts = None
+        if len(parts) == 3:
+            try:
+                ts = int(parts[2])
+            except ValueError:
                 raise ParseError(
                     path, line_no,
-                    f"expected 2 or 3 tab-separated fields, got {len(parts)}")
-            user, item = parts[0], parts[1]
-            if not user or not item:
-                raise ParseError(path, line_no, "empty user or item token")
-            ts = None
-            if len(parts) == 3:
-                try:
-                    ts = int(parts[2])
-                except ValueError:
-                    raise ParseError(
-                        path, line_no,
-                        f"invalid timestamp {parts[2]!r}") from None
-                if not NO_TIME < ts <= 2**63 - 1:
-                    raise ParseError(path, line_no,
-                                     f"timestamp {ts} outside int64 range")
-            key = (user, item)
-            if key in best:
-                prev = best[key]
-                if ts is not None and (prev is None or ts < prev):
-                    best[key] = ts
-            else:
+                    f"invalid timestamp {parts[2]!r}") from None
+            if not NO_TIME < ts <= 2**63 - 1:
+                raise ParseError(path, line_no,
+                                 f"timestamp {ts} outside int64 range")
+        key = (user, item)
+        if key in best:
+            prev = best[key]
+            if ts is not None and (prev is None or ts < prev):
                 best[key] = ts
+        else:
+            best[key] = ts
     if not best:
         raise ParseError(path, None, "file contains no interaction records")
     return tuple(sorted((u, i, t) for (u, i), t in best.items()))

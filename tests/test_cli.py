@@ -203,6 +203,16 @@ def test_missing_input_file_is_validation_error(tmp_path, capsys):
     assert "missing-source.tsv" in err
 
 
+def test_invalid_utf8_is_validation_error_naming_its_line(tmp_path, capsys):
+    for name in ("source.tsv", "target.tsv"):
+        (tmp_path / name).write_bytes(b"u\ti\nu\tj\xe9\n")
+    code = main(["ingest", str(tmp_path / "source.tsv"),
+                 str(tmp_path / "target.tsv"), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert (f"error: {tmp_path / 'source.tsv'}:2: invalid UTF-8 at byte 4"
+            in capsys.readouterr().err)
+
+
 def test_invalid_config_key_is_validation_error(tmp_path, capsys):
     bad_cfg = write_json(tmp_path / "bad.json",
                          {"data": {"synthetic": SYNTH_CFG}, "typo_key": 1})

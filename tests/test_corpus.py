@@ -17,7 +17,7 @@ from cutrec.errors import DatasetCollapsedError, ParseError
 
 from helpers import (brute_force_k_core, cross_domain_from_records,
                      load_records, naive_rows, raw_interactions,
-                     rewrite_arrays, split_per_user)
+                     rewrite_arrays, split_per_user, traced_peak)
 
 
 def raw(records, domain=DomainId.TARGET):
@@ -69,11 +69,21 @@ def test_load_missing_file():
 
 
 # Tokens that differ only in trailing NULs, which NumPy's fixed-width
-# unicode dtype would drop, and characters that are not line ends.
+# unicode dtype would drop, and characters that are not line ends. The
+# loader sorts tokens as 8-byte words, so long tokens share a prefix of 6
+# to 15 bytes and then differ, in NULs too, or in a character of 2 to 4
+# bytes that straddles byte 8 or 16.
 TOKENS = st.one_of(
     st.sampled_from(["u", "u\x00", "u\x00\x00", "\x00", "ü", "#u",
-                     "u\u2028", "u\x0b"]),
-    st.text(alphabet="ab\x00é #\u2028", min_size=1, max_size=3))
+                     "u\u2028", "u\x0b", "abcdefgh", "abcdefgh\x00",
+                     "abcdefgh\x00\x00\x00", "abcdefgh\x00a",
+                     "abcdefghi", "abcdefgé", "abcdefg€", "abcdefghijklmnopq",
+                     "abcdefghijklmnop\x00"]),
+    st.text(alphabet="ab\x00é #\u2028", min_size=1, max_size=3),
+    st.tuples(st.sampled_from(["abcdef", "abcdefg", "abcdefgh",
+                               "abcdefghijklmno"]),
+              st.text(alphabet="a\x00é€\U0001f600", min_size=1,
+                      max_size=5)).map("".join))
 STAMPS = st.one_of(
     st.sampled_from([" 12", "1_000", "+7", "-5", "\u0663", "12 ", "0",
                      "9223372036854775807", "-9223372036854775807",
@@ -105,6 +115,10 @@ DUPLICATES = ("u\ti\t 12\r\nu\ti\t1_000\ru\x00\ti\n\n# note\r\n"
 # no timestamp ("b", "x0" keeps the one it has).
 TIMED = "".join(f"a\tx{k}\t{t}\nb\tx{k}\t{t}\n" for k, t in
                 enumerate([3, 1, 2, 1, 5, 9, 0, 4, 4, 7])) + "b\tx0\nb\ty\n"
+
+# A byte order mark is part of the first token, and \r\r\n ends two lines.
+BOM_CR = ("\ufeffu\ti\r\r\nu\ti\t4\r\r\n\ufeffu\ti\nv\ti\t2\r"
+          "# x\r\r\nv\tj\r\r")
 
 
 def _load_like_oracle(path, domain):
@@ -140,6 +154,8 @@ def _assert_same_set(got: InteractionSet, expected: InteractionSet):
          min_count=1, seed=0, ratios=((8, 1, 1), (8, 2)))
 @example(source=TIMED, target=TIMED, min_count=2, seed=3,
          ratios=((5, 0, 1), (0.5, 0.5)))
+@example(source=BOM_CR, target=BOM_CR.replace("i", "t"), min_count=1,
+         seed=0, ratios=((8, 1, 1), (8, 2)))
 def test_columnar_setup_matches_record_oracle(source, target, min_count,
                                               seed, ratios):
     kept = {}
@@ -172,6 +188,45 @@ def test_columnar_setup_matches_record_oracle(source, target, min_count,
         oracle = split_per_user(inter, part_ratios, seed)
         for part, want in zip((split.train, split.valid, split.test), oracle):
             _assert_same_set(part, want)
+
+
+def test_load_names_the_line_of_invalid_utf8(tmp_path):
+    path = tmp_path / "a.tsv"
+    path.write_bytes(b"u1\ti1\r\n# note\nu2\ti\xff2\n\tbad\n")
+    with pytest.raises(ParseError) as err:
+        load_interactions(path, DomainId.TARGET)
+    assert (err.value.line_no, err.value.reason) == (3, "invalid UTF-8 at "
+                                                        "byte 5")
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=tsv_texts(), at=st.integers(0, 2**10),
+       junk=st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82",
+                             b"\xed\xa0\x80", b"\xf0\x9f\x98", b"\xc0\xaf"]))
+def test_invalid_utf8_fails_like_record_oracle(text, at, junk):
+    data = text.encode("utf-8")
+    at %= len(data) + 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.tsv"
+        path.write_bytes(data[:at] + junk + data[at:])
+        _load_like_oracle(path, DomainId.TARGET)
+
+
+@pytest.mark.parametrize("last", ["", "u\t" + "i" * 4000 + "\n"],
+                         ids=["synthetic", "one-long-token"])
+def test_load_holds_no_string_per_field(tmp_path, last):
+    # About 1 MB laid out as the synthetic logs are, some lines stamped;
+    # in one case also a 4000-byte token, whose later words only its own
+    # rows read.
+    rng = np.random.default_rng(0)
+    path = tmp_path / "a.tsv"
+    path.write_text("".join(
+        f"u{u:05d}\ti{i:05d}\n" if i % 4 else f"u{u:05d}\ti{i:05d}\t{t}\n"
+        for u, i, t in zip(rng.integers(0, 4000, 70000).tolist(),
+                           rng.integers(0, 2000, 70000).tolist(),
+                           rng.integers(0, 2**40, 70000).tolist())) + last)
+    assert traced_peak(load_interactions, path, DomainId.TARGET) \
+        <= 12 * path.stat().st_size
 
 
 # --- filter_k_core ----------------------------------------------------------

@@ -300,6 +300,36 @@ def test_oracle_build_holds_one_small_block():
     assert peak <= 8 << 20
 
 
+@pytest.mark.parametrize("block", [1, 7, 600, 300 * 300, DEFAULT_BLOCK])
+def test_duplicate_users_are_not_similar_at_gamma_one(monkeypatch, block):
+    # Rounding can put a unit row's product with its copy above 1; no
+    # cosine exceeds 1, so at gamma = 1 no pair is similar.
+    rows = np.random.default_rng(0).normal(size=(150, 64))
+    monkeypatch.setattr(similarity, "BLOCK_ENTRIES", block)
+    for mode, reps in (("embedding", np.repeat(rows, 2, axis=0)),
+                       ("history", np.repeat(rows > 0.5, 2, axis=0))):
+        oracle = build_oracle(mode, reps.astype(np.float64), 1.0)
+        assert oracle.n_pairs == 0 and oracle.max_cosine <= 1.0
+
+
+def test_oracle_norms_are_taken_a_block_at_a_time(monkeypatch):
+    # 12,000 users of 64 dims: a float64 copy is 6.1 MB, squaring it
+    # whole would take as much again, while a block is 0.5 MB.
+    monkeypatch.setattr(similarity, "BLOCK_ENTRIES", 1 << 16)
+    table = np.random.default_rng(0).normal(size=(12000, 64)).astype(
+        np.float32)
+    table[::1000] = 0.0
+    peak = traced_peak(SimilarityOracle.from_embeddings, table, 0.9)
+    assert peak <= table.size * 8 + (2 << 20)
+    # The norms are np.linalg.norm's, bit for bit.
+    values = table[:3000].astype(np.float64)
+    norms = np.linalg.norm(values, axis=1, keepdims=True)
+    want = SimilarityOracle(values / np.where(norms == 0.0, 1.0, norms), 0.3)
+    got = SimilarityOracle.from_embeddings(table[:3000], 0.3)
+    assert want.n_pairs > 0 and (got.graph != want.graph).nnz == 0
+    assert got.max_cosine == want.max_cosine
+
+
 # --- pair extraction ------------------------------------------------------------
 
 def test_extract_pairs_dedups_users():

@@ -1,4 +1,8 @@
 import copy
+import os
+import platform
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -665,3 +669,38 @@ def test_checkpoint_members_are_the_params_in_order(tmp_path, kind,
     assert list(loaded.arrays) == list(back.params()) == list(params)
     for name, values in params.items():
         assert back.params()[name].tobytes() == values.tobytes(), name
+
+
+# --- step memory ---------------------------------------------------------------
+
+STEP_FAULTS = """
+import resource
+from types import SimpleNamespace
+import numpy as np
+from cutrec import trainer
+from cutrec.config import TrainingConfig
+trainer.evaluate_full = lambda *a, **k: SimpleNamespace(means={"ndcg": 0.0})
+
+def step(batch):
+    # Three 2 MB temporaries: once they are freed, the heap top holds
+    # more than twice the largest block glibc has mapped before.
+    parts = [np.ones(1 << 18) for _ in range(3)]
+    return float(sum(part.sum() for part in parts))
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+trainer.fit(SimpleNamespace(params=dict), step, 64, lambda: None, None,
+            TrainingConfig(batch_size=1, max_epochs=1, patience=1),
+            np.random.default_rng(0), "target")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="glibc's dynamic mmap threshold")
+def test_fit_reuses_step_temporaries_in_a_fresh_process():
+    # Faulted in anew on every step, they took 64k pages over 64 steps.
+    out = subprocess.run([sys.executable, "-c", STEP_FAULTS],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ,
+                              "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert int(out.stdout) < 8 * 1024
