@@ -6,7 +6,7 @@ that keeps transformed target representations faithful to the learned
 similarity structure.
 """
 
-from .config import PRESETS, TrainingConfig
+from .config import TrainingConfig
 from .corpus import (CrossDomainDataset, DomainId, InteractionSet,
                      RawInteractions, SplitDataset, build_cross_domain,
                      filter_k_core, load_dataset, load_interactions,
@@ -24,10 +24,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CrossDomainDataset", "CutModel", "DomainId", "ExperimentConfig",
     "InteractionSet", "LossBreakdown", "MetricsReport", "PairSets",
-    "PRESETS", "RawInteractions", "SimilarityOracle", "SplitDataset",
-    "SynthConfig", "TrainingConfig", "build_cross_domain",
-    "evaluate_full", "extract_pairs", "filter_k_core", "generate",
-    "load_dataset", "load_interactions", "run_experiment",
-    "run_target_phase", "run_transfer_phase", "save_dataset", "split_source",
-    "split_target", "subsample_target", "transfer_step",
+    "RawInteractions", "SimilarityOracle", "SplitDataset", "SynthConfig",
+    "TrainingConfig", "build_cross_domain", "evaluate_full",
+    "extract_pairs", "filter_k_core", "generate", "load_dataset",
+    "load_interactions", "run_experiment", "run_target_phase",
+    "run_transfer_phase", "save_dataset", "split_source", "split_target",
+    "subsample_target", "transfer_step",
 ]

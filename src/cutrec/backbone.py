@@ -14,11 +14,10 @@ from .corpus import InteractionSet, SplitDataset
 from .embeddings import (ROLE_ITEM_TARGET, ROLE_USER_TARGET_PHASE1,
                          init_embeddings)
 from .graph import BipartiteGraph, build_graph, propagate
-from .losses import bce_loss, bpr_loss
+from .losses import bce_loss
 from .optim import GradBuffer, distinct_rows
 
 BACKBONE_LIGHTGCN = "lightgcn"
-LOSS_FNS = {"bce": bce_loss, "bpr": bpr_loss}
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,17 +123,20 @@ def rows_read(graph: BipartiteGraph | None, index) -> tuple:
 def domain_forward_backward(user_vals: np.ndarray, item_vals: np.ndarray,
                             graph: BipartiteGraph | None, users: np.ndarray,
                             pos_items: np.ndarray, neg_items: np.ndarray,
-                            loss_fn, weight: float):
-    """One domain's batch loss and the gradient of ``weight * loss`` on
-    the layer-0 user and item values.
+                            weight: float):
+    """One domain's batch loss, ``bce_loss`` over each entry's positive
+    and negative score, and the gradient of ``weight * loss`` on the
+    layer-0 user and item values.
 
     ``user_vals`` holds the user rows that ``rows_read`` gives, and
-    ``users`` index it. With ``S`` the sparse users x items matrix of the
-    score gradients, the gradients on the scored rows are ``S @ items``
-    and ``S.T @ users`` in float64: ``user_vals`` and the batch items, or
-    the propagated tables, whose gradients then go back through the graph
-    in the table dtype. Returns ``(loss, user_grad, (item_rows,
-    item_grad))``, the item rows as ``rows_read`` gives them.
+    ``users`` index it; batch entry ``i`` scores ``users[i]`` against
+    ``pos_items[i]`` and ``neg_items[i]``. With ``S`` the sparse users x
+    items matrix of the score gradients, the gradients on the scored rows
+    are ``S @ items`` and ``S.T @ users`` in float64: ``user_vals`` and
+    the batch items, or the propagated tables, whose gradients then go
+    back through the graph in the table dtype. Returns ``(loss,
+    user_grad, (item_rows, item_grad))``, the item rows as ``rows_read``
+    gives them.
     """
     item_rows, item_local = rows_read(
         graph, np.concatenate([pos_items, neg_items]))
@@ -143,8 +145,8 @@ def domain_forward_backward(user_vals: np.ndarray, item_vals: np.ndarray,
         user_final, item_final = propagate(graph, user_final, item_final)
     u_vecs = user_final[users]
     pos_local, neg_local = np.split(item_local, 2)
-    loss, d_pos, d_neg = loss_fn(row_dots(u_vecs, item_final[pos_local]),
-                                 row_dots(u_vecs, item_final[neg_local]))
+    loss, d_pos, d_neg = bce_loss(row_dots(u_vecs, item_final[pos_local]),
+                                  row_dots(u_vecs, item_final[neg_local]))
     # Both products at once: the stacked rows times the symmetric
     # [[0, S], [S.T, 0]] in COO, an entry per score and side, so that each
     # output row adds its terms in batch order, positives first. Float64
@@ -168,8 +170,8 @@ def domain_forward_backward(user_vals: np.ndarray, item_vals: np.ndarray,
 
 def single_domain_forward_backward(model: SingleDomainModel,
                                    users: np.ndarray, pos_items: np.ndarray,
-                                   neg_items: np.ndarray,
-                                   loss_kind: str) -> tuple[float, GradBuffer]:
+                                   neg_items: np.ndarray
+                                   ) -> tuple[float, GradBuffer]:
     """Forward scores, loss, and hand-derived gradients for one batch."""
     if users.size == 0:
         raise ValueError("batch must be non-empty")
@@ -178,7 +180,7 @@ def single_domain_forward_backward(model: SingleDomainModel,
     rows, local = rows_read(model.graph, users)
     loss, d_user, (item_rows, d_item) = domain_forward_backward(
         params[ROLE_USER_TARGET_PHASE1][rows], params[ROLE_ITEM_TARGET],
-        model.graph, local, pos_items, neg_items, LOSS_FNS[loss_kind], 1.0)
+        model.graph, local, pos_items, neg_items, 1.0)
     buf.add_rows(ROLE_USER_TARGET_PHASE1, rows, d_user)
     buf.add_rows(ROLE_ITEM_TARGET, item_rows, d_item)
     return loss, buf

@@ -34,7 +34,8 @@ _F4 = np.dtype("<f4")
 _TRANSFORM = (TRANSFORM_WEIGHT, TRANSFORM_BIAS)
 # Retired training options that older files record, each with the one
 # value this code still implements.
-_RETIRED = {"transform_init": "identity", "normalized_contrastive": False}
+_RETIRED = {"transform_init": "identity", "normalized_contrastive": False,
+            "weight_decay": 0.0, "loss_kind": "bce"}
 
 
 @dataclass
@@ -74,13 +75,16 @@ class Checkpoint:
 
     def training_config(self) -> TrainingConfig:
         """The saved training config, or a ``CheckpointError``. A retired
-        key is dropped at the one value this code implements."""
+        key is dropped at the one value this code implements: of the same
+        type, or for a number, an int or float of equal value."""
         try:
             saved = self.hyper["training"]
             if isinstance(saved, dict):
                 for key, value in _RETIRED.items():
                     got = saved.get(key, value)
-                    if got != value or type(got) is not type(value):
+                    kinds = ((int, float) if type(value) is float
+                             else (type(value),))
+                    if type(got) not in kinds or got != value:
                         raise CheckpointError(
                             f"checkpoint training config sets retired key "
                             f"{key!r} to {got!r}, not {value!r}")

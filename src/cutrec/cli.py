@@ -59,8 +59,7 @@ def _write_manifest(args, inputs, outputs: list[Path]) -> None:
 
 def _training_config(args) -> TrainingConfig:
     data = corpus.read_json(args.config) if args.config else {}
-    preset = data.pop("preset", None) if isinstance(data, dict) else None
-    cfg = TrainingConfig.from_dict(data, preset=preset)
+    cfg = TrainingConfig.from_dict(data)
     if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
     return cfg

@@ -1,4 +1,4 @@
-"""Training configuration and named presets."""
+"""Training configuration."""
 
 from __future__ import annotations
 
@@ -7,15 +7,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-
-# Per-dataset-style defaults: prediction loss, contrastive weight, weight
-# decay. Everything else keeps the shared defaults below.
-PRESETS = {
-    "amazon-like": {"loss_kind": "bce", "contrastive_weight": 1e-4,
-                    "weight_decay": 1e-6},
-    "douban-like": {"loss_kind": "bpr", "contrastive_weight": 5e-5,
-                    "weight_decay": 1e-7},
-}
 
 # What a field of each annotated type accepts; a bool is not a number.
 _KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
@@ -44,8 +35,6 @@ class TrainingConfig:
     gamma: float = 0.9
     batch_size: int = 2048
     lr: float = 0.001
-    weight_decay: float = 0.0
-    loss_kind: str = "bce"
     backbone: str = "mf"
     k_layers: int = 2
     embedding_dim: int = 64
@@ -74,12 +63,6 @@ class TrainingConfig:
         # lr = 0 trains nothing, which tests use to freeze a model.
         if self.lr < 0.0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.weight_decay < 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, "
-                              f"got {self.weight_decay}")
-        if self.loss_kind not in ("bce", "bpr"):
-            raise ConfigError(f"loss_kind must be 'bce' or 'bpr', "
-                              f"got {self.loss_kind!r}")
         if self.backbone not in ("mf", "lightgcn"):
             raise ConfigError(f"backbone must be 'mf' or 'lightgcn', "
                               f"got {self.backbone!r}")
@@ -97,19 +80,12 @@ class TrainingConfig:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict, preset: str | None = None) -> "TrainingConfig":
+    def from_dict(cls, data: dict) -> "TrainingConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"training config must be an object, "
                               f"got {data!r}")
-        merged: dict = {}
-        if preset is not None:
-            if not isinstance(preset, str) or preset not in PRESETS:
-                raise ConfigError(f"unknown preset {preset!r}; "
-                                  f"available: {sorted(PRESETS)}")
-            merged.update(PRESETS[preset])
         known = {f.name for f in dataclasses.fields(cls)}
-        for key, value in data.items():
+        for key in data:
             if key not in known:
                 raise ConfigError(f"unknown training config key {key!r}")
-            merged[key] = value
-        return cls(**merged)
+        return cls(**data)

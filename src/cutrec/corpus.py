@@ -210,7 +210,7 @@ def _line_error(line: str) -> str:
     if not parts[0] or not parts[1]:
         return "empty user or item token"
     try:
-        return f"timestamp {int(parts[2])} outside int64 range"
+        return f"timestamp {int(parts[2])} outside (-2**63, 2**63)"
     except ValueError:
         return f"invalid timestamp {parts[2]!r}"
 
@@ -261,10 +261,10 @@ def load_interactions(path, domain_id: DomainId) -> RawInteractions:
     """Read a TAB-separated interaction file.
 
     Each line is ``user<TAB>item[<TAB>timestamp]``, where the timestamp is
-    anything ``int()`` reads within int64; lines starting with ``#`` and
-    blank lines are ignored. Duplicate (user, item) pairs are collapsed,
-    keeping the earliest known timestamp. Rows come sorted by user, then
-    item.
+    anything ``int()`` reads in (-2**63, 2**63): int64 but ``NO_TIME``.
+    Lines starting with ``#`` and blank lines are ignored. Duplicate (user,
+    item) pairs are collapsed, keeping the earliest known timestamp. Rows
+    come sorted by user, then item.
 
     The file is parsed as bytes. The loader holds them, one int64 byte
     position per field (the separator that ends it) and a few int64

@@ -127,9 +127,7 @@ class ExperimentConfig:
             raise ConfigError(f"experiment config must be an object, "
                               f"got {data!r}")
         payload = dict(data)
-        preset = payload.pop("preset", None)
-        training = TrainingConfig.from_dict(payload.pop("training", {}),
-                                            preset=preset)
+        training = TrainingConfig.from_dict(payload.pop("training", {}))
         known = {f.name for f in dataclasses.fields(cls)}
         for key in payload:
             if key not in known:

@@ -1,8 +1,8 @@
-"""Implicit-feedback prediction losses with hand-derived gradients.
+"""The implicit-feedback prediction loss with hand-derived gradients.
 
-Both losses return (mean loss, d_loss/d_pos_scores, d_loss/d_neg_scores)
-with the 1/N factor already folded into the gradients. Each gradient
-reuses the loss's softplus: sigma(x) - 1 = expm1(-softplus(-x)), which
+``bce_loss`` returns (mean loss, d_loss/d_pos_scores, d_loss/d_neg_scores)
+with the 1/N factor already folded into the gradients. The gradients
+reuse the loss's softplus: sigma(x) - 1 = expm1(-softplus(-x)), which
 keeps full relative precision where sigma(x) rounds to 1.
 """
 
@@ -28,18 +28,3 @@ def bce_loss(pos_scores: np.ndarray,
     sp_pos, sp_neg = softplus(-pos), softplus(neg)
     loss = (sp_pos.sum() + sp_neg.sum()) / n
     return float(loss), np.expm1(-sp_pos) / n, -np.expm1(-sp_neg) / n
-
-
-def bpr_loss(pos_scores: np.ndarray,
-             neg_scores: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Pairwise ranking loss: mean -ln sigma(s_pos - s_neg) over paired
-    positive/negative scores."""
-    pos = np.asarray(pos_scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
-    if pos.shape != neg.shape:
-        raise ValueError("bpr_loss needs paired scores of equal length")
-    if pos.size == 0:
-        raise ValueError("bpr_loss needs at least one pair")
-    sp = softplus(neg - pos)
-    d_pos = np.expm1(-sp) / pos.size
-    return float(sp.mean()), d_pos, -d_pos

@@ -1,8 +1,7 @@
 """Adam with lazy per-row updates, and a buffer for one step's gradients.
 
-Weight decay is applied as a coupled L2 term added to the gradient before
-the moment update, and only on rows that received gradient in the step.
-Moments follow the parameter dtype.
+Only rows that received gradient in a step move. Moments follow the
+parameter dtype.
 """
 
 from __future__ import annotations
@@ -72,11 +71,9 @@ class GradBuffer:
 
 
 class Adam:
-    def __init__(self, params: Mapping[str, np.ndarray], *, lr: float = 0.001,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: Mapping[str, np.ndarray], *, lr: float = 0.001):
         self.params = dict(params)
         self.lr = lr
-        self.weight_decay = weight_decay
         self.step_count = 0
         self._m = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._v = {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -112,11 +109,9 @@ class Adam:
                 param[rows], m[rows], v[rows] = theta, m_rows, v_rows
 
     def _update(self, param, m, v, grad, bias1: float, bias2: float) -> None:
-        """Adam's update of ``param``, ``m`` and ``v``, in place. A zero
-        decay term could only flip the sign of a zero, which nothing keeps."""
-        g = grad + self.weight_decay * param if self.weight_decay else grad
+        """Adam's update of ``param``, ``m`` and ``v``, in place."""
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += (1.0 - BETA1) * grad
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
+        v += (1.0 - BETA2) * grad * grad
         param -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .backbone import (BACKBONE_LIGHTGCN, LOSS_FNS, SingleDomainModel,
+from .backbone import (BACKBONE_LIGHTGCN, SingleDomainModel,
                        domain_forward_backward, make_scorer, rows_read,
                        sample_negatives_batch,
                        single_domain_forward_backward)
@@ -145,8 +145,7 @@ def run_target_phase(ds: CrossDomainDataset, target_split: SplitDataset,
     model = SingleDomainModel.create(
         config, train,
         np.random.SeedSequence([config.seed, _STREAM_TARGET_INIT]))
-    optimizer = Adam(model.params(), lr=config.lr,
-                     weight_decay=config.weight_decay)
+    optimizer = Adam(model.params(), lr=config.lr)
     shuffle_rng, negative_rng = (
         np.random.default_rng(s) for s in
         np.random.SeedSequence([config.seed, _STREAM_TARGET_TRAIN]).spawn(2))
@@ -156,8 +155,7 @@ def run_target_phase(ds: CrossDomainDataset, target_split: SplitDataset,
         neg_items = sample_negatives_batch(negative_rng, model.n_items,
                                            train, batch_users)
         loss, buf = single_domain_forward_backward(
-            model, batch_users, train.indices[batch], neg_items,
-            config.loss_kind)
+            model, batch_users, train.indices[batch], neg_items)
         optimizer.step(buf.grads())
         return loss
 
@@ -299,7 +297,6 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
     config = model.config
     if src_users.size == 0 or tgt_users.size == 0:
         raise ValueError("both domain batches must be non-empty")
-    loss_fn = LOSS_FNS[config.loss_kind]
     alpha = config.alpha
     lam = config.contrastive_weight
     params = model.params()
@@ -309,7 +306,7 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
     rows, local = rows_read(model.graph_source, src_users)
     l_source, d_user, (item_rows, d_item) = domain_forward_backward(
         model.source_users[rows], params[ROLE_ITEM_SOURCE],
-        model.graph_source, local, src_pos, src_neg, loss_fn, alpha)
+        model.graph_source, local, src_pos, src_neg, alpha)
     buf.add_rows(ROLE_USER, np.arange(model.source_offset, len(
         params[ROLE_USER]))[rows], d_user)
     buf.add_rows(ROLE_ITEM_SOURCE, item_rows, d_item)
@@ -321,7 +318,7 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
     transformed = model.apply_transform(base)
     l_target, d_transformed, (item_rows, d_item) = domain_forward_backward(
         transformed, params[ROLE_ITEM_TARGET], graph, local,
-        tgt_pos, tgt_neg, loss_fn, 1.0 - alpha)
+        tgt_pos, tgt_neg, 1.0 - alpha)
     buf.add_rows(ROLE_ITEM_TARGET, item_rows, d_item)
     d_transformed = d_transformed.astype(np.float64, copy=False)
 
@@ -410,8 +407,7 @@ def run_transfer_phase(ds: CrossDomainDataset, target_split: SplitDataset,
                        "batch", oracle.gamma, oracle.max_cosine)
     model = CutModel.build(ds, target_split, source_split, config,
                            frozen=frozen)
-    optimizer = Adam(model.params(), lr=config.lr,
-                     weight_decay=config.weight_decay)
+    optimizer = Adam(model.params(), lr=config.lr)
     streams = np.random.SeedSequence(
         [config.seed, _STREAM_TRANSFER_TRAIN]).spawn(4)
     shuffle_rng, source_rng, neg_src_rng, neg_tgt_rng = (

@@ -15,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 
-from cutrec.backbone import LOSS_FNS, row_dots
+from cutrec.backbone import row_dots
 from cutrec.contrastive import contrastive_loss
 from cutrec.corpus import (NO_TIME, CrossDomainDataset, DomainId,
                            InteractionSet, RawInteractions, read_arrays,
@@ -23,6 +23,7 @@ from cutrec.corpus import (NO_TIME, CrossDomainDataset, DomainId,
 from cutrec.embeddings import ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET, ROLE_USER
 from cutrec.errors import ParseError
 from cutrec.graph import propagate
+from cutrec.losses import bce_loss
 
 
 def sigmoid_reference(x) -> np.ndarray:
@@ -127,34 +128,31 @@ def dense_contrastive_gradient(values: np.ndarray, sim_mask: np.ndarray,
 
 def adam_row_step(param: np.ndarray, m: np.ndarray, v: np.ndarray,
                   rows: np.ndarray, grad: np.ndarray, t: int, *, lr: float,
-                  weight_decay: float, beta1: float = 0.9,
-                  beta2: float = 0.999, eps: float = 1e-8) -> None:
+                  beta1: float = 0.9, beta2: float = 0.999,
+                  eps: float = 1e-8) -> None:
     """Adam step ``t`` on ``rows`` only, gathered and scattered by index:
     the lazy per-row arithmetic, in place on ``param``, ``m`` and ``v``."""
-    theta = param[rows]
-    g = grad + weight_decay * theta
-    m[rows] = beta1 * m[rows] + (1.0 - beta1) * g
-    v[rows] = beta2 * v[rows] + (1.0 - beta2) * g * g
+    m[rows] = beta1 * m[rows] + (1.0 - beta1) * grad
+    v[rows] = beta2 * v[rows] + (1.0 - beta2) * grad * grad
     step = lr * (m[rows] / (1.0 - beta1 ** t)) \
         / (np.sqrt(v[rows] / (1.0 - beta2 ** t)) + eps)
-    param[rows] = theta - step.astype(param.dtype)
+    param[rows] = param[rows] - step.astype(param.dtype)
 
 
 def adam_dense_step(param: np.ndarray, m: np.ndarray, v: np.ndarray,
                     grad: np.ndarray, t: int, *, lr: float,
-                    weight_decay: float, beta1: float = 0.9,
-                    beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """Adam step ``t`` on the whole table, out of place: the decay term
-    always added, each moment rebuilt from fresh temporaries."""
+                    beta1: float = 0.9, beta2: float = 0.999,
+                    eps: float = 1e-8) -> None:
+    """Adam step ``t`` on the whole table, out of place: each moment
+    rebuilt from fresh temporaries."""
     bias1, bias2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
-    g = grad + weight_decay * param
-    m[...] = beta1 * m + (1.0 - beta1) * g
-    v[...] = beta2 * v + (1.0 - beta2) * g * g
+    m[...] = beta1 * m + (1.0 - beta1) * grad
+    v[...] = beta2 * v + (1.0 - beta2) * grad * grad
     param -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
 
 
 def adam_step_oracle(params: dict, moments: dict, grads: dict, t: int, *,
-                     lr: float, weight_decay: float) -> None:
+                     lr: float) -> None:
     """``Adam.step`` over ``(rows, grad)`` pairs with the formulas above:
     ``adam_dense_step`` where the rows cover the table, else
     ``adam_row_step``; ``moments`` maps a name to its ``(m, v)``."""
@@ -162,11 +160,9 @@ def adam_step_oracle(params: dict, moments: dict, grads: dict, t: int, *,
         param, (m, v) = params[name], moments[name]
         grad = grad.astype(param.dtype)
         if rows.size == param.shape[0]:
-            adam_dense_step(param, m, v, grad, t, lr=lr,
-                            weight_decay=weight_decay)
+            adam_dense_step(param, m, v, grad, t, lr=lr)
         else:
-            adam_row_step(param, m, v, rows, grad, t, lr=lr,
-                          weight_decay=weight_decay)
+            adam_row_step(param, m, v, rows, grad, t, lr=lr)
 
 
 def csr_graph(graph):
@@ -175,7 +171,7 @@ def csr_graph(graph):
 
 
 def per_entry_grads(user_vals, item_vals, graph, users, pos_items,
-                    neg_items, loss_fn, weight, *, row_dtype=np.float64,
+                    neg_items, weight, *, row_dtype=np.float64,
                     back: bool = True):
     """``backbone.domain_forward_backward`` the per-entry way, over whole
     tables: scores in the table dtype (propagated over ``graph`` if given),
@@ -191,8 +187,8 @@ def per_entry_grads(user_vals, item_vals, graph, users, pos_items,
         user_final, item_final = propagate(graph, user_vals, item_vals)
     u_vecs = user_final[users]
     pos_vecs, neg_vecs = item_final[pos_items], item_final[neg_items]
-    loss, d_pos, d_neg = loss_fn(row_dots(u_vecs, pos_vecs),
-                                 row_dots(u_vecs, neg_vecs))
+    loss, d_pos, d_neg = bce_loss(row_dots(u_vecs, pos_vecs),
+                                  row_dots(u_vecs, neg_vecs))
     d_scores = (weight * np.concatenate([d_pos, d_neg]))[:, None]
     d_user = np.zeros(user_final.shape)
     d_item = np.zeros(item_final.shape)
@@ -215,11 +211,9 @@ def lightgcn_transfer_oracle(model, src_users, src_pos, src_neg, tgt_users,
     part as ``np.arange`` rows merged by ``full_table_grads``. Returns the
     target, source and contrastive losses and the gradients."""
     config, params = model.config, model.params()
-    loss_fn = LOSS_FNS[config.loss_kind]
     l_source, d_user, d_item = per_entry_grads(
         model.source_users, params[ROLE_ITEM_SOURCE],
-        model.graph_source, src_users, src_pos, src_neg, loss_fn,
-        config.alpha)
+        model.graph_source, src_users, src_pos, src_neg, config.alpha)
     row_parts = {
         ROLE_USER: [(np.arange(len(d_user)) + model.source_offset, d_user)],
         ROLE_ITEM_SOURCE: [(np.arange(len(d_item)), d_item)]}
@@ -227,7 +221,7 @@ def lightgcn_transfer_oracle(model, src_users, src_pos, src_neg, tgt_users,
     transformed = model.apply_transform(base)
     l_target, d_transformed, d_item = per_entry_grads(
         transformed, params[ROLE_ITEM_TARGET],
-        model.graph_target, tgt_users, tgt_pos, tgt_neg, loss_fn,
+        model.graph_target, tgt_users, tgt_pos, tgt_neg,
         1.0 - config.alpha)
     row_parts[ROLE_ITEM_TARGET] = [(np.arange(len(d_item)), d_item)]
     d_transformed = d_transformed.astype(np.float64)
@@ -438,7 +432,7 @@ def load_records(path) -> tuple:
                     f"invalid timestamp {parts[2]!r}") from None
             if not NO_TIME < ts <= 2**63 - 1:
                 raise ParseError(path, line_no,
-                                 f"timestamp {ts} outside int64 range")
+                                 f"timestamp {ts} outside (-2**63, 2**63)")
         key = (user, item)
         if key in best:
             prev = best[key]

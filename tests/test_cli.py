@@ -272,7 +272,7 @@ EXPERIMENT_BASE = {"data": {"synthetic": SYNTH_CFG}, "training": TRAIN_CFG,
     ({"sparsity_fractions": ["0.5"]}, "sparsity_fractions entry must be"),
     ({"sparsity_fractions": [float("inf")]}, "must be finite"),
     ({"training": [1]}, "training config must be an object"),
-    ({"preset": ["amazon-like"]}, "unknown preset"),
+    ({"preset": ["amazon-like"]}, "unknown experiment config key 'preset'"),
     ({"data": {"archive": 5}}, "data.archive must be a string"),
     ({"data": ["x"]}, "data must be an object"),
     # An archive's splits are fixed: a split setting it ignores is refused.
@@ -600,27 +600,34 @@ def test_phase1_narrower_than_its_embedding_dim_is_runtime_failure(
 
 def test_checkpoint_with_retired_keys_at_their_value_evaluates_the_same(
         pipeline_dirs):
-    # Files written before transform_init and normalized_contrastive were
-    # retired record both; at these values they load as they did.
+    # Files written before an option was retired record it; at the value
+    # this code implements they load as they did. A retired number may
+    # have come from a user config as an int.
     tmp_path, train_cfg, data_dir = pipeline_dirs
     ckpt = Path(train_checkpoint(tmp_path, train_cfg, data_dir, "cut"))
-    old = tmp_path / "old.ckpt"
-    old.write_bytes(ckpt.read_bytes())
-    rewrite_arrays(old, lambda header, arrays: header["hyper"]["training"]
-                   .update(transform_init="identity",
-                           normalized_contrastive=False))
-    assert old.read_bytes() != ckpt.read_bytes()
+    paths = [ckpt]
+    for decay in (0.0, 0):
+        old = tmp_path / f"old-{type(decay).__name__}.ckpt"
+        old.write_bytes(ckpt.read_bytes())
+        rewrite_arrays(old, lambda header, arrays: header["hyper"]["training"]
+                       .update(transform_init="identity",
+                               normalized_contrastive=False,
+                               weight_decay=decay, loss_kind="bce"))
+        assert old.read_bytes() != ckpt.read_bytes()
+        paths.append(old)
     reports = []
-    for path, out in ((ckpt, "eval-new"), (old, "eval-old")):
+    for path in paths:
+        out = tmp_path / f"eval-{path.stem}"
         assert main(["evaluate", "--checkpoint", str(path), "--data",
-                     str(data_dir), "--out", str(tmp_path / out)]) == 0
-        reports.append((tmp_path / out / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+                     str(data_dir), "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports == reports[:1] * 3
 
 
 @pytest.mark.parametrize("key, value", [
     ("normalized_contrastive", True), ("transform_init", "random"),
-    ("normalized_contrastive", 0)])
+    ("normalized_contrastive", 0), ("loss_kind", "bpr"),
+    ("weight_decay", 1e-6), ("weight_decay", False)])
 def test_checkpoint_with_retired_key_set_is_runtime_failure(
         phase1_checkpoint, tmp_path, capsys, key, value):
     data_dir, good = phase1_checkpoint
@@ -970,11 +977,13 @@ def test_evaluate_k_zero_is_validation_error(pipeline_dirs, capsys):
     ({"lr": "0.01"}, "lr must be a number"),
     ({"lr": float("nan")}, "lr must be finite"),
     ({"lr": -0.01}, "lr must be >= 0"),
-    ({"weight_decay": -1e-6}, "weight_decay must be >= 0"),
+    # Retired: every run trains without weight decay, and no preset exists.
+    ({"weight_decay": -1e-6}, "unknown training config key 'weight_decay'"),
+    ({"preset": "amazon-like"}, "unknown training config key 'preset'"),
     ({"no_contrastive": "yes"}, "no_contrastive must be true or false"),
     ({"seed": -1}, "seed must be >= 0"),
 ], ids=["batch-str", "dim-bool", "epochs-float", "batch-float", "lr-str",
-        "lr-nan", "lr-negative", "decay-negative", "flag-str",
+        "lr-nan", "lr-negative", "decay-negative", "preset", "flag-str",
         "seed-negative"])
 def test_bad_training_config_is_validation_error(pipeline_dirs, capsys, bad,
                                                  word):

@@ -63,6 +63,19 @@ def test_load_skips_comments_and_errors_on_empty(tmp_path):
         load_interactions(path, DomainId.TARGET)
 
 
+@pytest.mark.parametrize("stamp", [-2**63, 2**63])
+def test_load_names_the_timestamp_range_it_accepts(tmp_path, stamp):
+    # -2**63 lies inside int64 but is NO_TIME, which no line may set; the
+    # first line holds the accepted bound next to it.
+    inside = stamp + 1 if stamp < 0 else stamp - 1
+    path = tmp_path / "a.tsv"
+    path.write_text(f"u1\ti1\t{inside}\nu1\ti2\t{stamp}\n")
+    with pytest.raises(ParseError) as err:
+        load_interactions(path, DomainId.TARGET)
+    assert (err.value.line_no, err.value.reason) == (
+        2, f"timestamp {stamp} outside (-2**63, 2**63)")
+
+
 def test_load_missing_file():
     with pytest.raises(FileNotFoundError):
         load_interactions("/nonexistent/file.tsv", DomainId.TARGET)

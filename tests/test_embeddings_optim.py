@@ -44,7 +44,7 @@ def test_empty_table_and_finite_check():
 
 def test_adam_zero_gradient_is_noop():
     param = np.array([[1.0, -2.0]], dtype=np.float64)
-    opt = Adam({"p": param}, lr=0.01, weight_decay=0.0)
+    opt = Adam({"p": param}, lr=0.01)
     opt.step({"p": (np.array([0]), np.zeros((1, 2)))})
     assert np.array_equal(param, [[1.0, -2.0]])
 
@@ -66,17 +66,16 @@ def test_adam_dense_and_sparse_paths_agree():
     dense_param = rng.normal(size=(4, 3))
     sparse_param = np.vstack([dense_param, np.ones((1, 3))])
     grad = rng.normal(size=(4, 3))
-    opt_a = Adam({"p": dense_param}, lr=0.01, weight_decay=0.1)
-    opt_b = Adam({"p": sparse_param}, lr=0.01, weight_decay=0.1)
+    opt_a = Adam({"p": dense_param}, lr=0.01)
+    opt_b = Adam({"p": sparse_param}, lr=0.01)
     opt_a.step({"p": (np.arange(4), grad)})
     opt_b.step({"p": (np.arange(4), grad)})
     np.testing.assert_allclose(dense_param, sparse_param[:4], atol=1e-15)
     np.testing.assert_array_equal(sparse_param[4], 1.0)
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_adam_full_coverage_matches_row_path_bytes(dtype, weight_decay):
+def test_adam_full_coverage_matches_row_path_bytes(dtype):
     # Rows that cover the table take the dense path; the table and both
     # moments, in the table dtype, must come out as the per-row arithmetic
     # leaves them.
@@ -84,37 +83,33 @@ def test_adam_full_coverage_matches_row_path_bytes(dtype, weight_decay):
     param = rng.normal(size=(7, 4)).astype(dtype)
     expected = param.copy()
     m, v = np.zeros_like(param), np.zeros_like(param)
-    opt = Adam({"p": param}, lr=0.01, weight_decay=weight_decay)
+    opt = Adam({"p": param}, lr=0.01)
     for t in range(1, 9):
         rows = (np.arange(7) if t % 2 else
                 np.sort(rng.choice(7, size=3, replace=False)))
         grad = rng.normal(size=(rows.size, 4)).astype(dtype)
         opt.step({"p": (rows, grad)})
-        adam_row_step(expected, m, v, rows, grad, t, lr=0.01,
-                      weight_decay=weight_decay)
+        adam_row_step(expected, m, v, rows, grad, t, lr=0.01)
         assert param.tobytes() == expected.tobytes()
         assert opt._m["p"].tobytes() == m.tobytes()
         assert opt._v["p"].tobytes() == v.tobytes()
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_adam_in_place_dense_step_matches_out_of_place_formula(dtype,
-                                                                weight_decay):
-    # Signed zeros in the gradient and the table: the decay term skipped
-    # at zero decay could only have flipped a zero's sign.
+def test_adam_in_place_dense_step_matches_out_of_place_formula(dtype):
+    # Signed zeros in the gradient and the table, which the in-place
+    # update must leave as the formula does.
     rng = np.random.default_rng(8)
     param = rng.normal(size=(60, 5)).astype(dtype)
     param[rng.random(param.shape) < 0.1] = -0.0
     expected = param.copy()
     m, v = np.zeros_like(param), np.zeros_like(param)
-    opt = Adam({"p": param}, lr=0.01, weight_decay=weight_decay)
+    opt = Adam({"p": param}, lr=0.01)
     for t in range(1, 21):
         grad = rng.normal(size=param.shape).astype(dtype)
         grad[rng.random(param.shape) < 0.2] = -0.0
         opt.step({"p": (np.arange(60), grad)})
-        adam_dense_step(expected, m, v, grad, t, lr=0.01,
-                        weight_decay=weight_decay)
+        adam_dense_step(expected, m, v, grad, t, lr=0.01)
         assert param.tobytes() == expected.tobytes()
         assert opt._m["p"].tobytes() == m.tobytes()
         assert opt._v["p"].tobytes() == v.tobytes()
@@ -126,8 +121,8 @@ def test_float32_adam_tracks_float64():
     rng = np.random.default_rng(11)
     p64 = rng.normal(scale=0.4, size=(50, 8))
     p32 = p64.astype(np.float32)
-    opt64 = Adam({"p": p64}, lr=0.01, weight_decay=1e-4)
-    opt32 = Adam({"p": p32}, lr=0.01, weight_decay=1e-4)
+    opt64 = Adam({"p": p64}, lr=0.01)
+    opt32 = Adam({"p": p32}, lr=0.01)
     for t in range(200):
         rows = (np.arange(50) if t % 3 == 0 else
                 np.unique(rng.integers(0, 50, size=20)))
@@ -175,19 +170,10 @@ def test_adam_large_finite_gradient_steps_float32_table():
 
 def test_adam_untouched_rows_unchanged():
     param = np.ones((5, 2), dtype=np.float32)
-    opt = Adam({"p": param}, lr=0.1, weight_decay=0.5)
+    opt = Adam({"p": param}, lr=0.1)
     opt.step({"p": (np.array([1, 3]), np.full((2, 2), 0.7))})
     np.testing.assert_array_equal(param[[0, 2, 4]], 1.0)
     assert np.all(param[[1, 3]] != 1.0)
-
-
-def test_adam_weight_decay_coupled():
-    # With zero raw gradient but nonzero decay, touched rows still move.
-    param = np.full((2, 2), 2.0)
-    opt = Adam({"p": param}, lr=0.001, weight_decay=0.1)
-    opt.step({"p": (np.array([0]), np.zeros((1, 2)))})
-    assert np.all(param[0] < 2.0)
-    np.testing.assert_array_equal(param[1], 2.0)
 
 
 def test_adam_nan_gradient_names_parameter():
@@ -201,7 +187,7 @@ def test_adam_bit_identical_runs():
     def run():
         rng = np.random.default_rng(42)
         param = rng.normal(size=(6, 4)).astype(np.float32)
-        opt = Adam({"p": param}, lr=0.01, weight_decay=1e-4)
+        opt = Adam({"p": param}, lr=0.01)
         for _ in range(50):
             rows = rng.choice(6, size=3, replace=False)
             opt.step({"p": (np.sort(rows), rng.normal(size=(3, 4)))})

@@ -46,21 +46,9 @@ def test_config_rejects_unknown_keys():
         synth_experiment_config(variants=["cut", "unknown-variant"])
 
 
-def test_preset_applies_per_dataset_defaults():
-    cfg = ExperimentConfig.from_dict({
-        "data": {"archive": "x"}, "preset": "douban-like"})
-    assert cfg.training.loss_kind == "bpr"
-    assert cfg.training.contrastive_weight == pytest.approx(5e-5)
-    assert cfg.training.weight_decay == pytest.approx(1e-7)
-    amazon = ExperimentConfig.from_dict({
-        "data": {"archive": "x"}, "preset": "amazon-like"})
-    assert amazon.training.loss_kind == "bce"
-    assert amazon.training.contrastive_weight == pytest.approx(1e-4)
-    assert amazon.training.weight_decay == pytest.approx(1e-6)
-
-
 @pytest.mark.parametrize("key, value", [
-    ("transform_init", "identity"), ("normalized_contrastive", False)])
+    ("transform_init", "identity"), ("normalized_contrastive", False),
+    ("weight_decay", 0.0), ("loss_kind", "bce")])
 def test_training_config_rejects_retired_keys(key, value):
     # Even at the value the code still implements: only checkpoints
     # written before the option was retired may carry it.

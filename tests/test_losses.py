@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cutrec.losses import bce_loss, bpr_loss
+from cutrec.losses import bce_loss
 
 from helpers import fd_gradient, sigmoid_reference
 
@@ -47,10 +47,6 @@ def test_gradients_keep_relative_precision_over_wide_scores():
     n = 2 * scores.size
     assert relative_error(d_pos, -sigmoid_reference(-scores) / n) <= 1e-15
     assert relative_error(d_neg, sigmoid_reference(scores) / n) <= 1e-15
-    _, d_pos, d_neg = bpr_loss(scores, np.zeros_like(scores))
-    expected = -sigmoid_reference(-scores) / scores.size
-    assert relative_error(d_pos, expected) <= 1e-15
-    assert relative_error(d_neg, -expected) <= 1e-15
 
 
 def test_bce_gradient_matches_finite_difference():
@@ -66,36 +62,6 @@ def test_bce_gradient_matches_finite_difference():
     np.testing.assert_allclose(d_neg, fd_neg, rtol=1e-5)
 
 
-def test_bpr_equal_scores_is_ln2():
-    loss, _, _ = bpr_loss(np.array([1.5]), np.array([1.5]))
-    assert loss == pytest.approx(math.log(2.0), rel=1e-12)
-
-
-def test_bpr_large_margin_is_zero():
-    loss, _, _ = bpr_loss(np.array([30.0]), np.array([0.0]))
-    assert loss == pytest.approx(0.0, abs=1e-12)
-
-
-def test_bpr_gradient_matches_finite_difference():
-    rng = np.random.default_rng(1)
-    pos = rng.normal(size=5)
-    neg = rng.normal(size=5)
-    _, d_pos, d_neg = bpr_loss(pos, neg)
-    fd_pos = fd_gradient(lambda: bpr_loss(pos, neg)[0], pos,
-                         range(pos.size), h=1e-5)
-    fd_neg = fd_gradient(lambda: bpr_loss(pos, neg)[0], neg,
-                         range(neg.size), h=1e-5)
-    np.testing.assert_allclose(d_pos, fd_pos, rtol=1e-5)
-    np.testing.assert_allclose(d_neg, fd_neg, rtol=1e-5)
-
-
-def test_bpr_requires_paired_lengths():
-    with pytest.raises(ValueError):
-        bpr_loss(np.array([1.0, 2.0]), np.array([1.0]))
-
-
 def test_empty_inputs_rejected():
     with pytest.raises(ValueError):
         bce_loss(np.array([]), np.array([]))
-    with pytest.raises(ValueError):
-        bpr_loss(np.array([]), np.array([]))
