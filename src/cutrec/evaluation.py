@@ -23,7 +23,11 @@ BLOCK_ENTRIES = 1 << 18
 
 def top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the indices and values of the ``min(k, n_items)`` best
-    scores, by score descending, then index ascending."""
+    scores, by score descending, then index ascending; -0.0 ties with 0.0.
+    Only entries at or above a lower bound of the row's k-th best score are
+    ranked. Of those equal to the bound, which rank last, a row can pick
+    only its first k - (entries above it) by index; when the candidates
+    average more than 2k a row, the rest are dropped before the sort."""
     n_rows, n_items = scores.shape
     k = min(k, n_items)
     # k distinct entries reach the k-th largest of >= k chunk maxima, so it
@@ -34,12 +38,27 @@ def top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
                                  axis=1)
     if np.isnan(maxima).any():
         raise ValueError("scores hold NaN; cannot rank them")
-    bound = np.partition(maxima, -k, axis=1)[:, -k, None]
-    # Row-major candidates, so the stable sort keeps ties index-ascending.
-    flat = np.flatnonzero(scores >= bound)
-    rows, values = flat // n_items, np.take(scores, flat)
-    order = np.lexsort((-values, rows))
-    counts = np.bincount(rows, minlength=n_rows)
+    bound = np.partition(maxima, -k, axis=1)[:, -k]
+    # Row r's candidates, at least k, are flat[starts[r]:starts[r + 1]].
+    flat = np.flatnonzero(scores >= bound[:, None])
+    values = np.take(scores, flat)
+    starts = np.searchsorted(flat, np.arange(n_rows + 1) * n_items)
+    counts = starts[1:] - starts[:-1]
+    if flat.size > 2 * k * n_rows:
+        keep = values > np.repeat(bound, counts)
+        ties = np.flatnonzero(~keep)
+        tie_starts = np.searchsorted(ties, starts)
+        above = np.diff(starts - tie_starts)
+        first = tie_starts[:-1, None] + np.arange(k)
+        keep[ties[first[np.arange(k) < k - above[:, None]]]] = True
+        flat, values, counts = flat[keep], values[keep], np.maximum(above, k)
+    # Sort by row, then by the score's rank descending. Equal scores share a
+    # rank, so the stable sort keeps them in index order.
+    order = np.argsort(values)
+    ordered = values[order]
+    ranks = np.zeros(values.size, dtype=np.int64)
+    ranks[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
+    order = np.argsort(flat // n_items * values.size - ranks, kind="stable")
     pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
     return flat[pick] % n_items, values[pick]
 
@@ -79,9 +98,10 @@ def evaluate_full(scorer, split: SplitDataset, *, k: int = 10,
     with at least one held-out interaction.
 
     ``scorer(users)`` takes an int64 array of user ids and returns their
-    ``(len(users), n_items)`` score block as a fresh array; masked items
-    are written into it as -inf and never count as hits. ``part='test'``
-    masks train+valid items; ``part='valid'`` masks train items only.
+    ``(len(users), n_items)`` score block as a fresh array of any memory
+    layout; masked items are written into it as -inf and never count as
+    hits. ``part='test'`` masks train+valid items; ``part='valid'`` masks
+    train items only.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValueError(f"k must be an integer, got {k!r}")
@@ -101,23 +121,25 @@ def evaluate_full(scorer, split: SplitDataset, *, k: int = 10,
                           for rank in range(1, min(k, n_items) + 1)])
     ideal = np.cumsum(discounts)
     block = max(1, BLOCK_ENTRIES // n_items)
-    blocks = []
+    ranked = []
     for start in range(0, held.n_users, block):
         stop = min(start + block, held.n_users)
         scores = scorer(np.arange(start, stop))
         for p in mask_parts if mask_seen else ():
             lo, hi = p.indptr[start], p.indptr[stop]
-            scores[p.users[lo:hi] - start, p.indices[lo:hi]] = -np.inf
+            np.put(scores, p.keys[lo:hi] - start * n_items, -np.inf)
         keep = n_held[start:stop] > 0
-        items, values = (ranked[keep] for ranked in top_k(scores, k))
-        keys = np.arange(start, stop)[keep, None] * n_items + items
-        pos = np.minimum(np.searchsorted(held.keys, keys), held.keys.size - 1)
-        hit = (held.keys[pos] == keys) & (values != -np.inf)
-        hits, counts = hit.sum(axis=1), n_held[start:stop][keep]
-        blocks.append((hits / counts, (hits > 0).astype(np.float64),
-                       np.cumsum(hit * discounts, axis=1)[:, -1]
-                       / ideal[np.minimum(counts, k) - 1]))
-    per_user = dict(zip(METRIC_NAMES, map(np.concatenate, zip(*blocks))))
+        ranked.append([r[keep] for r in top_k(scores, k)])
+    items, values = map(np.concatenate, zip(*ranked))
+    users = np.flatnonzero(n_held)
+    keys = users[:, None] * n_items + items
+    pos = np.minimum(np.searchsorted(held.keys, keys), held.keys.size - 1)
+    hit = (held.keys[pos] == keys) & (values != -np.inf)
+    hits, counts = hit.sum(axis=1), n_held[users]
+    per_user = {"recall": hits / counts,
+                "hr": (hits > 0).astype(np.float64),
+                "ndcg": np.cumsum(hit * discounts, axis=1)[:, -1]
+                / ideal[np.minimum(counts, k) - 1]}
     means = {name: float(np.mean(vals)) for name, vals in per_user.items()}
     stds = {name: float(np.std(vals)) for name, vals in per_user.items()}
-    return MetricsReport(means, stds, k, int((n_held > 0).sum()), seed)
+    return MetricsReport(means, stds, k, users.size, seed)

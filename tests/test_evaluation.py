@@ -47,24 +47,38 @@ def test_rank_k_exceeding_catalogue_returns_all_unmasked():
     assert unmasked(items[0], values[0]) == [3, 2, 0]
 
 
+# Values that a sort key can confuse: -0.0 ties with 0.0, a float32
+# subnormal and +inf rank as values, and 1.0 + 2**-40 lies above 1.0 in
+# float64 only.
+CLOSE_PAIRS = [(-0.0, 0.0), (0.0, 1e-40), (1.0, 1.0 + 2**-40), (1.0, np.inf)]
+TIE_VALUES = [-np.inf, -1.0, -0.0, 0.0, 1e-40, 0.25, 0.5, 1.0, 1.0 + 2**-40,
+              np.inf]
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_rank_matches_full_sort_oracle(data):
     # Catalogues up to 300 items and k up to 30, so that the chunk bound
-    # sees many chunk widths and leftover columns. Scores from a small set
-    # make ties the rule, not the exception; some rows are all -inf or keep
-    # fewer finite scores than k.
+    # sees many chunk widths and leftover columns. Scores from a palette of
+    # a close pair and up to two more values make ties the rule, not the
+    # exception; some rows hold one value throughout, and some are all -inf
+    # or keep fewer finite scores than k.
     shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 300)))
     dtype = data.draw(st.sampled_from([np.float32, np.float64]))
     k = data.draw(st.integers(1, 30))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if data.draw(st.booleans()):
-        scores = rng.choice([-np.inf, -1.0, 0.0, 0.25, 0.5, 1.0], size=shape)
+        palette = [*data.draw(st.sampled_from(CLOSE_PAIRS)),
+                   *data.draw(st.lists(st.sampled_from(TIE_VALUES),
+                                       max_size=2))]
+        scores = rng.choice(palette, size=shape)
     else:
         scores = rng.normal(scale=10.0, size=shape)
         scores[rng.random(shape) < data.draw(st.sampled_from([0, 0.1, 0.9]))] \
             = -np.inf
     scores = scores.astype(dtype)
+    for row in data.draw(st.lists(st.integers(0, shape[0] - 1), max_size=2)):
+        scores[row] = data.draw(st.sampled_from(TIE_VALUES))
     for row in data.draw(st.lists(st.integers(0, shape[0] - 1), max_size=3)):
         finite = data.draw(st.integers(0, k - 1))
         scores[row, rng.permutation(shape[1])[finite:]] = -np.inf
@@ -79,6 +93,16 @@ def test_rank_matches_full_sort_oracle(data):
         masked = np.flatnonzero(row == -np.inf)
         assert unmasked(row_items, row_values) == \
             full_sort_topk(row, masked, k)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pair", CLOSE_PAIRS, ids=str)
+def test_rank_orders_close_pairs(pair, dtype):
+    # Each pair's values alternate along the row, lower value first.
+    scores = np.resize(np.array(pair, dtype=dtype), (1, 9))
+    for k in (1, 4, 9):
+        assert top_k(scores, k)[0][0].tolist() == \
+            full_sort_topk(scores[0], None, k), k
 
 
 @pytest.mark.parametrize("column", [4, 22], ids=["in-chunk", "leftover"])
@@ -235,8 +259,21 @@ def test_evaluate_matches_full_sort_oracle(monkeypatch):
         means, stds = per_user_metrics(table, split, k, part, mask_seen)
         case = (entries, k, part, mask_seen)
         assert (report.means, report.stds) == (means, stds), case
+        assert report.to_dict()["K"] == k, case
         held = split.test if part == "test" else split.valid
         assert report.n_users == sum(row.size > 0 for row in held.rows), case
+
+
+def test_evaluate_masks_a_block_of_any_layout():
+    # The masks must reach the scorer's block itself, not a C-ordered copy.
+    rng = np.random.default_rng(6)
+    split = oracle_split(rng)
+    table = rng.normal(size=(split.train.n_users, split.train.n_items))
+    for part in ("test", "valid"):
+        expected = evaluate_full(lambda users: table[users], split, part=part)
+        report = evaluate_full(
+            lambda users: np.asfortranarray(table[users]), split, part=part)
+        assert report == expected, part
 
 
 def test_evaluate_repeatable():
