@@ -35,7 +35,7 @@ _TRANSFORM = (TRANSFORM_WEIGHT, TRANSFORM_BIAS)
 # Retired training options that older files record, each with the one
 # value this code still implements.
 _RETIRED = {"transform_init": "identity", "normalized_contrastive": False,
-            "weight_decay": 0.0, "loss_kind": "bce"}
+            "weight_decay": 0.0, "loss_kind": "bce", "no_contrastive": False}
 
 
 @dataclass
@@ -76,10 +76,14 @@ class Checkpoint:
     def training_config(self) -> TrainingConfig:
         """The saved training config, or a ``CheckpointError``. A retired
         key is dropped at the one value this code implements: of the same
-        type, or for a number, an int or float of equal value."""
+        type, or for a number, an int or float of equal value. A recorded
+        ``no_contrastive`` true is read as ``contrastive_weight`` 0."""
         try:
             saved = self.hyper["training"]
             if isinstance(saved, dict):
+                if saved.get("no_contrastive") is True:
+                    saved = dict(saved, no_contrastive=False,
+                                 contrastive_weight=0.0)
                 for key, value in _RETIRED.items():
                     got = saved.get(key, value)
                     kinds = ((int, float) if type(value) is float

@@ -120,7 +120,8 @@ def cmd_train_transfer(args) -> int:
     ds, target_split, source_split = corpus.load_dataset(args.data)
     inputs = [args.data / corpus.ARCHIVE_FILE]
     frozen = None
-    if cfg.warm_start or not (cfg.no_contrastive or cfg.history_similarity):
+    if cfg.warm_start or (cfg.contrastive_weight > 0
+                          and not cfg.history_similarity):
         if not args.phase1:
             raise ConfigError("--phase1 checkpoint required for warm_start "
                               "and for the embedding similarity oracle")

@@ -30,6 +30,7 @@ class TrainingConfig:
     schedule, seed and the variant switches."""
 
     alpha: float = 0.2
+    # λ: at 0 the contrastive term is off and phase two builds no oracle.
     contrastive_weight: float = 1e-4
     temperature: float = 0.1
     gamma: float = 0.9
@@ -42,7 +43,6 @@ class TrainingConfig:
     patience: int = 10
     seed: int = 0
     # Ablation switches.
-    no_contrastive: bool = False
     no_transform: bool = False
     history_similarity: bool = False
     # Non-default variant: phase two starts the target users from the

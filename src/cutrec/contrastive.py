@@ -10,8 +10,8 @@ where z is the raw dot product of the transformed user vectors: they are
 not normalised, so the term also sees the transform's scale. The |A|
 factor means individual terms may go negative; the value is 0 when all
 transformed vectors coincide or when S is empty. Phase two minimises
-(1 - alpha) * L_t + alpha * L_s + lambda * L_c, with this term as L_c
-(``trainer.transfer_forward_backward``).
+(1 - alpha) * L_t + alpha * L_s + lambda * L_c, with this term as L_c;
+at lambda = 0 ``trainer.run_transfer_phase`` skips it and its oracle.
 """
 
 from __future__ import annotations

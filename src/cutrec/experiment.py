@@ -26,11 +26,12 @@ logger = logging.getLogger(__name__)
 # Variant name -> TrainingConfig overrides (None = phase-one model only).
 VARIANTS: dict[str, dict | None] = {
     "target-only": None,
-    "joint": {"no_transform": True, "no_contrastive": True},
+    "joint": {"no_transform": True, "contrastive_weight": 0.0},
     "cut": {},
     "cut-no-transform": {"no_transform": True},
-    "cut-no-contrastive": {"no_contrastive": True},
+    "cut-no-contrastive": {"contrastive_weight": 0.0},
     "cut-history": {"history_similarity": True},
+    "cut-warm": {"warm_start": True},
 }
 
 DEFAULT_VARIANTS = ("target-only", "joint", "cut")

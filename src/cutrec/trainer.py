@@ -290,10 +290,8 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
                               tgt_neg: np.ndarray,
                               pairs: PairSets | None
                               ) -> tuple[LossBreakdown, GradBuffer]:
-    """One combined-objective forward/backward pass (no optimizer step).
-
-    ``pairs`` must be None when the contrastive term is disabled.
-    """
+    """One combined-objective forward/backward pass (no optimizer step),
+    with the contrastive term whenever ``pairs`` holds similar pairs."""
     config = model.config
     if src_users.size == 0 or tgt_users.size == 0:
         raise ValueError("both domain batches must be non-empty")
@@ -351,18 +349,14 @@ def transfer_step(model: CutModel, optimizer: Adam,
                   src_train: InteractionSet, tgt_train: InteractionSet,
                   rng_src: np.random.Generator,
                   rng_tgt: np.random.Generator) -> LossBreakdown:
-    """Negative sampling, pair extraction, combined gradients, one Adam
-    step over all touched parameters."""
-    config, params = model.config, model.params()
+    """Negative sampling, pair extraction (only given an ``oracle``),
+    combined gradients, one Adam step over all touched parameters."""
+    params = model.params()
     src_neg = sample_negatives_batch(rng_src, len(params[ROLE_ITEM_SOURCE]),
                                      src_train, src_users)
     tgt_neg = sample_negatives_batch(rng_tgt, len(params[ROLE_ITEM_TARGET]),
                                      tgt_train, tgt_users)
-    pairs = None
-    if not config.no_contrastive:
-        if oracle is None:
-            raise ConfigError("contrastive training requires a similarity oracle")
-        pairs = extract_pairs(tgt_users, oracle)
+    pairs = None if oracle is None else extract_pairs(tgt_users, oracle)
     breakdown, buf = transfer_forward_backward(
         model, src_users, src_pos, src_neg, tgt_users, tgt_pos, tgt_neg, pairs)
     optimizer.step(buf.grads())
@@ -384,15 +378,15 @@ def run_transfer_phase(ds: CrossDomainDataset, target_split: SplitDataset,
                        ) -> TransferPhaseResult:
     """Train the phase-two model on paired source/target batch streams.
 
-    The contrastive term reads no oracle under ``no_contrastive``, the
-    target training history's under ``history_similarity``, and else
-    ``oracle`` or, without one, that of ``frozen``, the phase-one table.
-    Epochs follow the target stream; the source stream reshuffles and
-    recycles. Early-stops on target validation NDCG@10 and returns the
-    best-validation model.
+    At ``contrastive_weight`` 0 the contrastive term is off and no oracle
+    is built or read. Else it reads the target training history's oracle
+    under ``history_similarity``, else ``oracle`` or, without one, that of
+    ``frozen``, the phase-one table. Epochs follow the target stream; the
+    source stream reshuffles and recycles. Early-stops on target
+    validation NDCG@10 and returns the best-validation model.
     """
     tgt, src = target_split.train, source_split.train
-    if config.no_contrastive:
+    if config.contrastive_weight == 0.0:
         oracle = None
     elif config.history_similarity:
         oracle = SimilarityOracle.from_history(tgt, config.gamma)

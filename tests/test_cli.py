@@ -69,7 +69,7 @@ def cut_checkpoint(phase1_checkpoint, tmp_path_factory):
     data_dir, _ = phase1_checkpoint
     tmp_path = tmp_path_factory.mktemp("cut")
     joint = write_json(tmp_path / "joint.json",
-                       {**TRAIN_CFG, "no_contrastive": True})
+                       {**TRAIN_CFG, "contrastive_weight": 0.0})
     assert main(["train-transfer", "--data", str(data_dir), "--config",
                  str(joint), "--out", str(tmp_path / "cut")]) == 0
     return data_dir, (tmp_path / "cut" / "cut.ckpt").read_bytes()
@@ -624,10 +624,37 @@ def test_checkpoint_with_retired_keys_at_their_value_evaluates_the_same(
     assert reports == reports[:1] * 3
 
 
+def test_checkpoint_recording_no_contrastive_reads_it_as_zero_weight(
+        pipeline_dirs):
+    # Files written before no_contrastive was retired record it next to a
+    # weight; a run with it true trained as one at weight 0 does.
+    tmp_path, train_cfg, data_dir = pipeline_dirs
+    ckpt = Path(train_checkpoint(tmp_path, train_cfg, data_dir, "cut"))
+    paths = {}
+    for flag in (True, False):
+        paths[flag] = tmp_path / f"old-{flag}.ckpt"
+        paths[flag].write_bytes(ckpt.read_bytes())
+        rewrite_arrays(paths[flag], lambda header, arrays: header["hyper"][
+            "training"].update(no_contrastive=flag, contrastive_weight=0.02))
+    configs = {key: load_checkpoint(path).training_config()
+               for key, path in {**paths, None: ckpt}.items()}
+    assert configs[None].contrastive_weight == 0.0
+    assert configs[True] == configs[None]
+    assert configs[False] == configs[None].replace(contrastive_weight=0.02)
+    reports = []
+    for path in (ckpt, paths[True]):
+        out = tmp_path / f"eval-{path.stem}"
+        assert main(["evaluate", "--checkpoint", str(path), "--data",
+                     str(data_dir), "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("key, value", [
     ("normalized_contrastive", True), ("transform_init", "random"),
     ("normalized_contrastive", 0), ("loss_kind", "bpr"),
-    ("weight_decay", 1e-6), ("weight_decay", False)])
+    ("weight_decay", 1e-6), ("weight_decay", False),
+    ("no_contrastive", "yes"), ("no_contrastive", 1)])
 def test_checkpoint_with_retired_key_set_is_runtime_failure(
         phase1_checkpoint, tmp_path, capsys, key, value):
     data_dir, good = phase1_checkpoint
@@ -704,10 +731,10 @@ def test_step_commands_write_the_experiments_checkpoints(pipeline_dirs):
 
 def test_wrong_phase1_checkpoint_is_runtime_failure(pipeline_dirs, capsys):
     tmp_path, train_cfg, data_dir = pipeline_dirs
-    no_contrastive = write_json(tmp_path / "joint.json",
-                                {**TRAIN_CFG, "no_contrastive": True})
+    joint = write_json(tmp_path / "joint.json",
+                       {**TRAIN_CFG, "contrastive_weight": 0.0})
     assert main(["train-transfer", "--data", str(data_dir), "--config",
-                 str(no_contrastive), "--out", str(tmp_path / "joint")]) == 0
+                 str(joint), "--out", str(tmp_path / "joint")]) == 0
     capsys.readouterr()
     code = main(["train-transfer", "--data", str(data_dir), "--config",
                  str(train_cfg), "--phase1",
@@ -726,7 +753,7 @@ def test_warm_start_from_phase1_of_another_width_is_validation_error(
     phase1.write_bytes(good)
     cfg = write_json(tmp_path / "warm.json", {
         **TRAIN_CFG, "embedding_dim": 16, "warm_start": True,
-        "no_contrastive": True})
+        "contrastive_weight": 0.0})
     capsys.readouterr()
     out = tmp_path / "phase2"
     assert main(["train-transfer", "--data", str(data_dir), "--config",
@@ -758,7 +785,7 @@ def train_checkpoint(tmp_path, train_cfg, data_dir, kind) -> str:
                      str(train_cfg), "--out", str(out)]) == 0
         return str(out / "phase1.ckpt")
     joint = write_json(tmp_path / "joint.json",
-                       {**TRAIN_CFG, "no_contrastive": True})
+                       {**TRAIN_CFG, "contrastive_weight": 0.0})
     assert main(["train-transfer", "--data", str(data_dir), "--config",
                  str(joint), "--out", str(out)]) == 0
     return str(out / "cut.ckpt")
@@ -808,7 +835,7 @@ def test_existing_outputs_are_refused_before_the_work(
     monkeypatch.setattr(f"cutrec.cli.{work}", refuse)
     # Without the contrastive term train-transfer needs no --phase1.
     joint = write_json(tmp_path / "joint.json",
-                       {**TRAIN_CFG, "no_contrastive": True})
+                       {**TRAIN_CFG, "contrastive_weight": 0.0})
     training = ["--data", str(data_dir), "--config", str(joint)]
     args = {"train-target": training, "train-transfer": training,
             "evaluate": ["--data", str(data_dir), "--checkpoint",
@@ -892,7 +919,7 @@ def test_every_manifest_lists_exactly_the_files_the_command_read(
                   str(phase1)) == hashes(archive, train_cfg, phase1)
     # Without the contrastive term the phase-one checkpoint is not read.
     joint = write_json(tmp_path / "joint.json",
-                       {**TRAIN_CFG, "no_contrastive": True})
+                       {**TRAIN_CFG, "contrastive_weight": 0.0})
     assert inputs(tmp_path / "joint", "train-transfer", "--data",
                   str(data_dir), "--config", str(joint), "--phase1",
                   str(phase1)) == hashes(archive, joint)
@@ -977,14 +1004,16 @@ def test_evaluate_k_zero_is_validation_error(pipeline_dirs, capsys):
     ({"lr": "0.01"}, "lr must be a number"),
     ({"lr": float("nan")}, "lr must be finite"),
     ({"lr": -0.01}, "lr must be >= 0"),
-    # Retired: every run trains without weight decay, and no preset exists.
+    # Retired: every run trains without weight decay, no preset exists, and
+    # contrastive_weight 0 switches the contrastive term off.
     ({"weight_decay": -1e-6}, "unknown training config key 'weight_decay'"),
     ({"preset": "amazon-like"}, "unknown training config key 'preset'"),
-    ({"no_contrastive": "yes"}, "no_contrastive must be true or false"),
+    ({"no_contrastive": True}, "unknown training config key 'no_contrastive'"),
+    ({"no_transform": "yes"}, "no_transform must be true or false"),
     ({"seed": -1}, "seed must be >= 0"),
 ], ids=["batch-str", "dim-bool", "epochs-float", "batch-float", "lr-str",
-        "lr-nan", "lr-negative", "decay-negative", "preset", "flag-str",
-        "seed-negative"])
+        "lr-nan", "lr-negative", "decay-negative", "preset",
+        "no-contrastive", "flag-str", "seed-negative"])
 def test_bad_training_config_is_validation_error(pipeline_dirs, capsys, bad,
                                                  word):
     tmp_path, _, data_dir = pipeline_dirs

@@ -48,7 +48,7 @@ def test_config_rejects_unknown_keys():
 
 @pytest.mark.parametrize("key, value", [
     ("transform_init", "identity"), ("normalized_contrastive", False),
-    ("weight_decay", 0.0), ("loss_kind", "bce")])
+    ("weight_decay", 0.0), ("loss_kind", "bce"), ("no_contrastive", False)])
 def test_training_config_rejects_retired_keys(key, value):
     # Even at the value the code still implements: only checkpoints
     # written before the option was retired may carry it.
@@ -86,6 +86,28 @@ def test_run_single_seed_reports_all_variants():
     for metrics in result["variants"].values():
         assert set(metrics) == {"recall", "hr", "ndcg"}
         assert all(0.0 <= v <= 1.0 for v in metrics.values())
+
+
+def test_every_variant_runs_and_records_its_settings():
+    # gamma 0.5 gives the phase-one oracle similar pairs, so the
+    # contrastive term is live in cut and off in cut-no-contrastive.
+    cfg = synth_experiment_config(seeds=[0], save_checkpoints=True,
+                                  variants=list(experiment.VARIANTS))
+    result = run_single_seed(cfg, 0)
+    assert list(result["variants"]) == list(experiment.VARIANTS)
+    ckpts = {name: result["checkpoints"][f"seed-0/{name}.ckpt"]
+             for name in experiment.VARIANTS if name != "target-only"}
+    for name, ckpt in ckpts.items():
+        training = ckpt.hyper["training"]
+        assert "no_contrastive" not in training
+        assert training["contrastive_weight"] == (
+            0.0 if name in ("joint", "cut-no-contrastive") else 0.02), name
+        assert training["warm_start"] == (name == "cut-warm"), name
+    cut = ckpts["cut"].arrays
+    for name in ("cut-no-contrastive", "cut-warm"):
+        assert any(not np.array_equal(cut[member], values)
+                   for member, values in ckpts[name].arrays.items()), name
+    assert "cut-warm" not in experiment.DEFAULT_VARIANTS
 
 
 def test_run_experiment_aggregates_and_is_deterministic():

@@ -300,9 +300,9 @@ def test_transform_weight_nan_is_divergence():
 
 # --- ablation flags ---------------------------------------------------------------
 
-def test_no_contrastive_flag_zeroes_term_and_runs_without_oracle():
+def test_zero_contrastive_weight_zeroes_term_and_runs_without_oracle():
     ds, target_split, source_split = toy_dataset(seed=11)
-    config = small_config(no_contrastive=True, max_epochs=2)
+    config = small_config(contrastive_weight=0.0, max_epochs=2)
     result = run_transfer_phase(ds, target_split, source_split, config,
                                 oracle=None)
     assert "transform-weight" in result.model.params()
@@ -324,7 +324,7 @@ def test_no_contrastive_flag_zeroes_term_and_runs_without_oracle():
 
 def test_joint_baseline_has_no_transform_and_no_contrastive():
     ds, target_split, source_split = toy_dataset(seed=12)
-    config = small_config(no_transform=True, no_contrastive=True,
+    config = small_config(no_transform=True, contrastive_weight=0.0,
                           max_epochs=2)
     result = run_transfer_phase(ds, target_split, source_split, config)
     assert list(result.model.params()) == [ROLE_USER, ROLE_ITEM_TARGET,
@@ -374,7 +374,7 @@ def test_empty_similarity_graph_trains_as_no_contrastive(monkeypatch):
     empty = run_transfer_phase(ds, target_split, source_split, config,
                                oracle).model.params()
     off = run_transfer_phase(ds, target_split, source_split,
-                             config.replace(no_contrastive=True),
+                             config.replace(contrastive_weight=0.0),
                              None).model.params()
     assert set(empty) == set(off)
     assert "transform-weight" in off
@@ -382,9 +382,51 @@ def test_empty_similarity_graph_trains_as_no_contrastive(monkeypatch):
         assert empty[name].tobytes() == off[name].tobytes(), name
 
 
+def test_zero_contrastive_weight_builds_no_oracle_and_slices_no_pairs(
+        monkeypatch):
+    # At contrastive_weight 0 the term is off: neither oracle is built,
+    # and an oracle passed in is never sliced into pairs.
+    ds, target_split, source_split = toy_dataset(seed=24)
+    config = small_config(contrastive_weight=0.0, max_epochs=2)
+    frozen = run_target_phase(ds, target_split, config).frozen
+    oracle = SimilarityOracle.from_embeddings(frozen, config.gamma)
+    assert oracle.n_pairs > 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("contrastive weight 0 built or read an oracle")
+    monkeypatch.setattr(SimilarityOracle, "from_embeddings", refuse)
+    monkeypatch.setattr(SimilarityOracle, "from_history", refuse)
+    embedding = run_transfer_phase(ds, target_split, source_split, config,
+                                   frozen=frozen).model.params()
+    history = run_transfer_phase(
+        ds, target_split, source_split,
+        config.replace(history_similarity=True)).model.params()
+    monkeypatch.setattr(trainer, "extract_pairs", refuse)
+    given = run_transfer_phase(ds, target_split, source_split, config,
+                               oracle, frozen=frozen).model.params()
+    assert_same_params(embedding, history)
+    assert_same_params(embedding, given)
+
+
+def test_zero_contrastive_weight_trains_past_the_pair_cap(monkeypatch):
+    # A gamma whose oracle holds more pairs than MAX_SIMILAR_PAIRS refuses
+    # the contrastive term, not a run that switches it off.
+    ds, target_split, source_split = toy_dataset(seed=25)
+    config = small_config(backbone="lightgcn", gamma=-0.5, max_epochs=1)
+    frozen = run_target_phase(ds, target_split, config).frozen
+    monkeypatch.setattr(similarity, "MAX_SIMILAR_PAIRS", 4)
+    with pytest.raises(ConfigError, match="more than 4 ordered user pairs"):
+        run_transfer_phase(ds, target_split, source_split, config,
+                           frozen=frozen)
+    result = run_transfer_phase(ds, target_split, source_split,
+                                config.replace(contrastive_weight=0.0),
+                                frozen=frozen)
+    assert result.step_count > 0
+
+
 def test_overlap_embedding_shared_across_domains_without_transform():
     ds, target_split, source_split = toy_dataset(seed=14)
-    config = small_config(no_transform=True, no_contrastive=True)
+    config = small_config(no_transform=True, contrastive_weight=0.0)
     model = CutModel.build(ds, target_split, source_split, config)
     # The first overlap user, by target-local and by source-local index.
     target_view = model.target_users[ds.n_target_only]
@@ -521,7 +563,8 @@ def test_history_similarity_ignores_a_passed_oracle():
 
 def test_warm_start_requires_frozen_and_copies_rows():
     ds, target_split, source_split = toy_dataset(seed=19)
-    config = small_config(warm_start=True, no_contrastive=True, max_epochs=1)
+    config = small_config(warm_start=True, contrastive_weight=0.0,
+                          max_epochs=1)
     with pytest.raises(ConfigError):
         CutModel.build(ds, target_split, source_split, config)
     frozen = run_target_phase(ds, target_split, config).frozen
