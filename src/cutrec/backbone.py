@@ -28,22 +28,21 @@ def sample_negatives_batch(rng: np.random.Generator, n_items: int,
                            train: InteractionSet, users) -> np.ndarray:
     """One negative per batch entry, uniform over the items outside the
     user's ``train`` row: one draw for the whole batch, then redraws of
-    the entries whose key ``searchsorted`` finds in ``train.keys``."""
+    the entries whose key is set in ``train.bits``. A batch holding a user
+    whose row is full is refused before any draw."""
     if n_items != train.n_items:
         raise ValueError("n_items does not match the train set")
     users = np.asarray(users, dtype=np.int64)
-    full = train.indptr[users + 1] - train.indptr[users] >= n_items
-    if full.any():
-        raise ValueError(f"user {users[full][0]} interacted with every "
-                         "item; cannot sample negatives")
+    if train.full_users.size:
+        full = users[np.isin(users, train.full_users)]
+        if full.size:
+            raise ValueError(f"user {full[0]} interacted with every item; "
+                             "cannot sample negatives")
     out = rng.integers(0, n_items, size=users.size)
-    keys = train.keys
-    todo = np.arange(users.size if keys.size else 0)
+    todo = np.flatnonzero(train.contains(users * n_items + out))
     while todo.size:
-        wanted = users[todo] * n_items + out[todo]
-        pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-        todo = todo[keys[pos] == wanted]
         out[todo] = rng.integers(0, n_items, size=todo.size)
+        todo = todo[train.contains(users[todo] * n_items + out[todo])]
     return out
 
 

@@ -412,13 +412,31 @@ class InteractionSet:
         users.setflags(write=False)
         return users
 
-    @cached_property
+    @property
     def keys(self) -> np.ndarray:
-        """The key ``user * n_items + item`` of each entry of ``indices``;
-        sorted, so a (user, item) lookup is one ``searchsorted``."""
-        keys = self.users * self.n_items + self.indices
-        keys.setflags(write=False)
-        return keys
+        """The key ``user * n_items + item`` of each entry of ``indices``,
+        sorted, as a new array; ``contains`` looks keys up in ``bits``."""
+        return self.users * self.n_items + self.indices
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """Read-only packed membership, ``ceil(n_users * n_items / 8)``
+        bytes: bit ``key & 7`` of byte ``key >> 3`` is set for each key."""
+        keys = self.keys
+        ones = np.left_shift(np.uint8(1), keys.astype(np.uint8) & 7)
+        bits = np.zeros(-(-self.n_users * self.n_items // 8), dtype=np.uint8)
+        np.bitwise_or.at(bits, np.right_shift(keys, 3, out=keys), ones)
+        bits.setflags(write=False)
+        return bits
+
+    def contains(self, keys: np.ndarray) -> np.ndarray:
+        """Whether each key ``user * n_items + item``, of any shape, is held."""
+        return (self.bits[keys >> 3] >> (keys & 7) & 1).astype(bool)
+
+    @cached_property
+    def full_users(self) -> np.ndarray:
+        """The users whose row holds every item, ascending."""
+        return np.flatnonzero(np.diff(self.indptr) >= self.n_items)
 
     @cached_property
     def rows(self) -> tuple[np.ndarray, ...]:

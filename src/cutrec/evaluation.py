@@ -127,14 +127,13 @@ def evaluate_full(scorer, split: SplitDataset, *, k: int = 10,
         scores = scorer(np.arange(start, stop))
         for p in mask_parts if mask_seen else ():
             lo, hi = p.indptr[start], p.indptr[stop]
-            np.put(scores, p.keys[lo:hi] - start * n_items, -np.inf)
+            np.put(scores, (p.users[lo:hi] - start) * n_items
+                   + p.indices[lo:hi], -np.inf)
         keep = n_held[start:stop] > 0
         ranked.append([r[keep] for r in top_k(scores, k)])
     items, values = map(np.concatenate, zip(*ranked))
     users = np.flatnonzero(n_held)
-    keys = users[:, None] * n_items + items
-    pos = np.minimum(np.searchsorted(held.keys, keys), held.keys.size - 1)
-    hit = (held.keys[pos] == keys) & (values != -np.inf)
+    hit = held.contains(users[:, None] * n_items + items) & (values != -np.inf)
     hits, counts = hit.sum(axis=1), n_held[users]
     per_user = {"recall": hits / counts,
                 "hr": (hits > 0).astype(np.float64),

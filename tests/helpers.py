@@ -99,6 +99,38 @@ def sample_negatives(rng: np.random.Generator, n_items: int,
     return np.array(out, dtype=np.int64)
 
 
+def searchsorted_negatives(rng: np.random.Generator, n_items: int,
+                           train: InteractionSet, users) -> np.ndarray:
+    """``sample_negatives_batch`` by binary search over ``train.keys``: one
+    draw for the batch, then redraws of the entries found there, with the
+    same generator calls in the same order."""
+    users = np.asarray(users, dtype=np.int64)
+    full = train.indptr[users + 1] - train.indptr[users] >= n_items
+    if full.any():
+        raise ValueError(f"user {users[full][0]} interacted with every "
+                         "item; cannot sample negatives")
+    out = rng.integers(0, n_items, size=users.size)
+    keys = train.keys
+    todo = np.arange(users.size if keys.size else 0)
+    while todo.size:
+        wanted = users[todo] * n_items + out[todo]
+        pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        todo = todo[keys[pos] == wanted]
+        out[todo] = rng.integers(0, n_items, size=todo.size)
+    return out
+
+
+def held_keys(inter: InteractionSet, keys) -> np.ndarray:
+    """Whether each key ``user * n_items + item`` is in ``inter``, by a
+    Python set of its (user, item) pairs."""
+    held = {(user, item) for user, row in enumerate(inter.rows)
+            for item in row.tolist()}
+    keys = np.asarray(keys, dtype=np.int64)
+    return np.array([divmod(key, inter.n_items) in held
+                     for key in keys.ravel().tolist()],
+                    dtype=bool).reshape(keys.shape)
+
+
 def full_table_grads(params: dict[str, np.ndarray], row_parts):
     """``GradBuffer.grads()`` the long way: scatter every row part into a
     zeroed float64 copy of its whole table, keep the touched rows."""

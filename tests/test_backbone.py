@@ -21,7 +21,7 @@ from cutrec.optim import Adam
 
 from helpers import (adam_step_oracle, assert_grad_matches, csr_graph,
                      dense_grads, interaction_set, per_entry_grads,
-                     sample_negatives, traced_peak)
+                     sample_negatives, searchsorted_negatives, traced_peak)
 
 
 # --- negative sampling --------------------------------------------------------
@@ -55,12 +55,45 @@ def test_sample_negatives_uniform_chi_squared():
     assert chi2 < 40.0
 
 
+class _NoDraws:
+    """A generator stand-in that fails the test on any draw."""
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("drew before refusing the batch")
+
+
 def test_sample_negatives_exhausted_catalogue():
+    # A full row would keep the rejection loop drawing forever, so a batch
+    # holding one is refused before any draw, wherever the user stands.
     rng = np.random.default_rng(0)
-    train = interaction_set([[1], [0, 1, 2]], 3)
-    sample_negatives_batch(rng, 3, train, np.array([0, 0]))
-    with pytest.raises(ValueError, match="user 1"):
-        sample_negatives_batch(rng, 3, train, np.array([0, 1, 0]))
+    train = interaction_set([[1], [0, 1, 2], [], [0, 1, 2]], 3)
+    sample_negatives_batch(rng, 3, train, np.array([0, 0, 2]))
+    for users, first in (([0, 1, 0], 1), ([2, 3, 1], 3), ([3, 3], 3)):
+        with pytest.raises(ValueError, match=f"user {first} interacted with "
+                           "every item"):
+            sample_negatives_batch(_NoDraws(), 3, train, np.array(users))
+    with pytest.raises(ValueError, match="user 0"):
+        sample_negatives_batch(_NoDraws(), 1, interaction_set([[0]], 1),
+                               np.zeros(5, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n_items", [1, 8, 13, 40])
+def test_sample_negatives_batch_equals_searchsorted_oracle(n_items):
+    # Rows from empty to one item short of full, and a full row that no
+    # batch holds: the draws and the generator's state afterwards equal the
+    # binary-search sampler's, bit for bit.
+    rng = np.random.default_rng(n_items)
+    sizes = [0, n_items - 1, n_items - 1, n_items // 2, n_items]
+    rows = [sorted(rng.choice(n_items, size=k, replace=False).tolist())
+            for k in sizes]
+    train = interaction_set(rows, n_items)
+    ours, oracle = np.random.default_rng(7), np.random.default_rng(7)
+    for size in (0, 1, 17, 600, 2048):
+        users = rng.integers(0, len(rows) - 1, size=size)
+        assert np.array_equal(
+            sample_negatives_batch(ours, n_items, train, users),
+            searchsorted_negatives(oracle, n_items, train, users))
+        assert ours.bit_generator.state == oracle.bit_generator.state
 
 
 def test_sample_negatives_empty_rows():

@@ -16,7 +16,7 @@ from cutrec.corpus import (DomainId, InteractionSet, build_cross_domain,
 from cutrec.errors import DatasetCollapsedError, ParseError
 
 from helpers import (brute_force_k_core, cross_domain_from_records,
-                     load_records, naive_rows, raw_interactions,
+                     held_keys, load_records, naive_rows, raw_interactions,
                      rewrite_arrays, split_per_user, traced_peak)
 
 
@@ -524,6 +524,53 @@ def test_interaction_rows_are_read_only():
     ds = _single_user_ds(5)
     with pytest.raises(ValueError):
         ds.target.rows[0][0] = 99
+
+
+# Cells are user * n_items + item; the examples are an empty set with no
+# users, an empty 1 x 1 set, a full 1 x 1 set, a 3 x 3 set (9 bits, not a
+# multiple of 8) holding only its last key, and a full 2 x 4 set.
+@settings(max_examples=80, deadline=None)
+@given(n_users=st.integers(min_value=0, max_value=6),
+       n_items=st.integers(min_value=1, max_value=11),
+       cells=st.sets(st.integers(min_value=0, max_value=65)))
+@example(n_users=0, n_items=3, cells=set())
+@example(n_users=1, n_items=1, cells=set())
+@example(n_users=1, n_items=1, cells={0})
+@example(n_users=3, n_items=3, cells={8})
+@example(n_users=2, n_items=4, cells=set(range(8)))
+def test_contains_matches_membership_oracle(n_users, n_items, cells):
+    size = n_users * n_items
+    users, items = np.divmod(np.array(sorted(c for c in cells if c < size),
+                                      dtype=np.int64), n_items)
+    order = np.random.default_rng(len(cells)).permutation(users.size)
+    inter = InteractionSet.from_pairs(n_users, n_items, users[order],
+                                      items[order])
+    keys = np.arange(size)
+    assert np.array_equal(inter.contains(keys), held_keys(inter, keys))
+    grid = keys.reshape(n_users, n_items)
+    assert np.array_equal(inter.contains(grid), held_keys(inter, grid))
+    assert inter.bits.dtype == np.uint8 and inter.bits.size == -(-size // 8)
+    # The padding past the last key is clear.
+    assert not np.unpackbits(inter.bits, bitorder="little")[size:].any()
+    assert inter.full_users.tolist() == [
+        user for user, row in enumerate(inter.rows) if row.size == n_items]
+    assert not inter.bits.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        inter.bits[...] = 0
+
+
+def test_bits_build_allocates_no_dense_matrix():
+    # 2600 users x 2000 items, 24 items a row: a users x items bool array
+    # would take eight times the 650,000 packed bytes.
+    rng = np.random.default_rng(0)
+    items = np.concatenate([rng.choice(2000, size=24, replace=False)
+                            for _ in range(2600)])
+    inter = InteractionSet.from_pairs(2600, 2000,
+                                      np.repeat(np.arange(2600), 24), items)
+    peak = traced_peak(lambda: inter.bits)
+    assert inter.bits.nbytes == 650_000
+    assert peak < 2 * inter.bits.nbytes
+    assert inter.contains(inter.keys).all()
 
 
 @st.composite

@@ -12,7 +12,9 @@ the manifests hold the same relative paths in both trees:
   ``train-transfer --phase1`` for the default config, ``joint``,
   ``cut-no-contrastive``, ``cut-history`` (each from the tree's
   ``experiment.VARIANTS``, so each tree writes its own form of the same
-  settings) and ``warm_start``, and ``evaluate`` on every checkpoint;
+  settings) and ``warm_start``, and ``evaluate`` on every checkpoint.
+  LightGCN's ``cut-history`` run takes gamma 0.4, at which the target
+  history's oracle holds 184 ordered pairs (at 0.7 it holds none);
 - a two-seed MF ``experiment --parallel-seeds 2`` over every variant of
   the tree.
 
@@ -52,6 +54,8 @@ BACKBONES = {"mf": {"backbone": "mf", "gamma": 0.5},
 TRANSFER = {**{name: VARIANTS[name] for name in (
     "cut", "joint", "cut-no-contrastive", "cut-history")},
     "warm": {"warm_start": True}}
+# Settings of one (backbone, run) on top of the backbone's.
+RUN_SETTINGS = {("lightgcn", "cut-history"): {"gamma": 0.4}}
 DEPTH = 3
 
 
@@ -76,7 +80,8 @@ def run(out: Path) -> None:
         checkpoints = {"phase1": f"{backbone}/phase1/phase1.ckpt"}
         for name, overrides in TRANSFER.items():
             (out / backbone / f"{name}.json").write_text(
-                json.dumps({**training, **overrides}))
+                json.dumps({**training, **overrides,
+                            **RUN_SETTINGS.get((backbone, name), {})}))
             cli(out, "train-transfer", "--data", "data", "--config",
                 f"{backbone}/{name}.json", "--phase1", checkpoints["phase1"],
                 "--out", f"{backbone}/{name}")
