@@ -28,7 +28,8 @@ from .errors import (CheckpointError, ConfigError, CutRecError, ParseError)
 from .evaluation import evaluate_full, format_report
 from .experiment import (ExperimentConfig, format_aggregate_table,
                          run_experiment)
-from .trainer import CutModel, run_target_phase, run_transfer_phase
+from .trainer import (CutModel, needs_phase_one, run_target_phase,
+                      run_transfer_phase)
 
 
 def _sha256(path) -> str:
@@ -120,8 +121,7 @@ def cmd_train_transfer(args) -> int:
     ds, target_split, source_split = corpus.load_dataset(args.data)
     inputs = [args.data / corpus.ARCHIVE_FILE]
     frozen = None
-    if cfg.warm_start or (cfg.contrastive_weight > 0
-                          and not cfg.history_similarity):
+    if needs_phase_one(cfg):
         if not args.phase1:
             raise ConfigError("--phase1 checkpoint required for warm_start "
                               "and for the embedding similarity oracle")

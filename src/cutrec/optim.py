@@ -1,7 +1,9 @@
 """Adam with lazy per-row updates, and a buffer for one step's gradients.
 
 Only rows that received gradient in a step move. Moments follow the
-parameter dtype.
+parameter dtype. A step's gradient of each parameter arrives whole, summed
+over both domains by the forward/backward that made it; the buffer only
+hands it to ``Adam``.
 """
 
 from __future__ import annotations
@@ -28,46 +30,31 @@ def distinct_rows(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class GradBuffer:
-    """Accumulates one training step's gradients per named parameter.
-
-    A parameter takes row parts: a slice or strictly increasing int rows,
-    and a value row each. A lone part passes through uncopied; parts
-    sharing a parameter are summed in float64 in the order they came, by
-    slice where a part's rows are consecutive among the summed rows, as a
-    whole-range part's are. ``grads`` gives int rows and empties the
-    buffer, so that the parts are freed before the optimizer step.
-    """
+    """One training step's gradients: one ``(rows, values)`` part per
+    parameter, whole as its forward/backward made it, the rows a slice or
+    strictly increasing ints. ``grads`` hands them over with int rows and
+    empties the buffer. It remains as the hand-off that ``perfbench``
+    traces: its ``optim.scatter`` layer wraps ``add_rows``."""
 
     def __init__(self, params: Mapping[str, np.ndarray]):
         self._params = dict(params)
-        self._parts: dict[str, list[tuple]] = {}
+        self._grads: dict[str, SparseGrad] = {}
 
     def add_rows(self, name: str, rows: np.ndarray | slice, values) -> None:
+        if name in self._grads:
+            raise ValueError(f"{name!r} already has its gradient this step")
         if isinstance(rows, slice):
             rows = np.arange(len(self._params[name]))[rows]
         elif (rows.ndim != 1 or rows.dtype.kind not in "iu"
               or np.any(np.diff(rows) <= 0)):
-            # Summing parts by index would drop all but one of a repeat.
+            # Adam's update by index would keep one of a repeat's steps.
             raise ValueError(f"rows of {name!r} must be a slice or strictly "
                              "increasing integers")
-        self._parts.setdefault(name, []).append((rows, values))
+        self._grads[name] = (rows, values)
 
     def grads(self) -> dict[str, SparseGrad]:
-        out: dict[str, SparseGrad] = {}
-        for name, parts in self._parts.items():
-            if len(parts) == 1:
-                out[name] = parts[0]
-                continue
-            rows, inverse = distinct_rows(np.concatenate([r for r, _ in parts]))
-            total = np.zeros((rows.size, *self._params[name].shape[1:]))
-            for part, values in parts:
-                at, inverse = inverse[:part.size], inverse[part.size:]
-                if at.size and at[-1] - at[0] == at.size - 1:
-                    at = slice(at[0], at[-1] + 1)
-                total[at] += values
-            out[name] = (rows, total)
-        self._parts = {}
-        return out
+        grads, self._grads = self._grads, {}
+        return grads
 
 
 class Adam:

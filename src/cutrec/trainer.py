@@ -9,6 +9,8 @@ transformed representations to the phase-one similarity oracle, which
 ``run_transfer_phase`` alone picks. Both phases run one epoch loop,
 ``fit``, and both domains of both phases share one loss routine,
 ``backbone.domain_forward_backward``, with gradients summed over the batch.
+The base user table's source and target gradient parts meet only in
+``transfer_forward_backward``, so each parameter's gradient leaves it whole.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .embeddings import (ROLE_ITEM_SOURCE, ROLE_ITEM_TARGET, ROLE_USER,
 from .errors import CheckpointError, ConfigError, TrainingDivergedError
 from .evaluation import evaluate_full
 from .graph import build_graph, propagate  # noqa: F401 (perfbench wraps it)
-from .optim import Adam, GradBuffer
+from .optim import Adam, GradBuffer, distinct_rows
 from .similarity import PairSets, SimilarityOracle, extract_pairs
 
 logger = logging.getLogger(__name__)
@@ -119,6 +121,30 @@ def fit(model, step, n_pairs: int, scorer, split: SplitDataset,
         value[...] = best_state[name]
     assert_finite(params, f"{phase} phase end")
     return best_epoch, history
+
+
+def needs_phase_one(config: TrainingConfig) -> bool:
+    """Whether phase two reads the frozen phase-one user table: under
+    ``warm_start``, or for the oracle of an active contrastive term."""
+    return config.warm_start or (config.contrastive_weight > 0
+                                 and not config.history_similarity)
+
+
+def _check_frozen(config: TrainingConfig, frozen: np.ndarray | None,
+                  n_target: int) -> None:
+    """Refuse a phase-one user table that phase two reads but lacks, or
+    whose shape it cannot use: a row per target user and, under
+    ``warm_start``, ``embedding_dim`` columns."""
+    use = ("warm_start" if config.warm_start
+           else "the embedding similarity oracle")
+    if frozen is None:
+        raise ConfigError(f"{use} needs the frozen phase-one user table")
+    rows, width = frozen.shape
+    dim = config.embedding_dim
+    if rows != n_target or (config.warm_start and width != dim):
+        raise ConfigError(
+            f"{use}: the phase-one user table is {width} wide ({rows} "
+            f"rows), embedding_dim is {dim} ({n_target} target users)")
 
 
 @dataclass
@@ -216,17 +242,8 @@ class CutModel:
                                               seeds[4], dtype),
         }
         if config.warm_start:
-            if frozen is None:
-                raise ConfigError("warm_start requires frozen phase-one "
-                                  "embeddings")
-            target_users = params[ROLE_USER][:ds.target.n_users]
-            if frozen.shape != target_users.shape:
-                raise ConfigError(
-                    f"warm_start: the phase-one user table is "
-                    f"{frozen.shape[-1]} wide ({frozen.shape[0]} rows), "
-                    f"embedding_dim is {dim} ({len(target_users)} target "
-                    f"users)")
-            target_users[...] = frozen
+            _check_frozen(config, frozen, ds.target.n_users)
+            params[ROLE_USER][:ds.target.n_users] = frozen
         if not config.no_transform:
             params[TRANSFORM_WEIGHT] = np.eye(dim, dtype=dtype)
             params[TRANSFORM_BIAS] = np.zeros(dim, dtype=dtype)
@@ -298,26 +315,21 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
     alpha = config.alpha
     lam = config.contrastive_weight
     params = model.params()
-    buf = GradBuffer(params)
 
     # -- source domain, raw base embeddings --
-    rows, local = rows_read(model.graph_source, src_users)
-    l_source, d_user, (item_rows, d_item) = domain_forward_backward(
-        model.source_users[rows], params[ROLE_ITEM_SOURCE],
+    src_rows, local = rows_read(model.graph_source, src_users)
+    l_source, d_source, source_items = domain_forward_backward(
+        model.source_users[src_rows], params[ROLE_ITEM_SOURCE],
         model.graph_source, local, src_pos, src_neg, alpha)
-    buf.add_rows(ROLE_USER, np.arange(model.source_offset, len(
-        params[ROLE_USER]))[rows], d_user)
-    buf.add_rows(ROLE_ITEM_SOURCE, item_rows, d_item)
 
     # -- target domain: transform once the base rows the loss reads --
     graph = model.graph_target
     rows, local = rows_read(graph, tgt_users)
     base = model.target_users[rows]
     transformed = model.apply_transform(base)
-    l_target, d_transformed, (item_rows, d_item) = domain_forward_backward(
+    l_target, d_transformed, target_items = domain_forward_backward(
         transformed, params[ROLE_ITEM_TARGET], graph, local,
         tgt_pos, tgt_neg, 1.0 - alpha)
-    buf.add_rows(ROLE_ITEM_TARGET, item_rows, d_item)
     d_transformed = d_transformed.astype(np.float64, copy=False)
 
     # -- contrastive regulariser on the transformed batch users (without
@@ -332,11 +344,28 @@ def transfer_forward_backward(model: CutModel, src_users: np.ndarray,
         d_transformed[at] += lam * d_pairs
 
     # -- chain both target terms through the transform at once --
+    grads = {ROLE_ITEM_SOURCE: source_items, ROLE_ITEM_TARGET: target_items}
     if not config.no_transform:
-        buf.add_rows(TRANSFORM_WEIGHT, slice(None), d_transformed.T @ base)
-        buf.add_rows(TRANSFORM_BIAS, slice(None), d_transformed.sum(axis=0))
+        grads[TRANSFORM_WEIGHT] = slice(None), d_transformed.T @ base
+        grads[TRANSFORM_BIAS] = slice(None), d_transformed.sum(axis=0)
         d_transformed = d_transformed @ params[TRANSFORM_WEIGHT]
-    buf.add_rows(ROLE_USER, np.arange(model.n_target)[rows], d_transformed)
+
+    # -- the user table's two parts meet, the source part first: under a
+    #    graph both are ranges of the table, else at their distinct rows --
+    if isinstance(src_rows, slice):
+        user_rows = np.arange(len(params[ROLE_USER]))
+        at_source = slice(model.source_offset, None)
+        at_target = slice(model.n_target)
+    else:
+        user_rows, at = distinct_rows(np.concatenate(
+            [model.source_offset + src_rows, rows]))
+        at_source, at_target = np.split(at, [src_rows.size])
+    d_user = np.zeros((user_rows.size, d_transformed.shape[1]))
+    d_user[at_source] += d_source
+    d_user[at_target] += d_transformed
+    buf = GradBuffer(params)
+    for name, part in {ROLE_USER: (user_rows, d_user), **grads}.items():
+        buf.add_rows(name, *part)
 
     l_all = (1.0 - alpha) * l_target + alpha * l_source + lam * l_contrastive
     return LossBreakdown(l_target, l_source, l_contrastive, l_all), buf
@@ -381,18 +410,18 @@ def run_transfer_phase(ds: CrossDomainDataset, target_split: SplitDataset,
     At ``contrastive_weight`` 0 the contrastive term is off and no oracle
     is built or read. Else it reads the target training history's oracle
     under ``history_similarity``, else ``oracle`` or, without one, that of
-    ``frozen``, the phase-one table. Epochs follow the target stream; the
-    source stream reshuffles and recycles. Early-stops on target
-    validation NDCG@10 and returns the best-validation model.
+    ``frozen``, the phase-one table. Wherever phase two reads ``frozen``,
+    its presence and shape are checked before any work. Epochs follow the
+    target stream; the source stream reshuffles and recycles. Early-stops
+    on target validation NDCG@10 and returns the best-validation model.
     """
     tgt, src = target_split.train, source_split.train
+    if config.warm_start or (oracle is None and needs_phase_one(config)):
+        _check_frozen(config, frozen, tgt.n_users)
     if config.contrastive_weight == 0.0:
         oracle = None
     elif config.history_similarity:
         oracle = SimilarityOracle.from_history(tgt, config.gamma)
-    elif oracle is None and frozen is None:
-        raise ConfigError("the embedding similarity oracle needs the "
-                          "frozen phase-one user table")
     elif oracle is None:
         oracle = SimilarityOracle.from_embeddings(frozen, config.gamma)
     if oracle is not None and oracle.n_pairs == 0:

@@ -146,6 +146,25 @@ def full_table_grads(params: dict[str, np.ndarray], row_parts):
     return out
 
 
+def merge_row_parts(param: np.ndarray, parts) -> tuple:
+    """The merge that ``optim.GradBuffer.grads`` made of one parameter's
+    ``(rows, values)`` parts, rows a slice or strictly increasing ints,
+    before each gradient reached it whole: float64 zeros on the distinct
+    rows of all parts, then each part added in the order given at its
+    rows' positions, by slice where those are consecutive."""
+    parts = [(np.arange(len(param))[rows] if isinstance(rows, slice)
+              else rows, values) for rows, values in parts]
+    rows, inverse = np.unique(np.concatenate([r for r, _ in parts]),
+                              return_inverse=True)
+    total = np.zeros((rows.size, *param.shape[1:]))
+    for part, values in parts:
+        at, inverse = inverse[:part.size], inverse[part.size:]
+        if at.size and at[-1] - at[0] == at.size - 1:
+            at = slice(at[0], at[-1] + 1)
+        total[at] += values
+    return rows, total
+
+
 def dense_contrastive_gradient(values: np.ndarray, sim_mask: np.ndarray,
                                tau: float) -> np.ndarray:
     """Gradient of the batch regulariser w.r.t. ``values``, through dense

@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cutrec import cli
 from cutrec.checkpoint import load_checkpoint, save_checkpoint
 from cutrec.cli import main
+from cutrec.config import TrainingConfig
 from cutrec.corpus import load_dataset, read_arrays, write_arrays
 from cutrec.errors import TrainingDivergedError
 from cutrec.experiment import VARIANTS
-from cutrec.trainer import run_transfer_phase
+from cutrec.trainer import needs_phase_one, run_transfer_phase
 
 from helpers import rewrite_arrays
 
@@ -699,6 +701,40 @@ def test_warm_start_with_history_oracle_loads_phase1(pipeline_dirs):
                  str(cfg), "--phase1", str(target_out / "phase1.ckpt"),
                  "--out", str(tmp_path / "phase2")]) == 0
     assert (tmp_path / "phase2" / "cut.ckpt").exists()
+
+
+def test_phase1_is_required_exactly_where_phase_two_reads_it(
+        phase1_checkpoint, tmp_path, monkeypatch, capsys):
+    # Every variant row, without --phase1: refused before training where
+    # the trainer's rule says phase two reads the frozen table, else
+    # handed to the transfer phase with no table.
+    data_dir, _ = phase1_checkpoint
+
+    class Reached(Exception):
+        pass
+
+    def transfer_phase(*args, frozen):
+        assert frozen is None
+        raise Reached
+
+    monkeypatch.setattr(cli, "run_transfer_phase", transfer_phase)
+    needing = set()
+    for name, overrides in VARIANTS.items():
+        if overrides is None:
+            continue
+        settings = {**TRAIN_CFG, **overrides}
+        args = ["train-transfer", "--data", str(data_dir), "--config",
+                str(write_json(tmp_path / f"{name}.json", settings)),
+                "--out", str(tmp_path / name)]
+        if needs_phase_one(TrainingConfig.from_dict(settings)):
+            needing.add(name)
+            assert main(args) == 1, name
+            assert "--phase1 checkpoint required" in capsys.readouterr().err
+        else:
+            with pytest.raises(Reached):
+                main(args)
+        assert not (tmp_path / name).exists()
+    assert needing == {"cut", "cut-no-transform", "cut-warm"}
 
 
 def test_step_commands_write_the_experiments_checkpoints(pipeline_dirs):

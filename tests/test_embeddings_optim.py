@@ -197,42 +197,49 @@ def test_adam_bit_identical_runs():
 
 # --- GradBuffer --------------------------------------------------------------
 
-def test_grad_buffer_accumulates_duplicate_rows():
-    # Rows repeat across parts, never within one: a repeat within a part,
-    # unsorted rows and non-integer rows are refused.
-    param = np.zeros((4, 2))
-    buf = GradBuffer({"p": param})
+def test_grad_buffer_refuses_rows_that_repeat_or_are_unsorted():
+    # Adam updates rows by index, so a repeated row would lose a step.
+    buf = GradBuffer({"p": np.zeros((4, 2))})
     for rows in ([1, 1, 3], [3, 1], [[1, 3]], [1.0, 3.0]):
         with pytest.raises(ValueError, match="strictly increasing"):
             buf.add_rows("p", np.array(rows), np.ones((len(rows), 2)))
-    buf.add_rows("p", np.array([1, 3]), np.ones((2, 2)))
-    buf.add_rows("p", np.array([0, 1]), np.full((2, 2), 2.0))
-    buf.add_rows("p", slice(1, 2), np.full((1, 2), 4.0))
-    rows, grads = buf.grads()["p"]
-    assert list(rows) == [0, 1, 3]
-    np.testing.assert_array_equal(grads, [[2.0, 2.0], [7.0, 7.0],
-                                          [1.0, 1.0]])
+    assert buf.grads() == {}
+
+
+def test_grad_buffer_refuses_a_second_part_for_a_parameter():
+    # Parts meet in the forward/backward that made them; the buffer only
+    # carries each parameter's one part.
+    buf = GradBuffer({"user": np.zeros((4, 2)), "item": np.zeros((3, 2))})
+    buf.add_rows("user", np.array([0, 2]), np.ones((2, 2)))
+    buf.add_rows("item", slice(None), np.ones((3, 2)))
+    for rows in (np.array([1]), np.array([0, 2]), slice(None)):
+        with pytest.raises(ValueError, match="'user'"):
+            buf.add_rows("user", rows, np.ones((1, 2)))
+    rows, values = buf.grads()["user"]
+    assert list(rows) == [0, 2]
+    np.testing.assert_array_equal(values, np.ones((2, 2)))
 
 
 def test_grad_buffer_dense_param():
     # A whole weight and bias, as the transform's gradients arrive.
     buf = GradBuffer({"w": np.zeros((2, 2)), "b": np.zeros(2)})
-    buf.add_rows("w", slice(None), np.eye(2))
-    buf.add_rows("w", slice(None), np.eye(2))
-    buf.add_rows("b", slice(None), np.ones(2))
+    weight, bias = np.eye(2), np.ones(2)
+    buf.add_rows("w", slice(None), weight)
+    buf.add_rows("b", slice(None), bias)
     grads = buf.grads()
-    for name, expected in (("w", 2 * np.eye(2)), ("b", np.ones(2))):
+    for name, expected in (("w", weight), ("b", bias)):
         rows, values = grads[name]
         assert rows.dtype.kind == "i" and list(rows) == [0, 1]
-        np.testing.assert_array_equal(values, expected)
+        assert values is expected
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_tables=st.integers(1, 3),
-       n_dense=st.integers(0, 2), max_parts=st.integers(1, 4),
-       block_share=st.sampled_from([0.0, 0.5, 1.0]))
+       n_dense=st.integers(0, 2), block_share=st.sampled_from([0.0, 0.5, 1.0]))
 def test_grad_buffer_matches_full_table_oracle(seed, n_tables, n_dense,
-                                               max_parts, block_share):
+                                               block_share):
+    # One part per parameter, as a step makes them: each comes back
+    # uncopied, on the int rows of the oracle, and the buffer empties.
     rng = np.random.default_rng(seed)
     params = {f"t{k}": np.zeros((int(rng.integers(1, 30)), 3), np.float32)
               for k in range(n_tables)}
@@ -240,44 +247,31 @@ def test_grad_buffer_matches_full_table_oracle(seed, n_tables, n_dense,
     params.update({f"d{k}": np.zeros(3) for k in range(n_dense)})
     buf = GradBuffer(params)
     row_parts = {}
-    for _ in range(int(rng.integers(1, max_parts + 1))):
-        for name, param in params.items():
-            dtype = rng.choice([np.float32, np.float64])
-            if name.startswith("d"):
-                values = rng.normal(size=param.shape).astype(dtype)
-                buf.add_rows(name, slice(None), values)
-                row_parts.setdefault(name, []).append((slice(None), values))
-                continue
-            n = param.shape[0]
-            if rng.random() < block_share:
-                # Blocks: a third cover the table, the rest a random span
-                # that may be empty, overlap others or leave rows out.
-                # They reach ``grads`` as int ranges, which it adds by slice.
-                start, stop = (0, n) if rng.random() < 1 / 3 else sorted(
-                    int(i) for i in rng.integers(0, n + 1, size=2))
-                rows, size = slice(start, stop), stop - start
-            else:
-                # Distinct sorted rows, few of them, so parts repeat rows
-                # across one another.
-                rows = np.unique(rng.integers(0, n, size=int(
-                    rng.integers(0, 40))))
-                size = rows.size
-            values = (rng.normal(size=(size, 3))
-                      * 10.0 ** rng.integers(-8, 8)).astype(dtype)
-            buf.add_rows(name, rows, values)
-            row_parts.setdefault(name, []).append((rows, values))
+    for name, param in params.items():
+        dtype = rng.choice([np.float32, np.float64])
+        n = param.shape[0]
+        if name.startswith("d"):
+            rows, shape = slice(None), param.shape
+        elif rng.random() < block_share:
+            # A block: a third cover the table, the rest a random span
+            # that may be empty.
+            start, stop = (0, n) if rng.random() < 1 / 3 else sorted(
+                int(i) for i in rng.integers(0, n + 1, size=2))
+            rows, shape = slice(start, stop), (stop - start, 3)
+        else:
+            rows = np.unique(rng.integers(0, n, size=int(
+                rng.integers(0, 40))))
+            shape = (rows.size, 3)
+        values = rng.normal(size=shape).astype(dtype)
+        buf.add_rows(name, rows, values)
+        row_parts[name] = [(rows, values)]
     got = buf.grads()
     expected = full_table_grads(params, row_parts)
-    assert got.keys() == expected.keys()
+    assert list(got) == list(params)
     for name, (rows, values) in expected.items():
         got_rows, got_values = got[name]
         assert got_rows.dtype.kind == "i"
         assert np.array_equal(got_rows, rows)
-        parts = row_parts.get(name, [])
-        if len(parts) == 1:
-            # A lone part passes through uncopied.
-            assert got_values is parts[0][1]
-            got_values = got_values.astype(np.float64)
-        assert got_values.dtype == np.float64
-        assert got_values.tobytes() == values.tobytes()
+        assert got_values is row_parts[name][0][1]
+        assert got_values.astype(np.float64).tobytes() == values.tobytes()
     assert buf.grads() == {}
