@@ -156,8 +156,7 @@ def cmd_evaluate(args) -> int:
         scorer = model.make_target_scorer()
     except CheckpointError as err:
         raise CheckpointError(f"{args.checkpoint}: {err}") from None
-    report = evaluate_full(scorer, target_split, k=args.k,
-                           mask_seen=not args.no_mask_seen)
+    report = evaluate_full(scorer, target_split, k=args.k)
     corpus.write_atomic(json_path, report.to_json())
     corpus.write_atomic(txt_path, format_report(report))
     _write_manifest(args, [args.data / corpus.ARCHIVE_FILE, args.checkpoint],
@@ -243,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--no-mask-seen", action="store_true",
-                   help="rank over all items including seen ones")
     p = command("experiment", cmd_experiment,
                 "full multi-seed pipeline with aggregation", config=True)
     p.add_argument("--parallel-seeds", type=int, default=1)

@@ -1,8 +1,8 @@
 """Full-ranking top-K evaluation: Recall@K, HR@K, NDCG@K.
 
 Items a user has already seen (train plus valid when scoring the test
-set) are masked out of the ranking by default; ties are broken by
-ascending item index.
+set) are always masked out of the ranking; ties are broken by ascending
+item index.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ def top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the indices and values of the ``min(k, n_items)`` best
     scores, by score descending, then index ascending; -0.0 ties with 0.0.
     Only entries at or above a lower bound of the row's k-th best score are
-    ranked. Of those equal to the bound, which rank last, a row can pick
-    only its first k - (entries above it) by index; when the candidates
-    average more than 2k a row, the rest are dropped before the sort."""
+    ranked, all of them: a row of many ties at the bound sorts every one."""
     n_rows, n_items = scores.shape
     k = min(k, n_items)
     # k distinct entries reach the k-th largest of >= k chunk maxima, so it
@@ -39,19 +37,10 @@ def top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if np.isnan(maxima).any():
         raise ValueError("scores hold NaN; cannot rank them")
     bound = np.partition(maxima, -k, axis=1)[:, -k]
-    # Row r's candidates, at least k, are flat[starts[r]:starts[r + 1]].
+    # Row r's candidates, at least k of them, begin at flat[starts[r]].
     flat = np.flatnonzero(scores >= bound[:, None])
     values = np.take(scores, flat)
-    starts = np.searchsorted(flat, np.arange(n_rows + 1) * n_items)
-    counts = starts[1:] - starts[:-1]
-    if flat.size > 2 * k * n_rows:
-        keep = values > np.repeat(bound, counts)
-        ties = np.flatnonzero(~keep)
-        tie_starts = np.searchsorted(ties, starts)
-        above = np.diff(starts - tie_starts)
-        first = tie_starts[:-1, None] + np.arange(k)
-        keep[ties[first[np.arange(k) < k - above[:, None]]]] = True
-        flat, values, counts = flat[keep], values[keep], np.maximum(above, k)
+    starts = np.searchsorted(flat, np.arange(n_rows) * n_items)
     # Sort by row, then by the score's rank descending. Equal scores share a
     # rank, so the stable sort keeps them in index order.
     order = np.argsort(values)
@@ -59,7 +48,7 @@ def top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     ranks = np.zeros(values.size, dtype=np.int64)
     ranks[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
     order = np.argsort(flat // n_items * values.size - ranks, kind="stable")
-    pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    pick = order[starts[:, None] + np.arange(k)]
     return flat[pick] % n_items, values[pick]
 
 
@@ -92,7 +81,7 @@ def format_report(report: MetricsReport) -> str:
 
 
 def evaluate_full(scorer, split: SplitDataset, *, k: int = 10,
-                  part: str = "test", mask_seen: bool = True,
+                  part: str = "test",
                   seed: int | None = None) -> MetricsReport:
     """Rank every item for each user and aggregate the metrics over users
     with at least one held-out interaction.
@@ -125,7 +114,7 @@ def evaluate_full(scorer, split: SplitDataset, *, k: int = 10,
     for start in range(0, held.n_users, block):
         stop = min(start + block, held.n_users)
         scores = scorer(np.arange(start, stop))
-        for p in mask_parts if mask_seen else ():
+        for p in mask_parts:
             lo, hi = p.indptr[start], p.indptr[stop]
             np.put(scores, (p.users[lo:hi] - start) * n_items
                    + p.indices[lo:hi], -np.inf)

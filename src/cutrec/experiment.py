@@ -19,7 +19,8 @@ from .checkpoint import Checkpoint
 from .config import TrainingConfig, check_kind
 from .errors import ConfigError
 from .evaluation import METRIC_NAMES, evaluate_full
-from .trainer import run_target_phase, run_transfer_phase
+from .trainer import (reads_embedding_oracle, run_target_phase,
+                      run_transfer_phase)
 
 logger = logging.getLogger(__name__)
 
@@ -48,7 +49,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0,)
     variants: tuple[str, ...] = DEFAULT_VARIANTS
     eval_k: int = 10
-    mask_seen: bool = True
     min_interactions: int = 5
     target_ratios: tuple[float, float, float] = (8, 1, 1)
     source_ratios: tuple[float, float] = (8, 2)
@@ -84,8 +84,7 @@ class ExperimentConfig:
             check_kind(name, value, "int")
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
-        for name in ("mask_seen", "save_checkpoints"):
-            check_kind(name, getattr(self, name), "bool")
+        check_kind("save_checkpoints", self.save_checkpoints, "bool")
         for name, kind in _LIST_KINDS.items():
             values = getattr(self, name)
             if not isinstance(values, tuple):
@@ -167,21 +166,24 @@ def _evaluate_variants(cfg: ExperimentConfig, seed: int, ds, target_split,
     """Each variant's test metrics, and the checkpoints of the phase-one
     model and of each transfer variant, by file stem."""
     training = cfg.training.replace(seed=seed)
-    # The variants use phase one's model or its frozen table.
+    # The variants use phase one's model, its frozen table or the table's
+    # oracle, which is built once, for the first variant that reads it
+    # (no VARIANTS row changes gamma).
     phase1 = run_target_phase(ds, target_split, training)
     checkpoints = {"phase1": phase1.model.to_checkpoint()}
     results: dict[str, dict[str, float]] = {}
     for name in cfg.variants:
         model, overrides = phase1.model, VARIANTS[name]
         if overrides is not None:
+            variant = training.replace(**overrides)
+            oracle = (phase1.oracle if reads_embedding_oracle(variant)
+                      else None)
             result = run_transfer_phase(ds, target_split, source_split,
-                                        training.replace(**overrides),
-                                        frozen=phase1.frozen)
+                                        variant, oracle, frozen=phase1.frozen)
             model = result.model
             checkpoints[name] = model.to_checkpoint(result.step_count)
         report = evaluate_full(model.make_target_scorer(), target_split,
-                               k=cfg.eval_k, mask_seen=cfg.mask_seen,
-                               seed=seed)
+                               k=cfg.eval_k, seed=seed)
         results[name] = {metric: report.means[metric]
                          for metric in METRIC_NAMES}
         logger.info("seed %d variant %-18s ndcg@%d=%.4f", seed, name,

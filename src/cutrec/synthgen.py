@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import evaluation
 from .config import check_kind
 from .corpus import DomainId, RawInteractions
 from .errors import ConfigError
@@ -92,12 +93,17 @@ def _user_factors(rng: np.random.Generator, n: int, cfg: SynthConfig,
 def _top_k_interactions(rng: np.random.Generator, factors: np.ndarray,
                         item_factors: np.ndarray, k: int,
                         noise: float) -> np.ndarray:
-    scores = factors @ item_factors.T
-    if noise > 0.0:
-        scores = scores + rng.gumbel(0.0, noise, size=scores.shape)
-    # Stable ordering keeps ties deterministic under a fixed seed.
-    order = np.argsort(-scores, axis=1, kind="stable")
-    return order[:, :k]
+    """Each row's k best items by score plus Gumbel noise, ranked by
+    ``evaluation.top_k`` one block of users at a time. The noise is drawn
+    in row order, so it equals one draw over every row."""
+    top = np.empty((len(factors), k), dtype=np.int64)
+    block = max(1, evaluation.BLOCK_ENTRIES // len(item_factors))
+    for start in range(0, len(factors), block):
+        scores = factors[start:start + block] @ item_factors.T
+        if noise > 0.0:
+            scores += rng.gumbel(0.0, noise, size=scores.shape)
+        top[start:start + block] = evaluation.top_k(scores, k)[0]
+    return top
 
 
 def _domain(domain_id: DomainId, user_tokens: tuple[str, ...],

@@ -123,11 +123,16 @@ def fit(model, step, n_pairs: int, scorer, split: SplitDataset,
     return best_epoch, history
 
 
+def reads_embedding_oracle(config: TrainingConfig) -> bool:
+    """Whether phase two's contrastive term is on and reads the oracle of
+    the frozen phase-one user table."""
+    return config.contrastive_weight > 0 and not config.history_similarity
+
+
 def needs_phase_one(config: TrainingConfig) -> bool:
     """Whether phase two reads the frozen phase-one user table: under
     ``warm_start``, or for the oracle of an active contrastive term."""
-    return config.warm_start or (config.contrastive_weight > 0
-                                 and not config.history_similarity)
+    return config.warm_start or reads_embedding_oracle(config)
 
 
 def _check_frozen(config: TrainingConfig, frozen: np.ndarray | None,

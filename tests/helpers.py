@@ -345,6 +345,19 @@ def full_sort_topk(scores: np.ndarray, mask, k: int) -> list[int]:
     return kept[:k]
 
 
+def argsort_top_k_interactions(rng: np.random.Generator,
+                               factors: np.ndarray,
+                               item_factors: np.ndarray, k: int,
+                               noise: float) -> np.ndarray:
+    """The synthetic generator's top-k by one whole score matrix, one
+    Gumbel draw over it and a stable argsort of every row."""
+    scores = factors @ item_factors.T
+    if noise > 0.0:
+        scores = scores + rng.gumbel(0.0, noise, size=scores.shape)
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return order[:, :k]
+
+
 def recall_at_k(topk, test_items, k: int = 10) -> float:
     test = set(int(i) for i in test_items)
     hits = sum(1 for item in list(topk)[:k] if int(item) in test)
@@ -366,8 +379,8 @@ def ndcg_at_k(topk, test_items, k: int = 10) -> float:
     return dcg / idcg
 
 
-def per_user_metrics(table: np.ndarray, split, k: int, part: str = "test",
-                     mask_seen: bool = True) -> tuple[dict, dict]:
+def per_user_metrics(table: np.ndarray, split, k: int,
+                     part: str = "test") -> tuple[dict, dict]:
     """Means and stds of Recall, HR and NDCG@k over the users with
     held-out items, one user at a time: ``full_sort_topk`` of the user's
     row of ``table`` with their seen items masked, then the per-user
@@ -379,8 +392,7 @@ def per_user_metrics(table: np.ndarray, split, k: int, part: str = "test",
         test_items = held.rows[user]
         if test_items.size == 0:
             continue
-        mask = ({int(i) for p in seen for i in p.rows[user]}
-                if mask_seen else None)
+        mask = {int(i) for p in seen for i in p.rows[user]}
         topk = full_sort_topk(table[user], mask, k)
         values["recall"].append(recall_at_k(topk, test_items, k))
         values["hr"].append(hr_at_k(topk, test_items, k))

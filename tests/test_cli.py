@@ -264,7 +264,8 @@ EXPERIMENT_BASE = {"data": {"synthetic": SYNTH_CFG}, "training": TRAIN_CFG,
     ({"seeds": 3}, "seeds must be a list"),
     ({"seeds": [1.5]}, "seeds entry must be an integer"),
     ({"variants": ["cut", "cut"]}, "variants must be a non-empty list"),
-    ({"mask_seen": "no"}, "mask_seen must be true or false"),
+    # Retired: evaluation always masks seen items.
+    ({"mask_seen": True}, "unknown experiment config key 'mask_seen'"),
     ({"save_checkpoints": 1}, "save_checkpoints must be true or false"),
     ({"min_interactions": 0}, "min_interactions must be >= 1"),
     ({"target_ratios": [8, 1]}, "target_ratios must be three numbers"),
@@ -288,7 +289,7 @@ EXPERIMENT_BASE = {"data": {"synthetic": SYNTH_CFG}, "training": TRAIN_CFG,
      "source_ratios does not apply to data.archive"),
 ], ids=["k-str", "k-float", "k-zero", "seed-negative", "seeds-repeated",
         "seeds-empty", "seeds-int", "seed-float", "variants-repeated",
-        "mask-str", "save-int", "min-zero", "target-two", "target-zero",
+        "mask-retired", "save-int", "min-zero", "target-two", "target-zero",
         "target-str", "source-negative", "sparsity-str", "sparsity-inf",
         "training-list", "preset-list", "archive-int", "data-list",
         "archive-min", "archive-target", "archive-source"])
@@ -978,10 +979,12 @@ def test_every_manifest_lists_exactly_the_files_the_command_read(
 @pytest.mark.parametrize("argv, message", [
     (["evaluate", "--seed", "1"], "unrecognized arguments: --seed 1"),
     (["evaluate", "--config", "train.json"], "unrecognized arguments"),
+    (["evaluate", "--no-mask-seen"], "unrecognized arguments: --no-mask-seen"),
     (["ingest", "--config", "train.json"], "unrecognized arguments"),
     (["synth"], "the following arguments are required: --config"),
     (["experiment"], "the following arguments are required: --config"),
-], ids=["evaluate-seed", "evaluate-config", "ingest-config",
+], ids=["evaluate-seed", "evaluate-config", "evaluate-no-mask-seen",
+        "ingest-config",
         "synth-without-config", "experiment-without-config"])
 def test_flag_a_command_does_not_read_is_a_usage_error(pipeline_dirs,
                                                        capsys, argv,

@@ -105,6 +105,40 @@ def test_rank_orders_close_pairs(pair, dtype):
             full_sort_topk(scores[0], None, k), k
 
 
+def crowded_block(case: str, dtype) -> np.ndarray:
+    """Six rows of 300 scores in which far more than 2k = 20 entries a row
+    reach the row's 10th best: one value throughout, a row of -inf among
+    distinct scores, or four scores above 150 ties of 0.0 and -0.0."""
+    rng = np.random.default_rng(8)
+    if case == "all-equal":
+        return np.full((6, 300), 0.5, dtype=dtype)
+    if case == "masked-row":
+        scores = rng.normal(size=(6, 300))
+        scores[2] = -np.inf
+    else:
+        scores = rng.uniform(-1.0, -0.5, size=(6, 300))
+        for row in scores:
+            spots = rng.permutation(300)
+            row[spots[:4]] = [2.0, 3.0, 3.0, np.inf]
+            row[spots[4:154]] = rng.choice([-0.0, 0.0], size=150)
+    return scores.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["all-equal", "masked-row", "ties-at-bound"])
+def test_rank_crowded_blocks_match_full_sort_oracle(case, dtype):
+    scores, k = crowded_block(case, dtype), 10
+    kth = -np.sort(-scores, axis=1)[:, k - 1]
+    assert (scores >= kth[:, None]).sum() > 2 * k * len(scores)
+    items, values = top_k(scores, k)
+    assert np.array_equal(values, np.take_along_axis(scores, items, axis=1))
+    for row, row_items, row_values in zip(scores, items, values):
+        assert row_items.tolist() == full_sort_topk(row, None, k)
+        masked = np.flatnonzero(row == -np.inf)
+        assert unmasked(row_items, row_values) == \
+            full_sort_topk(row, masked, k)
+
+
 @pytest.mark.parametrize("column", [4, 22], ids=["in-chunk", "leftover"])
 def test_rank_rejects_nan(column):
     # 23 items at k = 5 make chunks of two and leave column 22 over.
@@ -215,9 +249,6 @@ def test_evaluate_masks_seen_items():
                        [0.0, 0.0, 9.0, 8.0, 1.0, 1.0]])
     report = evaluate_full(lambda users: scores[users], split, k=2)
     assert report.means["hr"] == 1.0
-    unmasked_report = evaluate_full(lambda users: scores[users], split, k=2,
-                                    mask_seen=False)
-    assert unmasked_report.means["hr"] < 1.0
 
 
 def oracle_split(rng, n_users=40, n_items=30):
@@ -251,13 +282,13 @@ def test_evaluate_matches_full_sort_oracle(monkeypatch):
     # One block, blocks of three users and blocks of one; k = 45 exceeds
     # the 30 items.
     cases = itertools.product([evaluation.BLOCK_ENTRIES, 3 * n_items, n_items],
-                              [1, 10, 45], ["test", "valid"], [True, False])
-    for entries, k, part, mask_seen in cases:
+                              [1, 10, 45], ["test", "valid"])
+    for entries, k, part in cases:
         monkeypatch.setattr(evaluation, "BLOCK_ENTRIES", entries)
         report = evaluate_full(lambda users: table[users], split, k=k,
-                               part=part, mask_seen=mask_seen)
-        means, stds = per_user_metrics(table, split, k, part, mask_seen)
-        case = (entries, k, part, mask_seen)
+                               part=part)
+        means, stds = per_user_metrics(table, split, k, part)
+        case = (entries, k, part)
         assert (report.means, report.stds) == (means, stds), case
         assert report.to_dict()["K"] == k, case
         held = split.test if part == "test" else split.valid

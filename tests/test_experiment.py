@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pickle
@@ -11,6 +12,8 @@ import pytest
 from cutrec import errors, experiment
 from cutrec.config import TrainingConfig
 from cutrec.errors import ConfigError
+from cutrec.similarity import SimilarityOracle
+from cutrec.trainer import TargetPhaseResult, reads_embedding_oracle
 from cutrec.experiment import (ExperimentConfig, format_aggregate_table,
                                prepare_data, run_experiment, run_single_seed)
 
@@ -108,6 +111,44 @@ def test_every_variant_runs_and_records_its_settings():
         assert any(not np.array_equal(cut[member], values)
                    for member, values in ckpts[name].arrays.items()), name
     assert "cut-warm" not in experiment.DEFAULT_VARIANTS
+
+
+def test_phase_one_oracle_is_built_once_for_the_variants_that_read_it(
+        monkeypatch):
+    # cut, cut-no-transform and cut-warm read the frozen table's oracle.
+    # The experiment builds it once and hands it to each; a variant that
+    # built its own would read the same pairs, and the other variants
+    # build none.
+    built = []
+    build = SimilarityOracle.from_embeddings
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(SimilarityOracle, "from_embeddings",
+                        staticmethod(counted))
+    cfg = synth_experiment_config(seeds=[0], save_checkpoints=True,
+                                  variants=list(experiment.VARIANTS))
+    shared = run_experiment(cfg)
+    assert len(built) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(TargetPhaseResult, "oracle", property(lambda _: None))
+        own = run_experiment(cfg)
+    assert len(built) == 4
+    assert json.dumps(shared[0], sort_keys=True) == \
+        json.dumps(own[0], sort_keys=True)
+    assert list(shared[1]) == list(own[1])
+    for name, ckpt in shared[1].items():
+        assert (ckpt.hyper, ckpt.step) == (own[1][name].hyper,
+                                           own[1][name].step), name
+        for member, values in ckpt.arrays.items():
+            assert np.array_equal(own[1][name].arrays[member], values), name
+    run_experiment(dataclasses.replace(cfg, variants=tuple(
+        name for name, overrides in experiment.VARIANTS.items()
+        if not reads_embedding_oracle(cfg.training.replace(
+            **(overrides or {}))))))
+    assert len(built) == 4
 
 
 def test_run_experiment_aggregates_and_is_deterministic():

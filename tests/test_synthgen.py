@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cutrec import evaluation, synthgen
 from cutrec.corpus import DomainId, build_cross_domain
 from cutrec.synthgen import SynthConfig, generate
+
+from helpers import argsort_top_k_interactions, traced_peak
 
 
 def base_config(**overrides):
@@ -114,3 +119,48 @@ def test_validation_errors():
         base_config(interactions_per_user=51)
     with pytest.raises(ValueError):
         base_config(n_users=0)
+
+
+def log_bytes(raws) -> list:
+    """The token tables and the column bytes of interaction logs."""
+    return [(raw.domain_id, raw.user_tokens, raw.item_tokens,
+             *(col.dtype.str + col.tobytes().hex()
+               for col in (raw.users, raw.items, raw.times)))
+            for raw in raws]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generate_matches_whole_matrix_argsort_oracle(data):
+    # Clustered or not, noisy or noiseless with shared item factors (where
+    # an overlap user's two domains score alike at distortion 0), up to the
+    # whole catalogue a user, and blocks of one row to all rows.
+    n_items = data.draw(st.integers(1, 40))
+    noiseless = data.draw(st.booleans())
+    cfg = SynthConfig(
+        n_users=data.draw(st.integers(1, 30)), n_items_per_domain=n_items,
+        latent_dim=data.draw(st.integers(1, 6)),
+        overlap_fraction=data.draw(st.sampled_from([0.0, 0.3, 1.0])),
+        distortion=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+        interactions_per_user=data.draw(st.sampled_from(
+            [1, max(1, n_items // 2), n_items])),
+        seed=data.draw(st.integers(0, 2**32 - 1)),
+        n_clusters=data.draw(st.sampled_from([0, 3])),
+        score_noise=0.0 if noiseless else 0.05,
+        share_item_factors=noiseless or data.draw(st.booleans()))
+    entries = data.draw(st.sampled_from([1, 3 * n_items, 1 << 18]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "BLOCK_ENTRIES", entries)
+        got = log_bytes(generate(cfg)[:2])
+        patch.setattr(synthgen, "_top_k_interactions",
+                      argsort_top_k_interactions)
+        assert got == log_bytes(generate(cfg)[:2]), (cfg, entries)
+
+
+def test_generate_holds_one_block_of_scores_at_a_time():
+    # The medium shape: the whole-matrix generator traced 161 MiB here, and
+    # one users x items float64 array of the target domain alone is 41.6 MB.
+    cfg = SynthConfig(n_users=4000, n_items_per_domain=2000, latent_dim=16,
+                      overlap_fraction=0.3, distortion=0.5,
+                      interactions_per_user=30, seed=5)
+    assert traced_peak(generate, cfg) < 16_000_000

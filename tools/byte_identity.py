@@ -8,6 +8,9 @@ BLAS thread per process, with OUT_DIR as its working directory so that
 the manifests hold the same relative paths in both trees:
 
 - ``synth`` (1200 users in 4 clusters) and ``ingest``;
+- ``synth`` alone on two more configs, the first without clusters and the
+  second with ``score_noise`` 0 and ``share_item_factors`` at distortion
+  0, so that an overlap user's two domains rank the same scores;
 - for MF at gamma 0.5 and LightGCN at gamma 0.7: ``train-target``, then
   ``train-transfer --phase1`` for the default config, ``joint``,
   ``cut-no-contrastive``, ``cut-history`` (each from the tree's
@@ -23,7 +26,7 @@ or archive gets one line per member (``file:member``) and one per entry of
 its JSON header, and a JSON file one per entry, to three levels
 (``file#key/key/key``). A change that alters only a recorded setting, or
 adds a variant, then shows as those entries' lines, with the arrays' lines
-equal. It takes about 15 s on two cores and is not part of the test suite.
+equal. It takes about 20 s on two cores and is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ from cutrec.experiment import VARIANTS  # noqa: E402
 SYNTH = {"n_users": 1200, "n_items_per_domain": 600, "latent_dim": 16,
          "overlap_fraction": 0.3, "distortion": 0.5,
          "interactions_per_user": 20, "n_clusters": 4, "seed": 11}
+# Output directory -> the settings of a synth run that nothing reads.
+MORE_SYNTHS = {"raw-plain": {"n_clusters": 0},
+               "raw-shared": {"score_noise": 0.0, "share_item_factors": True,
+                              "distortion": 0.0}}
 TRAINING = {"embedding_dim": 32, "batch_size": 512, "lr": 0.01,
             "max_epochs": 4, "patience": 4, "seed": 3}
 BACKBONES = {"mf": {"backbone": "mf", "gamma": 0.5},
@@ -69,6 +76,9 @@ def cli(out: Path, *args: str) -> None:
 def run(out: Path) -> None:
     (out / "synth.json").write_text(json.dumps(SYNTH))
     cli(out, "synth", "--config", "synth.json", "--out", "raw")
+    for name, settings in MORE_SYNTHS.items():
+        (out / f"{name}.json").write_text(json.dumps({**SYNTH, **settings}))
+        cli(out, "synth", "--config", f"{name}.json", "--out", name)
     cli(out, "ingest", "raw/source.tsv", "raw/target.tsv", "--out", "data",
         "--seed", "5")
     for backbone, settings in BACKBONES.items():
